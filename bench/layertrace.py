@@ -30,21 +30,19 @@ _perf = time.perf_counter
 FIELDS = ("calls", "total_s", "self_s", "items", "hits")
 CALLS, TOTAL, SELF, ITEMS, HITS = range(len(FIELDS))
 
+# Individual spans kept per process for the Chrome trace (its first 16
+# batches need far fewer); the aggregates are always complete.
+MAX_SPANS = 40000
+
 
 def _new_record() -> List[float]:
     return [0, 0.0, 0.0, 0, 0]
 
 
 class LayerTrace:
-    """Wrap layer entry points; aggregate count / total / self time per name.
+    """Wrap layer entry points; aggregate count / total / self time per name."""
 
-    Args:
-        max_spans: Individual spans kept (for the Chrome trace) per process;
-            aggregates are always complete.
-    """
-
-    def __init__(self, max_spans: int = 40000) -> None:
-        self.max_spans = max_spans
+    def __init__(self) -> None:
         self.records: Dict[str, List[float]] = {}
         self.spans: List[Tuple[str, float, float]] = []
         self._child_time: List[float] = []
@@ -62,7 +60,6 @@ class LayerTrace:
         record = self.records.setdefault(name, _new_record())
         child_time = self._child_time
         spans = self.spans
-        max_spans = self.max_spans
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
@@ -84,7 +81,7 @@ class LayerTrace:
                     record[ITEMS] += items(args)
                 if count_hits and result is not None:
                     record[HITS] += 1
-                if len(spans) < max_spans:
+                if len(spans) < MAX_SPANS:
                     spans.append((name, start, duration))
 
         return wrapper
@@ -200,6 +197,7 @@ def install_layers(trace: LayerTrace) -> None:
     patch(AreaPowerModel, "evaluate", "hardware.area_power")
     patch(engine.Simulator, "__init__", "simulator.setup")
     patch(engine.Simulator, "simulate", "simulator.simulate")
+    patch(engine.Simulator, "gather_map_entry", "simulator.gather")
     patch(engine, "vector_op_cost", "simulator.vector_op")
     patch(engine, "compile_graph", "compiler.compile")
     patch(trial_module, "build_workload", "workloads.build")
@@ -213,6 +211,7 @@ def install_layers(trace: LayerTrace) -> None:
     )
     patch(FastFusionOptimizer, "optimize", "fusion.optimize", items=lambda args: len(args[1]))
     patch(opcache.RegionCostCache, "get", "cache.region.get", count_hits=True)
+    patch(opcache.RegionCostCache, "peek", "cache.region.peek")
     patch(opcache.RegionCostCache, "put", "cache.region.put")
     patch(opcache.OpCostCache, "get", "cache.op.get", count_hits=True)
     patch(opcache.OpCostCache, "put", "cache.op.put")

@@ -2,8 +2,9 @@
 
 Runs a full set at 16 trials per round and one repeat (every workload, the
 traced runs, the scalar-reference check) and checks the printed metric names
-and units against ``BENCHMARK.json``.  Everything runs in subprocesses, so
-no cache or patched attribute leaks into the rest of the test session.
+and units against ``BENCHMARK.json``.  Everything runs in subprocesses with
+working files under ``tmp_path``, so no cache, file or patched attribute
+leaks into the rest of the test session or the source tree.
 """
 
 import json
@@ -17,16 +18,17 @@ ROOT = BENCH.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
-def _run(args, timeout=240):
+def _run(args):
     return subprocess.run(
         [sys.executable, str(BENCH / "run.py"), *args],
-        cwd=ROOT, capture_output=True, text=True, timeout=timeout,
+        cwd=ROOT, capture_output=True, text=True, timeout=240,
     )
 
 
 def test_full_set_smoke(tmp_path):
     output = tmp_path / "set.json"
-    process = _run(["--repeats", "1", "--trials", "16", "--output", str(output)])
+    process = _run(["--repeats", "1", "--trials", "16", "--output", str(output),
+                    "--work", str(tmp_path / "work")])
     assert process.returncode == 0, process.stdout[-3000:] + process.stderr[-3000:]
     result = json.loads(output.read_text())
     assert result["failures"] == []
@@ -41,24 +43,26 @@ def test_full_set_smoke(tmp_path):
     for name in workloads:
         assert list(result["layers"][name]) == per_layer
 
-    # Traced histories equal the untimed ones of the same search seeds.
-    untimed = {
-        (run["workload"], r["seed"]): r["digest"] for run in result["runs"] for r in run["rounds"]
-    }
+    # Traced histories equal the untimed ones of the same search.
+    untimed = {run["workload"]: run["rounds"][0]["digest"] for run in result["runs"]}
     for run in result["traced"]:
         for r in run["traced_rounds"]:
-            assert r["digest"] == untimed[(run["workload"], r["seed"])]
+            assert r["digest"] == untimed[run["workload"]]
 
 
-def test_one_run_result_line():
-    process = _run(["--workload", "enet-cold", "--seed", "1", "--trials", "16", "--trace", "0"])
-    assert process.returncode == 0, process.stderr[-3000:]
-    line = json.loads(process.stdout.strip().splitlines()[-1])
-    assert set(line) == {"correct", "attempted", "failed", "metrics"}
-    assert line["correct"] is True and line["failed"] == 0 and line["attempted"] == 16
-    declared = {metric["name"]: metric["unit"] for metric in DECLARED["end_to_end"]}
-    assert {name: value["unit"] for name, value in line["metrics"].items()} == declared
-    assert all(value["value"] > 0 for value in line["metrics"].values())
+def test_one_run_result_line(tmp_path):
+    # The second run reuses the first one's cached scalar reference.
+    for seed in ("1", "2"):
+        process = _run(["--workload", "enet-cold", "--seed", seed, "--trials", "16", "--trace", "0",
+                        "--work", str(tmp_path)])
+        assert process.returncode == 0, process.stderr[-3000:]
+        line = json.loads(process.stdout.strip().splitlines()[-1])
+        assert set(line) == {"correct", "attempted", "failed", "metrics"}
+        assert line["correct"] is True and line["failed"] == 0 and line["attempted"] == 16
+        declared = {metric["name"]: metric["unit"] for metric in DECLARED["end_to_end"]}
+        assert {name: value["unit"] for name, value in line["metrics"].items()} == declared
+        assert all(value["value"] > 0 for value in line["metrics"].values())
+    assert [path.name.split("-")[0] for path in (tmp_path / "cache").iterdir()] == ["reference"]
 
 
 RESTORE_CHECK = r"""
