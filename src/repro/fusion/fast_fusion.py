@@ -17,10 +17,28 @@ Two solver backends are provided:
 * ``"greedy"`` — a benefit-density heuristic with the same constraint
   structure, used by default for large models and inside the search loop
   where thousands of fusion problems must be solved per experiment.
+
+The greedy backend pins activations first, then weights, each time taking
+the feasible move with the highest DRAM cycles saved per pinned byte (ties
+to the lowest region index).  Two invariants let it find those picks
+without rescanning the region chain:
+
+1. An activation pin at adjacent pair ``i`` changes regions ``i`` and
+   ``i + 1`` only, so only pairs ``i - 1`` and ``i + 1`` need re-scoring and
+   a heap yields each next pick.
+2. A weight candidate's density depends on its own slack alone, and pinned
+   weight bytes only grow, so the tightest region's headroom only shrinks:
+   ``min_i(C - B_i - A_i) - W`` (capacity, blocking bytes, pinned
+   activation bytes, pinned weight bytes) is exact because floating-point
+   rounding is monotone.  One pass in density order makes every weight pick.
+
+A solve is O((n + pins) log n) for ``n`` regions, where the rescanning
+formulation was O(pins * n) for activations and O(pins * n^2) for weights.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -220,93 +238,111 @@ class FastFusionOptimizer:
     # Greedy backend
     # ------------------------------------------------------------------
     def _solve_greedy(self, regions: List[RegionStats]) -> FusionResult:
+        """Benefit-density greedy: activation pins first, then weight pins.
+
+        Each phase repeatedly makes the feasible move with the highest
+        benefit density (DRAM cycles saved per pinned byte), breaking ties
+        towards the lowest region index, until no move saves anything.  The
+        picks are found without rescanning the region chain:
+
+        * Phase 1 (activations).  The move at pair ``i`` pins region ``i``'s
+          output and region ``i + 1``'s input, so it changes the slack and
+          headroom of those two regions only.  Afterwards pair ``i`` is spent
+          and only pairs ``i - 1`` and ``i + 1`` are re-scored; a heap keyed
+          by ``(-density, index)`` holds the current scores, and entries made
+          stale by a re-score are skipped when popped.
+        * Phase 2 (weights).  A candidate's density depends only on its own
+          slack, which no other weight pin changes, so the densities are
+          fixed for the whole phase.  Every candidate has ``weight_bytes >
+          0``, so the pinned weight total ``W`` only grows and a candidate
+          that does not fit never fits later.  Feasibility needs the smallest
+          headroom ``min_i(C - B_i - A_i) - W`` (capacity, blocking bytes,
+          pinned activation bytes), and because floating-point rounding is
+          monotone, taking ``- W`` outside the ``min`` is exact.  One pass in
+          ``(-density, index)`` order therefore makes the same picks as
+          repeatedly taking the best feasible candidate.
+
+        That is O((n + pins) log n) for ``n`` regions instead of the
+        O(pins * n) rescans of phase 1 and O(pins * n^2) headroom checks of
+        phase 2.
+        """
         n = len(regions)
         capacity = float(self.gm_capacity_bytes)
         pin_input = [False] * n
         pin_output = [False] * n
         pin_weights = [False] * n
         activation_usage = [0.0] * n  # own pinned activation bytes per region
-        weight_total = 0.0  # persistent pinned weight bytes
         saved = [0.0] * n
 
         def slack(i: int) -> float:
             return max(0.0, self._region_time(regions[i], saved[i]) - regions[i].t_min_cycles)
 
         def headroom(i: int) -> float:
-            return capacity - regions[i].blocking_gm_bytes - activation_usage[i] - weight_total
+            """Region ``i``'s free Global Memory before any weight is pinned."""
+            return capacity - regions[i].blocking_gm_bytes - activation_usage[i]
 
-        def weight_move_feasible(j: int) -> bool:
-            need = regions[j].weight_bytes
-            return all(headroom(i) >= need for i in range(n))
+        def pair_density(i: int) -> float:
+            """Benefit density of pair ``i``'s activation move; the move needs > 0."""
+            producer, consumer = regions[i], regions[i + 1]
+            if not (
+                headroom(i) >= producer.output_bytes
+                and headroom(i + 1) >= consumer.input_bytes
+            ):
+                return 0.0
+            benefit = min(producer.output_dram_cycles, slack(i)) + min(
+                consumer.input_dram_cycles, slack(i + 1)
+            )
+            return benefit / (max(producer.output_bytes, 1) + max(consumer.input_bytes, 1))
 
-        def apply_activation_move(i: int) -> None:
+        # Phase 1: activation pinning.  Activations have short lifetimes (they
+        # only occupy the Global Memory between adjacent regions), so they are
+        # placed first; pinning them never blocks a later weight pin globally.
+        pairable = [
+            self._pinnable_output(regions[i], regions) and self._pinnable_input(regions[i + 1])
+            for i in range(n - 1)
+        ]
+        density = [0.0] * len(pairable)
+        heap: List[Tuple[float, int]] = []
+        for i in range(n - 1):
+            if pairable[i]:
+                density[i] = pair_density(i)
+                if density[i] > 0.0:
+                    heap.append((-density[i], i))
+        heapq.heapify(heap)
+        while heap:
+            negated, i = heapq.heappop(heap)
+            if pin_output[i] or -negated != density[i]:
+                continue  # spent, or re-scored since this entry was pushed
             pin_output[i] = True
             pin_input[i + 1] = True
             activation_usage[i] += regions[i].output_bytes
             activation_usage[i + 1] += regions[i + 1].input_bytes
             saved[i] += regions[i].output_dram_cycles
             saved[i + 1] += regions[i + 1].input_dram_cycles
-
-        def apply_weight_move(i: int) -> None:
-            nonlocal weight_total
-            pin_weights[i] = True
-            weight_total += regions[i].weight_bytes
-            saved[i] += regions[i].weight_dram_cycles
-
-        # Phase 1: activation pinning.  Activations have short lifetimes (they
-        # only occupy the Global Memory between adjacent regions), so they are
-        # placed first; pinning them never blocks a later weight pin globally.
-        improved = True
-        while improved:
-            improved = False
-            best_density = 0.0
-            best_index: Optional[int] = None
-            for i in range(n - 1):
-                region = regions[i]
-                if (
-                    pin_output[i]
-                    or not self._pinnable_output(region, regions)
-                    or pin_input[i + 1]
-                    or not self._pinnable_input(regions[i + 1])
-                ):
-                    continue
-                benefit = min(region.output_dram_cycles, slack(i)) + min(
-                    regions[i + 1].input_dram_cycles, slack(i + 1)
-                )
-                cost = max(region.output_bytes, 1) + max(regions[i + 1].input_bytes, 1)
-                feasible = (
-                    headroom(i) >= region.output_bytes
-                    and headroom(i + 1) >= regions[i + 1].input_bytes
-                )
-                if feasible and benefit > 0:
-                    density = benefit / cost
-                    if density > best_density:
-                        best_density = density
-                        best_index = i
-            if best_index is not None:
-                apply_activation_move(best_index)
-                improved = True
+            for j in (i - 1, i + 1):
+                if 0 <= j < n - 1 and pairable[j] and not pin_output[j]:
+                    density[j] = pair_density(j)
+                    if density[j] > 0.0:
+                        heapq.heappush(heap, (-density[j], j))
 
         # Phase 2: weight pinning with the remaining (persistent) headroom.
-        improved = True
-        while improved:
-            improved = False
-            best_density = 0.0
-            best_index = None
-            for i in range(n):
-                region = regions[i]
-                if pin_weights[i] or region.weight_bytes <= 0:
-                    continue
-                benefit = min(region.weight_dram_cycles, slack(i))
-                if benefit <= 0 or not weight_move_feasible(i):
-                    continue
-                density = benefit / max(region.weight_bytes, 1)
-                if density > best_density:
-                    best_density = density
-                    best_index = i
-            if best_index is not None:
-                apply_weight_move(best_index)
-                improved = True
+        candidates = []
+        for i, region in enumerate(regions):
+            if region.weight_bytes > 0:
+                weight_density = min(region.weight_dram_cycles, slack(i)) / max(
+                    region.weight_bytes, 1
+                )
+                if weight_density > 0.0:
+                    candidates.append((-weight_density, i))
+        if candidates:
+            candidates.sort()
+            min_headroom = min(headroom(i) for i in range(n))
+            weight_total = 0.0  # persistent pinned weight bytes
+            for _, i in candidates:
+                if min_headroom - weight_total >= regions[i].weight_bytes:
+                    pin_weights[i] = True
+                    weight_total += regions[i].weight_bytes
+                    saved[i] += regions[i].weight_dram_cycles
 
         decisions = [
             FusionDecision(pin_input[i], pin_output[i], pin_weights[i]) for i in range(n)

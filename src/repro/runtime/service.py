@@ -99,6 +99,20 @@ logger = logging.getLogger("repro.runtime.service")
 #: fingerprint means a confused client and gets a 400 instead of silence.
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{16}")
 
+#: Largest request body the service reads.  ``Content-Length`` comes from the
+#: client, so a longer body is refused (HTTP 413) before any of it is read.
+#: The in-repo clients send far less: a 32-entry region-cache PUT or one
+#: ``/evaluate`` chunk of parameter assignments.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class _BodyError(Exception):
+    """A request body the service refuses; carries the HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
 
 @dataclass
 class ServiceStats:
@@ -500,6 +514,9 @@ def _make_handler(service: EvaluationService):
     """Build the request-handler class bound to one service instance."""
 
     class Handler(BaseHTTPRequestHandler):
+        # (route, method, start time) of the request until it is counted.
+        _unobserved: Optional[Tuple[str, str, float]] = None
+
         # Access logs go through the module logger at DEBUG instead of the
         # stdlib's unconditional stderr write: quiet by default (tests, CI
         # smokes), but ``repro serve --verbose`` makes per-request lines —
@@ -534,13 +551,27 @@ def _make_handler(service: EvaluationService):
                 return True
             return False
 
-        def _read_json(self) -> Optional[dict]:
-            length = int(self.headers.get("Content-Length", 0))
+        def _read_json(self) -> dict:
+            """The request body as JSON; raises :class:`_BodyError` to refuse it.
+
+            A non-integer or negative ``Content-Length`` is a 400 and one
+            above :data:`MAX_BODY_BYTES` a 413, both before the body is read.
+            """
+            header = self.headers.get("Content-Length", "0")
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _BodyError(400, f"invalid Content-Length {header!r}")
+            if length > MAX_BODY_BYTES:
+                raise _BodyError(
+                    413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+                )
             try:
                 return json.loads(self.rfile.read(length) or b"{}")
-            except (json.JSONDecodeError, ValueError):
-                self._reply(400, {"error": "request body is not valid JSON"})
-                return None
+            except ValueError:
+                raise _BodyError(400, "request body is not valid JSON") from None
 
         def _reply(self, status: int, body: dict) -> int:
             data = json.dumps(body).encode()
@@ -554,6 +585,7 @@ def _make_handler(service: EvaluationService):
             return status
 
         def _send_bytes(self, status: int, content_type: str, data: bytes) -> None:
+            self._observe(status)
             try:
                 self.send_response(status)
                 self.send_header("Content-Type", content_type)
@@ -583,7 +615,7 @@ def _make_handler(service: EvaluationService):
                 parent_header=trace_header,
                 attrs={"route": route, "method": method},
             )
-            started = time.perf_counter()
+            self._unobserved = (route, method, time.perf_counter())
             status = 500
             try:
                 if self._inject_fault():
@@ -593,6 +625,17 @@ def _make_handler(service: EvaluationService):
             finally:
                 span.set_attr("status", status)
                 service.tracer.finish(span)
+                self._observe(status)  # no reply was sent
+
+        def _observe(self, status: int) -> None:
+            """Fold this request into the metrics once, before its reply is sent.
+
+            A client that has read a reply may query ``/health`` or
+            ``/metrics`` at once; that request must already be counted.
+            """
+            if self._unobserved is not None:
+                route, method, started = self._unobserved
+                self._unobserved = None
                 service.observe_request(
                     route, method, status, time.perf_counter() - started
                 )
@@ -606,9 +649,10 @@ def _make_handler(service: EvaluationService):
                 if route == "/metrics":
                     return self._reply_text(200, service.metrics_exposition())
                 return self._reply(404, {"error": f"unknown path {route}"})
-            payload = self._read_json()
-            if payload is None:
-                return 400
+            try:
+                payload = self._read_json()
+            except _BodyError as error:
+                return self._reply(error.status, {"error": str(error)})
             if route == "/cache/region":
                 if method not in ("GET", "PUT"):
                     return self._reply(

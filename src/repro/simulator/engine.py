@@ -415,12 +415,12 @@ class Simulator:
 
     @staticmethod
     def _copy_region_entry(entry: tuple) -> tuple:
-        """Fresh (RegionPerformance, RegionStats) copies of a cache entry.
+        """A cache entry with a fresh copy of its mutable RegionPerformance.
 
         Records are mutated downstream (the fusion pass writes
         ``post_fusion_cycles`` / ``fusion`` onto them), so neither the cached
-        objects nor their mutable fields may ever alias a live simulation
-        result.
+        record nor its mutable fields may ever alias a live simulation
+        result.  The ``RegionStats`` is frozen and is shared as is.
         """
         record, stats = entry
         return (
@@ -431,7 +431,7 @@ class Simulator:
                 fusion=FusionDecision(),
                 post_fusion_cycles=record.pre_fusion_cycles,
             ),
-            replace(stats),
+            stats,
         )
 
     # ------------------------------------------------------------------

@@ -1,8 +1,22 @@
 """Tests for FAST fusion (the Figure 8 ILP and the greedy heuristic)."""
 
+from dataclasses import fields
+from functools import lru_cache
+from typing import List, Optional
+from unittest import mock
+
+import numpy as np
 import pytest
 
-from repro.fusion.fast_fusion import FastFusionOptimizer, FusionDecision, RegionStats
+from repro.fusion.blocking import BlockingAwareFusionOptimizer
+from repro.fusion.fast_fusion import (
+    FastFusionOptimizer,
+    FusionDecision,
+    FusionResult,
+    RegionStats,
+)
+from repro.hardware.search_space import DatapathSearchSpace
+from repro.simulator.engine import SimulationOptions, Simulator
 
 
 def make_chain(num_regions, weight_bytes=0, act_bytes=100, dram_cycles=10.0, busy=5.0):
@@ -155,3 +169,287 @@ class TestSolverSelectionAndQuality:
         regions = make_chain(4)
         result = FastFusionOptimizer(gm_capacity_bytes=10_000, solver="greedy").optimize(regions)
         assert result.dram_bytes_saved(regions, dram_bytes_per_cycle=10.0) > 0
+
+
+# ---------------------------------------------------------------------------
+# Greedy backend: exact equivalence with the original rescanning solver
+# ---------------------------------------------------------------------------
+
+
+def reference_solve_greedy(self, regions: List[RegionStats]) -> FusionResult:
+    """The original rescanning greedy solver, kept as the test oracle.
+
+    Called with a :class:`FastFusionOptimizer` as ``self``.  Every loop
+    re-scores all adjacent pairs (phase 1) and checks every region's
+    headroom for every weight candidate (phase 2).
+    """
+    n = len(regions)
+    capacity = float(self.gm_capacity_bytes)
+    pin_input = [False] * n
+    pin_output = [False] * n
+    pin_weights = [False] * n
+    activation_usage = [0.0] * n  # own pinned activation bytes per region
+    weight_total = 0.0  # persistent pinned weight bytes
+    saved = [0.0] * n
+
+    def slack(i: int) -> float:
+        return max(0.0, self._region_time(regions[i], saved[i]) - regions[i].t_min_cycles)
+
+    def headroom(i: int) -> float:
+        return capacity - regions[i].blocking_gm_bytes - activation_usage[i] - weight_total
+
+    def weight_move_feasible(j: int) -> bool:
+        need = regions[j].weight_bytes
+        return all(headroom(i) >= need for i in range(n))
+
+    def apply_activation_move(i: int) -> None:
+        pin_output[i] = True
+        pin_input[i + 1] = True
+        activation_usage[i] += regions[i].output_bytes
+        activation_usage[i + 1] += regions[i + 1].input_bytes
+        saved[i] += regions[i].output_dram_cycles
+        saved[i + 1] += regions[i + 1].input_dram_cycles
+
+    def apply_weight_move(i: int) -> None:
+        nonlocal weight_total
+        pin_weights[i] = True
+        weight_total += regions[i].weight_bytes
+        saved[i] += regions[i].weight_dram_cycles
+
+    # Phase 1: activation pinning.  Activations have short lifetimes (they
+    # only occupy the Global Memory between adjacent regions), so they are
+    # placed first; pinning them never blocks a later weight pin globally.
+    improved = True
+    while improved:
+        improved = False
+        best_density = 0.0
+        best_index: Optional[int] = None
+        for i in range(n - 1):
+            region = regions[i]
+            if (
+                pin_output[i]
+                or not self._pinnable_output(region, regions)
+                or pin_input[i + 1]
+                or not self._pinnable_input(regions[i + 1])
+            ):
+                continue
+            benefit = min(region.output_dram_cycles, slack(i)) + min(
+                regions[i + 1].input_dram_cycles, slack(i + 1)
+            )
+            cost = max(region.output_bytes, 1) + max(regions[i + 1].input_bytes, 1)
+            feasible = (
+                headroom(i) >= region.output_bytes
+                and headroom(i + 1) >= regions[i + 1].input_bytes
+            )
+            if feasible and benefit > 0:
+                density = benefit / cost
+                if density > best_density:
+                    best_density = density
+                    best_index = i
+        if best_index is not None:
+            apply_activation_move(best_index)
+            improved = True
+
+    # Phase 2: weight pinning with the remaining (persistent) headroom.
+    improved = True
+    while improved:
+        improved = False
+        best_density = 0.0
+        best_index = None
+        for i in range(n):
+            region = regions[i]
+            if pin_weights[i] or region.weight_bytes <= 0:
+                continue
+            benefit = min(region.weight_dram_cycles, slack(i))
+            if benefit <= 0 or not weight_move_feasible(i):
+                continue
+            density = benefit / max(region.weight_bytes, 1)
+            if density > best_density:
+                best_density = density
+                best_index = i
+        if best_index is not None:
+            apply_weight_move(best_index)
+            improved = True
+
+    decisions = [
+        FusionDecision(pin_input[i], pin_output[i], pin_weights[i]) for i in range(n)
+    ]
+    return self._finalize(regions, decisions, status="greedy")
+
+
+def random_regions(rng, num_regions):
+    """A seeded region list covering the greedy solver's corner cases.
+
+    Values sit on coarse grids and some regions duplicate their
+    predecessor's numbers, so equal densities (ties) are common.
+    Predecessors mix adjacent, skip and ``None``; graph outputs appear
+    mid-chain; weights, slack and blocking bytes are zero some of the time.
+    """
+    regions = []
+    for i in range(num_regions):
+        if regions and rng.random() < 0.3:
+            numbers = {
+                key: getattr(regions[-1], key)
+                for key in (
+                    "busy_cycles", "t_max_cycles", "input_dram_cycles",
+                    "weight_dram_cycles", "output_dram_cycles", "input_bytes",
+                    "weight_bytes", "output_bytes", "blocking_gm_bytes",
+                )
+            }
+        else:
+            busy = float(rng.integers(0, 8) * 25)
+            input_dram = float(rng.integers(0, 6) * 20)
+            weight_dram = float(rng.integers(0, 6) * 20)
+            output_dram = float(rng.integers(0, 6) * 20)
+            if rng.random() < 0.15:
+                t_max = busy  # compute bound: zero slack
+            else:
+                t_max = max(busy, input_dram + weight_dram + output_dram)
+            numbers = dict(
+                busy_cycles=busy,
+                t_max_cycles=t_max,
+                input_dram_cycles=input_dram,
+                weight_dram_cycles=weight_dram,
+                output_dram_cycles=output_dram,
+                input_bytes=int(rng.integers(0, 5) * 64),
+                weight_bytes=0 if rng.random() < 0.3 else int(rng.integers(1, 5) * 64),
+                output_bytes=int(rng.integers(0, 5) * 64),
+                blocking_gm_bytes=0 if rng.random() < 0.5 else int(rng.integers(1, 4) * 32),
+            )
+        draw = rng.random()
+        if i == 0 or draw < 0.15:
+            predecessor = None
+        elif draw < 0.3 and i > 1:
+            predecessor = int(rng.integers(0, i - 1))  # skip connection
+        else:
+            predecessor = i - 1
+        regions.append(
+            RegionStats(
+                index=i,
+                name=f"r{i}",
+                predecessor=predecessor,
+                is_graph_output=(i == num_regions - 1) or bool(rng.random() < 0.05),
+                **numbers,
+            )
+        )
+    return regions
+
+
+def random_capacities(rng, regions):
+    """Zero, tight and ample Global Memory capacities for ``regions``."""
+    total = sum(r.input_bytes + r.weight_bytes + r.output_bytes for r in regions)
+    blocking = max((r.blocking_gm_bytes for r in regions), default=0)
+    tight = blocking + int(rng.integers(0, 6) * 64)
+    return (0, tight, blocking + total + 1)
+
+
+RANDOM_SIZES = list(range(0, 13)) + [16, 20, 25, 32, 40, 49, 64, 81, 100, 128, 150]
+
+
+@lru_cache(maxsize=None)
+def random_fusion_inputs():
+    """Seeded ``(capacity, regions)`` inputs, n from 0 to 150."""
+    rng = np.random.default_rng(2022)
+    inputs = []
+    for num_regions in RANDOM_SIZES:
+        for _ in range(2):
+            regions = tuple(random_regions(rng, num_regions))
+            for capacity in random_capacities(rng, regions):
+                inputs.append((capacity, regions))
+    return tuple(inputs)
+
+
+@lru_cache(maxsize=None)
+def simulated_fusion_inputs():
+    """The exact fusion inputs of efficientnet-b0 and bert-seq128 on 20 datapaths.
+
+    Records every ``optimize`` call the simulator makes while pricing both
+    workloads on sampled datapaths that have a Global Memory.
+    """
+    space = DatapathSearchSpace()
+    rng = np.random.default_rng(12)
+    options = SimulationOptions(
+        fusion_solver="greedy", op_cache_enabled=False, region_cache_enabled=False
+    )
+    captured = []
+    optimize = FastFusionOptimizer.optimize
+
+    def record(self, regions):
+        captured.append((self.gm_capacity_bytes, tuple(regions)))
+        return optimize(self, regions)
+
+    datapaths = 0
+    with mock.patch.object(FastFusionOptimizer, "optimize", record):
+        while datapaths < 20:
+            config = space.to_config(space.sample(rng))
+            if config.l3_global_buffer_mib <= 0 or not config.enable_fast_fusion:
+                continue
+            datapaths += 1
+            simulator = Simulator(config, options)
+            for workload in ("efficientnet-b0", "bert-seq128"):
+                simulator.simulate_workload(workload)
+    return tuple(captured)
+
+
+def reference_greedy():
+    """Patch the original solver in as the greedy backend."""
+    return mock.patch.object(FastFusionOptimizer, "_solve_greedy", reference_solve_greedy)
+
+
+def assert_same_result(expected: FusionResult, actual: FusionResult) -> None:
+    for field in fields(FusionResult):
+        assert getattr(actual, field.name) == getattr(expected, field.name), field.name
+
+
+class TestGreedyMatchesReference:
+    @pytest.mark.parametrize("case", range(len(random_fusion_inputs())))
+    def test_random_regions(self, case):
+        capacity, regions = random_fusion_inputs()[case]
+        optimizer = FastFusionOptimizer(gm_capacity_bytes=capacity, solver="greedy")
+        with reference_greedy():
+            expected = optimizer.optimize(regions)
+        assert_same_result(expected, optimizer.optimize(regions))
+
+    def test_simulated_workloads(self):
+        inputs = simulated_fusion_inputs()
+        assert len(inputs) >= 20
+        for capacity, regions in inputs:
+            optimizer = FastFusionOptimizer(gm_capacity_bytes=capacity, solver="greedy")
+            with reference_greedy():
+                expected = optimizer.optimize(regions)
+            assert_same_result(expected, optimizer.optimize(regions))
+
+    @pytest.mark.parametrize("source", ["random", "simulated"])
+    def test_blocking_aware(self, source):
+        inputs = random_fusion_inputs() if source == "random" else simulated_fusion_inputs()
+        for capacity, regions in inputs:
+            optimizer = BlockingAwareFusionOptimizer(gm_capacity_bytes=capacity, solver="greedy")
+            with reference_greedy():
+                expected = optimizer.optimize(regions)
+            actual = optimizer.optimize(regions)
+            assert actual.block_factor == expected.block_factor
+            assert actual.cycles_by_factor == expected.cycles_by_factor
+            assert_same_result(expected.fusion, actual.fusion)
+
+
+class TestGreedyTieBreak:
+    """Equal densities go to the lowest region index in both phases."""
+
+    def test_activation_tie_pins_first_pair(self):
+        # Two identical pairs share region 1, which has room for one
+        # activation: the first pair wins and the second no longer fits.
+        regions = make_chain(3, act_bytes=100)
+        result = FastFusionOptimizer(gm_capacity_bytes=150, solver="greedy").optimize(regions)
+        assert [d.pin_output for d in result.decisions] == [True, False, False]
+
+    def test_weight_tie_pins_lowest_index(self):
+        regions = [
+            RegionStats(
+                index=i, name=f"r{i}", busy_cycles=5.0, t_max_cycles=25.0,
+                input_dram_cycles=0.0, weight_dram_cycles=20.0, output_dram_cycles=0.0,
+                input_bytes=0, weight_bytes=100, output_bytes=0,
+            )
+            for i in range(3)
+        ]
+        result = FastFusionOptimizer(gm_capacity_bytes=100, solver="greedy").optimize(regions)
+        assert [d.pin_weights for d in result.decisions] == [True, False, False]

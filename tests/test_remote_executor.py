@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import urllib.error
 import urllib.request
 
@@ -39,7 +40,7 @@ from repro.runtime.exchange import (
 from repro.runtime.executor import SerialExecutor, make_executor, register_executor
 from repro.runtime.faults import FaultPlan
 from repro.runtime.remote import AsyncRemoteExecutor, RemoteExecutionError
-from repro.runtime.service import EvaluationService
+from repro.runtime.service import MAX_BODY_BYTES, EvaluationService
 from repro.runtime.sharding import run_sharded_sweep
 from repro.search.annealing import SimulatedAnnealingOptimizer
 from repro.search.bayesian import BayesianOptimizer
@@ -345,6 +346,38 @@ class TestServiceProtocol:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(service.url + "/nope", timeout=5)
         assert excinfo.value.code == 404
+
+    @staticmethod
+    def _raw_post(service, content_length: str):
+        """POST a bare header block over a socket; returns (status, body)."""
+        request = (
+            "POST /evaluate HTTP/1.1\r\n"
+            "Host: localhost\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {content_length}\r\n\r\n"
+        )
+        with socket.create_connection(service.address, timeout=5) as sock:
+            sock.sendall(request.encode())
+            reply = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        return int(head.split()[1]), json.loads(body)
+
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [("abc", 400), ("-1", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_bad_content_length_is_refused(self, flaky_service, content_length, status):
+        service, _ = flaky_service
+        code, body = self._raw_post(service, content_length)
+        assert code == status
+        assert "error" in body
+        with urllib.request.urlopen(service.url + "/health", timeout=5) as response:
+            assert json.loads(response.read())["status"] == "ok"
 
 
 # ---------------------------------------------------------------------------

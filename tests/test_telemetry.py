@@ -417,7 +417,7 @@ class TestSearchIntegration:
 
     def test_service_health_and_metrics_routes(self):
         with EvaluationService() as service:
-            # Request counters are observed after the reply is written, so
+            # Request counters are observed before the reply is written, so
             # the second /health response sees the first one counted.
             urllib.request.urlopen(f"{service.url}/health", timeout=10).read()
             with urllib.request.urlopen(f"{service.url}/health", timeout=10) as reply:
