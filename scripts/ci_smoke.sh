@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI smoke suite — the exact invocations CI runs, runnable locally:
 #
-#   scripts/ci_smoke.sh [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|remote|telemetry|chaos|cache-tier|coverage]
+#   scripts/ci_smoke.sh [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|figures|remote|telemetry|chaos|cache-tier|coverage]
 #
 # `all` (the default) runs every smoke except `coverage`, which is its own
 # CI job.  Artifacts land in $SMOKE_DIR (default: a fresh temp dir); CI sets
@@ -371,6 +371,19 @@ PY
 }
 
 # --------------------------------------------------------------------------
+# Paper-figure smoke: the figure/table benchmarks that read the simulator's
+# post-fusion metrics (operational intensity, per-layer utilization, memory
+# stalls, fusion efficiency), each asserting its reproduced trend.
+# --------------------------------------------------------------------------
+smoke_figures() {
+    log "figures smoke: post-fusion paper figures and tables, tiny budget"
+    (cd benchmarks && REPRO_BENCH_TRIALS=8 PYTHONPATH="../src" python -m pytest -q \
+        bench_fig3_op_intensity.py bench_fig4_perlayer_util.py \
+        bench_fig13_fusion_sweep.py bench_fig14_fastlarge_util.py \
+        bench_fig15_breakdown.py bench_table5_designs.py)
+}
+
+# --------------------------------------------------------------------------
 # Coverage job: ratcheted floor + drift check.  The floor lives in ci.yml
 # (COV_FLOOR env of the coverage job); raise it as coverage grows, never
 # lower it.  The drift check fails the job when the floor lags measured
@@ -407,6 +420,7 @@ case "${1:-all}" in
     mapper-equiv) smoke_mapper_equiv ;;
     backend-equiv) smoke_backend_equiv ;;
     bench)        smoke_bench ;;
+    figures)      smoke_figures ;;
     remote)       smoke_remote ;;
     telemetry)    smoke_telemetry ;;
     chaos)        smoke_chaos ;;
@@ -419,6 +433,7 @@ case "${1:-all}" in
         smoke_mapper_equiv
         smoke_backend_equiv
         smoke_bench
+        smoke_figures
         smoke_remote
         smoke_telemetry
         smoke_chaos
@@ -426,7 +441,7 @@ case "${1:-all}" in
         log "all smokes passed; artifacts in $SMOKE_DIR"
         ;;
     *)
-        echo "usage: $0 [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|remote|telemetry|chaos|cache-tier|coverage]" >&2
+        echo "usage: $0 [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|figures|remote|telemetry|chaos|cache-tier|coverage]" >&2
         exit 2
         ;;
 esac

@@ -39,6 +39,11 @@ class ParameterSpec:
         return self.choices.index(value)
 
 
+def _clamp(index: int, cardinality: int) -> int:
+    """``index`` clipped into ``[0, cardinality - 1]`` (plain ints, no NumPy call)."""
+    return min(max(index, 0), cardinality - 1)
+
+
 def _pow2_range(lo: int, hi: int) -> Tuple[int, ...]:
     values = []
     v = lo
@@ -145,9 +150,9 @@ class DatapathSearchSpace:
                 continue
             if rng.random() < 0.7 and spec.cardinality > 2:
                 step = int(rng.choice([-1, 1]))
-                new_index = int(np.clip(current + step, 0, spec.cardinality - 1))
+                new_index = _clamp(current + step, spec.cardinality)
                 if new_index == current:
-                    new_index = int(np.clip(current - step, 0, spec.cardinality - 1))
+                    new_index = _clamp(current - step, spec.cardinality)
             else:
                 new_index = int(rng.integers(spec.cardinality))
             mutated[spec.name] = spec.choices[new_index]
@@ -169,7 +174,7 @@ class DatapathSearchSpace:
         params: ParameterValues = {}
         for i, spec in enumerate(self._specs):
             index = int(round(float(vector[i]) * max(spec.cardinality - 1, 1)))
-            index = int(np.clip(index, 0, spec.cardinality - 1))
+            index = _clamp(index, spec.cardinality)
             params[spec.name] = spec.choices[index]
         return params
 

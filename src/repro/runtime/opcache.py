@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.fusion.fast_fusion import FusionDecision, RegionStats
+from repro.fusion.fast_fusion import RegionStats
 from repro.mapping.costmodel import OpCost
 from repro.mapping.dataflow import Dataflow
 from repro.mapping.tiling import Tiling
@@ -189,9 +189,11 @@ def region_entry_to_dict(entry: tuple) -> Dict[str, object]:
     """JSON-compatible encoding of a cached region entry.
 
     Entries are either the ``(None,)`` schedule-failure sentinel or a
-    ``(RegionPerformance, RegionStats)`` pair as normalized by the
-    simulator's ``_copy_region_entry`` (default :class:`FusionDecision`,
-    ``post_fusion_cycles == pre_fusion_cycles``); floats round-trip exactly.
+    ``(RegionPerformance, RegionStats)`` pair; floats round-trip exactly.
+    Records carry no fusion outcome, but the encoding still writes
+    ``"post_fusion_cycles"`` (equal to ``"pre_fusion_cycles"``, the value
+    every cached record held when records carried one), so region stores
+    and cache services of either format read each other's entries.
     """
     if entry[0] is None:
         return {"failed": True}
@@ -209,7 +211,7 @@ def region_entry_to_dict(entry: tuple) -> Dict[str, object]:
             "dram_weight_bytes": record.dram_weight_bytes,
             "dram_output_bytes": record.dram_output_bytes,
             "pre_fusion_cycles": record.pre_fusion_cycles,
-            "post_fusion_cycles": record.post_fusion_cycles,
+            "post_fusion_cycles": record.pre_fusion_cycles,
             "matrix_utilization": record.matrix_utilization,
             "op_busy_cycles": dict(record.op_busy_cycles),
         },
@@ -231,19 +233,29 @@ def region_entry_to_dict(entry: tuple) -> Dict[str, object]:
     }
 
 
+#: Op types by wire value: a dict lookup instead of an Enum call, on the
+#: decode path of every first-touch region-cache hit.
+_OP_TYPES = {op_type.value: op_type for op_type in OpType}
+
+
 def region_entry_from_dict(data: Dict[str, object]) -> tuple:
-    """Inverse of :func:`region_entry_to_dict`."""
+    """Inverse of :func:`region_entry_to_dict`.
+
+    Raises ``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError`` or
+    ``OverflowError`` on a payload that is not a region entry.
+    """
     if data.get("failed"):
         return (None,)
     record = data["record"]
     stats = data["stats"]
     predecessor = stats.get("predecessor")
+    float(record["post_fusion_cycles"])  # readers of the older format require it
     return (
         RegionPerformance(
             index=int(record["index"]),
             name=str(record["name"]),
             op_names=[str(name) for name in record["op_names"]],
-            primary_op_type=OpType(record["primary_op_type"]),
+            primary_op_type=_OP_TYPES[record["primary_op_type"]],
             flops=int(record["flops"]),
             compute_cycles=float(record["compute_cycles"]),
             vector_cycles=float(record["vector_cycles"]),
@@ -251,9 +263,7 @@ def region_entry_from_dict(data: Dict[str, object]) -> tuple:
             dram_weight_bytes=float(record["dram_weight_bytes"]),
             dram_output_bytes=float(record["dram_output_bytes"]),
             pre_fusion_cycles=float(record["pre_fusion_cycles"]),
-            post_fusion_cycles=float(record["post_fusion_cycles"]),
             matrix_utilization=float(record["matrix_utilization"]),
-            fusion=FusionDecision(),
             op_busy_cycles={
                 str(name): float(value)
                 for name, value in record["op_busy_cycles"].items()
@@ -368,10 +378,26 @@ class CostCacheBase:
         self.stats.disk_entries_loaded = len(self._disk_index)
 
     @staticmethod
-    def digest(key: Tuple) -> str:
-        """Stable string form of a cache key (for the persistent store)."""
-        canonical = json.dumps(key, sort_keys=True, default=str)
+    def digest(key: Tuple, prefix: Optional[str] = None) -> str:
+        """Stable string form of a cache key (for the persistent store).
+
+        The definition is the SHA-256 of the key's canonical JSON.  Keys
+        that extend a common base by one int index (``key_base + (index,)``,
+        as the simulator builds region keys) may pass ``prefix`` =
+        :meth:`key_prefix` of that base: their canonical JSON is the
+        prefix's array with one more element, so only the index is encoded
+        and the digest is byte-for-byte the same.
+        """
+        if prefix is None:
+            canonical = json.dumps(key, sort_keys=True, default=str)
+        else:
+            canonical = prefix[:-1] + ", " + str(key[-1]) + "]"
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+    @staticmethod
+    def key_prefix(key_base: Tuple) -> str:
+        """Canonical JSON of a non-empty key base (the ``prefix`` of :meth:`digest`)."""
+        return json.dumps(key_base, sort_keys=True, default=str)
 
     # -- shared-memory tier --------------------------------------------
     def attach_shared(self, lookup: Optional[Callable[[str], Optional[dict]]]) -> None:
@@ -384,8 +410,13 @@ class CostCacheBase:
         self._shared = lookup
 
     # -- lookup / store ------------------------------------------------
-    def get(self, key: Tuple):
-        """Look up a cached value; returns None on a miss."""
+    def get(self, key: Tuple, prefix: Optional[str] = None):
+        """Look up a cached value; returns None on a miss.
+
+        ``prefix`` (see :meth:`digest`) makes the key's digest cheap when a
+        tier beyond memory must be consulted.  Values are returned as
+        stored, not copied.
+        """
         value = self._memory.get(key)
         if value is not None:
             self._memory.move_to_end(key)
@@ -393,7 +424,7 @@ class CostCacheBase:
             return value
         digest: Optional[str] = None
         if self._disk_index:
-            digest = self.digest(key)
+            digest = self.digest(key, prefix)
             raw = self._disk_index.get(digest)
             if raw is not None:
                 value = self._decode(raw)
@@ -403,7 +434,7 @@ class CostCacheBase:
                 return value
         if self._shared is not None:
             if digest is None:
-                digest = self.digest(key)
+                digest = self.digest(key, prefix)
             raw = self._shared(digest)
             if raw is not None:
                 value = self._decode(raw)
@@ -414,7 +445,7 @@ class CostCacheBase:
         self.stats.misses += 1
         return None
 
-    def put(self, key: Tuple, value) -> None:
+    def put(self, key: Tuple, value, prefix: Optional[str] = None) -> None:
         """Store a value in memory and (when configured) append to disk.
 
         Cached values are a deterministic function of their key, so a key
@@ -422,12 +453,13 @@ class CostCacheBase:
         only grows by records this process has not seen, keeping it
         duplicate-free for a single writer (concurrent processes can still
         race the same key; :meth:`compact` folds such duplicates away).
+        The value is kept as is, not copied; ``prefix`` is as for :meth:`get`.
         """
         self._remember(key, value)
         self.stats.puts += 1
         if self.path is None and not self.publish_raw:
             return
-        digest = self.digest(key)
+        digest = self.digest(key, prefix)
         if digest in self._disk_index:
             return
         self._store_raw(digest, self._encode(value))
@@ -509,8 +541,10 @@ class OpCostCache(CostCacheBase):
 # datapath sub-config).  A warm trial whose region key matches skips even the
 # gather step of the graph-batched mapper: no problem extraction, no op-cache
 # lookups, no traffic sweep.  The cache stores opaque entries; the simulator
-# owns the key construction and copies mutable payloads on every hit, so
-# cached records are never aliased into live simulation results.
+# owns the key construction.  Entries are shared, never copied: a hit hands
+# the cached record and stats to the live simulation result itself, which is
+# exact because neither is modified after it is built (fusion outcomes live
+# on the SimulationResult, not on the records).
 # ---------------------------------------------------------------------------
 class RegionCostCache(CostCacheBase):
     """Tiered cache of fully evaluated fusion regions.
@@ -553,7 +587,7 @@ class RegionCostCache(CostCacheBase):
         return region_entry_from_dict(raw)
 
     # ------------------------------------------------------------------
-    def peek(self, key: Tuple):
+    def peek(self, key: Tuple, prefix: Optional[str] = None):
         """Probe for an entry without touching stats or LRU order.
 
         The trial-batched gather phase uses this to decide which regions
@@ -561,13 +595,14 @@ class RegionCostCache(CostCacheBase):
         ``simulate`` keeps hit/miss statistics identical to per-trial runs.
         A store or shared-segment entry found here is promoted into memory
         (still unaccounted), so the accounted lookup that follows sees it.
+        ``prefix`` is as for :meth:`get`.
         """
         entry = self._memory.get(key)
         if entry is not None:
             return entry
         if not self._disk_index and self._shared is None:
             return None
-        digest = self.digest(key)
+        digest = self.digest(key, prefix)
         raw = self._disk_index.get(digest) if self._disk_index else None
         if raw is None and self._shared is not None:
             raw = self._shared(digest)
@@ -577,13 +612,13 @@ class RegionCostCache(CostCacheBase):
         self._remember(key, entry)
         return entry
 
-    def put(self, key: Tuple, entry: tuple) -> None:
-        """Store one evaluated region, evicting the LRU tail past capacity."""
+    def put(self, key: Tuple, entry: tuple, prefix: Optional[str] = None) -> None:
+        """Store one evaluated region as is, evicting the LRU tail past capacity."""
         self._remember(key, entry)
         self.stats.puts += 1
         if self.path is None and not self.publish_raw and self._remote is None:
             return
-        digest = self.digest(key)
+        digest = self.digest(key, prefix)
         if digest in self._disk_index:
             return
         raw = self._encode(entry)
@@ -612,7 +647,7 @@ class RegionCostCache(CostCacheBase):
         """The attached cluster cache client, or None."""
         return self._remote
 
-    def prefetch(self, keys: Iterable[Tuple]) -> int:
+    def prefetch(self, keys: Iterable[Tuple], prefix: Optional[str] = None) -> int:
         """Batch-resolve keys against the cluster tier; returns new entries.
 
         Looks up every key that no local tier can serve in one batched
@@ -621,6 +656,7 @@ class RegionCostCache(CostCacheBase):
         ``stats.remote_hits``/``remote_misses``; the promoted entries then
         surface as ordinary hits in the accounted lookups that follow, so
         histories stay bit-for-bit identical with or without the tier.
+        ``prefix``, as for :meth:`get`, must fit every key.
         """
         if self._remote is None:
             return 0
@@ -630,7 +666,7 @@ class RegionCostCache(CostCacheBase):
         for key in keys:
             if self._memory.get(key) is not None:
                 continue
-            digest = self.digest(key)
+            digest = self.digest(key, prefix)
             if digest in seen or digest in self._disk_index:
                 continue
             if self._shared is not None and self._shared(digest) is not None:

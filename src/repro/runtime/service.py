@@ -22,7 +22,11 @@ Wire protocol (all bodies are JSON):
   shared cost-cache (see :mod:`repro.runtime.opcache`): GET takes
   ``{"fingerprint", "digests": [...]}`` and returns the known subset as
   ``{"entries": {digest: raw, ...}}``; PUT takes ``{"fingerprint",
-  "entries": {...}}`` and answers ``{"stored": n}``.  Region digests are
+  "entries": {...}}`` and answers ``{"stored": n}``.  A PUT is all or
+  nothing: unless every digest is 64 lowercase hex digits and every entry
+  decodes as a region entry, it answers HTTP 400 and stores nothing, so no
+  client can plant an entry that would later fail the service's own
+  evaluations.  Region digests are
   self-authenticating (each hashes the graph fingerprint plus the full
   mapping-relevant configuration), so the declared fingerprint is checked
   for form (16 lowercase hex digits, HTTP 400 otherwise) rather than
@@ -80,6 +84,7 @@ from repro.reporting.serialization import (
 )
 from repro.runtime.cache import problem_fingerprint
 from repro.runtime.exchange import ScoreRecord
+from repro.runtime.opcache import region_entry_from_dict
 from repro.runtime.executor import TrialExecutor, make_executor
 from repro.runtime.telemetry import (
     TRACE_CONTEXT_HEADER,
@@ -98,6 +103,10 @@ logger = logging.getLogger("repro.runtime.service")
 #: form only: region digests are self-authenticating, but a malformed
 #: fingerprint means a confused client and gets a 400 instead of silence.
 _FINGERPRINT_RE = re.compile(r"[0-9a-f]{16}")
+
+#: Region digests are SHA-256 hex digests (see
+#: :meth:`repro.runtime.opcache.CostCacheBase.digest`).
+_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
 
 #: Largest request body the service reads.  ``Content-Length`` comes from the
 #: client, so a longer body is refused (HTTP 413) before any of it is read.
@@ -311,7 +320,9 @@ class EvaluationService:
         configuration themselves, so a digest can never alias an entry from a
         different problem.  GET serves the known subset of the requested
         digests; PUT stores previously-unknown entries (appending to the
-        region store when the service has one).
+        region store when the service has one), but only once every digest
+        has the SHA-256 hex form and every entry decodes with
+        :func:`~repro.runtime.opcache.region_entry_from_dict`.
         """
         fingerprint = payload.get("fingerprint")
         if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(
@@ -346,10 +357,19 @@ class EvaluationService:
         entries_payload = payload.get("entries")
         if not isinstance(entries_payload, dict):
             return 400, {"error": "entries must be a digest-keyed object"}
+        for digest, raw in entries_payload.items():
+            if not (isinstance(digest, str) and _DIGEST_RE.fullmatch(digest)) or not isinstance(
+                raw, dict
+            ):
+                return 400, {
+                    "error": "entries must map digests (64 lowercase hex digits) to objects"
+                }
+            try:
+                region_entry_from_dict(raw)
+            except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as error:
+                return 400, {"error": f"entry {digest} is not a region entry: {error!r}"}
         stored = 0
         for digest, raw in entries_payload.items():
-            if not isinstance(digest, str) or not isinstance(raw, dict):
-                return 400, {"error": "entries must map digest strings to objects"}
             if cache.raw_lookup(digest) is None:
                 cache._store_raw(digest, raw)
                 stored += 1

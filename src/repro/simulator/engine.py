@@ -16,12 +16,13 @@ separate accelerator serving its own batch.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.compiler.passes import CompiledModel, compile_graph
 from repro.compiler.xla_fusion import FusionRegion
-from repro.fusion.fast_fusion import FastFusionOptimizer, FusionDecision, FusionResult, RegionStats
+from repro.fusion.fast_fusion import FastFusionOptimizer, FusionResult, RegionStats
 from repro.hardware.datapath import DatapathConfig
 from repro.hardware.memory import MemoryHierarchy
 from repro.mapping.costmodel import OpCost
@@ -139,8 +140,35 @@ def precompile_graph(graph: Graph, use_two_pass_softmax: bool = False) -> None:
 
 
 def clear_compiled_cache() -> None:
-    """Drop all memoized compiled graphs (for tests and memory-sensitive runs)."""
+    """Drop all memoized compiled graphs and fusion results (tests, memory-sensitive runs)."""
     _COMPILED_CACHE.clear()
+    _FUSION_MEMO.clear()
+
+
+# ---------------------------------------------------------------------------
+# Fusion memo.  A fusion solve is a pure function of (GM capacity, solver,
+# region stats), and a search keeps proposing datapaths whose regions and
+# Global Memory repeat, so recent solves are memoized in a small LRU.  Its
+# FusionResults are shared read-only by every SimulationResult that hits
+# them.  The bound is fixed: an unbounded memo grows with every distinct
+# datapath a search visits and measurably raises a long search's peak RSS,
+# while 64 recent solves already catch nearly all of the repeats.
+# ---------------------------------------------------------------------------
+_FUSION_MEMO: "OrderedDict[Tuple, FusionResult]" = OrderedDict()
+_FUSION_MEMO_MAX = 64
+
+
+def _fusion_memo_get(key: Tuple) -> Optional[FusionResult]:
+    result = _FUSION_MEMO.get(key)
+    if result is not None:
+        _FUSION_MEMO.move_to_end(key)
+    return result
+
+
+def _fusion_memo_put(key: Tuple, result: FusionResult) -> None:
+    _FUSION_MEMO[key] = result
+    if len(_FUSION_MEMO) > _FUSION_MEMO_MAX:
+        _FUSION_MEMO.popitem(last=False)
 
 
 class Simulator:
@@ -150,6 +178,12 @@ class Simulator:
     VPU cost model, and the fusion ILP across every ``simulate`` call on this
     instance — the raw material for ``repro profile`` and
     :class:`~repro.core.fast.RuntimeStats` per-stage timings.
+
+    Results share rather than copy: a region-cache hit puts the cached
+    :class:`~repro.simulator.result.RegionPerformance` record itself into the
+    result, and a repeated fusion input returns the memoized
+    :class:`~repro.fusion.fast_fusion.FusionResult`.  Neither is ever
+    modified after it is built, which is what makes sharing them exact.
     """
 
     def __init__(
@@ -241,6 +275,10 @@ class Simulator:
         fast layers are bit-for-bit neutral: the per-op walk (selectable via
         ``graph_batched_mapper=False``) and a cold region cache produce the
         identical result.
+
+        Region-cache entries go into the result as they are, and freshly
+        evaluated ones are cached without a copy: records are read-only, and
+        the post-fusion view comes from the (possibly memoized) fusion result.
         """
         core = self._core_config
         with _tracer().span("compile", category="simulate"):
@@ -249,15 +287,17 @@ class Simulator:
 
         region_cache = self.region_cache
         region_keys: Optional[List[Tuple]] = None
+        prefix: Optional[str] = None  # canonical JSON of the region keys' base
         cached_entries: Optional[List[Optional[tuple]]] = None
         if region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
             region_keys = [key_base + (region.index,) for region in compiled.regions]
+            prefix = region_cache.key_prefix(key_base)
             if region_cache.remote is not None:
                 # Cluster tier: resolve every locally-unserved key in one
                 # batched round trip before the accounted per-key lookups.
-                region_cache.prefetch(region_keys)
-            cached_entries = [region_cache.get(key) for key in region_keys]
+                region_cache.prefetch(region_keys, prefix)
+            cached_entries = [region_cache.get(key, prefix) for key in region_keys]
 
         premapped: Optional[Dict[str, OpCost]] = None
         if self._graph_batched:
@@ -286,19 +326,17 @@ class Simulator:
                     if entry[0] is None:
                         schedule_failed = True
                         break
-                    record, stats = self._copy_region_entry(entry)
+                    record, stats = entry
                 else:
                     record, stats = self._evaluate_region(
                         compiled, region, dram_bpc, producer_region, premapped
                     )
                     if region_cache is not None:
-                        if record is None:
-                            region_cache.put(region_keys[position], (None,))
-                        else:
-                            region_cache.put(
-                                region_keys[position],
-                                self._copy_region_entry((record, stats)),
-                            )
+                        region_cache.put(
+                            region_keys[position],
+                            (None,) if record is None else (record, stats),
+                            prefix,
+                        )
                     if record is None:
                         schedule_failed = True
                         break
@@ -324,21 +362,24 @@ class Simulator:
             and core.l3_global_buffer_mib > 0
             and region_stats
         ):
-            optimizer = FastFusionOptimizer(
-                gm_capacity_bytes=core.global_buffer_bytes,
-                solver=self.options.fusion_solver,
+            memo_key = (
+                core.global_buffer_bytes,
+                self.options.fusion_solver,
+                tuple(region_stats),
             )
-            with _tracer().span(
-                "fusion", category="simulate", regions=len(region_stats)
-            ):
-                started = time.perf_counter()
-                fusion_result = optimizer.optimize(region_stats)
-                self.stage_seconds["fusion"] += time.perf_counter() - started
-            for record, cycles, decision in zip(
-                region_perf, fusion_result.region_cycles, fusion_result.decisions
-            ):
-                record.post_fusion_cycles = cycles
-                record.fusion = decision
+            fusion_result = _fusion_memo_get(memo_key)
+            if fusion_result is None:
+                optimizer = FastFusionOptimizer(
+                    gm_capacity_bytes=core.global_buffer_bytes,
+                    solver=self.options.fusion_solver,
+                )
+                with _tracer().span(
+                    "fusion", category="simulate", regions=len(region_stats)
+                ):
+                    started = time.perf_counter()
+                    fusion_result = optimizer.optimize(region_stats)
+                    self.stage_seconds["fusion"] += time.perf_counter() - started
+                _fusion_memo_put(memo_key, fusion_result)
 
         return SimulationResult(
             workload=graph.name,
@@ -370,13 +411,15 @@ class Simulator:
         core = self._core_config
         compiled = _compile_cached(graph, core.use_two_pass_softmax)
         cached_flags: Optional[List[bool]] = None
-        if self.region_cache is not None:
+        region_cache = self.region_cache
+        if region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
             gather_keys = [key_base + (region.index,) for region in compiled.regions]
-            if self.region_cache.remote is not None:
-                self.region_cache.prefetch(gather_keys)
+            prefix = region_cache.key_prefix(key_base)
+            if region_cache.remote is not None:
+                region_cache.prefetch(gather_keys, prefix)
             cached_flags = [
-                self.region_cache.peek(key) is not None for key in gather_keys
+                region_cache.peek(key, prefix) is not None for key in gather_keys
             ]
         gather_ops: List[Operation] = []
         for position, region in enumerate(compiled.regions):
@@ -411,27 +454,6 @@ class Simulator:
             factors.output_traffic_factor,
             factors.flops_factor,
             core.l1_total_bytes + core.l2_total_bytes,
-        )
-
-    @staticmethod
-    def _copy_region_entry(entry: tuple) -> tuple:
-        """A cache entry with a fresh copy of its mutable RegionPerformance.
-
-        Records are mutated downstream (the fusion pass writes
-        ``post_fusion_cycles`` / ``fusion`` onto them), so neither the cached
-        record nor its mutable fields may ever alias a live simulation
-        result.  The ``RegionStats`` is frozen and is shared as is.
-        """
-        record, stats = entry
-        return (
-            replace(
-                record,
-                op_names=list(record.op_names),
-                op_busy_cycles=dict(record.op_busy_cycles),
-                fusion=FusionDecision(),
-                post_fusion_cycles=record.pre_fusion_cycles,
-            ),
-            stats,
         )
 
     # ------------------------------------------------------------------
@@ -587,9 +609,7 @@ class Simulator:
             dram_weight_bytes=weight_traffic,
             dram_output_bytes=output_traffic,
             pre_fusion_cycles=pre_fusion_cycles,
-            post_fusion_cycles=pre_fusion_cycles,
             matrix_utilization=anchor_cost.utilization if anchor_cost else 0.0,
-            fusion=FusionDecision(),
             op_busy_cycles=op_busy_cycles,
         )
 

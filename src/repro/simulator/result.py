@@ -21,7 +21,14 @@ __all__ = ["RegionPerformance", "SimulationResult"]
 
 @dataclass
 class RegionPerformance:
-    """Performance of one fusion region on one core."""
+    """Pre-fusion performance of one fusion region on one core.
+
+    Records are shared read-only: a region-cache hit hands the cached record
+    itself to every result whose workload contains the region, so nothing
+    may modify a record once it is built.  What fusion does to a region
+    (its post-fusion cycles and pin decision) lives on the
+    :class:`SimulationResult` instead.
+    """
 
     index: int
     name: str
@@ -34,9 +41,7 @@ class RegionPerformance:
     dram_weight_bytes: float
     dram_output_bytes: float
     pre_fusion_cycles: float
-    post_fusion_cycles: float
     matrix_utilization: float
-    fusion: FusionDecision = field(default_factory=FusionDecision)
     op_busy_cycles: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -49,34 +54,32 @@ class RegionPerformance:
         """DRAM traffic before FAST fusion."""
         return self.dram_input_bytes + self.dram_weight_bytes + self.dram_output_bytes
 
-    @property
-    def dram_bytes_post_fusion(self) -> float:
-        """DRAM traffic after FAST fusion (pinned tensors stay on chip)."""
-        traffic = self.dram_bytes_pre_fusion
-        if self.fusion.pin_input:
-            traffic -= self.dram_input_bytes
-        if self.fusion.pin_output:
-            traffic -= self.dram_output_bytes
-        if self.fusion.pin_weights:
-            traffic -= self.dram_weight_bytes
-        return max(0.0, traffic)
 
-    @property
-    def achieved_utilization(self) -> float:
-        """Fraction of the op's own busy time the region spends stalled-free.
+def _dram_bytes_post_fusion(record: RegionPerformance, decision: FusionDecision) -> float:
+    """A region's DRAM traffic after FAST fusion (pinned tensors stay on chip)."""
+    traffic = record.dram_bytes_pre_fusion
+    if decision.pin_input:
+        traffic -= record.dram_input_bytes
+    if decision.pin_output:
+        traffic -= record.dram_output_bytes
+    if decision.pin_weights:
+        traffic -= record.dram_weight_bytes
+    return max(0.0, traffic)
 
-        Used for per-layer utilization plots: the region's useful FLOPs per
-        cycle of wall time, normalized by peak, is computed by the parent
-        result which knows the peak throughput.
-        """
-        if self.post_fusion_cycles <= 0:
-            return 0.0
-        return min(1.0, self.busy_cycles / self.post_fusion_cycles)
+
+_NO_FUSION = FusionDecision()
 
 
 @dataclass
 class SimulationResult:
-    """Whole-workload simulation outcome on a datapath configuration."""
+    """Whole-workload simulation outcome on a datapath configuration.
+
+    ``regions`` holds the pre-fusion records and ``fusion_result`` the fusion
+    pass's outcome (None when fusion did not run); the post-fusion view of
+    each region is read from the two together.  Both may be shared with
+    other results (region-cache hits and the simulator's fusion memo), so
+    treat them as read-only.
+    """
 
     workload: str
     config: DatapathConfig
@@ -88,12 +91,52 @@ class SimulationResult:
     num_cores: int
 
     # ------------------------------------------------------------------
+    # Per-region post-fusion view
+    # ------------------------------------------------------------------
+    def _cycles(self, post_fusion: bool = True) -> List[float]:
+        """Per-region cycles after (or before) fusion; may be the fusion result's own list."""
+        if post_fusion and self.fusion_result is not None:
+            return self.fusion_result.region_cycles
+        return [r.pre_fusion_cycles for r in self.regions]
+
+    def _decisions(self) -> List[FusionDecision]:
+        """Per-region pin decisions (the fusion result's own list: read-only)."""
+        if self.fusion_result is not None:
+            return self.fusion_result.decisions
+        return [_NO_FUSION] * len(self.regions)
+
+    @property
+    def region_post_fusion_cycles(self) -> List[float]:
+        """Post-fusion cycles of each region, aligned with ``regions``.
+
+        The fusion pass's per-region cycles when fusion ran, otherwise each
+        region's pre-fusion cycles.
+        """
+        return list(self._cycles())
+
+    @property
+    def region_fusion_decisions(self) -> List[FusionDecision]:
+        """Pin decision of each region (nothing pinned when fusion did not run)."""
+        return list(self._decisions())
+
+    def region_dram_bytes_post_fusion(self, position: int) -> float:
+        """DRAM traffic of ``regions[position]`` after FAST fusion."""
+        return _dram_bytes_post_fusion(self.regions[position], self._decisions()[position])
+
+    def region_achieved_utilization(self, position: int) -> float:
+        """Fraction of ``regions[position]``'s post-fusion time it is busy."""
+        cycles = self._cycles()[position]
+        if cycles <= 0:
+            return 0.0
+        return min(1.0, self.regions[position].busy_cycles / cycles)
+
+    # ------------------------------------------------------------------
     # Time and throughput
     # ------------------------------------------------------------------
     @property
     def total_cycles(self) -> float:
         """Post-fusion execution cycles for one batch on one core."""
-        return sum(r.post_fusion_cycles for r in self.regions)
+        return sum(self._cycles())
 
     @property
     def pre_fusion_cycles(self) -> float:
@@ -144,7 +187,10 @@ class SimulationResult:
     @property
     def dram_bytes_post_fusion(self) -> float:
         """Total DRAM traffic after FAST fusion."""
-        return sum(r.dram_bytes_post_fusion for r in self.regions)
+        return sum(
+            _dram_bytes_post_fusion(r, decision)
+            for r, decision in zip(self.regions, self._decisions())
+        )
 
     def operational_intensity(self, post_fusion: bool = True) -> float:
         """Model-level FLOPs per DRAM byte."""
@@ -172,8 +218,7 @@ class SimulationResult:
         """Fraction of execution time spent waiting on DRAM transfers."""
         total = 0.0
         stalled = 0.0
-        for region in self.regions:
-            cycles = region.post_fusion_cycles if post_fusion else region.pre_fusion_cycles
+        for region, cycles in zip(self.regions, self._cycles(post_fusion)):
             total += cycles
             stalled += max(0.0, cycles - region.busy_cycles)
         if total <= 0:
@@ -192,7 +237,8 @@ class SimulationResult:
             max(0.0, r.pre_fusion_cycles - r.busy_cycles) for r in self.regions
         )
         stall_post = sum(
-            max(0.0, r.post_fusion_cycles - r.busy_cycles) for r in self.regions
+            max(0.0, cycles - r.busy_cycles)
+            for r, cycles in zip(self.regions, self._cycles())
         )
         if stall_pre <= 0:
             return 0.0
@@ -204,8 +250,7 @@ class SimulationResult:
     def runtime_fraction_by_op_type(self, post_fusion: bool = True) -> Dict[OpType, float]:
         """Fraction of execution time attributed to each (primary) op type."""
         totals: Dict[OpType, float] = {}
-        for region in self.regions:
-            cycles = region.post_fusion_cycles if post_fusion else region.pre_fusion_cycles
+        for region, cycles in zip(self.regions, self._cycles(post_fusion)):
             totals[region.primary_op_type] = totals.get(region.primary_op_type, 0.0) + cycles
         grand_total = sum(totals.values())
         if grand_total <= 0:
@@ -233,8 +278,7 @@ class SimulationResult:
         :func:`repro.workloads.bert.op_component` as the classifier.
         """
         totals: Dict[str, float] = {}
-        for region in self.regions:
-            cycles = region.post_fusion_cycles if post_fusion else region.pre_fusion_cycles
+        for region, cycles in zip(self.regions, self._cycles(post_fusion)):
             busy = region.op_busy_cycles or {}
             busy_total = sum(busy.values())
             if busy_total > 0:
@@ -254,7 +298,7 @@ class SimulationResult:
     def per_layer_utilization(self, matrix_only: bool = True) -> List[float]:
         """Per-region achieved fraction of peak FLOPs (Figures 4 and 14)."""
         utilizations = []
-        for region in self.regions:
+        for region, cycles in zip(self.regions, self._cycles()):
             if matrix_only and region.primary_op_type not in (
                 OpType.CONV2D,
                 OpType.DEPTHWISE_CONV2D,
@@ -262,7 +306,6 @@ class SimulationResult:
                 OpType.EINSUM,
             ):
                 continue
-            cycles = region.post_fusion_cycles
             if cycles <= 0:
                 utilizations.append(0.0)
                 continue

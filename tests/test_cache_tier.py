@@ -14,14 +14,23 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import urllib.error
+import urllib.request
 
 import pytest
 
+from repro.core.designs import FAST_LARGE
 from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
-from repro.fusion.fast_fusion import FusionDecision, RegionStats
-from repro.reporting.serialization import trial_metrics_to_dict
+from repro.fusion.fast_fusion import RegionStats
+from repro.hardware.search_space import DatapathSearchSpace
+from repro.reporting.serialization import (
+    params_to_jsonable,
+    search_problem_to_dict,
+    simulation_options_to_dict,
+    trial_metrics_to_dict,
+)
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.opcache import (
     OpCostCache,
@@ -61,9 +70,7 @@ def _region_entry(index: int = 0, scale: float = 1.0) -> tuple:
         dram_weight_bytes=1.0 + 1e-16,
         dram_output_bytes=98304.0,
         pre_fusion_cycles=scale * 1234.5678901234567,
-        post_fusion_cycles=scale * 1234.5678901234567,
         matrix_utilization=2.0 / 3.0,
-        fusion=FusionDecision(),
         op_busy_cycles={f"conv_{index}": scale * 999.125},
     )
     stats = RegionStats(
@@ -261,18 +268,19 @@ class TestClusterTier:
     def test_service_roundtrip_and_fingerprint_check(self, tmp_path):
         store = tmp_path / "svc.jsonl"
         engine = EngineSpec.parse(f"graph-batched:region_store={store}")
+        d1, d2, d3 = (RegionCostCache.digest(("d", i)) for i in (1, 2, 3))
         with serve(port=0, engine=engine) as svc:
             client = RemoteCostCache(svc.url, fingerprint="0123456789abcdef")
             raw = region_entry_to_dict(_region_entry(2))
-            assert client.put_many({"d-1": raw, "d-2": {"failed": True}}) == 2
-            assert client.put_many({"d-1": raw}) == 0  # dedup
-            got = client.get_many(["d-1", "d-2", "d-3"])
-            assert got == {"d-1": raw, "d-2": {"failed": True}}
-            assert region_entry_from_dict(got["d-1"]) == _region_entry(2)
+            assert client.put_many({d1: raw, d2: {"failed": True}}) == 2
+            assert client.put_many({d1: raw}) == 0  # dedup
+            got = client.get_many([d1, d2, d3])
+            assert got == {d1: raw, d2: {"failed": True}}
+            assert region_entry_from_dict(got[d1]) == _region_entry(2)
 
             bad = RemoteCostCache(svc.url, fingerprint="NOT-HEX", max_retries=0)
             with pytest.raises(RemoteExecutionError, match="400"):
-                bad.get_many(["d-1"])
+                bad.get_many([d1])
         # PUTs were persisted to the service's region store.
         assert len(store.read_text().splitlines()) == 2
 
@@ -355,6 +363,85 @@ class TestClusterTier:
         result = search.run(num_trials=3, batch_size=3)
         assert result.num_trials == 3
         assert result.runtime.remote_cache_failures > 0
+
+
+def _http(url: str, method: str, payload: dict):
+    """(status, decoded body) of one JSON request, error statuses included."""
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+        method=method,
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=120) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+class TestCachePutValidation:
+    """A PUT /cache/region that is not all region entries stores nothing."""
+
+    def test_malformed_put_cannot_poison_evaluations(self, tmp_path):
+        problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
+        options = SimulationOptions(fusion_solver="greedy")
+        space = DatapathSearchSpace()
+        params = space.from_config(FAST_LARGE)
+        evaluate = {
+            "problem": search_problem_to_dict(problem),
+            "options": {
+                "num_cores": 1,
+                "simulation_options": simulation_options_to_dict(options),
+            },
+            "params": [params_to_jsonable(params)],
+        }
+        # The digests of the design's real efficientnet-b0 region keys.
+        local_store = tmp_path / "local.jsonl"
+        TrialEvaluator(
+            problem,
+            simulation_options=SimulationOptions(
+                fusion_solver="greedy", region_store_path=str(local_store)
+            ),
+        ).evaluate_params(params, space)
+        digests = [json.loads(line)["key"] for line in local_store.read_text().splitlines()]
+        assert len(digests) > 1
+
+        reset_op_caches()
+        with serve(port=0) as clean:
+            status, body = _http(clean.url + "/evaluate", "POST", evaluate)
+        assert status == 200
+        expected = body["results"]
+
+        reset_op_caches()
+        service_store = tmp_path / "svc.jsonl"
+        engine = EngineSpec.parse(f"graph-batched:region_store={service_store}")
+        good = region_entry_to_dict(_region_entry(1))
+        poison = {"record": {}, "stats": {}}
+        with serve(port=0, engine=engine) as svc:
+            cache_url = svc.url + "/cache/region"
+            for entries in (
+                {digests[0]: poison},
+                {digests[0]: {"failed": False, "record": good["record"]}},
+                {"not-a-digest": good},
+                {digests[0].upper(): good},
+                {digests[0][:-1]: good},
+                {digests[1]: good, digests[0]: poison},  # all or nothing
+            ):
+                status, body = _http(
+                    cache_url, "PUT", {"fingerprint": "0123456789abcdef", "entries": entries}
+                )
+                assert status == 400, entries
+                assert "stored" not in body
+            status, body = _http(
+                cache_url, "GET", {"fingerprint": "0123456789abcdef", "digests": digests}
+            )
+            assert status == 200 and body["entries"] == {}
+            assert not service_store.exists() or service_store.read_text() == ""
+
+            status, body = _http(svc.url + "/evaluate", "POST", evaluate)
+        assert status == 200
+        assert body["results"] == expected
 
 
 # ---------------------------------------------------------------------------

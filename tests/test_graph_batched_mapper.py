@@ -223,12 +223,17 @@ def _result_signature(result):
                 record.dram_weight_bytes,
                 record.dram_output_bytes,
                 record.pre_fusion_cycles,
-                record.post_fusion_cycles,
+                post_fusion_cycles,
                 record.matrix_utilization,
-                record.fusion,
+                fusion,
                 record.op_busy_cycles,
             )
-            for record in result.regions
+            for record, post_fusion_cycles, fusion in zip(
+                result.regions,
+                result.region_post_fusion_cycles,
+                result.region_fusion_decisions,
+                strict=True,
+            )
         ],
         result.qps if not result.schedule_failed else None,
     )

@@ -117,6 +117,71 @@ class TestSearchSpace:
         assert "use_two_pass_softmax" not in without.parameter_names
 
 
+def _reference_decode(space, vector):
+    """``DatapathSearchSpace.decode`` as it was written with ``np.clip``."""
+    params = {}
+    for i, spec in enumerate(space.specs):
+        index = int(round(float(vector[i]) * max(spec.cardinality - 1, 1)))
+        index = int(np.clip(index, 0, spec.cardinality - 1))
+        params[spec.name] = spec.choices[index]
+    return params
+
+
+def _reference_mutate(space, params, rng, num_mutations=1):
+    """``DatapathSearchSpace.mutate`` as it was written with ``np.clip``."""
+    specs = space.specs
+    mutated = dict(params)
+    indices = rng.choice(len(specs), size=min(num_mutations, len(specs)), replace=False)
+    for idx in indices:
+        spec = specs[int(idx)]
+        current = spec.index_of(mutated[spec.name])
+        if spec.cardinality == 1:
+            continue
+        if rng.random() < 0.7 and spec.cardinality > 2:
+            step = int(rng.choice([-1, 1]))
+            new_index = int(np.clip(current + step, 0, spec.cardinality - 1))
+            if new_index == current:
+                new_index = int(np.clip(current - step, 0, spec.cardinality - 1))
+        else:
+            new_index = int(rng.integers(spec.cardinality))
+        mutated[spec.name] = spec.choices[new_index]
+    return mutated
+
+
+class TestIntegerClamp:
+    """decode/mutate clamp with plain ints exactly as the np.clip originals did."""
+
+    @pytest.fixture(scope="class")
+    def space(self):
+        return DatapathSearchSpace()
+
+    def test_decode_matches_np_clip_reference(self, space):
+        rng = np.random.default_rng(11)
+        for _ in range(1000):
+            # Components well outside [0, 1] exercise both clamp bounds.
+            vector = rng.uniform(-1.0, 2.0, size=len(space.specs))
+            assert space.decode(vector) == _reference_decode(space, vector)
+
+    def test_mutate_matches_np_clip_reference_and_rng_draws(self, space):
+        picker = np.random.default_rng(12)
+        for seed in range(1000):
+            # Pin every parameter to its first or last choice half the time,
+            # so local moves keep stepping past the ends of the range.
+            params = {}
+            for spec in space.specs:
+                end = int(picker.integers(4))
+                position = (0, spec.cardinality - 1)[end] if end < 2 else int(
+                    picker.integers(spec.cardinality)
+                )
+                params[spec.name] = spec.choices[position]
+            num_mutations = int(picker.integers(1, 6))
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert space.mutate(params, rng, num_mutations) == _reference_mutate(
+                space, params, reference_rng, num_mutations
+            )
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 class TestConstraints:
     def test_tpu_baseline_sits_at_published_normalization(self):
         """Table 5: the modeled TPU-v3 is 0.5x of the TDP and 0.6x of the area budget."""

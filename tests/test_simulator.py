@@ -99,8 +99,11 @@ class TestSimulatorInvariants:
         )
 
     def test_region_times_at_least_busy(self, b0_on_fast_large):
-        for region in b0_on_fast_large.regions:
-            assert region.post_fusion_cycles >= region.busy_cycles - 1e-6
+        result = b0_on_fast_large
+        for region, cycles in zip(
+            result.regions, result.region_post_fusion_cycles, strict=True
+        ):
+            assert cycles >= region.busy_cycles - 1e-6
 
     def test_utilization_in_unit_interval(self, b0_on_tpu, b0_on_fast_large):
         for result in (b0_on_tpu, b0_on_fast_large):
