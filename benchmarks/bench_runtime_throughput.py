@@ -68,7 +68,7 @@ def _evaluator(scalar: bool = False, op_cache_path=None):
     problem = SearchProblem([_WORKLOAD], ObjectiveKind.PERF_PER_TDP)
     options = SimulationOptions(
         fusion_solver="greedy",
-        vectorized_mapper=not scalar,
+        mapper_engine="scalar" if scalar else "graph-batched",
         region_cache_enabled=not scalar,
         op_cache_enabled=not scalar,
         op_cache_path=str(op_cache_path) if op_cache_path else None,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI smoke suite — the exact invocations CI runs, runnable locally:
 #
-#   scripts/ci_smoke.sh [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|figures|remote|telemetry|chaos|cache-tier|coverage]
+#   scripts/ci_smoke.sh [all|search|sweep|profile|mapper-equiv|figures|remote|telemetry|chaos|cache-tier|coverage]
 #
 # `all` (the default) runs every smoke except `coverage`, which is its own
 # CI job.  Artifacts land in $SMOKE_DIR (default: a fresh temp dir); CI sets
@@ -50,80 +50,36 @@ smoke_sweep() {
 # 3. Mapper profile smoke (fails on crash or equivalence break, not timing)
 # --------------------------------------------------------------------------
 smoke_profile() {
-    log "profile smoke: scalar vs vectorized vs op-cached equivalence"
+    log "profile smoke: scalar vs graph-batched vs cached vs pooled equivalence"
     python -m repro profile \
         --workload mobilenet-v2 --trials 8 --batch-size 4 \
         --warm-op-cache --output "$SMOKE_DIR/mapper-profile.json"
 }
 
 # --------------------------------------------------------------------------
-# 3b. Graph-batched vs per-op vs scalar mapper equivalence smoke: the same
-#     fixed-seed search under all three engines (plus default caches off /
-#     on) must produce bit-for-bit identical histories.
+# 3b. Mapper equivalence smoke: the same fixed-seed search under the default
+#     engine (graph-batched, both caches on) and the scalar reference with
+#     both caches off must produce bit-for-bit identical histories.
 # --------------------------------------------------------------------------
 smoke_mapper_equiv() {
-    log "mapper equivalence smoke: graph-batched vs per-op vs scalar history"
+    log "mapper equivalence smoke: default engine vs scalar reference history"
     local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
     python -m repro search "${common[@]}" \
-        --output "$SMOKE_DIR/search-graph-batched.json"
+        --output "$SMOKE_DIR/search-default.json"
     python -m repro search "${common[@]}" \
-        --per-op-mapper --no-region-cache --no-op-cache \
-        --output "$SMOKE_DIR/search-per-op.json"
-    python -m repro search "${common[@]}" \
-        --scalar-mapper --no-region-cache --no-op-cache \
+        --engine scalar:op_cache=off,region_cache=off \
         --output "$SMOKE_DIR/search-scalar.json"
 
-    python - "$SMOKE_DIR/search-scalar.json" "$SMOKE_DIR/search-per-op.json" \
-        "$SMOKE_DIR/search-graph-batched.json" <<'PY'
-import json, sys
-reference = json.load(open(sys.argv[1]))
-for path in sys.argv[2:]:
-    other = json.load(open(path))
-    for key in ("proposals", "history", "best_score_curve", "best_score"):
-        if reference.get(key) != other.get(key):
-            raise SystemExit(f"{path} diverged from the scalar reference on {key!r}")
-print("graph-batched == per-op == scalar bit-for-bit over",
-      len(reference.get("history") or []), "trials")
-PY
-}
-
-# --------------------------------------------------------------------------
-# 3c. Engine/backend equivalence smoke: the trial-batched engine must
-#     reproduce the graph-batched history bit-for-bit, and every installed
-#     array backend must pass the kernel tolerance check.
-# --------------------------------------------------------------------------
-smoke_backend_equiv() {
-    log "backend equivalence smoke: trial-batched history + backend check"
-    local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
-    python -m repro search "${common[@]}" \
-        --engine graph-batched \
-        --output "$SMOKE_DIR/engine-graph-batched.json"
-    python -m repro search "${common[@]}" \
-        --engine trial-batched \
-        --output "$SMOKE_DIR/engine-trial-batched.json"
-
-    python - "$SMOKE_DIR/engine-graph-batched.json" \
-        "$SMOKE_DIR/engine-trial-batched.json" <<'PY'
+    python - "$SMOKE_DIR/search-scalar.json" "$SMOKE_DIR/search-default.json" <<'PY'
 import json, sys
 reference = json.load(open(sys.argv[1]))
 other = json.load(open(sys.argv[2]))
 for key in ("proposals", "history", "best_score_curve", "best_score"):
     if reference.get(key) != other.get(key):
-        raise SystemExit(f"trial-batched diverged from graph-batched on {key!r}")
-print("trial-batched == graph-batched bit-for-bit over",
+        raise SystemExit(f"default engine diverged from the scalar reference on {key!r}")
+print("graph-batched == scalar bit-for-bit over",
       len(reference.get("history") or []), "trials")
 PY
-
-    python -m repro profile --check-backends
-}
-
-# --------------------------------------------------------------------------
-# 4. Mapper throughput benchmark smoke (tiny budget, no timing asserts)
-# --------------------------------------------------------------------------
-smoke_bench() {
-    log "bench smoke: mapper throughput benchmark, tiny budget"
-    (cd benchmarks && REPRO_BENCH_TRIALS=16 REPRO_BENCH_NO_TIMING_ASSERTS=1 \
-        PYTHONPATH="../src" python -m pytest bench_mapper_throughput.py -q)
 }
 
 # --------------------------------------------------------------------------
@@ -418,8 +374,6 @@ case "${1:-all}" in
     sweep)        smoke_sweep ;;
     profile)      smoke_profile ;;
     mapper-equiv) smoke_mapper_equiv ;;
-    backend-equiv) smoke_backend_equiv ;;
-    bench)        smoke_bench ;;
     figures)      smoke_figures ;;
     remote)       smoke_remote ;;
     telemetry)    smoke_telemetry ;;
@@ -431,8 +385,6 @@ case "${1:-all}" in
         smoke_sweep
         smoke_profile
         smoke_mapper_equiv
-        smoke_backend_equiv
-        smoke_bench
         smoke_figures
         smoke_remote
         smoke_telemetry
@@ -441,7 +393,7 @@ case "${1:-all}" in
         log "all smokes passed; artifacts in $SMOKE_DIR"
         ;;
     *)
-        echo "usage: $0 [all|search|sweep|profile|mapper-equiv|backend-equiv|bench|figures|remote|telemetry|chaos|cache-tier|coverage]" >&2
+        echo "usage: $0 [all|search|sweep|profile|mapper-equiv|figures|remote|telemetry|chaos|cache-tier|coverage]" >&2
         exit 2
         ;;
 esac

@@ -125,42 +125,28 @@ coupling is strictly opt-in.
 Performance
 -----------
 Trial evaluation itself — the Figure-1 pipeline of mapper, VPU cost model,
-and FAST fusion — runs on layered fast paths, and one flag names the whole
-stack: ``--engine MAPPER[:key=value,...]`` on ``repro search``, ``sweep``,
+and FAST fusion — runs on fast paths, and one flag names them all:
+``--engine MAPPER[:key=value,...]`` on ``repro search``, ``sweep``,
 ``profile``, and ``serve``::
 
     --engine graph-batched                       # the default engine
     --engine scalar                              # pure-Python reference loop
-    --engine trial-batched                       # batch-of-trials stacking
-    --engine trial-batched:backend=torch         # ... on the torch backend
     --engine graph-batched:op_cache=off,region_cache=off
 
-The mapper ladder (each level rides on the one below, and every NumPy
-level is bit-for-bit equivalent to the scalar reference — same tilings,
-cycles, and DRAM bytes):
+Two mapping engines, bit-for-bit equivalent — same tilings, cycles, and
+DRAM bytes:
 
-* **scalar** — the op-by-op pure-Python loop; verification and profiling
-  baseline.
-* **vectorized** — each op's ``dataflows x (m, n, k)-tilings`` candidate
-  sweep runs as one NumPy pass.
+* **scalar** — the op-by-op pure-Python candidate loop; the reference for
+  verification and profiling.
 * **graph-batched** (default) — the whole trial is the unit of
   vectorization: every matrix op a trial needs mapped is gathered across
-  all fusion regions and costed in ONE stacked pass, then scattered back.
-* **trial-batched** — a whole proposal *batch* is the unit: the pending
-  ops of all trials in the batch are deduplicated and costed in one pass
-  before the trials finish individually.
+  all fusion regions and costed in ONE stacked NumPy pass over
+  ``ops x dataflows x (m, n, k)-tilings``, then scattered back.
 
-Engine options: ``backend=numpy|cupy|torch`` picks the array library the
-batched kernels run on (NumPy is the always-on, bit-exact default; cupy /
-torch are optional GPU paths that are tolerance-checked, not bit-checked —
-``repro profile --check-backends`` prints the per-backend verdict and
-skips libraries that are not installed).  ``op_cache=on|off`` and
-``region_cache=on|off`` toggle the two cross-trial memoization layers:
-the region-level result cache (whole fusion-region evaluations keyed by
-graph fingerprint, region index, and mapping-relevant datapath sub-config)
-and the per-op cost cache.  The legacy spellings ``--scalar-mapper``,
-``--per-op-mapper``, ``--no-op-cache``, and ``--no-region-cache`` still
-work as deprecated aliases that fold onto an equivalent ``--engine`` spec.
+Engine options ``op_cache=on|off`` and ``region_cache=on|off`` toggle the
+two cross-trial memoization layers: the region-level result cache (whole
+fusion-region evaluations keyed by graph fingerprint, region index, and
+mapping-relevant datapath sub-config) and the per-op cost cache.
 
 **The shared cost-cache tier.**  Both memoization layers are the private
 front of a three-tier cache; every tier serves bit-identical entries, so
@@ -215,19 +201,17 @@ spec through the pool initializer — the resolved spec is echoed back as
 ``engine`` in ``RuntimeStats``, so a pool silently running a different
 engine than you asked for is visible in ``repro profile``.
 
-``repro profile`` measures the whole ladder on a fixed-seed search:
+``repro profile`` measures both engines on a fixed-seed search:
 trials/sec, a per-stage time breakdown (mapper / vector / fusion / other),
-and cache hit rates for the scalar, per-op vectorized, graph-batched,
-region-cached, op-cached, trial-batched (plus cupy / torch rows, skipped
-when not installed), and parallel modes, verifying along the way that
-every NumPy mode reproduces the same trial history::
+and cache hit rates for the scalar reference, the graph-batched engine with
+each cache off and on, and parallel modes, verifying along the way that
+every mode reproduces the same trial history::
 
     python -m repro profile --workload efficientnet-b0 --trials 48 \
         --warm-op-cache --output profile.json
 
 When to prefer which knob: the defaults (``--engine graph-batched``,
-both caches on, serial) are the right starting point; try ``--engine
-trial-batched`` for large ``--batch-size`` searches; add ``--workers``
+both caches on, serial) are the right starting point; add ``--workers``
 when a profile shows the evaluator saturating one core — warm workers
 compose with every cache layer — and add ``--op-cache PATH`` whenever you
 run more than one search over the same workloads (sweeps, shards,
@@ -325,6 +309,7 @@ from repro.reporting.experiments import list_experiments, run_experiment
 from repro.reporting.serialization import save_config, save_search_result
 from repro.reporting.tables import format_kv, format_table
 from repro.simulator.engine import Simulator
+from repro.simulator.enginespec import EngineSpec
 from repro.workloads.registry import available_workloads, build_workload
 
 __all__ = ["main", "build_parser"]
@@ -370,58 +355,6 @@ def _write_trace(path: str) -> None:
     count = writer(records, path)
     dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
     print(f"trace: {count} spans written to {path}{dropped}")
-
-
-#: Legacy engine flags already warned about this process (warn once each).
-_LEGACY_FLAG_WARNED: set = set()
-
-
-def _warn_legacy_flag(flag: str, replacement: str) -> None:
-    if flag in _LEGACY_FLAG_WARNED:
-        return
-    _LEGACY_FLAG_WARNED.add(flag)
-    print(
-        f"warning: {flag} is deprecated; use --engine {replacement}",
-        file=sys.stderr,
-    )
-
-
-def _resolve_engine(args):
-    """Fold ``--engine`` and the legacy engine flags into one EngineSpec.
-
-    The legacy spellings (``--scalar-mapper`` / ``--per-op-mapper`` /
-    ``--no-op-cache`` / ``--no-region-cache``) are deprecation aliases: each
-    one overrides the corresponding spec field and warns once per process.
-    Raises ``ValueError`` for a malformed spec.
-    """
-    from repro.simulator.enginespec import EngineSpec
-
-    engine_text = getattr(args, "engine", None)
-    spec = EngineSpec.parse(engine_text) if engine_text else EngineSpec()
-    mapper = spec.mapper
-    op_cache = spec.op_cache
-    region_cache = spec.region_cache
-    if getattr(args, "scalar_mapper", False):
-        _warn_legacy_flag("--scalar-mapper", "scalar")
-        mapper = "scalar"
-    if getattr(args, "per_op_mapper", False):
-        _warn_legacy_flag("--per-op-mapper", "vectorized")
-        if mapper != "scalar":
-            mapper = "vectorized"
-    if getattr(args, "no_op_cache", False):
-        _warn_legacy_flag("--no-op-cache", f"{mapper}:op_cache=off")
-        op_cache = False
-    if getattr(args, "no_region_cache", False):
-        _warn_legacy_flag("--no-region-cache", f"{mapper}:region_cache=off")
-        region_cache = False
-    return EngineSpec(
-        mapper=mapper,
-        backend=spec.backend if mapper != "scalar" else "numpy",
-        op_cache=op_cache,
-        region_cache=region_cache,
-        region_store=spec.region_store,
-        cache_service=spec.cache_service,
-    )
 
 
 def _cmd_list_workloads(_args) -> int:
@@ -518,7 +451,7 @@ def _cmd_search(args) -> int:
         objective=ObjectiveKind(args.objective),
     )
     try:
-        engine = _resolve_engine(args)
+        engine = EngineSpec.parse(args.engine)
     except ValueError as error:
         print(f"error: {error}")
         return 1
@@ -707,7 +640,7 @@ def _cmd_sweep(args) -> int:
             print(f"error: {error}")
             return 1
         try:
-            engine = _resolve_engine(args)
+            engine = EngineSpec.parse(args.engine)
         except ValueError as error:
             print(f"error: {error}")
             return 1
@@ -803,54 +736,17 @@ def _cmd_profile(args) -> int:
 
     from repro.runtime.profiling import PROFILE_MODES, ProfileMode, profile_search
 
-    if args.check_backends:
-        from repro.mapping.backend import BACKEND_NAMES, check_backend
-
-        rows = []
-        any_failed = False
-        for name in BACKEND_NAMES:
-            verdict = check_backend(name)
-            status = verdict["status"]
-            any_failed = any_failed or status == "failed"
-            detail = (
-                f"max rel err {verdict['max_rel_err']:.2e} "
-                f"over {verdict['candidates']} candidates"
-                if status == "ok"
-                else str(verdict.get("reason", ""))
-            )
-            rows.append([name, status, detail])
-        print(format_table(["Backend", "Status", "Detail"], rows))
-        if any_failed:
-            print("\nbackend equivalence FAILED: see the rows above")
-            return 1
-        print("\nbackend equivalence: every installed backend matches NumPy "
-              "within tolerance")
-        return 0
-
-    if not args.workload:
-        print("error: --workload is required unless --check-backends is given")
-        return 1
-
     modes = PROFILE_MODES
     if args.engine:
         # Profile just the requested engine against the scalar reference.
         try:
-            spec = _resolve_engine(args)
+            spec = EngineSpec.parse(args.engine)
         except ValueError as error:
             print(f"error: {error}")
             return 1
-        requested = ProfileMode(
-            str(spec),
-            vectorized_mapper=spec.mapper != "scalar",
-            op_cache=spec.op_cache,
-            graph_batched=spec.mapper in ("graph-batched", "trial-batched"),
-            region_cache=spec.region_cache,
-            trial_batched=spec.mapper == "trial-batched",
-            backend=spec.backend,
-        )
         modes = (PROFILE_MODES[0],)
-        if requested != PROFILE_MODES[0]:
-            modes = modes + (requested,)
+        if spec != PROFILE_MODES[0].engine:
+            modes = modes + (ProfileMode(str(spec), spec),)
 
     report = profile_search(
         list(args.workload),
@@ -864,11 +760,6 @@ def _cmd_profile(args) -> int:
     )
     rows = []
     for record in report.records:
-        if record.skipped:
-            rows.append([
-                record.mode, "skipped", "-", "-", "-", "-", "-", "-", "-", "-",
-            ])
-            continue
         stages = record.stage_seconds
         disk_hits = record.op_cache_disk_hits + record.region_cache_disk_hits
         rows.append([
@@ -895,7 +786,7 @@ def _cmd_profile(args) -> int:
         f"workloads={','.join(report.workloads)}"
     )
     if report.histories_match:
-        print("equivalence: all NumPy modes reproduced the reference trial "
+        print("equivalence: all modes reproduced the reference trial "
               "history bit-for-bit")
     else:
         print("equivalence FAILED: some mode diverged from the reference trial history")
@@ -917,7 +808,7 @@ def _cmd_serve(args) -> int:
             format="%(asctime)s %(name)s %(levelname)s %(message)s",
         )
     try:
-        engine = _resolve_engine(args) if getattr(args, "engine", None) else None
+        engine = EngineSpec.parse(args.engine) if args.engine else None
         service = serve(
             host=args.host,
             port=args.port,
@@ -1148,23 +1039,15 @@ def build_parser() -> argparse.ArgumentParser:
                              "JSON-lines file (shared across processes and restarts)")
     search.add_argument("--engine", default=None, metavar="SPEC",
                         help="Evaluation engine spec: "
-                             "MAPPER[:key=value,...] with MAPPER one of "
-                             "scalar / vectorized / graph-batched / "
-                             "trial-batched and keys backend=numpy|cupy|torch, "
+                             "MAPPER[:key=value,...] with MAPPER scalar "
+                             "(reference loop) or graph-batched (one NumPy "
+                             "pass per trial) and keys "
                              "op_cache=on|off, region_cache=on|off, "
                              "region_store=PATH (persistent JSONL region "
                              "store), cache_service=URL (cluster cache tier "
                              "on a `repro serve` endpoint) "
                              "(default: graph-batched with both caches on; "
-                             "all NumPy engines give identical results)")
-    search.add_argument("--no-op-cache", action="store_true",
-                        help="Deprecated alias for --engine ...:op_cache=off")
-    search.add_argument("--scalar-mapper", action="store_true",
-                        help="Deprecated alias for --engine scalar")
-    search.add_argument("--per-op-mapper", action="store_true",
-                        help="Deprecated alias for --engine vectorized")
-    search.add_argument("--no-region-cache", action="store_true",
-                        help="Deprecated alias for --engine ...:region_cache=off")
+                             "both engines give identical results)")
     search.add_argument("--inject-faults", default=None, metavar="SPEC",
         help="Deterministic chaos testing: comma-separated fault points with "
              "colon-separated params, e.g. 'worker-crash:n=1,remote-drop:p=0.25:n=4' "
@@ -1200,9 +1083,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Persist the service's cross-trial op-cost cache here "
                             "(warm across requests and clients)")
     serve.add_argument("--engine", default=None, metavar="SPEC",
-                       help="Pin the service's evaluation engine (same grammar "
-                            "as `repro search --engine`); merged over every "
-                            "request's simulation options.  With "
+                       help="The service's evaluation engine (same grammar "
+                            "as `repro search --engine`); requests cannot "
+                            "choose engine, caches or store paths.  With "
                             "region_store=PATH the /cache/region routes "
                             "persist and warm-load the shared region store")
     serve.add_argument("--inject-faults", default=None, metavar="SPEC",
@@ -1217,11 +1100,11 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser(
         "profile",
         help="Profile trial evaluation: per-stage times and trials/sec for the "
-             "scalar, vectorized, and op-cached modes (verifies equivalence)",
+             "scalar and graph-batched engines, each cache, and warm worker "
+             "pools (verifies equivalence)",
     )
-    profile.add_argument("--workload", action="append",
-                         help="Repeat for multi-workload profiles (required "
-                              "unless --check-backends)")
+    profile.add_argument("--workload", action="append", required=True,
+                         help="Repeat for multi-workload profiles")
     profile.add_argument("--trials", type=int, default=48)
     profile.add_argument("--optimizer", default="lcs",
                          help="random / bayesian / lcs / annealing / coordinate / safe:<name>")
@@ -1236,11 +1119,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Profile just this engine spec against the scalar "
                               "reference instead of the whole mode ladder "
                               "(same grammar as `repro search --engine`)")
-    profile.add_argument("--check-backends", action="store_true",
-                         help="Instead of profiling, verify every array backend "
-                              "against the NumPy kernels on a synthetic "
-                              "candidate grid and print the per-backend "
-                              "verdict (ok / skipped / failed)")
     profile.add_argument("--output", default=None, metavar="PATH",
                          help="Write the profile report JSON here")
     profile.set_defaults(func=_cmd_profile)
@@ -1279,8 +1157,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--engine", default=None, metavar="SPEC",
                        help="Evaluation engine spec for every shard (same "
                             "grammar as `repro search --engine`)")
-    sweep.add_argument("--no-op-cache", action="store_true",
-                       help="Deprecated alias for --engine ...:op_cache=off")
     sweep.add_argument("--exchange", default=None, metavar="PATH_OR_URL",
                        help="Live cross-shard best-score exchange: scoreboard file "
                             "prefix or evaluation-service URL (off by default; "

@@ -221,18 +221,6 @@ class TrialEvaluator:
             self.stage_seconds["evaluate"] += time.perf_counter() - started
 
     def _evaluate_config(self, config: DatapathConfig) -> TrialMetrics:
-        metrics, simulator = self._begin_config(config)
-        if simulator is None:
-            return metrics
-        return self._finish_config(metrics, simulator)
-
-    def _begin_config(self, config: DatapathConfig):
-        """First half of a trial: area/TDP constraints + simulator setup.
-
-        Returns ``(metrics, simulator)``; ``simulator`` is ``None`` when the
-        constraints already decided the trial.  Split out so the batched
-        path can stage every trial before the shared mapping pass.
-        """
         # Region-tier wiring is idempotent; doing it here (not just in
         # warm_caches) means serial runs and cold workers also see the
         # persistent store and the cluster tier from their first trial.
@@ -257,17 +245,10 @@ class TrialEvaluator:
                 f"{constraints.max_area_mm2:.0f}), TDP {tdp:.0f} W (max "
                 f"{constraints.max_tdp_w:.0f})"
             )
-            return metrics, None
+            return metrics
 
         with _tracer().span("setup", category="simulate"):
             simulator = Simulator(config, self.simulation_options)
-        return metrics, simulator
-
-    def _finish_config(self, metrics: TrialMetrics, simulator: Simulator) -> TrialMetrics:
-        """Second half of a trial: simulate every workload and score."""
-        config = metrics.config
-        area = metrics.area_mm2
-        tdp = metrics.tdp_w
         per_workload_scores: Dict[str, float] = {}
         try:
             for workload in self.problem.workloads:
@@ -296,75 +277,11 @@ class TrialEvaluator:
     def evaluate_params_batch(
         self, params_list, space: DatapathSearchSpace
     ) -> "list[TrialMetrics]":
-        """Evaluate a batch of trials with one cross-trial mapping pass.
+        """Evaluate a batch of trials, one :meth:`evaluate_params` call each.
 
-        The trial-batched twin of calling :meth:`evaluate_params` per
-        element: every trial is staged (constraints + simulator setup), the
-        pending matrix-op problems of ALL trials x workloads are gathered
-        and priced in ONE stacked
-        :meth:`~repro.mapping.mapper.Mapper.map_trials_batch` sweep, and
-        each trial then finishes against its pre-warmed mapper cache.
-        Bit-for-bit equal to the per-trial path (the shared pass computes
-        the identical candidate arithmetic and lands in the same caches).
-        Falls back to the per-trial loop whenever
-        ``simulation_options.trial_batched_mapper`` is off.
+        The entry point executors call for a whole proposal batch.
         """
-        if not getattr(self.simulation_options, "trial_batched_mapper", None):
-            return [self.evaluate_params(params, space) for params in params_list]
-        started = time.perf_counter()
-        try:
-            return self._evaluate_params_batch(params_list, space)
-        finally:
-            self.stage_seconds["evaluate"] += time.perf_counter() - started
-
-    def _evaluate_params_batch(self, params_list, space: DatapathSearchSpace):
-        from repro.mapping.mapper import Mapper
-
-        staged = []
-        entries = []
-        for params in params_list:
-            try:
-                config = space.to_config(params, num_cores=self.num_cores)
-            except Exception as error:
-                staged.append(
-                    (
-                        TrialMetrics(
-                            config=None,
-                            area_mm2=math.inf,
-                            tdp_w=math.inf,
-                            feasible=False,
-                            failure_reason=f"invalid configuration: {error}",
-                        ),
-                        None,
-                    )
-                )
-                continue
-            metrics, simulator = self._begin_config(config)
-            if simulator is not None:
-                for workload in self.problem.workloads:
-                    graph = _cached_graph(workload, config.native_batch_size)
-                    entry = simulator.gather_map_entry(graph)
-                    if entry is not None:
-                        entries.append(entry)
-            staged.append((metrics, simulator))
-        if entries:
-            with _tracer().span(
-                "trial_batch_map", category="search", trials=len(params_list)
-            ):
-                map_started = time.perf_counter()
-                Mapper.map_trials_batch(entries)
-                self.stage_seconds["mapper"] += time.perf_counter() - map_started
-        results = []
-        for metrics, simulator in staged:
-            with _tracer().span(
-                "trial", category="search", workloads=len(self.problem.workloads)
-            ) as span:
-                if simulator is not None:
-                    metrics = self._finish_config(metrics, simulator)
-                span.set_attr("feasible", metrics.feasible)
-                span.set_attr("score", metrics.aggregate_score)
-            results.append(metrics)
-        return results
+        return [self.evaluate_params(params, space) for params in params_list]
 
     # ------------------------------------------------------------------
     def simulate_design(self, config: DatapathConfig, workload: str) -> SimulationResult:

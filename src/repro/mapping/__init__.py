@@ -1,13 +1,5 @@
 """Scheduling / mapping engine (the Timeloop substitute)."""
 
-from repro.mapping.backend import (
-    ArrayBackend,
-    BackendUnavailableError,
-    assert_backend_equivalence,
-    available_backends,
-    backend_available,
-    get_backend,
-)
 from repro.mapping.costmodel import OpCost, ScheduleFailure
 from repro.mapping.dataflow import Dataflow, SpatialMapping, spatial_mapping
 from repro.mapping.loopnest import MatrixProblem, extract_problem
@@ -16,8 +8,6 @@ from repro.mapping.padding import PaddingDecision, pad_problem
 from repro.mapping.tiling import Tiling, TrafficEstimate, candidate_tilings, estimate_traffic
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
     "Dataflow",
     "Mapper",
     "MapperOptions",
@@ -28,13 +18,9 @@ __all__ = [
     "SpatialMapping",
     "Tiling",
     "TrafficEstimate",
-    "assert_backend_equivalence",
-    "available_backends",
-    "backend_available",
     "candidate_tilings",
     "estimate_traffic",
     "extract_problem",
-    "get_backend",
     "pad_problem",
     "spatial_mapping",
 ]

@@ -12,18 +12,23 @@ This replaces the Timeloop invocation used by the paper's simulator; the
 search is deliberately small (a few dozen candidates per op) because the
 datapath template constrains the mapspace to known-good mapping schemes,
 exactly as Vizier does in the paper (Section 5.3).
+
+Step (4) has two engines that return bit-for-bit identical costs:
+:meth:`Mapper.map_op` runs the scalar reference loop one op at a time, and
+:meth:`Mapper.map_ops_batch` — the fast engine the simulator uses — prices
+every op a trial needs mapped in one stacked NumPy pass.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hardware.datapath import BufferConfig, DatapathConfig
 from repro.hardware.memory import MemoryHierarchy
-from repro.mapping.backend import ArrayBackend, backend_cache_tag, get_backend
 from repro.mapping.costmodel import OpCost
 from repro.mapping.dataflow import Dataflow, SpatialMapping, spatial_mapping
 from repro.mapping.loopnest import MatrixProblem, extract_problem
@@ -113,30 +118,13 @@ def clear_problem_memo() -> None:
     _PREP_MEMO.clear()
 
 
+@dataclass(frozen=True)
 class MapperOptions:
-    """Tunable knobs of the mapper search.
+    """Tunable knobs of the mapper search (the mapspace, not the engine)."""
 
-    ``vectorize`` selects the array candidate-sweep engine; the scalar loop is
-    kept as the reference implementation (``vectorize=False``) and the two are
-    bit-for-bit equivalent — same chosen tiling, cycles, and DRAM bytes.
-    ``backend`` names the array library the vectorized sweep runs on (see
-    :mod:`repro.mapping.backend`); NumPy is the default and the only backend
-    guaranteed bitwise-equal to the scalar reference.
-    """
-
-    def __init__(
-        self,
-        dataflows: Tuple[Dataflow, ...] = (Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY),
-        max_tiling_candidates: int = 48,
-        padding_max_overhead: float = 0.2,
-        vectorize: bool = True,
-        backend: str = "numpy",
-    ) -> None:
-        self.dataflows = dataflows
-        self.max_tiling_candidates = max_tiling_candidates
-        self.padding_max_overhead = padding_max_overhead
-        self.vectorize = vectorize
-        self.backend = backend
+    dataflows: Tuple[Dataflow, ...] = (Dataflow.WEIGHT_STATIONARY, Dataflow.OUTPUT_STATIONARY)
+    max_tiling_candidates: int = 48
+    padding_max_overhead: float = 0.2
 
 
 class Mapper:
@@ -166,7 +154,6 @@ class Mapper:
         self.options = options or MapperOptions()
         self.op_cache = op_cache
         self._cache: Dict[Tuple, OpCost] = {}
-        self._backend_obj: Optional[ArrayBackend] = None
         self._config_key = self.mapping_config_key() if op_cache is not None else None
         # Everything _PreparedProblem depends on besides the problem itself.
         self._prep_key = (
@@ -185,18 +172,11 @@ class Mapper:
         Everything the mapper search reads — array geometry, PE count, L1
         scratchpad layout (schedulability), blocking capacity, DRAM bandwidth
         per cycle (candidate ranking), and the mapper options themselves.
-        ``vectorize`` is deliberately excluded: both engines are bit-for-bit
-        equivalent, so their results are interchangeable.  The array backend
-        is likewise a perf-only choice and is excluded *unless* it is
-        float-divergent and unverified (see
-        :func:`repro.mapping.backend.backend_cache_tag`), in which case a
-        distinguishing tag is appended so its entries can never poison the
-        shared/persistent stores — the tag is decided once, at Mapper
-        construction, from the process's verification state at that moment.
+        The engine is not part of it: both engines compute identical costs.
         """
         config = self.config
         options = self.options
-        key = (
+        return (
             config.systolic_array_x,
             config.systolic_array_y,
             config.num_pes,
@@ -210,23 +190,14 @@ class Mapper:
             options.max_tiling_candidates,
             options.padding_max_overhead,
         )
-        tag = backend_cache_tag(getattr(options, "backend", "numpy") or "numpy")
-        if tag is not None:
-            key = key + (tag,)
-        return key
-
-    def _resolve_backend(self) -> Optional[ArrayBackend]:
-        """The ArrayBackend for the vectorized sweep (``None`` == NumPy)."""
-        name = getattr(self.options, "backend", "numpy") or "numpy"
-        if name == "numpy":
-            return None
-        if self._backend_obj is None:
-            self._backend_obj = get_backend(name)
-        return self._backend_obj
 
     # ------------------------------------------------------------------
     def map_op(self, op: Operation, tensors: Dict[str, Tensor]) -> OpCost:
-        """Map a matrix op; returns its cost (cached by problem signature)."""
+        """Map a matrix op with the scalar reference loop.
+
+        Returns its cost, cached by problem signature in the same caches
+        :meth:`map_ops_batch` fills.
+        """
         if not is_matrix_op(op.op_type):
             raise ValueError(f"mapper only handles matrix ops, got {op.op_type}")
         problem = _memoized_problem(op, tensors)
@@ -251,16 +222,33 @@ class Mapper:
     def map_ops_batch(
         self, ops: Sequence[Operation], tensors: Dict[str, Tensor]
     ) -> Dict[str, OpCost]:
-        """Map many matrix ops in one batched candidate sweep.
+        """Map many matrix ops in one batched candidate sweep (the fast engine).
 
-        The cross-op twin of :meth:`map_op`: every op that misses both the
-        per-trial memo and the shared op cache contributes its candidate grid
-        to ONE stacked NumPy pass (:func:`estimate_traffic_batch_ops`), and
-        the results land in the same caches :meth:`map_op` uses — so a later
-        per-op call sees exactly what it would have computed itself.  Returns
-        ``{op.name: OpCost}`` with each cost labeled for its op, bit-for-bit
-        equal to mapping the ops one at a time.
+        Every op that misses both the per-trial memo and the shared op cache
+        contributes its candidate grid to ONE stacked NumPy pass
+        (:func:`estimate_traffic_batch_ops`), and the results land in the
+        same caches :meth:`map_op` uses.  Returns ``{op.name: OpCost}`` with
+        each cost labeled for its op, bit-for-bit equal to mapping the ops
+        one at a time with :meth:`map_op`.
         """
+        return self._map_ops(ops, tensors)
+
+    @staticmethod
+    def map_trials_batch(
+        entries: Sequence[Tuple["Mapper", Sequence[Operation], Dict[str, Tensor]]]
+    ) -> List[Dict[str, OpCost]]:
+        """Map several graphs' ops: one :meth:`map_ops_batch` pass per entry.
+
+        ``entries`` holds ``(mapper, ops, tensors)`` triples; the result is
+        one ``{op.name: OpCost}`` dict per entry.  It runs the same body as
+        :meth:`map_ops_batch` without calling it, so a wrapper around both
+        entry points sees every op once.
+        """
+        return [mapper._map_ops(ops, tensors) for mapper, ops, tensors in entries]
+
+    def _map_ops(
+        self, ops: Sequence[Operation], tensors: Dict[str, Tensor]
+    ) -> Dict[str, OpCost]:
         slots: List[Tuple[Operation, Tuple]] = []
         pending: List[Tuple[Tuple, Operation, MatrixProblem]] = []
         pending_keys = set()
@@ -286,9 +274,7 @@ class Mapper:
                 num_ops=len(ops),
                 num_pending=len(pending),
             ):
-                costs = self._map_problems_batch(
-                    [(op, problem) for _, op, problem in pending]
-                )
+                costs = self._map_problems_batch(pending)
             for (key, _, _), cost in zip(pending, costs):
                 self._cache[key] = cost
                 if self.op_cache is not None:
@@ -299,108 +285,6 @@ class Mapper:
             )
             for op, key in slots
         }
-
-    @staticmethod
-    def map_trials_batch(
-        entries: Sequence[Tuple["Mapper", Sequence[Operation], Dict[str, Tensor]]]
-    ) -> List[Dict[str, OpCost]]:
-        """Map many trials' ops in one stacked trials x ops x tilings pass.
-
-        The cross-*trial* twin of :meth:`map_ops_batch`: ``entries`` holds
-        ``(mapper, ops, tensors)`` per trial (a mapper may appear in several
-        entries — one per workload graph).  Every problem that misses its
-        mapper's caches joins ONE stacked candidate sweep, deduplicated by
-        ``(mapping config key, problem key)`` so identical design points
-        across trials are priced once, then partitioned by (dataflow set,
-        backend) — the two axes the stacked selection cannot mix — with
-        per-candidate blocking capacities and per-slot DRAM bandwidths
-        carrying the remaining config differences through the shared pass.
-        Results scatter into exactly the caches :meth:`map_op` /
-        :meth:`map_ops_batch` use, bit-for-bit equal to per-trial mapping,
-        and the return value is one ``{op.name: OpCost}`` dict per entry.
-        """
-        per_entry_slots: List[List[Tuple[Operation, Tuple]]] = []
-        # group key -> [prep owner mapper, first op, raw problem,
-        #               [(mapper, problem_key), ...] subscribers]
-        groups: Dict[Tuple, List] = {}
-        seen_pending = set()
-        for mapper, ops, tensors in entries:
-            slots: List[Tuple[Operation, Tuple]] = []
-            pending: List[Tuple[Tuple, Operation, MatrixProblem]] = []
-            pending_keys = set()
-            for op in ops:
-                if not is_matrix_op(op.op_type):
-                    raise ValueError(
-                        f"mapper only handles matrix ops, got {op.op_type}"
-                    )
-                problem = _memoized_problem(op, tensors)
-                key = mapper._problem_key(problem)
-                slots.append((op, key))
-                if key in mapper._cache or key in pending_keys:
-                    continue
-                if mapper.op_cache is not None:
-                    shared = mapper.op_cache.get((mapper._config_key, key))
-                    if shared is not None:
-                        mapper._cache[key] = shared
-                        continue
-                pending_keys.add(key)
-                pending.append((key, op, problem))
-            per_entry_slots.append(slots)
-            if not pending:
-                continue
-            if not mapper._schedulable():
-                # Same short-circuit _map_problems_batch takes, cached the
-                # same way map_ops_batch caches its results.
-                for key, op, problem in pending:
-                    cost = OpCost(
-                        op_name=op.name,
-                        op_type=op.op_type,
-                        flops=problem.flops,
-                        padded_flops=problem.flops,
-                        schedule_failed=True,
-                    )
-                    mapper._cache[key] = cost
-                    if mapper.op_cache is not None:
-                        mapper.op_cache.put((mapper._config_key, key), cost)
-                continue
-            mapping_key = (
-                mapper._config_key
-                if mapper._config_key is not None
-                else mapper.mapping_config_key()
-            )
-            for key, op, problem in pending:
-                group_key = (mapping_key, key)
-                group = groups.get(group_key)
-                if group is None:
-                    group = [mapper, op, problem, []]
-                    groups[group_key] = group
-                pending_id = (id(mapper), key)
-                if pending_id not in seen_pending:
-                    seen_pending.add(pending_id)
-                    group[3].append((mapper, key))
-
-        if groups:
-            with _tracer().span(
-                "map_trials_batch",
-                category="mapper",
-                num_trials=len(entries),
-                num_pending=len(groups),
-            ):
-                _map_trial_groups(list(groups.values()))
-
-        return [
-            {
-                op.name: OpCost(
-                    **{
-                        **mapper._cache[key].__dict__,
-                        "op_name": op.name,
-                        "op_type": op.op_type,
-                    }
-                )
-                for op, key in slots
-            }
-            for (mapper, ops, tensors), slots in zip(entries, per_entry_slots)
-        ]
 
     # ------------------------------------------------------------------
     def _problem_key(self, problem: MatrixProblem) -> Tuple:
@@ -436,8 +320,6 @@ class Mapper:
         )
 
     def _map_problem(self, op: Operation, raw_problem: MatrixProblem) -> OpCost:
-        if self.options.vectorize:
-            return self._map_problems_batch([(op, raw_problem)])[0]
         config = self.config
         if not self._schedulable():
             return OpCost(
@@ -489,9 +371,9 @@ class Mapper:
         )
 
     # ------------------------------------------------------------------
-    # Candidate search engines.  Both return the winning
-    # ``(rank, mapping, tiling, traffic)`` tuple (or None when no candidate
-    # fits) and are bit-for-bit equivalent; the scalar loop is the reference.
+    # Scalar reference search: returns the winning
+    # ``(rank, mapping, tiling, traffic)`` tuple, or None when no candidate
+    # fits.
     # ------------------------------------------------------------------
     def _search_candidates_scalar(
         self, problem: MatrixProblem, blocking_capacity: int, dram_bpc: float
@@ -532,8 +414,8 @@ class Mapper:
 
     # ------------------------------------------------------------------
     # Batched (NumPy) search engine.  One stacked array pass costs the whole
-    # ``ops x dataflows x (m, n, k)-tilings`` candidate space; the scalar loop
-    # above remains the reference and the two are bit-for-bit equivalent.
+    # ``ops x dataflows x (m, n, k)-tilings`` candidate space, bit-for-bit
+    # equal to the scalar loop above.
     # ------------------------------------------------------------------
     def _prepared(self, raw_problem: MatrixProblem, problem_key: Tuple) -> _PreparedProblem:
         """Padding, candidate grid, and per-dataflow plans for one problem.
@@ -575,18 +457,16 @@ class Mapper:
         return prepared
 
     def _map_problems_batch(
-        self, items: Sequence[Tuple[Operation, MatrixProblem]]
+        self, items: Sequence[Tuple[Tuple, Operation, MatrixProblem]]
     ) -> List[OpCost]:
-        """Map many lowered problems with one stacked candidate sweep.
+        """Map ``(problem key, op, raw problem)`` items with one stacked sweep.
 
         Bit-for-bit equivalent to mapping each problem through the scalar
         reference: the stacked traffic pass computes the very same float64
-        operations per candidate, and the segmented selection below
-        reproduces the scalar loop's rounded lexicographic ranking (with its
-        first-wins tie-breaking) exactly.
+        operations per candidate, and the segmented selection reproduces the
+        scalar loop's rounded lexicographic ranking (with its first-wins
+        tie-breaking) exactly.
         """
-        if not items:
-            return []
         if not self._schedulable():
             return [
                 OpCost(
@@ -596,12 +476,9 @@ class Mapper:
                     padded_flops=raw_problem.flops,
                     schedule_failed=True,
                 )
-                for op, raw_problem in items
+                for _, op, raw_problem in items
             ]
-        preps = [
-            self._prepared(raw_problem, self._problem_key(raw_problem))
-            for _, raw_problem in items
-        ]
+        preps = [self._prepared(raw_problem, key) for key, _, raw_problem in items]
         if len(preps) == 1:
             op_index = np.zeros(preps[0].m_tiles.shape[0], dtype=np.int64)
             m_all, n_all, k_all = preps[0].m_tiles, preps[0].n_tiles, preps[0].k_tiles
@@ -617,12 +494,16 @@ class Mapper:
             k_all,
             self.hierarchy.blocking_capacity_bytes,
             _DTYPE_BYTES,
-            backend=self._resolve_backend(),
         )
-        selections = self._select_batch(preps, arrays, op_index)
+        selections = _select_batch_slots(
+            [tuple(plan.rounded_cycles for plan in prep.per_dataflow) for prep in preps],
+            self.config.dram_bytes_per_cycle,
+            arrays,
+            op_index,
+        )
 
         costs: List[OpCost] = []
-        for (op, raw_problem), prep, selection in zip(items, preps, selections):
+        for (_, op, raw_problem), prep, selection in zip(items, preps, selections):
             if selection is None:
                 costs.append(
                     OpCost(
@@ -655,22 +536,6 @@ class Mapper:
                 )
             )
         return costs
-
-    def _select_batch(self, preps, arrays, op_index):
-        """Segmented lexicographic argmin over the stacked candidate axis.
-
-        Delegates to the slot-based :func:`_select_batch_slots` with this
-        mapper's DRAM bandwidth on every slot — the per-trial view of the
-        selection the trial-batched path runs across many configs at once.
-        """
-        dram_bpc = self.config.dram_bytes_per_cycle
-        slots = [
-            _SelectionSlot(
-                tuple(plan.rounded_cycles for plan in prep.per_dataflow), dram_bpc
-            )
-            for prep in preps
-        ]
-        return _select_batch_slots(slots, arrays, op_index)
 
     # ------------------------------------------------------------------
     def _compute_cycles(self, problem: MatrixProblem, mapping: SpatialMapping) -> float:
@@ -710,26 +575,17 @@ class Mapper:
         return min(1.0, raw_problem.macs / (compute_cycles * peak_macs_per_cycle))
 
 
-class _SelectionSlot(NamedTuple):
-    """Per-problem inputs to the stacked candidate selection.
-
-    One slot per problem in the flat candidate axis: the rounded compute
-    cycles of each dataflow plan (position-aligned across every slot in one
-    selection call) and the DRAM bytes/cycle of the *owning* datapath config —
-    per-slot because the trial-batched path stacks problems from different
-    configs into one pass.
-    """
-
-    rounded_cycles: Tuple[float, ...]
-    dram_bpc: float
-
-
 def _select_batch_slots(
-    slots: Sequence[_SelectionSlot], arrays, op_index: np.ndarray
+    rounded_cycles: Sequence[Tuple[float, ...]],
+    dram_bpc: float,
+    arrays,
+    op_index: np.ndarray,
 ) -> List[Optional[Tuple]]:
     """Segmented lexicographic argmin over the stacked candidate axis.
 
-    For every problem and dataflow the scalar loop ranks candidates by
+    ``rounded_cycles[p]`` holds problem ``p``'s rounded compute cycles per
+    dataflow plan (position-aligned across problems).  For every problem and
+    dataflow the scalar loop ranks candidates by
     ``(round(max(cc, dram), 3), rint(total_bytes), buffer_bytes)`` with
     strict-< first-wins tie-breaking.  All three components are exact
     reproductions here: ``round(x, 3)`` stays Python's correctly-rounded
@@ -739,7 +595,7 @@ def _select_batch_slots(
     candidate in the per-op enumeration order.  Returns, per problem,
     ``None`` (nothing fits) or ``(rank, dataflow_position, flat_index)``.
     """
-    num_problems = len(slots)
+    num_problems = len(rounded_cycles)
     selections: List[Optional[Tuple]] = [None] * num_problems
     fit_flat = np.flatnonzero(arrays.fits)
     if fit_flat.size == 0:
@@ -748,7 +604,7 @@ def _select_batch_slots(
         # Single-problem fast path: a Python scan over the (few) fitting
         # candidates beats segmented NumPy reductions at this size.  Same
         # ranking, same first-wins tie-breaking, same result.
-        selections[0] = _select_single_slot(slots[0], arrays, fit_flat)
+        selections[0] = _select_single_slot(rounded_cycles[0], dram_bpc, arrays, fit_flat)
         return selections
     op_fit = op_index[fit_flat]
     counts = np.bincount(op_fit, minlength=num_problems)
@@ -765,33 +621,22 @@ def _select_batch_slots(
     # np.rint rounds half-to-even exactly like Python's round(float) -> int.
     rounded_totals = np.rint(totals)
     buffers = arrays.buffer_bytes[fit_flat]
-    bpc_by_problem = np.array([slot.dram_bpc for slot in slots], dtype=np.float64)
-    if np.all(bpc_by_problem > 0):
+    if dram_bpc > 0:
         # round() is monotone, so round(max(cc, dram), 3) equals
         # max(round(cc, 3), round(dram, 3)) — rounding the shared DRAM
-        # cycles once lets every dataflow reuse them.  Dividing by the
-        # gathered per-candidate bandwidth is the identical IEEE division
-        # the scalar path performs with its config's scalar.
+        # cycles once lets every dataflow reuse them.
         rounded_dram = np.array(
-            [round(d, 3) for d in (totals / bpc_by_problem[op_fit]).tolist()],
-            dtype=np.float64,
+            [round(d, 3) for d in (totals / dram_bpc).tolist()], dtype=np.float64
         )
     else:
-        bpc_fit = bpc_by_problem[op_fit]
-        safe_bpc = np.where(bpc_fit > 0, bpc_fit, 1.0)
-        dram = np.where(bpc_fit > 0, totals / safe_bpc, 0.0)
-        rounded_dram = np.array(
-            [round(d, 3) for d in dram.tolist()], dtype=np.float64
-        )
+        rounded_dram = np.zeros(fit_flat.shape[0], dtype=np.float64)
     positions = np.arange(fit_flat.shape[0], dtype=np.int64)
     int_sentinel = np.iinfo(np.int64).max
     active_problems = np.flatnonzero(active).tolist()
 
-    num_dataflows = len(slots[0].rounded_cycles)
-    for dataflow_position in range(num_dataflows):
+    for dataflow_position in range(len(rounded_cycles[0])):
         rounded_cc = np.array(
-            [slot.rounded_cycles[dataflow_position] for slot in slots],
-            dtype=np.float64,
+            [cycles[dataflow_position] for cycles in rounded_cycles], dtype=np.float64
         )
         objective = np.maximum(rounded_cc[op_fit], rounded_dram)
         seg_obj = np.minimum.reduceat(objective, starts)
@@ -823,21 +668,22 @@ def _select_batch_slots(
     return selections
 
 
-def _select_single_slot(slot: _SelectionSlot, arrays, fit_flat: np.ndarray):
+def _select_single_slot(
+    rounded_cycles: Tuple[float, ...], dram_bpc: float, arrays, fit_flat: np.ndarray
+):
     """Scalar-scan twin of :func:`_select_batch_slots` for one problem."""
     totals = arrays.total_bytes[fit_flat]
     # np.rint rounds half-to-even exactly like Python's round(float) -> int.
     rounded_totals = np.rint(totals).tolist()
     buffer_list = arrays.buffer_bytes[fit_flat].tolist()
     index_list = fit_flat.tolist()
-    dram_bpc = slot.dram_bpc
     if dram_bpc > 0:
         rounded_dram = [round(d, 3) for d in (totals / dram_bpc).tolist()]
     else:
         rounded_dram = [0.0] * len(index_list)
 
     best = None
-    for dataflow_position, rounded_cc in enumerate(slot.rounded_cycles):
+    for dataflow_position, rounded_cc in enumerate(rounded_cycles):
         # Manual lexicographic argmin with strict-< (first wins on ties),
         # mirroring the scalar loop's ``rank < best[0]`` comparison.
         best_obj = best_total = best_buffer = best_position = None
@@ -860,92 +706,3 @@ def _select_single_slot(slot: _SelectionSlot, arrays, fit_flat: np.ndarray):
         if best is None or rank < best[0]:
             best = (rank, dataflow_position, index_list[best_position])
     return best
-
-
-def _map_trial_groups(groups: List[List]) -> None:
-    """Price deduplicated cross-trial problem groups and scatter the costs.
-
-    ``groups`` entries are ``[mapper, op, raw_problem, subscribers]`` (see
-    :meth:`Mapper.map_trials_batch`).  Groups are partitioned by the two
-    axes one stacked selection cannot mix — the dataflow set (plan positions
-    must align across slots) and the array backend — and each partition runs
-    ONE :func:`estimate_traffic_batch_ops` pass: per-candidate blocking
-    capacities and per-slot DRAM bandwidths carry any remaining config
-    differences, with results bitwise equal to per-trial passes (int64
-    broadcasting and elementwise float64 division are the identical
-    operations the per-config calls perform).
-    """
-    partitions: Dict[Tuple, List[List]] = {}
-    for group in groups:
-        mapper = group[0]
-        partition_key = (
-            tuple(d.value for d in mapper.options.dataflows),
-            getattr(mapper.options, "backend", "numpy") or "numpy",
-        )
-        partitions.setdefault(partition_key, []).append(group)
-
-    for part_groups in partitions.values():
-        preps: List[_PreparedProblem] = []
-        slots: List[_SelectionSlot] = []
-        capacities: List[int] = []
-        for mapper, _, raw_problem, _ in part_groups:
-            prep = mapper._prepared(raw_problem, mapper._problem_key(raw_problem))
-            preps.append(prep)
-            slots.append(
-                _SelectionSlot(
-                    tuple(plan.rounded_cycles for plan in prep.per_dataflow),
-                    mapper.config.dram_bytes_per_cycle,
-                )
-            )
-            capacities.append(mapper.hierarchy.blocking_capacity_bytes)
-        op_index, m_all, n_all, k_all = stack_candidate_grids(
-            [(prep.m_tiles, prep.n_tiles, prep.k_tiles) for prep in preps]
-        )
-        if len(set(capacities)) == 1:
-            capacity: object = capacities[0]
-        else:
-            capacity = np.array(capacities, dtype=np.int64)[op_index]
-        arrays = estimate_traffic_batch_ops(
-            [prep.problem for prep in preps],
-            op_index,
-            m_all,
-            n_all,
-            k_all,
-            capacity,
-            _DTYPE_BYTES,
-            backend=part_groups[0][0]._resolve_backend(),
-        )
-        selections = _select_batch_slots(slots, arrays, op_index)
-        for group, prep, selection in zip(part_groups, preps, selections):
-            mapper, op, raw_problem, subscribers = group
-            if selection is None:
-                cost = OpCost(
-                    op_name=op.name,
-                    op_type=op.op_type,
-                    flops=raw_problem.flops,
-                    padded_flops=prep.problem.flops,
-                    schedule_failed=True,
-                )
-            else:
-                _, dataflow_position, flat_index = selection
-                plan = prep.per_dataflow[dataflow_position]
-                traffic = arrays.traffic(flat_index)
-                cost = OpCost(
-                    op_name=op.name,
-                    op_type=op.op_type,
-                    flops=raw_problem.flops,
-                    padded_flops=prep.problem.flops,
-                    compute_cycles=plan.compute_cycles,
-                    vector_cycles=0.0,
-                    dram_input_bytes=traffic.input_bytes,
-                    dram_weight_bytes=traffic.stationary_bytes,
-                    dram_output_bytes=traffic.output_bytes,
-                    utilization=mapper._utilization(raw_problem, plan.compute_cycles),
-                    dataflow=plan.mapping.dataflow,
-                    tiling=arrays.tiling(flat_index),
-                    schedule_failed=False,
-                )
-            for sub_mapper, key in subscribers:
-                sub_mapper._cache[key] = cost
-                if sub_mapper.op_cache is not None:
-                    sub_mapper.op_cache.put((sub_mapper._config_key, key), cost)

@@ -21,11 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mapping.backend import ArrayBackend
 from repro.mapping.loopnest import MatrixProblem
 
 __all__ = [
@@ -36,8 +35,6 @@ __all__ = [
     "estimate_traffic",
     "stack_candidate_grids",
     "tiling_candidate_arrays",
-    "tiling_candidate_arrays_ops",
-    "estimate_traffic_batch",
     "estimate_traffic_batch_ops",
 ]
 
@@ -180,7 +177,7 @@ def estimate_traffic(
 
 @dataclass(frozen=True)
 class TrafficArrays:
-    """Per-candidate traffic/feasibility arrays for one problem.
+    """Per-candidate traffic/feasibility arrays over a stacked candidate axis.
 
     Index ``i`` of every array describes the candidate ``Tiling(m_tiles[i],
     n_tiles[i], k_tiles[i])``; float arrays are ``float64`` and match the
@@ -244,12 +241,9 @@ def stack_candidate_grids(
 
     The one place the op-axis layout is defined: candidates are grouped
     problem by problem (``op_index`` is non-decreasing) and each problem's
-    slice keeps its per-op enumeration order — the contract every batched
-    consumer (and the bit-for-bit equivalence argument) relies on.
+    slice keeps its per-op enumeration order — the contract the batched
+    selection (and the bit-for-bit equivalence argument) relies on.
     """
-    if not grids:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), empty.copy(), empty.copy()
     counts = [m_tiles.shape[0] for m_tiles, _, _ in grids]
     op_index = np.repeat(np.arange(len(grids), dtype=np.int64), counts)
     m_all = np.concatenate([grid[0] for grid in grids])
@@ -258,73 +252,21 @@ def stack_candidate_grids(
     return op_index, m_all, n_all, k_all
 
 
-def tiling_candidate_arrays_ops(
-    problems: Sequence[MatrixProblem],
-    array_x: int,
-    array_y: int,
-    max_candidates: int = 48,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Candidate tile sizes for many problems, stacked along an op axis.
-
-    Returns ``(op_index, m_tiles, n_tiles, k_tiles)`` where candidate ``i``
-    belongs to ``problems[op_index[i]]``; each problem's slice equals what
-    :func:`tiling_candidate_arrays` yields for it (see
-    :func:`stack_candidate_grids` for the layout contract).
-    """
-    return stack_candidate_grids(
-        [
-            tiling_candidate_arrays(problem, array_x, array_y, max_candidates)
-            for problem in problems
-        ]
-    )
-
-
-def estimate_traffic_batch(
-    problem: MatrixProblem,
-    m_tiles: np.ndarray,
-    n_tiles: np.ndarray,
-    k_tiles: np.ndarray,
-    blocking_capacity_bytes: int,
-    dtype_bytes: int = 2,
-) -> TrafficArrays:
-    """Vectorized :func:`estimate_traffic` over one problem's candidate grid.
-
-    A single-problem view of :func:`estimate_traffic_batch_ops` (op axis of
-    one); kept as the stable entry point for per-op callers and tests.
-    """
-    op_index = np.zeros(m_tiles.shape[0], dtype=np.int64)
-    return estimate_traffic_batch_ops(
-        (problem,), op_index, m_tiles, n_tiles, k_tiles,
-        blocking_capacity_bytes, dtype_bytes,
-    )
-
-
 def estimate_traffic_batch_ops(
     problems: Sequence[MatrixProblem],
     op_index: np.ndarray,
     m_tiles: np.ndarray,
     n_tiles: np.ndarray,
     k_tiles: np.ndarray,
-    blocking_capacity_bytes: Union[int, np.ndarray],
+    blocking_capacity_bytes: int,
     dtype_bytes: int = 2,
-    backend: Optional[ArrayBackend] = None,
 ) -> TrafficArrays:
     """Vectorized :func:`estimate_traffic` across many problems at once.
 
     The candidate axis is flat: candidate ``i`` tiles ``problems[op_index[i]]``
-    (see :func:`tiling_candidate_arrays_ops`).  One array pass costs every
-    candidate of every problem — this is the op axis the graph-batched mapper
-    sweeps in a single NumPy pass per trial.  ``blocking_capacity_bytes`` may
-    be a per-candidate ``int64`` array instead of a scalar, which lets the
-    trial-batched mapper stack problems from *different* datapath configs in
-    the same pass (broadcasting against a capacity array performs the
-    identical int64 comparisons/subtractions, so results stay bitwise equal
-    to per-config calls).
-
-    ``backend`` selects the array library the pass runs on (see
-    :mod:`repro.mapping.backend`); ``None`` or the NumPy backend takes the
-    reference fast path below, other backends a mirrored device-side pass
-    whose results are converted back to host NumPy arrays.
+    (see :func:`stack_candidate_grids`).  One array pass costs every
+    candidate of every problem — the pass the mapper's fast engine runs once
+    per trial, and a single problem is just an op axis of one.
 
     Buffer footprints stay in ``int64`` (exact); traffic is computed in
     ``float64`` with the same correctly-rounded operations the scalar path
@@ -341,14 +283,9 @@ def estimate_traffic_batch_ops(
     * the output spill multiplier ``2*k_outer - 1`` equals the scalar
       path's ``1 + 2*(k_outer - 1)`` exactly (small integers in float64);
     * gathering per-problem dims/bytes through ``op_index`` feeds each
-      candidate the very same operand values the per-problem pass broadcasts,
-      so the batched results are bitwise identical to per-problem calls.
+      candidate the very same operand values a per-problem pass would
+      broadcast, so stacking never changes a result.
     """
-    if backend is not None and backend.name != "numpy":
-        return _estimate_traffic_batch_ops_backend(
-            problems, op_index, m_tiles, n_tiles, k_tiles,
-            blocking_capacity_bytes, dtype_bytes, backend,
-        )
     buffer_bytes = (m_tiles * k_tiles + k_tiles * n_tiles + m_tiles * n_tiles) * dtype_bytes
     fits = buffer_bytes <= blocking_capacity_bytes
 
@@ -406,97 +343,4 @@ def estimate_traffic_batch_ops(
         total_bytes=total,
         buffer_bytes=buffer_bytes,
         fits=fits,
-    )
-
-
-def _estimate_traffic_batch_ops_backend(
-    problems: Sequence[MatrixProblem],
-    op_index: np.ndarray,
-    m_tiles: np.ndarray,
-    n_tiles: np.ndarray,
-    k_tiles: np.ndarray,
-    blocking_capacity_bytes: Union[int, np.ndarray],
-    dtype_bytes: int,
-    backend: ArrayBackend,
-) -> TrafficArrays:
-    """Device-side mirror of :func:`estimate_traffic_batch_ops`.
-
-    Same computation, spelled through the :class:`~repro.mapping.backend.\
-ArrayBackend` seam with no in-place mutation (torch/CuPy friendly): the
-    per-role multipliers are assembled with ``stack``/``where`` instead of
-    the NumPy path's ``copy()`` + row assignment.  Inputs arrive as host
-    NumPy arrays and results are converted back, so callers see ordinary
-    ``TrafficArrays`` regardless of where the arithmetic ran.
-    """
-    xb = backend
-    m_t = xb.from_numpy(m_tiles)
-    n_t = xb.from_numpy(n_tiles)
-    k_t = xb.from_numpy(k_tiles)
-    op_idx = xb.from_numpy(np.ascontiguousarray(op_index))
-
-    buffer_bytes = (m_t * k_t + k_t * n_t + m_t * n_t) * dtype_bytes
-    if isinstance(blocking_capacity_bytes, np.ndarray):
-        capacity = xb.from_numpy(blocking_capacity_bytes)
-    else:
-        capacity = int(blocking_capacity_bytes)
-    fits = buffer_bytes <= capacity
-    headroom = capacity - buffer_bytes
-
-    dims_by_problem = xb.from_numpy(
-        np.array(
-            [
-                [problem.n for problem in problems],
-                [problem.m for problem in problems],
-                [problem.k for problem in problems],
-            ],
-            dtype=np.int64,
-        )
-    )
-    role_by_problem = xb.from_numpy(
-        np.array(
-            [
-                [problem.input_bytes for problem in problems],
-                [problem.stationary_bytes for problem in problems],
-                [problem.output_bytes for problem in problems],
-            ],
-            dtype=np.float64,
-        )
-    )
-    instances = xb.from_numpy(
-        np.array([max(problem.instances, 1) for problem in problems], dtype=np.int64)
-    )
-    depthwise = xb.from_numpy(
-        np.array([problem.is_depthwise for problem in problems], dtype=bool)
-    )
-    input_bytes_flat = role_by_problem[0]
-
-    dims = dims_by_problem[:, op_idx]
-    tiles = xb.stack((n_t, m_t, k_t))
-    outer = xb.ceil(xb.float64(dims) / xb.float64(tiles))
-    role_bytes = role_by_problem[:, op_idx]
-    resident = (role_bytes / xb.float64(instances[op_idx])) <= xb.float64(headroom)
-    spill = 2.0 * outer[2] - 1.0
-    multipliers = xb.stack((outer[0], outer[1], spill))
-    multipliers = xb.where((outer == 1.0) | resident, 1.0, multipliers)
-    traffic = role_bytes * multipliers
-    input_traffic = xb.where(
-        depthwise[op_idx], input_bytes_flat[op_idx], traffic[0]
-    )
-    stationary_traffic = traffic[1]
-    output_traffic = traffic[2]
-    total = input_traffic + stationary_traffic + output_traffic
-
-    def _f64(array) -> np.ndarray:
-        return np.asarray(xb.to_numpy(array), dtype=np.float64)
-
-    return TrafficArrays(
-        m_tiles=m_tiles,
-        n_tiles=n_tiles,
-        k_tiles=k_tiles,
-        input_bytes=_f64(input_traffic),
-        stationary_bytes=_f64(stationary_traffic),
-        output_bytes=_f64(output_traffic),
-        total_bytes=_f64(total),
-        buffer_bytes=np.asarray(xb.to_numpy(buffer_bytes), dtype=np.int64),
-        fits=np.asarray(xb.to_numpy(fits), dtype=bool),
     )

@@ -162,8 +162,6 @@ def simulation_options_to_dict(options) -> Dict[str, object]:
                 "dataflows": [d.value for d in value.dataflows],
                 "max_tiling_candidates": value.max_tiling_candidates,
                 "padding_max_overhead": value.padding_max_overhead,
-                "vectorize": value.vectorize,
-                "backend": value.backend,
             }
         else:
             payload[name] = getattr(value, "value", value)
@@ -171,7 +169,13 @@ def simulation_options_to_dict(options) -> Dict[str, object]:
 
 
 def simulation_options_from_dict(data: Dict[str, object]):
-    """Inverse of :func:`simulation_options_to_dict` (unknown keys ignored)."""
+    """Inverse of :func:`simulation_options_to_dict`.
+
+    Unknown keys are ignored, so options written before the engine was one
+    field (``vectorized_mapper``, ``backend``, ``mapper_options.vectorize``
+    and the like) still load, with the default engine: every engine computes
+    the same results.
+    """
     import dataclasses as _dc
 
     from repro.mapping.dataflow import Dataflow
@@ -186,8 +190,6 @@ def simulation_options_from_dict(data: Dict[str, object]):
             dataflows=tuple(Dataflow(d) for d in mapper["dataflows"]),
             max_tiling_candidates=int(mapper["max_tiling_candidates"]),
             padding_max_overhead=float(mapper["padding_max_overhead"]),
-            vectorize=bool(mapper["vectorize"]),
-            backend=str(mapper.get("backend", "numpy")),
         )
     return SimulationOptions(**kwargs)
 

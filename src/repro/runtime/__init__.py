@@ -27,7 +27,8 @@ engine, layered as:
 * :mod:`repro.runtime.exchange` — live cross-shard best-score exchange
   (file- or service-backed scoreboard) feeding guided optimizers,
 * :mod:`repro.runtime.profiling` — per-stage timing harness comparing the
-  scalar, vectorized, and op-cached evaluation modes (``repro profile``),
+  scalar and graph-batched engines, each cache, and warm worker pools
+  (``repro profile``),
 * :mod:`repro.runtime.sharding` — sharded sweep orchestration: split one
   search into N shards (seed stream or design-space partition) and merge
   their Pareto fronts, histories, and stats into one deduplicated result,

@@ -48,6 +48,7 @@ from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
 from repro.runtime.faults import get_fault_plan
 from repro.reporting.serialization import (
     params_to_jsonable,
+    simulation_options_to_dict,
     trial_metrics_from_dict,
     trial_metrics_to_dict,
 )
@@ -62,21 +63,13 @@ __all__ = [
 
 
 #: Simulation options that only affect *how fast* a trial evaluates, never
-#: what it computes (the vectorized / graph-batched / trial-batched mappers
-#: and the op cache are bit-for-bit equivalent to the scalar, uncached
-#: path).  They are excluded from the problem fingerprint so runs with
-#: different performance knobs share trial cache entries and checkpoints.
-#: ``backend`` is perf-only *conditionally*: NumPy is always bit-exact, and
-#: a float-divergent backend (cupy/torch) is shareable only after it passed
-#: :func:`repro.mapping.backend.assert_backend_equivalence` this process —
-#: otherwise :func:`problem_fingerprint` folds a backend tag back in below,
-#: so an unverified GPU run can never poison a shared store.
+#: what it computes (the graph-batched mapper and the caches are bit-for-bit
+#: equivalent to the scalar, uncached path).  They are excluded from the
+#: problem fingerprint so runs with different performance knobs share trial
+#: cache entries and checkpoints.
 _PERF_ONLY_SIMULATION_OPTIONS = frozenset(
     {
-        "vectorized_mapper",
-        "graph_batched_mapper",
-        "trial_batched_mapper",
-        "backend",
+        "mapper_engine",
         "region_cache_enabled",
         "op_cache_enabled",
         "op_cache_path",
@@ -84,16 +77,6 @@ _PERF_ONLY_SIMULATION_OPTIONS = frozenset(
         "region_cache_service",
     }
 )
-
-
-def _resolved_backend_name(options) -> str:
-    """The backend the simulator would resolve for these options."""
-    backend = getattr(options, "backend", "numpy") or "numpy"
-    if backend == "numpy":
-        mapper_options = getattr(options, "mapper_options", None)
-        if mapper_options is not None:
-            backend = getattr(mapper_options, "backend", "numpy") or "numpy"
-    return backend
 
 
 def problem_fingerprint(
@@ -106,7 +89,8 @@ def problem_fingerprint(
     Two searches share cache entries only when this fingerprint matches:
     same workloads, objective, constraints, baseline normalization, simulator
     options (performance-only knobs excluded), core count, and search-space
-    choice lists.
+    choice lists.  Simulation options are encoded by value, through
+    :func:`~repro.reporting.serialization.simulation_options_to_dict`.
     """
     payload: Dict[str, object] = {
         "workloads": list(problem.workloads),
@@ -117,19 +101,12 @@ def problem_fingerprint(
     if evaluator is not None:
         payload["num_cores"] = evaluator.num_cores
         payload["simulation_options"] = {
-            key: getattr(value, "value", value)
-            for key, value in sorted(vars(evaluator.simulation_options).items())
+            key: value
+            for key, value in simulation_options_to_dict(
+                evaluator.simulation_options
+            ).items()
             if key not in _PERF_ONLY_SIMULATION_OPTIONS
         }
-        # Conditionally perf-only: an unverified non-NumPy backend gets its
-        # own cache universe (see _PERF_ONLY_SIMULATION_OPTIONS note).
-        from repro.mapping.backend import backend_cache_tag
-
-        tag = backend_cache_tag(
-            _resolved_backend_name(evaluator.simulation_options)
-        )
-        if tag is not None:
-            payload["simulation_options"]["backend_tag"] = tag
     if space is not None:
         payload["space"] = [
             [spec.name, [getattr(choice, "value", choice) for choice in spec.choices]]

@@ -218,7 +218,7 @@ def _evaluate_in_worker(task):
         _WORKER_SHARED_ATTACH_PENDING = 0
     # Named engine echo: proof the worker inherited the parent's EngineSpec
     # through the initializer (a forked pool silently falling back to the
-    # default backend would show up here and in ``repro profile``).
+    # default engine would show up here and in ``repro profile``).
     options = getattr(evaluator, "simulation_options", None)
     if options is not None:
         try:
@@ -265,9 +265,8 @@ class SerialExecutor(TrialExecutor):
 
     Prefers the evaluator's batch entry point
     (:meth:`~repro.core.trial.TrialEvaluator.evaluate_params_batch`) when it
-    exists — the hook the trial-batched mapping engine hangs off; with trial
-    batching disabled that entry point degrades to the per-trial loop, so
-    results are identical either way.
+    exists; it evaluates the batch trial by trial, so results are identical
+    either way.
     """
 
     name = "serial"

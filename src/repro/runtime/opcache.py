@@ -590,12 +590,9 @@ class RegionCostCache(CostCacheBase):
     def peek(self, key: Tuple, prefix: Optional[str] = None):
         """Probe for an entry without touching stats or LRU order.
 
-        The trial-batched gather phase uses this to decide which regions
-        still need mapping; the later accounted :meth:`get` during
-        ``simulate`` keeps hit/miss statistics identical to per-trial runs.
         A store or shared-segment entry found here is promoted into memory
-        (still unaccounted), so the accounted lookup that follows sees it.
-        ``prefix`` is as for :meth:`get`.
+        (still unaccounted), so an accounted :meth:`get` that follows sees
+        it.  ``prefix`` is as for :meth:`get`.
         """
         entry = self._memory.get(key)
         if entry is not None:

@@ -1,21 +1,16 @@
 """Profiling harness for the trial-evaluation pipeline.
 
-``repro profile`` (and the ``bench_mapper_throughput`` benchmark) run the
-same fixed-seed search under several evaluator configurations — the scalar
-reference mapping engine, the per-op vectorized engine, the graph-batched
-engine (with and without the region-level result cache), the cross-trial
-op-cost cache, the trial-batched engine (including rows for the alternate
-cupy / torch array backends, reported as skipped when not installed), and a
-warm process-pool executor — and report trials/sec plus
-a per-stage wall-clock breakdown (mapper / VPU cost model / fusion ILP /
-other) and cache hit counters.  Because every NumPy mode is bit-for-bit
-equivalent by design, the harness also verifies that those modes reproduce
-the reference trial history and flags any divergence: it doubles as an
-end-to-end equivalence check in CI.  (Non-NumPy backend rows are exempt from
-the bitwise verdict; their gate is ``repro profile --check-backends``.)  The ``parallel`` row exists so a process-pool
-regression (the PR 3 era's cold workers ran at 0.71x of scalar) can never
-hide: its throughput and worker-side cache counters land in the same report
-as every serial mode.
+``repro profile`` runs the same fixed-seed search under several evaluator
+configurations — the scalar reference mapping engine, the graph-batched
+engine with each cross-trial cache (region results, op costs) off and on,
+and a warm process-pool executor — and reports trials/sec plus a per-stage
+wall-clock breakdown (mapper / VPU cost model / fusion ILP / other) and
+cache hit counters.  Because every mode is bit-for-bit equivalent by
+design, the harness also verifies that every mode reproduces the reference
+trial history and flags any divergence: it doubles as an end-to-end
+equivalence check in CI.  The ``parallel`` rows exist so a process-pool
+regression can never hide: their throughput and worker-side cache counters
+land in the same report as every serial mode.
 """
 
 from __future__ import annotations
@@ -29,7 +24,7 @@ from repro.core.trial import TrialEvaluator
 from repro.reporting.serialization import trial_metrics_to_dict
 from repro.runtime.opcache import reset_op_caches
 from repro.runtime.telemetry import SpanRecord
-from repro.simulator.engine import SimulationOptions
+from repro.simulator.enginespec import EngineSpec
 
 __all__ = [
     "ProfileMode",
@@ -45,15 +40,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProfileMode:
-    """One evaluator configuration to profile."""
+    """One evaluator configuration to profile: an engine plus an executor."""
 
     name: str
-    vectorized_mapper: bool
-    op_cache: bool
-    graph_batched: bool = False
-    region_cache: bool = False
-    trial_batched: bool = False
-    backend: str = "numpy"
+    engine: EngineSpec
     workers: int = 1
     #: Publish the parent's warm cache entries into a shared-memory segment
     #: that pool workers attach zero-copy (parallel modes only).  Off by
@@ -64,77 +54,20 @@ class ProfileMode:
 
 #: The standard comparison ladder, slowest first; the first mode is the
 #: reference whose history every other mode must reproduce bit-for-bit.
-#: ``trial-batched`` stacks all pending ops of a whole proposal batch into
-#: one mapping pass; the ``+cupy`` / ``+torch`` rows rerun it on the
-#: alternate array backends (reported as *skipped* when the library is not
-#: installed, and excluded from the bitwise history verdict because float
-#: kernels on other hardware are only tolerance-equal, not bit-equal).
-#: ``parallel-2`` runs the default fast path on a 2-worker warm process
-#: pool — the row that keeps executor regressions visible — and
-#: ``parallel-2+shared-cache`` reruns it with the parent's warm cache
-#: entries published to a shared-memory segment the workers attach
-#: zero-copy, so the shared tier is always measured against the private
-#: warm path it must not lose to.
+#: ``graph-batched+caches`` is the default engine, run serially.
+#: ``parallel-2`` runs it on a 2-worker warm process pool — the row that
+#: keeps executor regressions visible — and ``parallel-2+shared-cache``
+#: reruns it with the parent's warm cache entries published to a
+#: shared-memory segment the workers attach zero-copy, so the shared tier is
+#: always measured against the private warm path it must not lose to.
 PROFILE_MODES = (
-    ProfileMode("scalar", vectorized_mapper=False, op_cache=False),
-    ProfileMode("vectorized", vectorized_mapper=True, op_cache=False),
-    ProfileMode("graph-batched", vectorized_mapper=True, op_cache=False, graph_batched=True),
-    ProfileMode(
-        "graph-batched+region-cache",
-        vectorized_mapper=True,
-        op_cache=False,
-        graph_batched=True,
-        region_cache=True,
-    ),
-    ProfileMode(
-        "graph-batched+op-cache",
-        vectorized_mapper=True,
-        op_cache=True,
-        graph_batched=True,
-    ),
-    ProfileMode(
-        "trial-batched",
-        vectorized_mapper=True,
-        op_cache=True,
-        graph_batched=True,
-        region_cache=True,
-        trial_batched=True,
-    ),
-    ProfileMode(
-        "trial-batched+cupy",
-        vectorized_mapper=True,
-        op_cache=True,
-        graph_batched=True,
-        region_cache=True,
-        trial_batched=True,
-        backend="cupy",
-    ),
-    ProfileMode(
-        "trial-batched+torch",
-        vectorized_mapper=True,
-        op_cache=True,
-        graph_batched=True,
-        region_cache=True,
-        trial_batched=True,
-        backend="torch",
-    ),
-    ProfileMode(
-        "parallel-2",
-        vectorized_mapper=True,
-        op_cache=True,
-        graph_batched=True,
-        region_cache=True,
-        workers=2,
-    ),
-    ProfileMode(
-        "parallel-2+shared-cache",
-        vectorized_mapper=True,
-        op_cache=True,
-        graph_batched=True,
-        region_cache=True,
-        workers=2,
-        shared_cache=True,
-    ),
+    ProfileMode("scalar", EngineSpec("scalar", op_cache=False, region_cache=False)),
+    ProfileMode("graph-batched", EngineSpec(op_cache=False, region_cache=False)),
+    ProfileMode("graph-batched+region-cache", EngineSpec(op_cache=False)),
+    ProfileMode("graph-batched+op-cache", EngineSpec(region_cache=False)),
+    ProfileMode("graph-batched+caches", EngineSpec()),
+    ProfileMode("parallel-2", EngineSpec(), workers=2),
+    ProfileMode("parallel-2+shared-cache", EngineSpec(), workers=2, shared_cache=True),
 )
 
 
@@ -159,8 +92,6 @@ class ProfileRecord:
     shared_cache_entries: int = 0
     workers: int = 1
     engine: str = ""
-    skipped: bool = False
-    skip_reason: str = ""
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-compatible form of this record."""
@@ -182,8 +113,6 @@ class ProfileRecord:
             "shared_cache_entries": self.shared_cache_entries,
             "workers": self.workers,
             "engine": self.engine,
-            "skipped": self.skipped,
-            "skip_reason": self.skip_reason,
         }
 
 
@@ -222,9 +151,7 @@ class ProfileReport:
             "histories_match": self.histories_match,
             "records": [record.to_dict() for record in self.records],
             "speedups_vs_scalar": {
-                record.mode: self.speedup(record.mode)
-                for record in self.records
-                if not record.skipped
+                record.mode: self.speedup(record.mode) for record in self.records
             },
         }
 
@@ -323,18 +250,6 @@ def summarize_trace(records: Sequence[SpanRecord], top_k: int = 10) -> TraceSumm
     )
 
 
-def _mode_options(mode: ProfileMode) -> SimulationOptions:
-    return SimulationOptions(
-        fusion_solver="greedy",
-        vectorized_mapper=mode.vectorized_mapper,
-        graph_batched_mapper=mode.graph_batched,
-        trial_batched_mapper=mode.trial_batched,
-        backend=mode.backend,
-        region_cache_enabled=mode.region_cache,
-        op_cache_enabled=mode.op_cache,
-    )
-
-
 def profile_search(
     workloads: Sequence[str],
     trials: int = 48,
@@ -387,36 +302,18 @@ def profile_search(
 
     def mode_fixture(mode: ProfileMode):
         problem = SearchProblem(list(workloads), objective)
-        evaluator = TrialEvaluator(problem, simulation_options=_mode_options(mode))
+        evaluator = TrialEvaluator(
+            problem,
+            simulation_options=mode.engine.to_simulation_options(fusion_solver="greedy"),
+        )
         return problem, evaluator, DatapathSearchSpace()
 
     # Warm-up: populate graph/compile caches shared by every mode.
     reset_op_caches()
     run_once(modes[0], *mode_fixture(modes[0]))
 
-    from repro.mapping.backend import backend_available
-    from repro.simulator.enginespec import EngineSpec
-
     reference_history = None
     for mode in modes:
-        if mode.backend != "numpy" and not backend_available(mode.backend):
-            # Absent GPU/tensor libraries skip their row instead of failing
-            # the whole ladder — the report keeps the slot visible.
-            report.records.append(
-                ProfileRecord(
-                    mode=mode.name,
-                    trials=0,
-                    elapsed_seconds=0.0,
-                    trials_per_second=0.0,
-                    workers=mode.workers,
-                    engine=str(
-                        EngineSpec.from_simulation_options(_mode_options(mode))
-                    ),
-                    skipped=True,
-                    skip_reason=f"backend {mode.backend!r} not installed",
-                )
-            )
-            continue
         reset_op_caches()
         fixture = mode_fixture(mode)
         executor = (
@@ -437,7 +334,9 @@ def profile_search(
             result = run_once(
                 mode, *fixture, executor=None if warm_parent_serially else executor
             )
-            warmable = mode.op_cache or mode.region_cache or mode.workers > 1
+            warmable = (
+                mode.engine.op_cache or mode.engine.region_cache or mode.workers > 1
+            )
             if warmable and warm_op_cache:
                 result = run_once(mode, *fixture, executor=executor)  # steady state
         finally:
@@ -473,15 +372,9 @@ def profile_search(
             shared_cache_attached=stats.shared_cache_attached,
             shared_cache_entries=stats.shared_cache_entries,
             workers=mode.workers,
-            engine=stats.engine
-            or str(EngineSpec.from_simulation_options(_mode_options(mode))),
+            engine=stats.engine or str(mode.engine),
         )
         report.records.append(record)
-        if mode.backend != "numpy":
-            # Float-divergent backends are tolerance-equal, not bit-equal;
-            # their equivalence gate is assert_backend_equivalence /
-            # ``repro profile --check-backends``, not this bitwise verdict.
-            continue
         history = [trial_metrics_to_dict(m) for m in result.history]
         if reference_history is None:
             reference_history = history

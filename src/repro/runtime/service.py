@@ -16,8 +16,10 @@ Wire protocol (all bodies are JSON):
   rebuilds the evaluator, recomputes the fingerprint from what it rebuilt,
   and refuses (HTTP 409) on a mismatch — so a client can never silently mix
   histories from services running a different problem, space, or simulator
-  configuration.  Response: ``{"fingerprint", "results": [metrics...]}`` in
-  request order.
+  configuration.  The request's performance-only simulation options
+  (engine, caches, store paths, cache-service URL) are ignored: the service
+  evaluates with its own.  Response: ``{"fingerprint", "results":
+  [metrics...]}`` in request order.
 * ``GET /cache/region`` / ``PUT /cache/region`` — the cluster tier of the
   shared cost-cache (see :mod:`repro.runtime.opcache`): GET takes
   ``{"fingerprint", "digests": [...]}`` and returns the known subset as
@@ -82,7 +84,7 @@ from repro.reporting.serialization import (
     simulation_options_from_dict,
     trial_metrics_to_dict,
 )
-from repro.runtime.cache import problem_fingerprint
+from repro.runtime.cache import _PERF_ONLY_SIMULATION_OPTIONS, problem_fingerprint
 from repro.runtime.exchange import ScoreRecord
 from repro.runtime.opcache import region_entry_from_dict
 from repro.runtime.executor import TrialExecutor, make_executor
@@ -284,11 +286,21 @@ class EvaluationService:
     def _evaluator_for(
         self, payload: dict
     ) -> Tuple[str, TrialEvaluator, DatapathSearchSpace]:
-        """(Re)build the evaluator + space a request describes, by fingerprint."""
+        """(Re)build the evaluator + space a request describes, by fingerprint.
+
+        The request's performance-only simulation options (engine, caches,
+        store paths, cache-service URL) are dropped: they never change a
+        result or a fingerprint, and the service must not write files or
+        call URLs a client names.  The service's own overrides apply instead.
+        """
         problem = search_problem_from_dict(payload["problem"])
         options_payload = dict(payload.get("options") or {})
         num_cores = int(options_payload.pop("num_cores", 1))
-        sim_payload = dict(options_payload.get("simulation_options") or {})
+        sim_payload = {
+            key: value
+            for key, value in (options_payload.get("simulation_options") or {}).items()
+            if key not in _PERF_ONLY_SIMULATION_OPTIONS
+        }
         sim_payload.update(self.simulation_overrides)
         space = space_from_payload(payload.get("space"))
         evaluator = TrialEvaluator(
@@ -725,28 +737,16 @@ def serve(
     points), so a deliberately flaky endpoint for chaos runs is one flag
     away: ``repro serve --inject-faults "service-error:p=0.2"``.
 
-    ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`) pins the
-    evaluation engine server-side: its fields are merged over every
-    request's simulation options, so clients get this service's engine
-    regardless of what their payload asked for.  Safe because all NumPy
-    engines are bit-for-bit equivalent; a non-NumPy backend should pass
-    ``repro profile --check-backends`` on this host first.
+    ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`) sets the
+    evaluation engine server-side.  Requests never choose it: the service
+    drops their performance-only simulation options and evaluates with its
+    own, which is safe because both engines and every cache tier compute
+    identical results.
     """
     overrides: Dict[str, object] = {}
     if engine is not None:
-        overrides["vectorized_mapper"] = engine.mapper != "scalar"
-        overrides["graph_batched_mapper"] = engine.mapper in (
-            "graph-batched",
-            "trial-batched",
-        )
-        overrides["trial_batched_mapper"] = engine.mapper == "trial-batched"
-        overrides["backend"] = engine.backend
-        overrides["op_cache_enabled"] = engine.op_cache
-        overrides["region_cache_enabled"] = engine.region_cache
-        if engine.region_store is not None:
-            overrides["region_store_path"] = engine.region_store
-        if engine.cache_service is not None:
-            overrides["region_cache_service"] = engine.cache_service
+        options = engine.to_simulation_options()
+        overrides = {key: getattr(options, key) for key in _PERF_ONLY_SIMULATION_OPTIONS}
     if op_cache_path:
         overrides["op_cache_enabled"] = True
         overrides["op_cache_path"] = op_cache_path

@@ -224,7 +224,8 @@ def run_shard(
     one persistent store they (and their pool workers) all attach to —
     neighboring shards reuse each other's mapped op costs instead of
     re-running the candidate sweep.  ``op_cache_enabled=False`` opts out
-    (``repro sweep --no-op-cache``); results are identical either way.
+    (``repro sweep --engine graph-batched:op_cache=off``); results are
+    identical either way.
 
     ``exchange`` (off by default) enables live cross-shard best-score
     exchange: a scoreboard instance, file prefix, or service URL (see
@@ -236,9 +237,9 @@ def run_shard(
     identical to an exchange-free run.
 
     ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`) selects
-    the evaluation engine for every shard; when set it supersedes the legacy
-    ``op_cache_enabled`` toggle.  All NumPy engines are bit-for-bit
-    equivalent, so the merged sweep result is engine-independent.  An
+    the evaluation engine for every shard; when set it supersedes the
+    ``op_cache_enabled`` toggle.  Both engines are bit-for-bit equivalent,
+    so the merged sweep result is engine-independent.  An
     engine with ``region_store=PATH`` gives every shard (and its pool
     workers) one shared persistent region store the same way
     ``op_cache_path`` shares op costs — appends are single-write and

@@ -29,11 +29,17 @@ from repro.mapping.costmodel import OpCost
 from repro.mapping.mapper import Mapper, MapperOptions
 from repro.simulator.result import RegionPerformance, SimulationResult
 from repro.simulator.vector_ops import vector_cost_cache_key, vector_op_cost, vpu_lanes_per_core
-from repro.workloads.graph import Graph, Operation, TensorKind
+from repro.workloads.graph import Graph, TensorKind
 from repro.workloads.ops import OpType, is_matrix_op
 from repro.workloads.registry import build_workload
 
-__all__ = ["SimulationOptions", "Simulator", "clear_compiled_cache", "precompile_graph"]
+__all__ = [
+    "MAPPER_MODES",
+    "SimulationOptions",
+    "Simulator",
+    "clear_compiled_cache",
+    "precompile_graph",
+]
 
 # Lazily resolved tracer accessor: ``repro.runtime`` imports this module
 # during its own package init, so a module-level telemetry import would be
@@ -51,34 +57,28 @@ def _tracer():
     return _get_tracer()
 
 
+#: The two mapping engines: the scalar reference loop and the stacked NumPy
+#: pass per trial (the default).  Both compute bit-for-bit identical costs.
+MAPPER_MODES: Tuple[str, ...] = ("scalar", "graph-batched")
+
+
 @dataclass
 class SimulationOptions:
     """Knobs controlling a simulation run.
 
-    The last five fields are performance knobs that never change results
-    (every mapping engine is bit-for-bit equivalent, and cache hits return
+    The last six fields are performance knobs that never change results
+    (both mapping engines are bit-for-bit equivalent, and cache hits return
     exactly what a fresh evaluation would compute):
 
-    * ``vectorized_mapper`` — select the NumPy mapping engine (None follows
-      ``mapper_options``, whose default is vectorized; False forces the
-      scalar reference implementation).
-    * ``graph_batched_mapper`` — batch every op-cache-missing matrix op of a
-      trial into ONE stacked candidate sweep (gather -> batch-map -> scatter)
-      instead of mapping region by region, op by op.  None follows the
-      engine choice (on whenever the mapper is vectorized); False selects
-      the per-op path (``repro search --engine vectorized``).
-    * ``trial_batched_mapper`` — lift the batching one level further: a whole
-      *batch of trials'* pending matrix ops joins ONE stacked
-      trials x ops x dataflows x tilings sweep
-      (:meth:`~repro.mapping.mapper.Mapper.map_trials_batch`), driven by
-      :meth:`~repro.core.trial.TrialEvaluator.evaluate_params_batch`.  Rides
-      on the graph-batched engine; None/False keeps per-trial passes.
-    * ``backend`` — array library the vectorized sweeps run on (see
-      :mod:`repro.mapping.backend`); ``numpy`` (default) is bit-for-bit
-      equal to the scalar reference, other backends are tolerance-checked.
+    * ``mapper_engine`` — one of :data:`MAPPER_MODES`.  ``graph-batched``
+      gathers every matrix op of a trial that the region cache cannot serve
+      and prices them in ONE stacked candidate sweep
+      (:meth:`~repro.mapping.mapper.Mapper.map_ops_batch`); ``scalar`` maps
+      op by op with the reference loop
+      (:meth:`~repro.mapping.mapper.Mapper.map_op`).
     * ``region_cache_enabled`` — memoize whole fusion-region evaluations
       across trials through :func:`repro.runtime.opcache.get_region_cache`;
-      fusion-stable regions skip even the gather step on warm trials.
+      cached regions skip mapping entirely on warm trials.
     * ``op_cache_enabled`` — share per-op mapping/vector costs across trials
       through the process-local :func:`repro.runtime.opcache.get_op_cache`.
     * ``op_cache_path`` — optionally persist that cache as JSON lines.
@@ -98,15 +98,19 @@ class SimulationOptions:
     enable_fast_fusion: Optional[bool] = None  # None: follow the datapath config
     fusion_solver: str = "auto"
     mapper_options: Optional[MapperOptions] = None
-    vectorized_mapper: Optional[bool] = None
-    graph_batched_mapper: Optional[bool] = None
-    trial_batched_mapper: Optional[bool] = None
-    backend: str = "numpy"
+    mapper_engine: str = "graph-batched"
     region_cache_enabled: bool = True
     op_cache_enabled: bool = True
     op_cache_path: Optional[str] = None
     region_store_path: Optional[str] = None
     region_cache_service: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.mapper_engine not in MAPPER_MODES:
+            raise ValueError(
+                f"unknown mapper engine {self.mapper_engine!r} "
+                f"(expected one of: {', '.join(MAPPER_MODES)})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -203,44 +207,13 @@ class Simulator:
             from repro.runtime.opcache import get_op_cache
 
             self.op_cache = get_op_cache(self.options.op_cache_path)
-        mapper_options = self.options.mapper_options or MapperOptions()
-        vectorize = (
-            mapper_options.vectorize
-            if self.options.vectorized_mapper is None
-            else self.options.vectorized_mapper
-        )
-        # SimulationOptions.backend is the canonical knob; an explicit
-        # non-default on mapper_options is honored when the options leave it
-        # at the NumPy default.
-        backend = (
-            self.options.backend
-            if self.options.backend != "numpy"
-            else getattr(mapper_options, "backend", "numpy")
-        )
-        if vectorize != mapper_options.vectorize or backend != getattr(
-            mapper_options, "backend", "numpy"
-        ):
-            mapper_options = MapperOptions(
-                dataflows=mapper_options.dataflows,
-                max_tiling_candidates=mapper_options.max_tiling_candidates,
-                padding_max_overhead=mapper_options.padding_max_overhead,
-                vectorize=vectorize,
-                backend=backend,
-            )
         self.mapper = Mapper(
-            self._core_config, self.hierarchy, mapper_options, op_cache=self.op_cache
+            self._core_config,
+            self.hierarchy,
+            self.options.mapper_options,
+            op_cache=self.op_cache,
         )
-        # Graph-level batching rides on the vectorized engine; the scalar
-        # reference always maps op by op.
-        self._graph_batched = mapper_options.vectorize and (
-            self.options.graph_batched_mapper
-            if self.options.graph_batched_mapper is not None
-            else True
-        )
-        # Trial-level batching rides on the graph-batched engine in turn.
-        self.trial_batched = self._graph_batched and bool(
-            self.options.trial_batched_mapper
-        )
+        self._batched = self.options.mapper_engine != "scalar"
         self.region_cache = None
         if self.options.region_cache_enabled:
             from repro.runtime.opcache import get_region_cache
@@ -266,14 +239,14 @@ class Simulator:
     def simulate(self, graph: Graph) -> SimulationResult:
         """Simulate a prepared graph (already at the desired batch size).
 
-        The region walk is a gather -> batch-map -> scatter pipeline when the
-        graph-batched mapper is active: regions served by the region cache
-        are skipped outright, every matrix op of the remaining regions is
-        collected into ONE stacked candidate sweep
+        The region walk is a gather -> batch-map -> scatter pipeline:
+        :meth:`gather_map_entry` looks every region up in the region cache
+        and collects the matrix ops of the rest, the fast engine prices them
+        in ONE stacked candidate sweep
         (:meth:`~repro.mapping.mapper.Mapper.map_ops_batch`), and the
-        per-region evaluation then just scatters the pre-mapped costs.  Both
-        fast layers are bit-for-bit neutral: the per-op walk (selectable via
-        ``graph_batched_mapper=False``) and a cold region cache produce the
+        per-region evaluation then just scatters the pre-mapped costs.  The
+        scalar engine skips the sweep and maps op by op inside the region
+        walk; both engines, and a cold or warm region cache, produce the
         identical result.
 
         Region-cache entries go into the result as they are, and freshly
@@ -286,33 +259,17 @@ class Simulator:
         dram_bpc = core.dram_bytes_per_cycle
 
         region_cache = self.region_cache
-        region_keys: Optional[List[Tuple]] = None
-        prefix: Optional[str] = None  # canonical JSON of the region keys' base
-        cached_entries: Optional[List[Optional[tuple]]] = None
-        if region_cache is not None:
-            key_base = self._region_key_base(graph, compiled)
-            region_keys = [key_base + (region.index,) for region in compiled.regions]
-            prefix = region_cache.key_prefix(key_base)
-            if region_cache.remote is not None:
-                # Cluster tier: resolve every locally-unserved key in one
-                # batched round trip before the accounted per-key lookups.
-                region_cache.prefetch(region_keys, prefix)
-            cached_entries = [region_cache.get(key, prefix) for key in region_keys]
-
+        region_keys, prefix, cached_entries, gather_ops = self.gather_map_entry(
+            graph, compiled
+        )
         premapped: Optional[Dict[str, OpCost]] = None
-        if self._graph_batched:
-            gather_ops: List[Operation] = []
-            for position, region in enumerate(compiled.regions):
-                if cached_entries is not None and cached_entries[position] is not None:
-                    continue
-                gather_ops.extend(region.matrix_ops)
-            if gather_ops:
-                with _tracer().span(
-                    "batch_map", category="simulate", num_ops=len(gather_ops)
-                ):
-                    started = time.perf_counter()
-                    premapped = self.mapper.map_ops_batch(gather_ops, graph.tensors)
-                    self.stage_seconds["mapper"] += time.perf_counter() - started
+        if self._batched and gather_ops:
+            with _tracer().span(
+                "batch_map", category="simulate", num_ops=len(gather_ops)
+            ):
+                started = time.perf_counter()
+                premapped = self.mapper.map_ops_batch(gather_ops, graph.tensors)
+                self.stage_seconds["mapper"] += time.perf_counter() - started
 
         region_perf: List[RegionPerformance] = []
         region_stats: List[RegionStats] = []
@@ -321,7 +278,7 @@ class Simulator:
 
         with _tracer().span("regions", category="simulate") as region_span:
             for position, region in enumerate(compiled.regions):
-                entry = cached_entries[position] if cached_entries is not None else None
+                entry = cached_entries[position]
                 if entry is not None:
                     if entry[0] is None:
                         schedule_failed = True
@@ -345,7 +302,7 @@ class Simulator:
                 for tensor_name in region.output_tensors:
                     producer_region[tensor_name] = region.index
             region_span.set_attr("regions", len(compiled.regions))
-            if cached_entries is not None:
+            if region_cache is not None:
                 hits = sum(1 for entry in cached_entries if entry is not None)
                 region_span.set_attr("region_cache_hits", hits)
                 region_span.set_attr("region_cache_misses", len(cached_entries) - hits)
@@ -393,42 +350,38 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def gather_map_entry(self, graph: Graph):
-        """Gather half of the trial-batched pipeline for one graph.
+    def gather_map_entry(self, graph: Graph, compiled: CompiledModel):
+        """Gather half of :meth:`simulate` for one compiled graph.
 
-        Returns ``(mapper, ops, tensors)`` — the matrix ops of every fusion
-        region the region cache cannot serve, ready to join a cross-trial
-        :meth:`~repro.mapping.mapper.Mapper.map_trials_batch` pass — or
-        ``None`` when nothing needs mapping (everything cached, or this
-        simulator is not graph-batched).  Region entries are *peeked*, not
-        counted: the later :meth:`simulate` call performs the accounted
-        lookups, so cache-hit statistics stay identical to per-trial runs.
-        After the batch pass warms ``self.mapper``'s cache, ``simulate``
-        proceeds unchanged — its own gather finds every op pre-mapped.
+        Builds the graph's region keys once, prefetches them from the
+        cluster tier when one is attached, looks every region up with an
+        accounted :meth:`~repro.runtime.opcache.RegionCostCache.get`, and
+        collects the matrix ops of every region the cache cannot serve.
+        Returns ``(keys, prefix, entries, ops)``: the region keys and their
+        prefix (``None`` without a region cache), each region's cached entry
+        or ``None``, and the matrix ops left to map.
         """
-        if not self._graph_batched:
-            return None
-        core = self._core_config
-        compiled = _compile_cached(graph, core.use_two_pass_softmax)
-        cached_flags: Optional[List[bool]] = None
+        regions = compiled.regions
         region_cache = self.region_cache
+        keys: Optional[List[Tuple]] = None
+        prefix: Optional[str] = None  # canonical JSON of the region keys' base
+        entries: List[Optional[tuple]] = [None] * len(regions)
         if region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
-            gather_keys = [key_base + (region.index,) for region in compiled.regions]
+            keys = [key_base + (region.index,) for region in regions]
             prefix = region_cache.key_prefix(key_base)
             if region_cache.remote is not None:
-                region_cache.prefetch(gather_keys, prefix)
-            cached_flags = [
-                region_cache.peek(key, prefix) is not None for key in gather_keys
-            ]
-        gather_ops: List[Operation] = []
-        for position, region in enumerate(compiled.regions):
-            if cached_flags is not None and cached_flags[position]:
-                continue
-            gather_ops.extend(region.matrix_ops)
-        if not gather_ops:
-            return None
-        return (self.mapper, gather_ops, graph.tensors)
+                # Cluster tier: resolve every locally-unserved key in one
+                # batched round trip before the accounted per-key lookups.
+                region_cache.prefetch(keys, prefix)
+            entries = [region_cache.get(key, prefix) for key in keys]
+        ops = [
+            op
+            for region, entry in zip(regions, entries)
+            if entry is None
+            for op in region.matrix_ops
+        ]
+        return keys, prefix, entries, ops
 
     # ------------------------------------------------------------------
     def _region_key_base(self, graph: Graph, compiled: CompiledModel) -> Tuple:
@@ -439,8 +392,8 @@ class Simulator:
         knobs; the remaining components cover the vector-op cost model (VPU
         lanes, softmax lowering), the DRAM traffic conversion, and the
         Global-Memory blocking headroom used for fusion statistics.  Engine
-        selection knobs (vectorized / graph-batched) are deliberately
-        excluded — all engines are bit-for-bit equivalent.
+        selection is deliberately excluded — both engines are bit-for-bit
+        equivalent.
         """
         core = self._core_config
         factors = compiled.softmax_factors
@@ -469,7 +422,7 @@ class Simulator:
 
         ``premapped`` carries the scatter half of the graph-batched pipeline:
         matrix-op costs already computed by the trial-wide batched sweep.
-        Ops absent from it (or every op, on the per-op path) fall back to
+        Ops absent from it (every op, on the scalar engine) are mapped by
         :meth:`~repro.mapping.mapper.Mapper.map_op`.
         """
         graph = compiled.graph

@@ -1,55 +1,39 @@
-"""The unified engine-spec API: one value naming the evaluation engine.
+"""The engine-spec API: one value naming the evaluation engine.
 
-Engine selection used to be scattered across ``MapperOptions.vectorize``,
-``SimulationOptions.vectorized_mapper`` / ``graph_batched_mapper`` /
-``trial_batched_mapper``, two cache toggles, and four ad-hoc CLI negation
-flags.  :class:`EngineSpec` consolidates all of it into one frozen value
-object with a compact string grammar — the ``--engine`` flag on
-``repro search/sweep/profile/serve``::
+:class:`EngineSpec` is one frozen value object with a compact string
+grammar — the ``--engine`` flag on ``repro search/sweep/profile/serve``::
 
     MAPPER[:key=value[,key=value...]]
 
     --engine graph-batched                      # the default engine
     --engine scalar                             # bit-for-bit reference loop
-    --engine trial-batched:backend=cupy         # cross-trial stacking on GPU
     --engine graph-batched:op_cache=off,region_cache=off
     --engine graph-batched:region_store=runs/regions.jsonl
     --engine graph-batched:cache_service=http://cache-host:8642
 
-``MAPPER`` is one of ``scalar`` / ``vectorized`` / ``graph-batched`` /
-``trial-batched`` (each level rides on the previous one); keys are
-``backend`` (see :mod:`repro.mapping.backend`), ``op_cache`` and
-``region_cache`` (booleans: ``on/off/true/false/yes/no/1/0``),
-``region_store`` (a path — persist region results as a JSONL store the way
-``--op-cache`` persists op costs) and ``cache_service`` (a ``repro serve``
-base URL whose ``/cache/region`` routes act as the cluster-wide region
-tier).  ``str()`` of a spec is canonical and round-trips through
-:meth:`EngineSpec.parse`, omitting values that equal the defaults.
-
-The legacy flags (``--scalar-mapper`` / ``--per-op-mapper`` /
-``--no-op-cache`` / ``--no-region-cache``) remain as deprecation aliases
-that fold onto a spec and warn once per process.
+``MAPPER`` is ``scalar`` (the op-by-op reference loop) or ``graph-batched``
+(one stacked NumPy pass per trial); both compute identical costs.  Keys are
+``op_cache`` and ``region_cache`` (booleans:
+``on/off/true/false/yes/no/1/0``), ``region_store`` (a path — persist region
+results as a JSONL store the way ``--op-cache`` persists op costs) and
+``cache_service`` (a ``repro serve`` base URL whose ``/cache/region`` routes
+act as the cluster-wide region tier).  ``str()`` of a spec is canonical and
+round-trips through :meth:`EngineSpec.parse`, omitting values that equal the
+defaults.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-from repro.mapping.backend import BACKEND_NAMES
+from repro.simulator.engine import MAPPER_MODES, SimulationOptions
 
 __all__ = ["EngineSpec", "MAPPER_MODES", "DEFAULT_ENGINE"]
 
-#: Mapper engines, in speed order; each level subsumes the previous one.
-MAPPER_MODES: Tuple[str, ...] = (
-    "scalar",
-    "vectorized",
-    "graph-batched",
-    "trial-batched",
-)
-
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
+_OPTION_KEYS = ("op_cache", "region_cache", "region_store", "cache_service")
 
 
 def _parse_bool(key: str, word: str) -> bool:
@@ -64,96 +48,72 @@ def _parse_bool(key: str, word: str) -> bool:
     )
 
 
+def _check_mapper(mapper: str, where: str = "") -> None:
+    if mapper not in MAPPER_MODES:
+        raise ValueError(
+            f"unknown mapper {mapper!r}{where} "
+            f"(expected one of: {', '.join(MAPPER_MODES)})"
+        )
+
+
 @dataclass(frozen=True)
 class EngineSpec:
     """One immutable value describing the whole evaluation engine."""
 
     mapper: str = "graph-batched"
-    backend: str = "numpy"
     op_cache: bool = True
     region_cache: bool = True
     region_store: Optional[str] = None
     cache_service: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.mapper not in MAPPER_MODES:
-            raise ValueError(
-                f"unknown mapper {self.mapper!r} "
-                f"(expected one of: {', '.join(MAPPER_MODES)})"
-            )
-        if self.backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(expected one of: {', '.join(BACKEND_NAMES)})"
-            )
-        if self.backend != "numpy" and self.mapper == "scalar":
-            raise ValueError(
-                "engine spec: the scalar mapper is the pure-Python reference "
-                "and takes no array backend"
-            )
+        _check_mapper(self.mapper)
 
     # ------------------------------------------------------------------
     @classmethod
-    def parse(cls, text: str) -> "EngineSpec":
+    def parse(cls, text: Optional[str]) -> "EngineSpec":
         """Parse the ``MAPPER[:key=value,...]`` grammar (see module doc)."""
         text = (text or "").strip()
         if not text:
             return cls()
         head, _, tail = text.partition(":")
         head = head.strip()
-        if "=" in head:  # bare options, default mapper: "backend=torch"
+        if "=" in head:  # bare options, default mapper: "op_cache=off"
             tail = text
             head = ""
         values = {}
         if head:
-            if head not in MAPPER_MODES:
-                raise ValueError(
-                    f"unknown mapper {head!r} in engine spec {text!r} "
-                    f"(expected one of: {', '.join(MAPPER_MODES)})"
-                )
+            _check_mapper(head, f" in engine spec {text!r}")
             values["mapper"] = head
-        if tail.strip():
-            for item in tail.split(","):
-                item = item.strip()
-                if not item:
-                    continue
-                key, eq, value = item.partition("=")
-                key = key.strip().replace("-", "_")
-                if not eq:
-                    raise ValueError(
-                        f"engine spec option {item!r} is not key=value"
-                    )
-                if key == "backend":
-                    values["backend"] = value.strip()
-                elif key in ("op_cache", "region_cache"):
-                    values[key] = _parse_bool(key, value)
-                elif key in ("region_store", "cache_service"):
-                    stripped = value.strip()
-                    if not stripped:
-                        raise ValueError(
-                            f"engine spec: {key} needs a non-empty value"
-                        )
-                    values[key] = stripped
-                else:
-                    raise ValueError(
-                        f"unknown engine spec option {key!r} "
-                        "(expected backend / op_cache / region_cache / "
-                        "region_store / cache_service)"
-                    )
+        for item in tail.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            key, eq, value = item.partition("=")
+            key = key.strip().replace("-", "_")
+            if not eq:
+                raise ValueError(f"engine spec option {item!r} is not key=value")
+            if key in ("op_cache", "region_cache"):
+                values[key] = _parse_bool(key, value)
+            elif key in ("region_store", "cache_service"):
+                stripped = value.strip()
+                if not stripped:
+                    raise ValueError(f"engine spec: {key} needs a non-empty value")
+                values[key] = stripped
+            else:
+                raise ValueError(
+                    f"unknown engine spec option {key!r} "
+                    f"(expected one of: {', '.join(_OPTION_KEYS)})"
+                )
         return cls(**values)
 
     def __str__(self) -> str:
         """Canonical compact form; round-trips through :meth:`parse`."""
-        default = type(self)()
         options = []
-        if self.backend != default.backend:
-            options.append(f"backend={self.backend}")
-        if self.op_cache != default.op_cache:
-            options.append(f"op_cache={'on' if self.op_cache else 'off'}")
-        if self.region_cache != default.region_cache:
-            options.append(
-                f"region_cache={'on' if self.region_cache else 'off'}"
-            )
+        if not self.op_cache:
+            options.append("op_cache=off")
+        if not self.region_cache:
+            options.append("region_cache=off")
         if self.region_store is not None:
             options.append(f"region_store={self.region_store}")
         if self.cache_service is not None:
@@ -167,16 +127,10 @@ class EngineSpec:
         """Expand into a :class:`~repro.simulator.engine.SimulationOptions`.
 
         ``extra`` passes through any non-engine knobs (``fusion_solver``,
-        ``op_cache_path``, ...).  The mapper ladder maps onto the three
-        boolean engine fields: each level implies the ones below it.
+        ``op_cache_path``, ...).
         """
-        from repro.simulator.engine import SimulationOptions
-
         return SimulationOptions(
-            vectorized_mapper=self.mapper != "scalar",
-            graph_batched_mapper=self.mapper in ("graph-batched", "trial-batched"),
-            trial_batched_mapper=self.mapper == "trial-batched",
-            backend=self.backend,
+            mapper_engine=self.mapper,
             op_cache_enabled=self.op_cache,
             region_cache_enabled=self.region_cache,
             region_store_path=self.region_store,
@@ -186,44 +140,13 @@ class EngineSpec:
 
     @classmethod
     def from_simulation_options(cls, options) -> "EngineSpec":
-        """Recover the spec a :class:`SimulationOptions` encodes.
-
-        The inverse of :meth:`to_simulation_options` under the same default
-        resolution the :class:`~repro.simulator.engine.Simulator` applies
-        (``None`` means vectorized + graph-batched, trial batching off).
-        """
-        mapper_options = getattr(options, "mapper_options", None)
-        vectorized = options.vectorized_mapper
-        if vectorized is None:
-            vectorized = mapper_options.vectorize if mapper_options else True
-        graph_batched = vectorized and (
-            options.graph_batched_mapper
-            if options.graph_batched_mapper is not None
-            else True
-        )
-        trial_batched = graph_batched and bool(
-            getattr(options, "trial_batched_mapper", None)
-        )
-        if trial_batched:
-            mapper = "trial-batched"
-        elif graph_batched:
-            mapper = "graph-batched"
-        elif vectorized:
-            mapper = "vectorized"
-        else:
-            mapper = "scalar"
-        backend = getattr(options, "backend", "numpy") or "numpy"
-        if backend == "numpy" and mapper_options is not None:
-            backend = getattr(mapper_options, "backend", "numpy") or "numpy"
-        if mapper == "scalar":
-            backend = "numpy"
+        """Recover the spec a :class:`SimulationOptions` encodes."""
         return cls(
-            mapper=mapper,
-            backend=backend,
-            op_cache=bool(getattr(options, "op_cache_enabled", True)),
-            region_cache=bool(getattr(options, "region_cache_enabled", True)),
-            region_store=getattr(options, "region_store_path", None),
-            cache_service=getattr(options, "region_cache_service", None),
+            mapper=options.mapper_engine,
+            op_cache=options.op_cache_enabled,
+            region_cache=options.region_cache_enabled,
+            region_store=options.region_store_path,
+            cache_service=options.region_cache_service,
         )
 
 

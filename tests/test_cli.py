@@ -116,7 +116,7 @@ class TestCommands:
             assert json.loads(result_path.read_text())["num_trials"] == 4
             assert config_path.exists()
 
-    def test_search_op_cache_and_scalar_mapper_flags(self, tmp_path, capsys):
+    def test_search_op_cache_and_scalar_engine(self, tmp_path, capsys):
         store = tmp_path / "opcache.jsonl"
         code = main(
             [
@@ -135,26 +135,56 @@ class TestCommands:
                 "--workload", "mobilenet-v2",
                 "--trials", "4",
                 "--optimizer", "random",
-                "--scalar-mapper",
-                "--no-op-cache",
+                "--engine", "scalar:op_cache=off,region_cache=off",
             ]
         )
         assert code in (0, 1)
         capsys.readouterr()
 
-    def test_search_per_op_mapper_and_region_cache_flags(self, capsys):
-        code = main(
-            [
-                "search",
-                "--workload", "mobilenet-v2",
-                "--trials", "4",
-                "--optimizer", "random",
-                "--per-op-mapper",
-                "--no-region-cache",
-            ]
-        )
-        assert code in (0, 1)
-        capsys.readouterr()
+    def test_search_region_cache_off_engine_matches_default(self, tmp_path, capsys):
+        payloads = {}
+        for engine in ("graph-batched", "graph-batched:region_cache=off"):
+            output = tmp_path / "result.json"
+            code = main(
+                [
+                    "search",
+                    "--workload", "mobilenet-v2",
+                    "--trials", "4",
+                    "--optimizer", "random",
+                    "--engine", engine,
+                    "--output", str(output),
+                ]
+            )
+            assert code == 0
+            capsys.readouterr()
+            payloads[engine] = json.loads(output.read_text())
+        off = payloads.pop("graph-batched:region_cache=off")
+        default = payloads.pop("graph-batched")
+        assert off.pop("runtime")["engine"] == "graph-batched:region_cache=off"
+        assert default.pop("runtime")["engine"] == "graph-batched"
+        assert off == default
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--scalar-mapper"],
+            ["search", "--per-op-mapper"],
+            ["search", "--no-op-cache"],
+            ["search", "--no-region-cache"],
+            ["sweep", "--no-op-cache"],
+            ["profile", "--check-backends"],
+        ],
+    )
+    def test_removed_engine_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--workload", "mobilenet-v2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_search_rejects_retired_engine_spec(self, capsys):
+        code = main(["search", "--workload", "mobilenet-v2", "--engine", "trial-batched"])
+        assert code == 1
+        assert "expected one of: scalar, graph-batched" in capsys.readouterr().out
 
     def test_sweep_shared_op_cache_flag(self, tmp_path, capsys):
         store = tmp_path / "sweep-opcache.jsonl"
@@ -187,29 +217,22 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "vs scalar" in out
-        assert "equivalence: all NumPy modes reproduced" in out
+        assert "equivalence: all modes reproduced" in out
         payload = json.loads(out_path.read_text())
         assert payload["histories_match"] is True
         modes = [record["mode"] for record in payload["records"]]
         assert modes == [
             "scalar",
-            "vectorized",
             "graph-batched",
             "graph-batched+region-cache",
             "graph-batched+op-cache",
-            "trial-batched",
-            "trial-batched+cupy",
-            "trial-batched+torch",
+            "graph-batched+caches",
             "parallel-2",
             "parallel-2+shared-cache",
         ]
-        # Backend rows without the library installed are recorded as
-        # skipped, never silently dropped or counted as failures.
-        by_mode = {record["mode"]: record for record in payload["records"]}
-        for name in ("cupy", "torch"):
-            record = by_mode[f"trial-batched+{name}"]
-            if record["skipped"]:
-                assert name in record["skip_reason"]
+        engines = {record["mode"]: record["engine"] for record in payload["records"]}
+        assert engines["scalar"] == "scalar:op_cache=off,region_cache=off"
+        assert engines["parallel-2"] == "graph-batched"
 
     def test_sweep_smoke_golden_output(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"

@@ -1,30 +1,21 @@
-"""Tests for the vectorized mapping engine and the cross-trial op-cost cache.
+"""Tests for the cross-trial op-cost cache.
 
-The contract under test is *bit-for-bit equivalence*: the NumPy candidate
-sweep, the scalar reference loop, and any op-cache configuration must all
-produce identical op costs and identical search histories.
+The contract under test is *bit-for-bit equivalence*: any op-cache
+configuration must produce identical op costs and identical search
+histories (the scalar-vs-fast engine suite is tests/test_mapper_engines.py).
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
-from repro.hardware.datapath import DatapathConfig
-from repro.hardware.search_space import DatapathSearchSpace
-from repro.mapping.loopnest import MatrixProblem, extract_problem
-from repro.mapping.mapper import Mapper, MapperOptions
-from repro.mapping.tiling import (
-    candidate_tilings,
-    estimate_traffic,
-    estimate_traffic_batch,
-    tiling_candidate_arrays,
-)
+from repro.mapping.loopnest import extract_problem
+from repro.mapping.mapper import Mapper
 from repro.reporting.serialization import (
     runtime_stats_from_dict,
     runtime_stats_to_dict,
@@ -39,7 +30,7 @@ from repro.runtime.opcache import (
 )
 from repro.simulator.engine import SimulationOptions, Simulator
 from repro.workloads.ops import is_matrix_op
-from repro.workloads.registry import available_workloads, build_workload
+from repro.workloads.registry import build_workload
 
 
 @pytest.fixture(autouse=True)
@@ -49,113 +40,8 @@ def _fresh_op_caches():
     reset_op_caches()
 
 
-def _random_configs(count: int, seed: int = 7):
-    """Random datapaths drawn from the Table 3 search space."""
-    space = DatapathSearchSpace()
-    rng = np.random.default_rng(seed)
-    configs = []
-    while len(configs) < count:
-        params = {
-            spec.name: spec.choices[int(rng.integers(len(spec.choices)))]
-            for spec in space.specs
-        }
-        try:
-            configs.append(space.to_config(params))
-        except Exception:
-            continue  # invalid combination; draw again
-    return configs
-
-
 def _matrix_ops(graph):
     return [op for op in graph.ops if is_matrix_op(op.op_type)]
-
-
-class TestTilingBatch:
-    def _problem(self, m=4096, n=512, k=512, instances=1, depthwise=False):
-        return MatrixProblem(
-            m=m, n=n, k=k, instances=instances,
-            stationary_is_weight=True, is_depthwise=depthwise,
-            input_bytes=m * k * 2, stationary_bytes=k * n * 2, output_bytes=m * n * 2,
-        )
-
-    def test_candidate_arrays_match_scalar_enumeration(self):
-        problem = self._problem(m=5000, n=300, k=700)
-        scalar = list(candidate_tilings(problem, 32, 32, max_candidates=48))
-        m_tiles, n_tiles, k_tiles = tiling_candidate_arrays(problem, 32, 32, 48)
-        assert len(scalar) == len(m_tiles)
-        for i, tiling in enumerate(scalar):
-            assert (tiling.m_tile, tiling.n_tile, tiling.k_tile) == (
-                m_tiles[i], n_tiles[i], k_tiles[i]
-            )
-
-    @pytest.mark.parametrize("capacity", [1 << 14, 1 << 20, 1 << 30])
-    @pytest.mark.parametrize("depthwise", [False, True])
-    def test_traffic_batch_matches_scalar_bitwise(self, capacity, depthwise):
-        problem = self._problem(m=100000, n=257, k=9 if depthwise else 384,
-                                instances=3, depthwise=depthwise)
-        tiles = tiling_candidate_arrays(problem, 32, 32, 48)
-        arrays = estimate_traffic_batch(problem, *tiles, capacity)
-        for i in range(len(arrays)):
-            tiling = arrays.tiling(i)
-            traffic, fits = estimate_traffic(problem, tiling, capacity)
-            assert bool(arrays.fits[i]) == fits
-            assert int(arrays.buffer_bytes[i]) == tiling.buffer_bytes(2)
-            assert float(arrays.input_bytes[i]) == traffic.input_bytes
-            assert float(arrays.stationary_bytes[i]) == traffic.stationary_bytes
-            assert float(arrays.output_bytes[i]) == traffic.output_bytes
-            assert float(arrays.total_bytes[i]) == traffic.total_bytes
-
-
-class TestVectorizedEquivalence:
-    """Property sweep: random datapaths x all registered workloads."""
-
-    def test_vectorized_equals_scalar_on_all_workloads(self):
-        configs = _random_configs(4)
-        mismatches = []
-        for workload in available_workloads():
-            graph = build_workload(workload, batch_size=1)
-            tensors = graph.tensors
-            for index, config in enumerate(configs):
-                scalar = Mapper(config, options=MapperOptions(vectorize=False))
-                vectorized = Mapper(config, options=MapperOptions(vectorize=True))
-                for op in _matrix_ops(graph):
-                    scalar_cost = scalar.map_op(op, tensors)
-                    vector_cost = vectorized.map_op(op, tensors)
-                    if scalar_cost != vector_cost:
-                        mismatches.append((workload, index, op.name))
-        assert mismatches == []
-
-    def test_equivalence_covers_chosen_tiling_cycles_and_bytes(self, small_config):
-        graph = build_workload("efficientnet-b0", batch_size=2)
-        tensors = graph.tensors
-        scalar = Mapper(small_config, options=MapperOptions(vectorize=False))
-        vectorized = Mapper(small_config, options=MapperOptions(vectorize=True))
-        checked = 0
-        for op in _matrix_ops(graph):
-            a = scalar.map_op(op, tensors)
-            b = vectorized.map_op(op, tensors)
-            assert a.tiling == b.tiling
-            assert a.dataflow is b.dataflow
-            assert a.compute_cycles == b.compute_cycles
-            assert a.dram_bytes == b.dram_bytes
-            assert a.utilization == b.utilization
-            checked += 1
-        assert checked > 0
-
-    def test_schedule_failure_identical(self):
-        config = DatapathConfig(
-            systolic_array_x=256, systolic_array_y=256,
-            l1_input_buffer_kib=1, l1_weight_buffer_kib=1, l1_output_buffer_kib=1,
-            l1_buffer_config=__import__(
-                "repro.hardware.datapath", fromlist=["BufferConfig"]
-            ).BufferConfig.PRIVATE,
-        )
-        graph = build_workload("mobilenet-v2", batch_size=1)
-        tensors = graph.tensors
-        op = _matrix_ops(graph)[0]
-        a = Mapper(config, options=MapperOptions(vectorize=False)).map_op(op, tensors)
-        b = Mapper(config, options=MapperOptions(vectorize=True)).map_op(op, tensors)
-        assert a.schedule_failed and a == b
 
 
 class TestOpCostCache:
@@ -274,17 +160,16 @@ class TestOpCostCache:
 
 
 class TestSearchEquivalence:
-    def _run(self, vectorized, op_cache, trials=10, seed=3):
+    def _run(self, op_cache, trials=10, seed=3):
         problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
         evaluator = TrialEvaluator(
             problem,
             simulation_options=SimulationOptions(
                 fusion_solver="greedy",
-                vectorized_mapper=vectorized,
                 op_cache_enabled=op_cache,
                 # This class tests the op-cache layer in isolation; with the
                 # region cache on, warm trials would never reach the mapper
-                # (see test_graph_batched_mapper.py for the layered caches).
+                # (see test_region_cache.py for the layered caches).
                 region_cache_enabled=False,
             ),
         )
@@ -295,24 +180,17 @@ class TestSearchEquivalence:
     def _history(result):
         return [trial_metrics_to_dict(m) for m in result.history]
 
-    def test_fast_path_reproduces_scalar_history_bitwise(self):
-        reference = self._run(vectorized=False, op_cache=False)
-        fast = self._run(vectorized=True, op_cache=True)
-        assert self._history(fast) == self._history(reference)
-        assert fast.best_params == reference.best_params
-        assert fast.best_score_curve == reference.best_score_curve
-
     def test_op_cache_on_off_identical_histories(self):
-        without = self._run(vectorized=True, op_cache=False)
+        without = self._run(op_cache=False)
         reset_op_caches()
-        with_cache = self._run(vectorized=True, op_cache=True)
-        rerun = self._run(vectorized=True, op_cache=True)  # warm, same process
+        with_cache = self._run(op_cache=True)
+        rerun = self._run(op_cache=True)  # warm, same process
         assert self._history(with_cache) == self._history(without)
         assert self._history(rerun) == self._history(without)
         assert rerun.runtime.op_cache_hits > 0
 
     def test_runtime_stats_surface_op_cache_and_stage_times(self):
-        result = self._run(vectorized=True, op_cache=True)
+        result = self._run(op_cache=True)
         stats = result.runtime
         assert stats.op_cache_hits + stats.op_cache_misses > 0
         assert stats.eval_seconds > 0
@@ -360,10 +238,12 @@ class TestRuntimeStatsSerialization:
 class TestSimulatorIntegration:
     def test_simulator_modes_identical_results(self, small_config, tiny_graph):
         results = []
-        for vectorized, op_cache in [(False, False), (True, False), (True, True)]:
+        for engine, op_cache in [
+            ("scalar", False), ("graph-batched", False), ("graph-batched", True)
+        ]:
             simulator = Simulator(small_config, SimulationOptions(
                 fusion_solver="greedy",
-                vectorized_mapper=vectorized,
+                mapper_engine=engine,
                 op_cache_enabled=op_cache,
             ))
             results.append(simulator.simulate(tiny_graph))

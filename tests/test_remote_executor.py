@@ -316,6 +316,50 @@ class TestServiceProtocol:
         assert body["client_fingerprint"] == "not-the-real-fingerprint"
         assert service.stats.fingerprint_rejections == 1
 
+    def test_request_store_paths_and_urls_are_ignored(self, tmp_path):
+        from repro.core.designs import FAST_SMALL
+        from repro.reporting.serialization import (
+            params_to_jsonable,
+            search_problem_to_dict,
+            simulation_options_to_dict,
+        )
+        from repro.runtime.cache import problem_fingerprint
+        from repro.runtime.opcache import get_region_cache, reset_op_caches
+        from repro.simulator.enginespec import EngineSpec
+
+        problem = _problem()
+        space = DatapathSearchSpace()
+        rng = np.random.default_rng(5)
+        params = [space.from_config(FAST_SMALL)] + [space.sample(rng) for _ in range(3)]
+        options = EngineSpec(
+            region_store=str(tmp_path / "regions.jsonl"),
+            cache_service="http://127.0.0.1:9",
+        ).to_simulation_options(
+            fusion_solver="greedy", op_cache_path=str(tmp_path / "ops.jsonl")
+        )
+        client = TrialEvaluator(problem, simulation_options=options)
+        payload = {
+            "fingerprint": problem_fingerprint(problem, client, space),
+            "problem": search_problem_to_dict(problem),
+            "options": {
+                "num_cores": 1,
+                "simulation_options": simulation_options_to_dict(options),
+            },
+            "params": [params_to_jsonable(p) for p in params],
+        }
+        reset_op_caches()
+        with EvaluationService() as service:
+            status, body = service.evaluate_payload(payload)
+        local = TrialEvaluator(problem)
+        assert status == 200
+        assert body["results"] == [
+            trial_metrics_to_dict(local.evaluate_params(p, space)) for p in params
+        ]
+        assert any(result["feasible"] for result in body["results"])
+        assert list(tmp_path.iterdir()) == []
+        assert get_region_cache().remote is None
+        reset_op_caches()
+
     def test_malformed_request_is_a_client_error(self, flaky_service):
         service, _ = flaky_service
         request = urllib.request.Request(

@@ -199,6 +199,22 @@ class TestTrialCache:
         params = space.sample(RandomSearchOptimizer(space, seed=0).rng)
         assert cache.key_for(params, fp_a) != cache.key_for(params, fp_b)
 
+    def test_fingerprint_encodes_mapper_options_by_value(self):
+        from repro.mapping.mapper import MapperOptions
+        from repro.simulator.engine import SimulationOptions
+
+        def evaluator(**knobs):
+            options = SimulationOptions(
+                fusion_solver="greedy", mapper_options=MapperOptions(**knobs)
+            )
+            return TrialEvaluator(_problem(), simulation_options=options)
+
+        # All three stay alive, so no two options objects share an address.
+        first, second, fewer = evaluator(), evaluator(), evaluator(max_tiling_candidates=24)
+        fingerprint = lambda e: problem_fingerprint(_problem(), e)  # noqa: E731
+        assert fingerprint(first) == fingerprint(second)
+        assert fingerprint(fewer) != fingerprint(first)
+
     def test_lru_eviction_bounds_memory(self):
         cache = TrialCache(max_memory_entries=2)
         evaluator = TrialEvaluator(_problem())
