@@ -281,11 +281,12 @@ PY
 # --------------------------------------------------------------------------
 # 8. Cache-tier smoke: a search writes the persistent region store, a cold
 #    process warm-loads it (every region from disk, none recomputed), and a
-#    2-worker run attaches the parent-published shared-memory segment — all
-#    with histories bit-for-bit equal to the private-cache baseline.
+#    2-worker run's workers, forked from the warm parent, serve every region
+#    from the store too — all with histories bit-for-bit equal to the
+#    private-cache baseline.
 # --------------------------------------------------------------------------
 smoke_cache_tier() {
-    log "cache-tier smoke: region store warm-load + shared-memory equivalence"
+    log "cache-tier smoke: region store warm-load + warm-pool equivalence"
     local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
     local store="$SMOKE_DIR/region-store.jsonl"
     rm -f "$store"
@@ -295,17 +296,17 @@ smoke_cache_tier() {
         --engine "graph-batched:region_store=$store" \
         --output "$SMOKE_DIR/cache-store-cold.json"
     [ -s "$store" ] || { echo "region store was never written"; exit 1; }
-    # Fresh processes: one serial warm-load, one 2-worker shared-memory run.
+    # Fresh processes: one serial warm-load, one 2-worker run.
     python -m repro search "${common[@]}" \
         --engine "graph-batched:region_store=$store" \
         --output "$SMOKE_DIR/cache-store-warm.json"
     python -m repro search "${common[@]}" \
         --workers 2 \
         --engine "graph-batched:region_store=$store" \
-        --output "$SMOKE_DIR/cache-shared.json"
+        --output "$SMOKE_DIR/cache-pool.json"
 
     python - "$SMOKE_DIR/cache-private.json" "$SMOKE_DIR/cache-store-cold.json" \
-        "$SMOKE_DIR/cache-store-warm.json" "$SMOKE_DIR/cache-shared.json" <<'PY'
+        "$SMOKE_DIR/cache-store-warm.json" "$SMOKE_DIR/cache-pool.json" <<'PY'
 import json, sys
 private = json.load(open(sys.argv[1]))
 for path in sys.argv[2:]:
@@ -316,13 +317,13 @@ for path in sys.argv[2:]:
 warm = json.load(open(sys.argv[3]))["runtime"]
 assert warm["region_cache_disk_hits"] > 0, warm
 assert warm["region_cache_misses"] == 0, warm
-shared = json.load(open(sys.argv[4]))["runtime"]
-assert shared["shared_cache_attached"] >= 1, shared
-assert shared["shared_cache_entries"] > 0, shared
-print("store + shared-memory == private bit-for-bit over",
+pool = json.load(open(sys.argv[4]))["runtime"]
+assert pool["region_cache_disk_hits"] > 0, pool
+assert pool["region_cache_misses"] == 0, pool
+print("store + warm pool == private bit-for-bit over",
       len(private.get("history") or []), "trials;",
       warm["region_cache_disk_hits"], "warm disk hits,",
-      shared["shared_cache_attached"], "worker(s) on the shared segment")
+      pool["region_cache_disk_hits"], "pool disk hits")
 PY
 }
 

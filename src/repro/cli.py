@@ -149,9 +149,8 @@ fusion-region evaluations keyed by graph fingerprint, region index, and
 mapping-relevant datapath sub-config) and the per-op cost cache.
 
 **The shared cost-cache tier.**  Both memoization layers are the private
-front of a three-tier cache; every tier serves bit-identical entries, so
-enabling any of them can change only wall-clock time, never a search
-history:
+front of a two-tier cache; every tier serves bit-identical entries, so
+enabling either can change only wall-clock time, never a search history:
 
 * **private** — the in-process memory LRU plus an optional persistent
   JSON-lines store: ``--op-cache PATH`` for op costs, ``--engine
@@ -161,14 +160,6 @@ history:
   by searches, sweep shards, and ``repro serve`` alike.  Disk-served
   lookups are reported separately as ``op_cache_disk_hits`` /
   ``region_cache_disk_hits``.
-* **shared-memory** — a parallel run (``--workers N``) publishes the
-  parent's warm entries into one ``multiprocessing.shared_memory`` segment
-  that every pool worker attaches zero-copy (no per-worker disk load, no
-  duplicated cache RSS); respawned workers re-attach the republished
-  segment and serve their first batch from cache with no re-warm compute.
-  ``shared_cache_attached`` / ``*_cache_shared_hits`` in ``RuntimeStats``
-  show the tier working; any publish or attach failure silently falls back
-  to the private path.
 * **cluster** — a ``repro serve`` endpoint doubles as a cache service via
   ``GET/PUT /cache/region`` (fingerprint-checked like ``/evaluate``), and
   ``--engine ...:cache_service=URL`` attaches any search to it: region
@@ -195,11 +186,13 @@ Hit/miss counters for every tier appear in the search summary, progress
 lines, and ``RuntimeStats``.
 
 **Warm parallel workers** (``--workers N``) compose with every engine:
-pool workers start warm (graphs, compiled regions, shared op/region
-caches, persistent ``--op-cache`` store) and inherit the parent's engine
-spec through the pool initializer — the resolved spec is echoed back as
-``engine`` in ``RuntimeStats``, so a pool silently running a different
-engine than you asked for is visible in ``repro profile``.
+the parent warms once before it starts the pool (graphs, compiled regions,
+op/region caches and their persistent stores), and fork carries those
+caches to every worker and to every worker respawned after a crash.
+Workers inherit the parent's engine spec through the pool initializer —
+the resolved spec is echoed back as ``engine`` in ``RuntimeStats``, so a
+pool silently running a different engine than you asked for is visible in
+``repro profile``.
 
 ``repro profile`` measures both engines on a fixed-seed search:
 trials/sec, a per-stage time breakdown (mapper / vector / fusion / other),
@@ -250,8 +243,8 @@ recovery guarantees, from the inside out:
 
 * **Supervised worker pools.**  A pool worker dying mid-batch (OOM kill,
   segfault) breaks the pool; the executor detects it, spawns a fresh pool —
-  re-warming worker caches through the same initializer — and re-dispatches
-  the in-flight batch, up to a restart budget.  Evaluation is
+  whose workers fork from the warm parent like the first ones — and
+  re-dispatches the in-flight batch, up to a restart budget.  Evaluation is
   deterministic, so the history is bit-for-bit what a fault-free run
   produces; ``worker_restarts`` in the summary reports what happened.
 * **Remote escalation ladder with local fallback.**  Remote batches get
@@ -536,13 +529,6 @@ def _cmd_search(args) -> int:
             summary["region-cache hit rate"] = result.runtime.region_cache_hit_rate
         if result.runtime.region_cache_disk_hits:
             summary["region-cache disk hits"] = result.runtime.region_cache_disk_hits
-        if result.runtime.op_cache_shared_hits or result.runtime.region_cache_shared_hits:
-            summary["shared-cache hits"] = (
-                result.runtime.op_cache_shared_hits
-                + result.runtime.region_cache_shared_hits
-            )
-        if result.runtime.shared_cache_attached:
-            summary["shared-cache workers"] = result.runtime.shared_cache_attached
         if result.runtime.remote_cache_requests:
             summary["remote-cache hits"] = result.runtime.remote_cache_hits
             summary["remote-cache puts"] = result.runtime.remote_cache_puts

@@ -47,15 +47,11 @@ class RuntimeStats:
     the cross-trial :mod:`repro.runtime.opcache`, and
     ``region_cache_hits``/``region_cache_misses`` count whole fusion-region
     evaluations served by the region-level result cache layered above it.
-    The shared-tier breakdown rides alongside: ``*_disk_hits`` are the
-    subset of hits served from a persistent store's raw index
-    (``--op-cache`` / ``--engine region_store=``), ``*_shared_hits`` the
-    subset served from an attached parent-published shared-memory segment,
-    ``shared_cache_attached`` counts workers that attached one (and
-    ``shared_cache_entries`` how many entries the parent published), and
-    the ``remote_cache_*`` counters cover the cluster tier — batched
-    ``/cache/region`` prefetch hits/misses, entries pushed back, HTTP round
-    trips, and failed round trips.
+    The tier breakdown rides alongside: ``*_disk_hits`` are the subset of
+    hits served from a persistent store's raw index (``--op-cache`` /
+    ``--engine region_store=``), and the ``remote_cache_*`` counters cover
+    the cluster tier — batched ``/cache/region`` prefetch hits/misses,
+    entries pushed back, HTTP round trips, and failed round trips.
     The ``*_seconds`` fields break evaluation wall-clock time down by
     pipeline stage (mapper / VPU cost model / fusion ILP / whole-trial
     evaluation).  Under a serial executor they are collected from this
@@ -98,13 +94,9 @@ class RuntimeStats:
     op_cache_hits: int = 0
     op_cache_misses: int = 0
     op_cache_disk_hits: int = 0
-    op_cache_shared_hits: int = 0
     region_cache_hits: int = 0
     region_cache_misses: int = 0
     region_cache_disk_hits: int = 0
-    region_cache_shared_hits: int = 0
-    shared_cache_attached: int = 0
-    shared_cache_entries: int = 0
     remote_cache_hits: int = 0
     remote_cache_misses: int = 0
     remote_cache_puts: int = 0
@@ -311,8 +303,8 @@ class FASTSearch:
         stats = RuntimeStats()
         stage_start = dict(getattr(self.evaluator, "stage_seconds", None) or {})
         # Op-cache counters only move in this process, i.e. under a serial
-        # executor; with a parallel executor the cache lives in the workers,
-        # so don't force-load a possibly large persistent store here.
+        # executor; with a parallel executor the lookups happen in the
+        # workers, which report them through ``runtime_counters()``.
         from repro.runtime.executor import cache_counter_snapshot
 
         op_cache = self._op_cache() if isinstance(executor, SerialExecutor) else None

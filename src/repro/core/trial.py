@@ -44,10 +44,10 @@ def _tracer():
 # Workload graphs are immutable and expensive-ish to build, so they are cached
 # per (workload, batch) across all evaluators in the process.  Graphs are
 # never pickled to executor workers (only cache *settings* travel); workers
-# either inherit the parent's warm entries through fork — graphs are
-# immutable data, so inherited entries are exactly what the worker would
-# rebuild — or, under spawn, rebuild lazily on first use / via
-# :meth:`TrialEvaluator.warm_caches` in the pool initializer.
+# inherit the entries the parent's :meth:`TrialEvaluator.warm_caches` built
+# through fork — graphs are immutable data, so inherited entries are exactly
+# what the worker would rebuild — or, under spawn, rebuild lazily on first
+# use.
 _GRAPH_CACHE: Dict[tuple, Graph] = {}
 
 
@@ -127,10 +127,12 @@ class TrialEvaluator:
 
         Builds and pre-compiles the problem's workload graphs (default: at
         the stock native batch size) and attaches the shared op / region
-        caches — loading the persistent op store from disk when one is
-        configured, so the first trial already runs warm.  Used by the
-        process-pool worker initializer and ``repro serve``; every step is a
-        pure cache fill, results are unaffected.
+        caches — loading the persistent op and region stores from disk when
+        they are configured, so the first trial already runs warm.  Used by
+        ``repro serve`` and by
+        :class:`~repro.runtime.executor.ParallelExecutor`, which calls it in
+        the parent before each pool build so forked workers inherit the warm
+        caches; every step is a pure cache fill, results are unaffected.
         """
         options = self.simulation_options
         if getattr(options, "op_cache_enabled", False):
@@ -158,7 +160,7 @@ class TrialEvaluator:
         ``region_cache_service`` names a ``repro serve`` endpoint, attaches
         a :class:`~repro.runtime.remote.RemoteCostCache` cluster client
         keyed by this problem's fingerprint.  Idempotent and cheap after the
-        first call; used by the worker initializer, ``repro serve``, and the
+        first call; used by :meth:`warm_caches`, ``repro serve``, and the
         per-trial setup path (so even a cold serial run gets its tiers).
         Returns the cache, or None when region caching is disabled.
         """
@@ -222,7 +224,7 @@ class TrialEvaluator:
 
     def _evaluate_config(self, config: DatapathConfig) -> TrialMetrics:
         # Region-tier wiring is idempotent; doing it here (not just in
-        # warm_caches) means serial runs and cold workers also see the
+        # warm_caches) means serial runs and forked workers also see the
         # persistent store and the cluster tier from their first trial.
         self.attach_region_tiers()
         with _tracer().span("area_power", category="simulate"):

@@ -135,11 +135,9 @@ class Mapper:
     the problem fingerprint *and* the mapping-relevant slice of the datapath
     configuration, so two trials that agree on that slice — no matter how
     their fusion/memory/batch parameters differ — reuse each other's op costs.
-    The cache itself is tiered (memory LRU, persistent JSONL store, and a
-    parent-published shared-memory segment in parallel runs — see
-    :mod:`repro.runtime.opcache` / :mod:`repro.runtime.shmcache`); every tier
-    serves bit-identical costs, so the mapper never needs to know which one
-    answered.
+    The cache itself is tiered (memory LRU and persistent JSONL store — see
+    :mod:`repro.runtime.opcache`); every tier serves bit-identical costs, so
+    the mapper never needs to know which one answered.
     """
 
     def __init__(

@@ -3,7 +3,8 @@
 This package turns the serial FAST search loop into a scalable execution
 engine, layered as:
 
-* :mod:`repro.runtime.executor` — serial / process-pool batch evaluation,
+* :mod:`repro.runtime.executor` — serial / process-pool batch evaluation
+  (pool workers fork from a warm parent and inherit its caches),
 * :mod:`repro.runtime.batching` — batched ask/tell over any optimizer,
 * :mod:`repro.runtime.cache` — persistent memoization of trial metrics with
   shard-safe concurrent writers, compaction, and size-cap auto-compaction,
@@ -12,9 +13,6 @@ engine, layered as:
   fingerprint + mapping-relevant sub-config, optionally persisted as JSON
   lines (op store / region store) and optionally backed by a cluster cache
   service,
-* :mod:`repro.runtime.shmcache` — zero-copy cross-worker cache sharing: the
-  pool parent publishes its warm op/region entries into one
-  ``multiprocessing.shared_memory`` segment that every worker attaches,
 * :mod:`repro.runtime.checkpoint` — periodic save + ``--resume`` support,
 * :mod:`repro.runtime.progress` — event bus for live progress reporting,
 * :mod:`repro.runtime.service` — stdlib HTTP evaluation service
@@ -100,11 +98,6 @@ from repro.runtime.opcache import (
     reset_op_caches,
     reset_region_caches,
 )
-from repro.runtime.shmcache import (
-    SharedCacheView,
-    attach_shared_cache,
-    publish_shared_cache,
-)
 from repro.runtime.profiling import (
     PROFILE_MODES,
     ProfileMode,
@@ -177,7 +170,6 @@ __all__ = [
     "RegionCostCache",
     "RemoteCostCache",
     "RemoteExecutionError",
-    "SharedCacheView",
     "Scoreboard",
     "ScoreRecord",
     "SearchCheckpoint",
@@ -195,7 +187,6 @@ __all__ = [
     "TrialExecutor",
     "WorkerCrashError",
     "apply_telemetry_config",
-    "attach_shared_cache",
     "chrome_trace_events",
     "clear_faults",
     "compact_cache",
@@ -217,7 +208,6 @@ __all__ = [
     "problem_fingerprint",
     "profile_search",
     "proposal_key",
-    "publish_shared_cache",
     "register_executor",
     "reset_metrics",
     "reset_op_caches",

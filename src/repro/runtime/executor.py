@@ -12,11 +12,11 @@ history is bit-for-bit reproducible for a fixed seed and batch size.
 
 The process pool is *supervised*: a worker dying mid-batch (OOM kill,
 segfault, injected ``worker-crash`` fault) breaks the pool, which the
-executor detects, rebuilds — re-warming worker caches through the same
-initializer — and re-dispatches the in-flight batch on.  Evaluation is
-deterministic, so the re-dispatched batch returns the same metrics and the
-search history stays bit-for-bit equal to a fault-free run; the recovery is
-visible only in ``runtime_counters()`` (``worker_restarts``).
+executor detects, rebuilds — the respawned workers fork from the warm
+parent like the first ones — and re-dispatches the in-flight batch on.
+Evaluation is deterministic, so the re-dispatched batch returns the same
+metrics and the search history stays bit-for-bit equal to a fault-free run;
+the recovery is visible only in ``runtime_counters()`` (``worker_restarts``).
 """
 
 from __future__ import annotations
@@ -57,11 +57,10 @@ class WorkerCrashError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Worker-process plumbing.  The evaluator/space are installed once per worker
-# by the pool initializer, which also pre-warms the worker's caches: the
-# workload graphs and compiled regions (a no-op under fork, where the warm
-# parent entries are inherited outright) and the shared op / region cost
-# caches, including loading the persistent op store from disk when the
-# evaluator is configured with one.  Per-task payloads are just the
+# by the pool initializer.  Workers start warm through fork alone: before it
+# builds (or rebuilds) a pool the parent calls ``evaluator.warm_caches()``,
+# so every forked worker inherits the parent's workload graphs, compiled
+# regions and loaded op / region stores.  Per-task payloads are just the
 # parameter dicts; graphs are never pickled.
 #
 # Each task returns its metrics together with a small dict of counter deltas
@@ -72,50 +71,29 @@ class WorkerCrashError(RuntimeError):
 # ---------------------------------------------------------------------------
 _WORKER_EVALUATOR: Optional[TrialEvaluator] = None
 _WORKER_SPACE: Optional[DatapathSearchSpace] = None
-# 1 on the first task after this worker attached a parent-published
-# shared-memory cache segment, then cleared: the parent sums these into
-# ``shared_cache_attached`` (how many workers started on the zero-copy tier).
-_WORKER_SHARED_ATTACH_PENDING: int = 0
 
 
-def _worker_caches(
-    evaluator: TrialEvaluator,
-    op_preload: bool = True,
-    region_preload: bool = True,
-):
-    """(op cache, region cache) this worker's evaluator uses, or Nones.
-
-    The preload flags only matter for the call that constructs a cache: a
-    worker that just attached a shared-memory segment already covering the
-    persistent store passes False so it never duplicates the parent's disk
-    load (fork-started workers inherit an already-constructed cache and are
-    unaffected either way).
-    """
+def _worker_caches(evaluator: TrialEvaluator):
+    """(op cache, region cache) this worker's evaluator uses, or Nones."""
     options = getattr(evaluator, "simulation_options", None)
     op_cache = region_cache = None
     if options is not None and getattr(options, "op_cache_enabled", False):
         from repro.runtime.opcache import get_op_cache
 
-        op_cache = get_op_cache(
-            getattr(options, "op_cache_path", None), preload=op_preload
-        )
+        op_cache = get_op_cache(getattr(options, "op_cache_path", None))
     if options is not None and getattr(options, "region_cache_enabled", False):
         from repro.runtime.opcache import get_region_cache
 
-        region_cache = get_region_cache(
-            getattr(options, "region_store_path", None), preload=region_preload
-        )
+        region_cache = get_region_cache(getattr(options, "region_store_path", None))
     return op_cache, region_cache
 
 
 def _init_worker(
     evaluator: TrialEvaluator,
     space: DatapathSearchSpace,
-    warm_start: bool = True,
     telemetry: Optional[dict] = None,
-    shared_index=None,
 ) -> None:
-    global _WORKER_EVALUATOR, _WORKER_SPACE, _WORKER_SHARED_ATTACH_PENDING
+    global _WORKER_EVALUATOR, _WORKER_SPACE
     _WORKER_EVALUATOR = evaluator
     _WORKER_SPACE = space
     # Always install a fresh worker tracer (disabled when telemetry is None):
@@ -123,39 +101,6 @@ def _init_worker(
     # a task delta, and fresh construction gives each worker its own span-id
     # salt, so span ids stay unique across the pool.
     apply_telemetry_config(telemetry)
-    if shared_index is not None:
-        # Zero-copy tier: attach the parent-published cache segment instead
-        # of re-warming privately.  Any failure (no /dev/shm, the parent
-        # unlinked early, ...) falls back to the private path below.
-        try:
-            from repro.runtime.shmcache import attach_shared_cache
-
-            view = attach_shared_cache(shared_index)
-            if view is not None:
-                # A table in the segment carries every raw entry the parent
-                # held — including its warm-loaded persistent store — so a
-                # fresh (spawn-started) worker skips its own disk load for
-                # any cache the segment covers.
-                op_cache, region_cache = _worker_caches(
-                    evaluator,
-                    op_preload=not shared_index.op_index,
-                    region_preload=not shared_index.region_index,
-                )
-                if op_cache is not None:
-                    op_cache.attach_shared(view.op_lookup)
-                if region_cache is not None:
-                    region_cache.attach_shared(view.region_lookup)
-                if op_cache is not None or region_cache is not None:
-                    _WORKER_SHARED_ATTACH_PENDING = 1
-        except Exception:
-            pass  # shared tier is best effort; private warm path follows
-    if warm_start:
-        warm = getattr(evaluator, "warm_caches", None)
-        if callable(warm):
-            try:
-                warm()
-            except Exception:
-                pass  # warm-up is best effort; evaluation must still start
 
 
 def cache_counter_snapshot(op_cache, region_cache) -> dict:
@@ -166,13 +111,11 @@ def cache_counter_snapshot(op_cache, region_cache) -> dict:
         snap["op_cache_hits"] = stats.hits
         snap["op_cache_misses"] = stats.misses
         snap["op_cache_disk_hits"] = stats.disk_hits
-        snap["op_cache_shared_hits"] = stats.shared_hits
     if region_cache is not None:
         stats = region_cache.stats
         snap["region_cache_hits"] = stats.hits
         snap["region_cache_misses"] = stats.misses
         snap["region_cache_disk_hits"] = stats.disk_hits
-        snap["region_cache_shared_hits"] = stats.shared_hits
         snap["remote_cache_hits"] = stats.remote_hits
         snap["remote_cache_misses"] = stats.remote_misses
         snap["remote_cache_puts"] = stats.remote_puts
@@ -182,7 +125,6 @@ def cache_counter_snapshot(op_cache, region_cache) -> dict:
 
 
 def _evaluate_in_worker(task):
-    global _WORKER_SHARED_ATTACH_PENDING
     params, crash = task
     if crash:
         # Injected worker death (``worker-crash`` fault): die the way an OOM
@@ -212,10 +154,6 @@ def _evaluate_in_worker(task):
         "fusion_seconds": stage_after.get("fusion", 0.0) - stage_before.get("fusion", 0.0),
         "eval_seconds": stage_after.get("evaluate", 0.0) - stage_before.get("evaluate", 0.0),
     })
-    if _WORKER_SHARED_ATTACH_PENDING:
-        # Reported exactly once per attach, with the worker's first task.
-        delta["shared_cache_attached"] = _WORKER_SHARED_ATTACH_PENDING
-        _WORKER_SHARED_ATTACH_PENDING = 0
     # Named engine echo: proof the worker inherited the parent's EngineSpec
     # through the initializer (a forked pool silently falling back to the
     # default engine would show up here and in ``repro profile``).
@@ -291,39 +229,33 @@ class ParallelExecutor(TrialExecutor):
     are collected with an order-preserving ``map``, so trial ordering (and
     hence the optimizer trajectory) is identical to a serial run.
 
-    Workers start *warm*: the pool initializer pre-builds the problem's
-    workload graphs and compiled regions and attaches the shared op / region
-    cost caches — loading the persistent op store from disk when the
-    evaluator is configured with one (``--op-cache PATH``), which is how a
-    pool shares one op store across workers, searches, and sweep shards.
-    Worker-side cache hits and per-stage timings flow back with every result
-    and surface through :meth:`runtime_counters`.
+    Workers start *warm* through fork: before each pool build the parent
+    calls ``evaluator.warm_caches()`` once (best effort), which builds the
+    problem's workload graphs and compiled regions and loads the op /
+    region caches — including the persistent stores when the evaluator is
+    configured with them (``--op-cache PATH``, ``region_store=PATH``) —
+    and every forked worker inherits all of it.  Under a start method other
+    than fork, workers rebuild the same caches lazily on first use; results
+    are identical either way.  Worker-side cache hits and per-stage timings
+    flow back with every result and surface through
+    :meth:`runtime_counters`.
 
     The pool is supervised: worker death mid-batch (detected as
-    ``BrokenProcessPool``) tears the broken pool down, spawns a fresh one —
-    whose initializer re-warms the caches exactly like the first start —
-    and re-dispatches the whole in-flight batch, up to
-    ``max_worker_restarts`` times per batch.  Evaluation is deterministic,
-    so re-dispatch returns identical metrics and the history matches a
-    fault-free run bit-for-bit; ``worker_restarts`` in
+    ``BrokenProcessPool``) tears the broken pool down, builds a fresh one —
+    warming the parent again first, so respawned workers fork exactly as
+    warm as the first ones — and re-dispatches the whole in-flight batch,
+    up to ``max_worker_restarts`` times per batch.  Evaluation is
+    deterministic, so re-dispatch returns identical metrics and the history
+    matches a fault-free run bit-for-bit; ``worker_restarts`` in
     :meth:`runtime_counters` reports how many times it happened.
 
     Args:
         num_workers: Worker process count (defaults to the CPU count).
         chunk_size: Proposals per worker task; 1 gives the best load balance
             for heterogeneous trial costs.
-        warm_start: Pre-warm worker caches in the pool initializer (on by
-            default; results are identical either way).
         max_worker_restarts: Pool rebuilds tolerated for one batch before
             :class:`WorkerCrashError` is raised (a batch that *always*
             kills its worker would otherwise respawn forever).
-        shared_cache: Publish the parent's warm op / region cache entries
-            into a ``multiprocessing.shared_memory`` segment that workers
-            attach zero-copy (on by default; bit-for-bit neutral).  Workers
-            of a pool built (or respawned) from a warm parent then serve
-            their first batch from cache with no per-fork re-warm compute
-            and no duplicated cache RSS; any publish or attach failure
-            falls back to the private warm path.
     """
 
     name = "parallel"
@@ -332,17 +264,12 @@ class ParallelExecutor(TrialExecutor):
         self,
         num_workers: Optional[int] = None,
         chunk_size: int = 1,
-        warm_start: bool = True,
         max_worker_restarts: int = 3,
-        shared_cache: bool = True,
     ) -> None:
         self.num_workers = max(1, int(num_workers or os.cpu_count() or 1))
         self.chunk_size = max(1, int(chunk_size))
-        self.warm_start = bool(warm_start)
         self.max_worker_restarts = max(0, int(max_worker_restarts))
-        self.shared_cache = bool(shared_cache)
         self.worker_restarts = 0
-        self._shared_publisher = None
         self._pool: Optional[ProcessPoolExecutor] = None
         # Strong references to the objects the pool was initialized with;
         # identity is checked with ``is`` (never id() of possibly-collected
@@ -364,40 +291,18 @@ class ParallelExecutor(TrialExecutor):
         ):
             self.close()
         if self._pool is None:
-            shared_index = None
-            if self.shared_cache:
-                shared_index = self._publish_shared_cache(evaluator)
+            try:
+                evaluator.warm_caches()
+            except Exception:
+                pass  # warm-up is best effort; evaluation must still start
             self._pool = ProcessPoolExecutor(
                 max_workers=self.num_workers,
                 initializer=_init_worker,
-                initargs=(evaluator, space, self.warm_start, telemetry, shared_index),
+                initargs=(evaluator, space, telemetry),
             )
             self._pool_args = (evaluator, space)
             self._pool_telemetry = telemetry
         return self._pool
-
-    def _publish_shared_cache(self, evaluator: TrialEvaluator):
-        """Publish the parent's warm cache entries for this pool (best effort).
-
-        Runs on every pool (re)build: a respawned pool republishes from the
-        parent's current caches, so crash-respawned workers attach a live
-        segment and start hot exactly like first-start workers.  Returns the
-        picklable index for the initializer, or None to use the private
-        warm path.
-        """
-        try:
-            from repro.runtime.shmcache import publish_shared_cache
-
-            op_cache, region_cache = _worker_caches(evaluator)
-            publisher = publish_shared_cache(op_cache, region_cache)
-        except Exception:
-            return None
-        if publisher is None:
-            return None
-        if self._shared_publisher is not None:
-            self._shared_publisher.close()
-        self._shared_publisher = publisher
-        return publisher.index
 
     def evaluate_batch(
         self,
@@ -471,8 +376,6 @@ class ParallelExecutor(TrialExecutor):
         """
         counters: Dict[str, float] = dict(self._worker_totals)
         counters["worker_restarts"] = self.worker_restarts
-        if self._shared_publisher is not None:
-            counters["shared_cache_entries"] = self._shared_publisher.index.num_entries
         return counters
 
     def close(self) -> None:
@@ -481,11 +384,6 @@ class ParallelExecutor(TrialExecutor):
             self._pool = None
             self._pool_args = None
             self._pool_telemetry = None
-        if self._shared_publisher is not None:
-            # Unlink the published segment; workers that attached keep their
-            # mappings, and a respawn republishes from the parent's caches.
-            self._shared_publisher.close()
-            self._shared_publisher = None
 
 
 # ---------------------------------------------------------------------------
@@ -498,14 +396,9 @@ def _make_serial(**_options) -> TrialExecutor:
 
 
 def _make_process(
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    shared_cache: bool = True,
-    **_options,
+    workers: int = 1, chunk_size: Optional[int] = None, **_options
 ) -> TrialExecutor:
-    return ParallelExecutor(
-        num_workers=workers, chunk_size=chunk_size or 1, shared_cache=shared_cache
-    )
+    return ParallelExecutor(num_workers=workers, chunk_size=chunk_size or 1)
 
 
 def _make_remote(endpoints: Optional[Sequence[str]] = None, **options) -> TrialExecutor:

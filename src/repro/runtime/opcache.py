@@ -24,21 +24,18 @@ Both caches are **tiered**.  A lookup falls through, in order:
    appends from multiple processes sharing a path never interleave partial
    lines on POSIX filesystems, and torn tails left by crashes are
    quarantined (``corrupt_records``) rather than trusted;
-3. an attached read-only shared-memory segment published by a parent process
-   (:mod:`repro.runtime.shmcache`) — the zero-copy tier that lets freshly
-   spawned or respawned executor workers start hot without re-warm compute
-   or duplicated RSS;
-4. for region results only, an attached :class:`~repro.runtime.remote.RemoteCostCache`
+3. for region results only, an attached :class:`~repro.runtime.remote.RemoteCostCache`
    cluster client (batched ``prefetch``), the fleet-wide tier served by
    ``repro serve``'s ``/cache/region`` routes.
 
 Every tier returns bit-identical payloads (JSON float encoding round-trips
 exactly), so the tier an entry came from can never change a search history —
 only how fast it arrives.  Caches are process-local singletons obtained
-through :func:`get_op_cache` / :func:`get_region_cache`; worker processes of
-a :class:`~repro.runtime.executor.ParallelExecutor` each build their own
-lazily (the evaluator ships only the cache *settings*, never the cache),
-exactly like the per-process workload-graph cache.
+through :func:`get_op_cache` / :func:`get_region_cache`; the evaluator ships
+only the cache *settings*, never the cache.  Worker processes of a
+:class:`~repro.runtime.executor.ParallelExecutor` inherit the parent's warm
+instances through fork (the registries below keep their entries across a
+PID change), exactly like the per-process workload-graph cache.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.fusion.fast_fusion import RegionStats
 from repro.mapping.costmodel import OpCost
@@ -79,20 +76,18 @@ __all__ = [
 class OpCacheStats:
     """Hit/miss counters for one op-cost cache.
 
-    ``hits`` counts every lookup served from *any* tier; ``disk_hits`` and
-    ``shared_hits`` break out the subset served from the persistent raw
-    index and the attached shared-memory segment respectively (a pure
-    memory-LRU hit is ``hits`` minus both).  ``corrupt_records`` counts
-    torn/undecodable JSONL lines quarantined while loading the store (the
-    tail a crash mid-append leaves); ``stale_tmp_swept`` counts leftover
-    compaction temp files removed.
+    ``hits`` counts every lookup served from *any* tier; ``disk_hits``
+    breaks out the subset served from the persistent raw index (a pure
+    memory-LRU hit is ``hits`` minus ``disk_hits``).  ``corrupt_records``
+    counts torn/undecodable JSONL lines quarantined while loading the store
+    (the tail a crash mid-append leaves); ``stale_tmp_swept`` counts
+    leftover compaction temp files removed.
     """
 
     hits: int = 0
     misses: int = 0
     puts: int = 0
     disk_hits: int = 0
-    shared_hits: int = 0
     disk_entries_loaded: int = 0
     corrupt_records: int = 0
     stale_tmp_swept: int = 0
@@ -119,7 +114,6 @@ class RegionCacheStats:
     misses: int = 0
     puts: int = 0
     disk_hits: int = 0
-    shared_hits: int = 0
     disk_entries_loaded: int = 0
     corrupt_records: int = 0
     stale_tmp_swept: int = 0
@@ -138,7 +132,7 @@ class RegionCacheStats:
 
 # ---------------------------------------------------------------------------
 # Payload codecs.  JSON floats round-trip exactly (repr-based shortest float
-# encoding), which is what keeps every persistent / shared / remote tier
+# encoding), which is what keeps every persistent / remote tier
 # bit-for-bit neutral to search histories.
 # ---------------------------------------------------------------------------
 def opcost_to_dict(cost: OpCost) -> Dict[str, object]:
@@ -300,17 +294,12 @@ class CostCacheBase:
     (and the persistent store behind it) keys them by a SHA-256 digest of
     their canonical JSON form, so any process that derives the same key
     reads the same record.  Subclasses set :attr:`_PAYLOAD_FIELD` and the
-    ``_encode``/``_decode`` codec; an optional shared-memory tier is wired
-    in with :meth:`attach_shared`.
+    ``_encode``/``_decode`` codec.
 
     Args:
-        path: Optional JSON-lines store; created on first put.
+        path: Optional JSON-lines store; loaded on construction when it
+            exists, created on first put.
         max_memory_entries: LRU capacity of the in-memory front.
-        preload: Load an existing store into the raw index on construction.
-            Pass False when another tier already carries the store's entries
-            (an executor worker attaching a parent-published shared-memory
-            segment skips N redundant disk loads this way); puts still
-            append to the store.
     """
 
     _PAYLOAD_FIELD = "cost"
@@ -320,7 +309,6 @@ class CostCacheBase:
         self,
         path: Optional[Union[str, Path]] = None,
         max_memory_entries: int = 65536,
-        preload: bool = True,
     ) -> None:
         self.path = Path(path) if path is not None else None
         self.max_memory_entries = max(1, int(max_memory_entries))
@@ -330,13 +318,10 @@ class CostCacheBase:
         # is configured; also populated without one when raw payloads are
         # needed in RAM (cluster-cache publishing, remote put dedup).
         self._disk_index: Dict[str, dict] = {}
-        # Optional zero-copy tier: digest -> raw payload dict (or None),
-        # reading from an attached shared-memory segment.
-        self._shared: Optional[Callable[[str], Optional[dict]]] = None
         # Keep raw payloads in ``_disk_index`` even without a store path
         # (lets a path-less ``repro serve`` answer /cache/region lookups).
         self.publish_raw = False
-        if preload and self.path is not None and self.path.exists():
+        if self.path is not None and self.path.exists():
             self._load_disk_index()
 
     # -- codec hooks ---------------------------------------------------
@@ -399,16 +384,6 @@ class CostCacheBase:
         """Canonical JSON of a non-empty key base (the ``prefix`` of :meth:`digest`)."""
         return json.dumps(key_base, sort_keys=True, default=str)
 
-    # -- shared-memory tier --------------------------------------------
-    def attach_shared(self, lookup: Optional[Callable[[str], Optional[dict]]]) -> None:
-        """Attach (or detach, with None) a digest -> raw payload tier.
-
-        The lookup is expected to read a parent-published shared-memory
-        segment (:mod:`repro.runtime.shmcache`); entries it serves decode to
-        bit-identical values, so attaching is invisible to search results.
-        """
-        self._shared = lookup
-
     # -- lookup / store ------------------------------------------------
     def get(self, key: Tuple, prefix: Optional[str] = None):
         """Look up a cached value; returns None on a miss.
@@ -422,25 +397,13 @@ class CostCacheBase:
             self._memory.move_to_end(key)
             self.stats.hits += 1
             return value
-        digest: Optional[str] = None
         if self._disk_index:
-            digest = self.digest(key, prefix)
-            raw = self._disk_index.get(digest)
+            raw = self._disk_index.get(self.digest(key, prefix))
             if raw is not None:
                 value = self._decode(raw)
                 self._remember(key, value)
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
-                return value
-        if self._shared is not None:
-            if digest is None:
-                digest = self.digest(key, prefix)
-            raw = self._shared(digest)
-            if raw is not None:
-                value = self._decode(raw)
-                self._remember(key, value)
-                self.stats.hits += 1
-                self.stats.shared_hits += 1
                 return value
         self.stats.misses += 1
         return None
@@ -573,9 +536,8 @@ class RegionCostCache(CostCacheBase):
         self,
         path: Optional[Union[str, Path]] = None,
         max_entries: int = 16384,
-        preload: bool = True,
     ) -> None:
-        super().__init__(path=path, max_memory_entries=max_entries, preload=preload)
+        super().__init__(path=path, max_memory_entries=max_entries)
         self.max_entries = self.max_memory_entries
         self._remote = None
         self._remote_puts: Dict[str, dict] = {}
@@ -590,19 +552,16 @@ class RegionCostCache(CostCacheBase):
     def peek(self, key: Tuple, prefix: Optional[str] = None):
         """Probe for an entry without touching stats or LRU order.
 
-        A store or shared-segment entry found here is promoted into memory
-        (still unaccounted), so an accounted :meth:`get` that follows sees
-        it.  ``prefix`` is as for :meth:`get`.
+        A store entry found here is promoted into memory (still
+        unaccounted), so an accounted :meth:`get` that follows sees it.
+        ``prefix`` is as for :meth:`get`.
         """
         entry = self._memory.get(key)
         if entry is not None:
             return entry
-        if not self._disk_index and self._shared is None:
+        if not self._disk_index:
             return None
-        digest = self.digest(key, prefix)
-        raw = self._disk_index.get(digest) if self._disk_index else None
-        if raw is None and self._shared is not None:
-            raw = self._shared(digest)
+        raw = self._disk_index.get(self.digest(key, prefix))
         if raw is None:
             return None
         entry = self._decode(raw)
@@ -666,8 +625,6 @@ class RegionCostCache(CostCacheBase):
             digest = self.digest(key, prefix)
             if digest in seen or digest in self._disk_index:
                 continue
-            if self._shared is not None and self._shared(digest) is not None:
-                continue
             seen.add(digest)
             need.append((key, digest))
         if not need:
@@ -719,7 +676,7 @@ class RegionCostCache(CostCacheBase):
 # region caches — while the *statistics* are zeroed so workers never
 # double-count lookups the parent already reported.  A forked region cache
 # also drops its buffered remote puts (the parent owns those) and its remote
-# client, which the child's own initialization re-attaches if configured.
+# client, which the child's first trial re-attaches if configured.
 # ---------------------------------------------------------------------------
 _CACHES: Dict[Optional[str], OpCostCache] = {}
 _CACHES_PID: Optional[int] = None
@@ -727,17 +684,13 @@ _REGION_CACHES: Dict[Optional[str], RegionCostCache] = {}
 _REGION_CACHES_PID: Optional[int] = None
 
 
-def get_op_cache(
-    path: Optional[Union[str, Path]] = None, preload: bool = True
-) -> OpCostCache:
+def get_op_cache(path: Optional[Union[str, Path]] = None) -> OpCostCache:
     """The process-local shared op-cost cache for a store path.
 
     Every caller passing the same ``path`` (or ``None``) within one process
     receives the same instance, which is what makes op costs flow between
     trials, shards, and sequential searches.  After a fork the inherited
     entries are kept (warm workers) but the counters restart at zero.
-    ``preload`` applies only when this call constructs the instance (see
-    :class:`CostCacheBase`).
     """
     global _CACHES_PID
     pid = os.getpid()
@@ -748,14 +701,12 @@ def get_op_cache(
     key = str(Path(path)) if path is not None else None
     cache = _CACHES.get(key)
     if cache is None:
-        cache = OpCostCache(path=path, preload=preload)
+        cache = OpCostCache(path=path)
         _CACHES[key] = cache
     return cache
 
 
-def get_region_cache(
-    path: Optional[Union[str, Path]] = None, preload: bool = True
-) -> RegionCostCache:
+def get_region_cache(path: Optional[Union[str, Path]] = None) -> RegionCostCache:
     """The process-local shared region-cost cache for a store path.
 
     Shared by every simulator in the process that names the same region
@@ -775,7 +726,7 @@ def get_region_cache(
     key = str(Path(path)) if path is not None else None
     cache = _REGION_CACHES.get(key)
     if cache is None:
-        cache = RegionCostCache(path=path, preload=preload)
+        cache = RegionCostCache(path=path)
         _REGION_CACHES[key] = cache
     return cache
 

@@ -45,21 +45,13 @@ class ProfileMode:
     name: str
     engine: EngineSpec
     workers: int = 1
-    #: Publish the parent's warm cache entries into a shared-memory segment
-    #: that pool workers attach zero-copy (parallel modes only).  Off by
-    #: default so ``parallel-2`` keeps its historical private-warm meaning
-    #: and ``parallel-2+shared-cache`` measures the shared tier against it.
-    shared_cache: bool = False
 
 
 #: The standard comparison ladder, slowest first; the first mode is the
 #: reference whose history every other mode must reproduce bit-for-bit.
 #: ``graph-batched+caches`` is the default engine, run serially.
 #: ``parallel-2`` runs it on a 2-worker warm process pool — the row that
-#: keeps executor regressions visible — and ``parallel-2+shared-cache``
-#: reruns it with the parent's warm cache entries published to a
-#: shared-memory segment the workers attach zero-copy, so the shared tier is
-#: always measured against the private warm path it must not lose to.
+#: keeps executor regressions visible.
 PROFILE_MODES = (
     ProfileMode("scalar", EngineSpec("scalar", op_cache=False, region_cache=False)),
     ProfileMode("graph-batched", EngineSpec(op_cache=False, region_cache=False)),
@@ -67,7 +59,6 @@ PROFILE_MODES = (
     ProfileMode("graph-batched+op-cache", EngineSpec(region_cache=False)),
     ProfileMode("graph-batched+caches", EngineSpec()),
     ProfileMode("parallel-2", EngineSpec(), workers=2),
-    ProfileMode("parallel-2+shared-cache", EngineSpec(), workers=2, shared_cache=True),
 )
 
 
@@ -88,8 +79,6 @@ class ProfileRecord:
     region_cache_misses: int = 0
     region_cache_hit_rate: float = 0.0
     region_cache_disk_hits: int = 0
-    shared_cache_attached: int = 0
-    shared_cache_entries: int = 0
     workers: int = 1
     engine: str = ""
 
@@ -109,8 +98,6 @@ class ProfileRecord:
             "region_cache_misses": self.region_cache_misses,
             "region_cache_hit_rate": self.region_cache_hit_rate,
             "region_cache_disk_hits": self.region_cache_disk_hits,
-            "shared_cache_attached": self.shared_cache_attached,
-            "shared_cache_entries": self.shared_cache_entries,
             "workers": self.workers,
             "engine": self.engine,
         }
@@ -268,8 +255,8 @@ def profile_search(
     caches are reset before each mode (cold by default; ``warm_op_cache=True``
     measures the steady-state regime of sweeps and repeated searches by
     running each cache-enabled or parallel mode twice and timing the second
-    run — parallel pools inherit the warm parent caches through fork or load
-    them via the warm-start initializer).
+    run — a parallel mode keeps its pool between the two runs, so the timed
+    run's workers hold the caches the first run filled).
 
     Every mode must reproduce the first mode's trial history bit-for-bit;
     ``histories_match`` records the verdict.
@@ -316,24 +303,9 @@ def profile_search(
     for mode in modes:
         reset_op_caches()
         fixture = mode_fixture(mode)
-        executor = (
-            ParallelExecutor(num_workers=mode.workers, shared_cache=mode.shared_cache)
-            if mode.workers > 1
-            else None
-        )
+        executor = ParallelExecutor(num_workers=mode.workers) if mode.workers > 1 else None
         try:
-            # For the shared-cache mode the warm-up pass runs serially: a
-            # parallel warm-up leaves the *parent* caches cold (workers do
-            # all the evaluating), so the pool build would have nothing to
-            # publish.  Warming the parent first means the timed run's pool
-            # publishes a populated segment and every worker starts by
-            # attaching it — the respawn scenario the shared tier exists for.
-            warm_parent_serially = (
-                warm_op_cache and mode.shared_cache and executor is not None
-            )
-            result = run_once(
-                mode, *fixture, executor=None if warm_parent_serially else executor
-            )
+            result = run_once(mode, *fixture, executor=executor)
             warmable = (
                 mode.engine.op_cache or mode.engine.region_cache or mode.workers > 1
             )
@@ -369,8 +341,6 @@ def profile_search(
             region_cache_misses=stats.region_cache_misses,
             region_cache_hit_rate=stats.region_cache_hit_rate,
             region_cache_disk_hits=stats.region_cache_disk_hits,
-            shared_cache_attached=stats.shared_cache_attached,
-            shared_cache_entries=stats.shared_cache_entries,
             workers=mode.workers,
             engine=stats.engine or str(mode.engine),
         )

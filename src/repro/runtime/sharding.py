@@ -465,8 +465,8 @@ def run_sharded_sweep(
     saved files with :func:`merge_shard_results` / ``repro sweep --merge``.
 
     The persistent per-op cost store is shared across shards by default:
-    pass ``op_cache_path`` and every shard (and every pool worker, via the
-    warm-start initializer) attaches to the same store, so later shards run
+    pass ``op_cache_path`` and every shard (and every pool worker, forked
+    from the warm parent) attaches to the same store, so later shards run
     on the op costs earlier shards already mapped.  Even without a path the
     shards share the process-local op cache.  ``op_cache_enabled=False``
     opts out entirely; results are identical either way.

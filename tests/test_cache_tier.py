@@ -1,12 +1,12 @@
 """Tests for the shared cost-cache tier.
 
-Covers the three tiers added on top of the private in-memory caches: the
+Covers the tiers added on top of the private in-memory caches — the
 persistent region store (JSONL, digest-keyed, duplicate-tolerant under
-concurrent writers), the zero-copy shared-memory segment pool workers
-attach, and the cluster cache service (``/cache/region`` on ``repro
-serve`` plus the batched :class:`RemoteCostCache` client).  The invariant
-under test everywhere: every tier serves bit-identical entries, so search
-histories never depend on which tier answered.
+concurrent writers) and the cluster cache service (``/cache/region`` on
+``repro serve`` plus the batched :class:`RemoteCostCache` client) — and the
+pool workers that inherit a warm parent's caches through fork.  The
+invariant under test everywhere: every tier serves bit-identical entries, so
+search histories never depend on which tier answered.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.core.designs import FAST_LARGE
@@ -32,8 +33,8 @@ from repro.reporting.serialization import (
     trial_metrics_to_dict,
 )
 from repro.runtime.executor import ParallelExecutor
+from repro.runtime.faults import FaultPlan, clear_faults, set_fault_plan
 from repro.runtime.opcache import (
-    OpCostCache,
     RegionCostCache,
     get_region_cache,
     region_entry_from_dict,
@@ -42,7 +43,6 @@ from repro.runtime.opcache import (
 )
 from repro.runtime.remote import RemoteCostCache, RemoteExecutionError
 from repro.runtime.service import serve
-from repro.runtime.shmcache import attach_shared_cache, publish_shared_cache
 from repro.simulator.engine import SimulationOptions
 from repro.simulator.enginespec import EngineSpec
 from repro.simulator.result import RegionPerformance
@@ -137,20 +137,15 @@ class TestRegionStore:
             cache.put(("same", "key"), entry)
         assert len(store.read_text().splitlines()) == 1
 
-    def test_preload_false_skips_load_but_appends(self, tmp_path):
-        store = tmp_path / "regions.jsonl"
-        RegionCostCache(path=store).put(("old",), _region_entry(0))
-        lazy = RegionCostCache(path=store, preload=False)
-        assert lazy.stats.disk_entries_loaded == 0
-        assert lazy.get(("old",)) is None  # not loaded, by design
-        lazy.put(("new",), _region_entry(1))
-        assert len(store.read_text().splitlines()) == 2
-        assert RegionCostCache(path=store).get(("old",)) is not None
 
+def _append_worker(store_path: str, writer_id: int, opened) -> None:
+    """One writer process: race the shared key, then add a private one.
 
-def _append_worker(store_path: str, writer_id: int) -> None:
-    """One writer process: race the shared key, then add a private one."""
-    cache = RegionCostCache(path=store_path, preload=False)
+    Every writer opens the store before any of them writes, so none sees
+    the contested key in its loaded index and all four append it.
+    """
+    cache = RegionCostCache(path=store_path)
+    opened.wait(timeout=60)
     cache.put(("contested", "key"), _region_entry(index=7, scale=2.5))
     cache.put(("private", writer_id), _region_entry(index=writer_id))
 
@@ -159,8 +154,9 @@ class TestConcurrentAppends:
     def test_multiprocess_append_race_same_key(self, tmp_path):
         store = tmp_path / "regions.jsonl"
         ctx = multiprocessing.get_context("spawn")
+        opened = ctx.Barrier(4)
         workers = [
-            ctx.Process(target=_append_worker, args=(str(store), i))
+            ctx.Process(target=_append_worker, args=(str(store), i, opened))
             for i in range(4)
         ]
         for proc in workers:
@@ -197,36 +193,35 @@ class TestConcurrentAppends:
 
 
 # ---------------------------------------------------------------------------
-class TestSharedMemoryTier:
-    def test_publish_attach_bit_equal(self):
-        op_cache = OpCostCache()
-        region_cache = RegionCostCache()
-        region_cache.publish_raw = True
-        entries = {("r", i): _region_entry(i) for i in range(3)}
-        for key, entry in entries.items():
-            region_cache.put(key, entry)
+class _CountingEvaluator(TrialEvaluator):
+    """Counts parent-side ``warm_caches`` calls; optionally makes them fail."""
 
-        publisher = publish_shared_cache(op_cache, region_cache)
-        assert publisher is not None
-        try:
-            view = attach_shared_cache(publisher.index)
-            assert view is not None
-            # A completely cold cache served purely by the shared segment.
-            cold = RegionCostCache()
-            cold.attach_shared(view.region_lookup)
-            for key, entry in entries.items():
-                assert cold.get(key) == entry
-            assert cold.stats.shared_hits == len(entries)
-            assert cold.stats.hits == len(entries)
-            assert cold.get(("missing",)) is None
-            assert cold.stats.misses == 1
-        finally:
-            publisher.close()
+    def __init__(self, *args, fail: bool = False, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.warm_calls = 0
+        self.fail = fail
 
-    def test_empty_caches_publish_nothing(self):
-        assert publish_shared_cache(OpCostCache(), RegionCostCache()) is None
+    def warm_caches(self, batch_sizes=None) -> None:
+        self.warm_calls += 1
+        if self.fail:
+            raise RuntimeError("warm-up failed")
+        super().warm_caches(batch_sizes)
 
-    def test_parallel_shared_cache_history_matches_serial(self, tmp_path):
+
+class TestForkWarmWorkers:
+    """Pool workers start warm by forking from a parent that warmed once."""
+
+    @pytest.fixture(autouse=True)
+    def _no_leaked_plan(self):
+        clear_faults()
+        yield
+        clear_faults()
+
+    @pytest.mark.parametrize(
+        "faults, restarts", [(None, 0), ("worker-crash:n=1", 1)],
+        ids=["first-start", "respawn"],
+    )
+    def test_forked_workers_serve_the_parent_store(self, tmp_path, faults, restarts):
         problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
 
         def run(executor=None, store=None):
@@ -245,22 +240,58 @@ class TestSharedMemoryTier:
             return [trial_metrics_to_dict(m) for m in result.history], result
 
         store = str(tmp_path / "regions.jsonl")
-        serial_history, _ = run()
-        _, _ = run(store=store)  # write the store serially
+        serial_history, _ = run(store=store)  # write the store serially
 
-        executor = ParallelExecutor(num_workers=2, shared_cache=True)
+        if faults is not None:
+            set_fault_plan(FaultPlan(faults, seed=0))
+        executor = ParallelExecutor(num_workers=2)
         try:
             parallel_history, result = run(executor=executor, store=store)
         finally:
             executor.close()
         assert parallel_history == serial_history
         stats = result.runtime
-        # Workers attached the parent-published segment and served the whole
-        # first batch from cache: no region was recomputed.
-        assert stats.shared_cache_attached >= 1
-        assert stats.shared_cache_entries > 0
-        assert stats.region_cache_hits > 0
+        # Every worker, respawned ones included, forked from a parent whose
+        # warm-up loaded the store: no region was recomputed.
         assert stats.region_cache_misses == 0
+        assert stats.region_cache_disk_hits > 0
+        assert stats.worker_restarts == restarts
+
+    def _batch(self, count: int = 3):
+        space = DatapathSearchSpace()
+        rng = np.random.default_rng(5)
+        return space, [space.sample(rng) for _ in range(count)]
+
+    def test_parent_warms_once_per_pool_build(self):
+        problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
+        evaluator = _CountingEvaluator(
+            problem, simulation_options=SimulationOptions(fusion_solver="greedy")
+        )
+        space, batch = self._batch()
+        executor = ParallelExecutor(num_workers=2)
+        try:
+            executor.evaluate_batch(evaluator, space, batch)
+            executor.evaluate_batch(evaluator, space, batch)
+            assert evaluator.warm_calls == 1  # one pool, reused
+            set_fault_plan(FaultPlan("worker-crash:n=1", seed=0))
+            executor.evaluate_batch(evaluator, space, batch)
+            assert executor.worker_restarts == 1
+            assert evaluator.warm_calls == 2  # once more for the respawn
+        finally:
+            executor.close()
+
+    def test_failing_warm_up_does_not_stop_the_batch(self):
+        problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
+        options = SimulationOptions(fusion_solver="greedy")
+        evaluator = _CountingEvaluator(problem, simulation_options=options, fail=True)
+        space, batch = self._batch()
+        with ParallelExecutor(num_workers=2) as executor:
+            got = executor.evaluate_batch(evaluator, space, batch)
+        assert evaluator.warm_calls == 1
+        expected = TrialEvaluator(problem, simulation_options=options)
+        assert [trial_metrics_to_dict(m) for m in got] == [
+            trial_metrics_to_dict(expected.evaluate_params(p, space)) for p in batch
+        ]
 
 
 # ---------------------------------------------------------------------------

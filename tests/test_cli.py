@@ -228,7 +228,6 @@ class TestCommands:
             "graph-batched+op-cache",
             "graph-batched+caches",
             "parallel-2",
-            "parallel-2+shared-cache",
         ]
         engines = {record["mode"]: record["engine"] for record in payload["records"]}
         assert engines["scalar"] == "scalar:op_cache=off,region_cache=off"

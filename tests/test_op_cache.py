@@ -218,6 +218,10 @@ class TestRuntimeStatsSerialization:
         old = {"trials_evaluated": 5, "cache_hits": 1, "batches": 2,
                "duplicates_avoided": 0, "resumed_trials": 0,
                "elapsed_seconds": 0.1, "not_a_field": 99}
+        # The four counters of the removed shared-memory cache tier: stats
+        # written while it existed must still load.
+        old.update({f"{tier}_cache_shared_hits": 3 for tier in ("op", "region")})
+        old.update({f"shared_cache_{name}": 2 for name in ("attached", "entries")})
         stats = runtime_stats_from_dict(old)
         assert stats.trials_evaluated == 5
         assert stats.op_cache_hits == 0
