@@ -83,14 +83,19 @@ PY
 }
 
 # --------------------------------------------------------------------------
-# 5. Remote-executor smoke: serve in the background, search against it,
-#    assert the history equals the serial run bit-for-bit, export the
-#    RuntimeStats JSON as a CI artifact.
+# 5. Remote-executor smoke: serve in the background with a region store,
+#    search against it twice, assert both histories equal the serial run
+#    bit-for-bit and that the repeat is served from the regions the first
+#    run left on the service (region-cache hits rise, misses do not), and
+#    export the RuntimeStats JSON as a CI artifact.
 # --------------------------------------------------------------------------
 smoke_remote() {
-    log "remote smoke: repro serve + --executor remote, history equivalence"
+    log "remote smoke: repro serve + --executor remote, history equivalence, shared regions"
     local serve_log="$SMOKE_DIR/serve.log"
-    python -m repro serve --port 0 --workers 1 >"$serve_log" 2>&1 &
+    local store="$SMOKE_DIR/serve-regions.jsonl"
+    rm -f "$store"
+    python -m repro serve --port 0 --workers 1 \
+        --engine "graph-batched:region_store=$store" >"$serve_log" 2>&1 &
     local serve_pid=$!
     trap 'kill "$serve_pid" 2>/dev/null || true' RETURN
 
@@ -109,25 +114,56 @@ PY
     [ -n "$url" ] || { echo "repro serve never became healthy"; cat "$serve_log"; exit 1; }
     echo "service healthy at $url"
 
-    python -m repro search \
-        --workload efficientnet-b0 --trials 16 --batch-size 4 --seed 0 \
-        --output "$SMOKE_DIR/serial-search.json" --history
-    python -m repro search \
-        --workload efficientnet-b0 --trials 16 --batch-size 4 --seed 0 \
+    local common=(--workload efficientnet-b0 --trials 16 --batch-size 4 --seed 0 --history)
+    python -m repro search "${common[@]}" \
+        --output "$SMOKE_DIR/serial-search.json"
+    python -m repro search "${common[@]}" \
         --executor remote --endpoints "$url" \
-        --output "$SMOKE_DIR/remote-search.json" --history --progress
+        --output "$SMOKE_DIR/remote-search.json" --progress
+    [ -s "$store" ] || { echo "the service never wrote its region store"; exit 1; }
+
+    # The service's region-cache lookups, read from /metrics.
+    region_lookups() {
+        python - "$url" <<'PY'
+import re, sys, urllib.request
+with urllib.request.urlopen(sys.argv[1] + "/metrics", timeout=5) as reply:
+    body = reply.read().decode()
+counts = dict.fromkeys(("hit", "miss"), 0)
+for outcome, value in re.findall(
+    r'^repro_cache_lookups\{cache="region",outcome="(hit|miss)"\} (\S+)$', body, re.M
+):
+    counts[outcome] = int(float(value))
+print(counts["hit"], counts["miss"])
+PY
+    }
+    local before after
+    before=$(region_lookups)
+    python -m repro search "${common[@]}" \
+        --executor remote --endpoints "$url" \
+        --output "$SMOKE_DIR/remote-search-repeat.json"
+    after=$(region_lookups)
 
     python - "$SMOKE_DIR/serial-search.json" "$SMOKE_DIR/remote-search.json" \
-        "$SMOKE_DIR/remote-runtime-stats.json" <<'PY'
+        "$SMOKE_DIR/remote-search-repeat.json" "$SMOKE_DIR/remote-runtime-stats.json" \
+        "$before" "$after" <<'PY'
 import json, sys
 serial = json.load(open(sys.argv[1]))
-remote = json.load(open(sys.argv[2]))
-for key in ("proposals", "history", "best_score_curve", "best_score"):
-    if serial.get(key) != remote.get(key):
-        raise SystemExit(f"remote run diverged from serial run on {key!r}")
-stats = remote.get("runtime") or {}
-json.dump(stats, open(sys.argv[3], "w"), indent=2)
-print("remote == serial bit-for-bit over", len(remote.get("history") or []), "trials")
+for path in sys.argv[2:4]:
+    remote = json.load(open(path))
+    for key in ("proposals", "history", "best_score_curve", "best_score"):
+        if serial.get(key) != remote.get(key):
+            raise SystemExit(f"{path} diverged from the serial run on {key!r}")
+stats = json.load(open(sys.argv[2])).get("runtime") or {}
+json.dump(stats, open(sys.argv[4], "w"), indent=2)
+(hits0, misses0), (hits1, misses1) = (map(int, arg.split()) for arg in sys.argv[5:7])
+if not (hits1 > hits0 and misses1 == misses0):
+    raise SystemExit(
+        f"the repeat search was not served from the service's regions: "
+        f"region hits {hits0} -> {hits1}, misses {misses0} -> {misses1}"
+    )
+print("remote == serial bit-for-bit over", len(serial.get("history") or []),
+      "trials, twice; service region hits", hits0, "->", hits1,
+      "with misses flat at", misses1)
 print("remote runtime stats:",
       {k: v for k, v in stats.items() if k.startswith("remote_")})
 PY

@@ -148,42 +148,35 @@ two cross-trial memoization layers: the region-level result cache (whole
 fusion-region evaluations keyed by graph fingerprint, region index, and
 mapping-relevant datapath sub-config) and the per-op cost cache.
 
-**The shared cost-cache tier.**  Both memoization layers are the private
-front of a two-tier cache; every tier serves bit-identical entries, so
-enabling either can change only wall-clock time, never a search history:
-
-* **private** — the in-process memory LRU plus an optional persistent
-  JSON-lines store: ``--op-cache PATH`` for op costs, ``--engine
-  ...:region_store=PATH`` for whole evaluated regions.  Stores are
-  digest-keyed, append-only (single-write appends make concurrent writers
-  safe; duplicates are folded by compaction), and warm-loaded at startup —
-  by searches, sweep shards, and ``repro serve`` alike.  Disk-served
-  lookups are reported separately as ``op_cache_disk_hits`` /
-  ``region_cache_disk_hits``.
-* **cluster** — a ``repro serve`` endpoint doubles as a cache service via
-  ``GET/PUT /cache/region`` (fingerprint-checked like ``/evaluate``), and
-  ``--engine ...:cache_service=URL`` attaches any search to it: region
-  lookups are prefetched in digest batches before the simulator walks a
-  graph, freshly computed regions are pushed back, and every round trip
-  lands in ``remote_cache_*`` counters and ``remote_cache`` trace spans.
+**The shared cost caches.**  Each memoization layer is one tier: an
+in-process memory LRU plus an optional persistent JSON-lines store —
+``--op-cache PATH`` for op costs, ``--engine ...:region_store=PATH`` for
+whole evaluated regions.  Stores are digest-keyed, append-only
+(single-write appends make concurrent writers safe; duplicates are folded
+by compaction), and warm-loaded at startup — by searches, sweep shards, and
+``repro serve`` alike.  A store entry is bit-identical to a fresh
+evaluation, so a store can change only wall-clock time, never a search
+history.  Disk-served lookups are reported separately as
+``op_cache_disk_hits`` / ``region_cache_disk_hits``.
 
 Worked example — one host computes, every later run starts warm::
 
-    # Host A: serve evaluations AND the shared region store
-    python -m repro serve --port 8642 \
+    # Host A: serve evaluations, keeping every evaluated region in a store
+    python -m repro serve --host 0.0.0.0 --port 8642 \
         --engine graph-batched:region_store=runs/regions.jsonl
 
-    # Host B: search against the cache service; repeat runs (any host)
-    # hit the service for every region already evaluated anywhere
+    # Host B: evaluate on host A; repeat runs (from any host) are served
+    # from host A's caches for every region it has already evaluated
     python -m repro search --workload resnet50 --trials 200 \
-        --engine graph-batched:cache_service=http://hostA:8642
+        --executor remote --endpoints http://hostA:8642
 
-    # Same machine, later: warm-load the store directly, no network
+    # Host A, later: warm-load the store directly, no network
     python -m repro search --workload resnet50 --trials 200 \
         --engine graph-batched:region_store=runs/regions.jsonl
 
-Hit/miss counters for every tier appear in the search summary, progress
-lines, and ``RuntimeStats``.
+Hit/miss counters for both caches appear in the search summary, progress
+lines, and ``RuntimeStats``; a service reports its own on ``/metrics``
+(``repro_cache_lookups``).
 
 **Warm parallel workers** (``--workers N``) compose with every engine:
 the parent warms once before it starts the pool (graphs, compiled regions,
@@ -529,12 +522,6 @@ def _cmd_search(args) -> int:
             summary["region-cache hit rate"] = result.runtime.region_cache_hit_rate
         if result.runtime.region_cache_disk_hits:
             summary["region-cache disk hits"] = result.runtime.region_cache_disk_hits
-        if result.runtime.remote_cache_requests:
-            summary["remote-cache hits"] = result.runtime.remote_cache_hits
-            summary["remote-cache puts"] = result.runtime.remote_cache_puts
-            summary["remote-cache requests"] = result.runtime.remote_cache_requests
-            if result.runtime.remote_cache_failures:
-                summary["remote-cache failures"] = result.runtime.remote_cache_failures
         if result.runtime.eval_seconds:
             summary["mapper seconds"] = result.runtime.mapper_seconds
             summary["fusion seconds"] = result.runtime.fusion_seconds
@@ -1030,8 +1017,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "pass per trial) and keys "
                              "op_cache=on|off, region_cache=on|off, "
                              "region_store=PATH (persistent JSONL region "
-                             "store), cache_service=URL (cluster cache tier "
-                             "on a `repro serve` endpoint) "
+                             "store) "
                              "(default: graph-batched with both caches on; "
                              "both engines give identical results)")
     search.add_argument("--inject-faults", default=None, metavar="SPEC",
@@ -1071,9 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--engine", default=None, metavar="SPEC",
                        help="The service's evaluation engine (same grammar "
                             "as `repro search --engine`); requests cannot "
-                            "choose engine, caches or store paths.  With "
-                            "region_store=PATH the /cache/region routes "
-                            "persist and warm-load the shared region store")
+                            "choose engine, caches or store paths")
     serve.add_argument("--inject-faults", default=None, metavar="SPEC",
         help="Serve as a deliberately flaky endpoint: seeded service-side "
              "faults, e.g. 'service-error:p=0.2,service-drop:n=3'")

@@ -47,11 +47,8 @@ class RuntimeStats:
     the cross-trial :mod:`repro.runtime.opcache`, and
     ``region_cache_hits``/``region_cache_misses`` count whole fusion-region
     evaluations served by the region-level result cache layered above it.
-    The tier breakdown rides alongside: ``*_disk_hits`` are the subset of
-    hits served from a persistent store's raw index (``--op-cache`` /
-    ``--engine region_store=``), and the ``remote_cache_*`` counters cover
-    the cluster tier — batched ``/cache/region`` prefetch hits/misses,
-    entries pushed back, HTTP round trips, and failed round trips.
+    ``*_disk_hits`` are the subset of hits served from a persistent store's
+    index (``--op-cache`` / ``--engine region_store=``).
     The ``*_seconds`` fields break evaluation wall-clock time down by
     pipeline stage (mapper / VPU cost model / fusion ILP / whole-trial
     evaluation).  Under a serial executor they are collected from this
@@ -97,11 +94,6 @@ class RuntimeStats:
     region_cache_hits: int = 0
     region_cache_misses: int = 0
     region_cache_disk_hits: int = 0
-    remote_cache_hits: int = 0
-    remote_cache_misses: int = 0
-    remote_cache_puts: int = 0
-    remote_cache_requests: int = 0
-    remote_cache_failures: int = 0
     mapper_seconds: float = 0.0
     vector_seconds: float = 0.0
     fusion_seconds: float = 0.0
@@ -306,10 +298,12 @@ class FASTSearch:
         # executor; with a parallel executor the lookups happen in the
         # workers, which report them through ``runtime_counters()``.
         from repro.runtime.executor import cache_counter_snapshot
+        from repro.runtime.opcache import caches_for
 
-        op_cache = self._op_cache() if isinstance(executor, SerialExecutor) else None
-        region_cache = (
-            self._region_cache() if isinstance(executor, SerialExecutor) else None
+        op_cache, region_cache = caches_for(
+            getattr(self.evaluator, "simulation_options", None)
+            if isinstance(executor, SerialExecutor)
+            else None
         )
         cache_start = cache_counter_snapshot(op_cache, region_cache)
         # Remote executors expose lifetime counters; snapshot them so a run
@@ -560,10 +554,6 @@ class FASTSearch:
                 stats.engine = str(EngineSpec.from_simulation_options(options))
             except Exception:
                 pass  # informational only
-        if region_cache is not None and region_cache.remote is not None:
-            # Drain buffered cluster puts before the counter snapshot so the
-            # run's last computed regions reach the service (and are counted).
-            region_cache.flush_remote()
         for key, value in cache_counter_snapshot(op_cache, region_cache).items():
             setattr(stats, key, value - cache_start.get(key, 0))
         if remote_start is not None:
@@ -624,25 +614,6 @@ class FASTSearch:
             pareto_front=pareto,
             runtime=stats,
         )
-
-    # ------------------------------------------------------------------
-    def _op_cache(self):
-        """This process's shared op-cost cache, when the evaluator uses one."""
-        options = getattr(self.evaluator, "simulation_options", None)
-        if options is None or not getattr(options, "op_cache_enabled", False):
-            return None
-        from repro.runtime.opcache import get_op_cache
-
-        return get_op_cache(getattr(options, "op_cache_path", None))
-
-    def _region_cache(self):
-        """This process's shared region-cost cache, when the evaluator uses one."""
-        options = getattr(self.evaluator, "simulation_options", None)
-        if options is None or not getattr(options, "region_cache_enabled", False):
-            return None
-        from repro.runtime.opcache import get_region_cache
-
-        return get_region_cache(getattr(options, "region_store_path", None))
 
 
 def _mean(values) -> float:

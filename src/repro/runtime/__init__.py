@@ -10,9 +10,9 @@ engine, layered as:
   shard-safe concurrent writers, compaction, and size-cap auto-compaction,
 * :mod:`repro.runtime.opcache` — cross-trial memoization of per-op mapping
   and vector costs plus whole evaluated fusion regions, keyed by problem
-  fingerprint + mapping-relevant sub-config, optionally persisted as JSON
-  lines (op store / region store) and optionally backed by a cluster cache
-  service,
+  fingerprint + mapping-relevant sub-config and optionally persisted as
+  JSON lines (op store / region store); ``caches_for`` picks the caches
+  an evaluator's simulation options name,
 * :mod:`repro.runtime.checkpoint` — periodic save + ``--resume`` support,
 * :mod:`repro.runtime.progress` — event bus for live progress reporting,
 * :mod:`repro.runtime.service` — stdlib HTTP evaluation service
@@ -85,14 +85,13 @@ from repro.runtime.faults import (
 from repro.runtime.remote import (
     AsyncRemoteExecutor,
     EndpointStats,
-    RemoteCostCache,
     RemoteExecutionError,
 )
 from repro.runtime.opcache import (
-    OpCacheStats,
+    CostCacheStats,
     OpCostCache,
-    RegionCacheStats,
     RegionCostCache,
+    caches_for,
     get_op_cache,
     get_region_cache,
     reset_op_caches,
@@ -146,6 +145,7 @@ __all__ = [
     "CacheStats",
     "CheckpointState",
     "CompactionStats",
+    "CostCacheStats",
     "EXECUTOR_KINDS",
     "EndpointStats",
     "EvaluationService",
@@ -157,7 +157,6 @@ __all__ = [
     "Tracer",
     "ExchangeClient",
     "FileScoreboard",
-    "OpCacheStats",
     "OpCostCache",
     "PROFILE_MODES",
     "ParallelExecutor",
@@ -166,9 +165,7 @@ __all__ = [
     "ProfileReport",
     "ProgressBus",
     "ProgressPrinter",
-    "RegionCacheStats",
     "RegionCostCache",
-    "RemoteCostCache",
     "RemoteExecutionError",
     "Scoreboard",
     "ScoreRecord",
@@ -187,6 +184,7 @@ __all__ = [
     "TrialExecutor",
     "WorkerCrashError",
     "apply_telemetry_config",
+    "caches_for",
     "chrome_trace_events",
     "clear_faults",
     "compact_cache",

@@ -74,7 +74,6 @@ _PERF_ONLY_SIMULATION_OPTIONS = frozenset(
         "op_cache_enabled",
         "op_cache_path",
         "region_store_path",
-        "region_cache_service",
     }
 )
 

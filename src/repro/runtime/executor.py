@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.core.trial import TrialEvaluator, TrialMetrics
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
 from repro.runtime.faults import crash_process, get_fault_plan
+from repro.runtime.opcache import caches_for
 from repro.simulator.enginespec import EngineSpec
 from repro.runtime.telemetry import (
     apply_telemetry_config,
@@ -73,21 +74,6 @@ _WORKER_EVALUATOR: Optional[TrialEvaluator] = None
 _WORKER_SPACE: Optional[DatapathSearchSpace] = None
 
 
-def _worker_caches(evaluator: TrialEvaluator):
-    """(op cache, region cache) this worker's evaluator uses, or Nones."""
-    options = getattr(evaluator, "simulation_options", None)
-    op_cache = region_cache = None
-    if options is not None and getattr(options, "op_cache_enabled", False):
-        from repro.runtime.opcache import get_op_cache
-
-        op_cache = get_op_cache(getattr(options, "op_cache_path", None))
-    if options is not None and getattr(options, "region_cache_enabled", False):
-        from repro.runtime.opcache import get_region_cache
-
-        region_cache = get_region_cache(getattr(options, "region_store_path", None))
-    return op_cache, region_cache
-
-
 def _init_worker(
     evaluator: TrialEvaluator,
     space: DatapathSearchSpace,
@@ -116,11 +102,6 @@ def cache_counter_snapshot(op_cache, region_cache) -> dict:
         snap["region_cache_hits"] = stats.hits
         snap["region_cache_misses"] = stats.misses
         snap["region_cache_disk_hits"] = stats.disk_hits
-        snap["remote_cache_hits"] = stats.remote_hits
-        snap["remote_cache_misses"] = stats.remote_misses
-        snap["remote_cache_puts"] = stats.remote_puts
-        snap["remote_cache_requests"] = stats.remote_requests
-        snap["remote_cache_failures"] = stats.remote_failures
     return snap
 
 
@@ -134,15 +115,11 @@ def _evaluate_in_worker(task):
     if _WORKER_EVALUATOR is None or _WORKER_SPACE is None:
         raise RuntimeError("worker process was not initialized with an evaluator")
     evaluator = _WORKER_EVALUATOR
-    op_cache, region_cache = _worker_caches(evaluator)
+    options = getattr(evaluator, "simulation_options", None)
+    op_cache, region_cache = caches_for(options)
     stage_before = dict(getattr(evaluator, "stage_seconds", None) or {})
     cache_before = cache_counter_snapshot(op_cache, region_cache)
     metrics = evaluator.evaluate_params(params, _WORKER_SPACE)
-    if region_cache is not None and region_cache.remote is not None:
-        # Push this task's freshly computed regions to the cluster tier
-        # before the counter snapshot, so ``remote_cache_puts`` lands in
-        # this task's delta instead of trickling out with the next one.
-        region_cache.flush_remote()
     stage_after = getattr(evaluator, "stage_seconds", None) or {}
     cache_after = cache_counter_snapshot(op_cache, region_cache)
     delta = {
@@ -157,7 +134,6 @@ def _evaluate_in_worker(task):
     # Named engine echo: proof the worker inherited the parent's EngineSpec
     # through the initializer (a forked pool silently falling back to the
     # default engine would show up here and in ``repro profile``).
-    options = getattr(evaluator, "simulation_options", None)
     if options is not None:
         try:
             delta["engine"] = str(EngineSpec.from_simulation_options(options))

@@ -1,4 +1,4 @@
-"""Cross-trial memoization of mapping costs: the shared cost-cache tier.
+"""Cross-trial memoization of mapping costs: the shared cost caches.
 
 The second-level cache of the mapping engine: while each
 :class:`~repro.mapping.mapper.Mapper` memoizes problems *within* one trial,
@@ -15,24 +15,22 @@ candidate sweep.  Vector-op costs are cached the same way under a
 :func:`repro.simulator.vector_ops.vector_cost_cache_key`.  One level up,
 :class:`RegionCostCache` memoizes whole fusion-region evaluations.
 
-Both caches are **tiered**.  A lookup falls through, in order:
+Both caches are one tier: an in-process memory LRU in front of an optional
+append-only JSONL store (``--op-cache`` / ``--engine region_store=PATH``),
+indexed by key digest.  Records are written with a single ``write`` call
+each, so concurrent appends from multiple processes sharing a path never
+interleave partial lines on POSIX filesystems, and torn tails left by
+crashes are quarantined (``corrupt_records``) rather than trusted.  Hosts
+share regions by sharing a store, or by evaluating on one ``repro serve``
+that keeps it.
 
-1. the in-process memory LRU (private, per process);
-2. the digest-keyed raw index, backed by an append-only JSONL store when a
-   path is configured (``--op-cache`` / ``--engine region_store=PATH``) —
-   records are written with a single ``write`` call each, so concurrent
-   appends from multiple processes sharing a path never interleave partial
-   lines on POSIX filesystems, and torn tails left by crashes are
-   quarantined (``corrupt_records``) rather than trusted;
-3. for region results only, an attached :class:`~repro.runtime.remote.RemoteCostCache`
-   cluster client (batched ``prefetch``), the fleet-wide tier served by
-   ``repro serve``'s ``/cache/region`` routes.
-
-Every tier returns bit-identical payloads (JSON float encoding round-trips
-exactly), so the tier an entry came from can never change a search history —
-only how fast it arrives.  Caches are process-local singletons obtained
-through :func:`get_op_cache` / :func:`get_region_cache`; the evaluator ships
-only the cache *settings*, never the cache.  Worker processes of a
+A store entry decodes bit-identical to the value that was put (JSON float
+encoding round-trips exactly), so whether an entry came from memory or disk
+can never change a search history — only how fast it arrives.  Caches are
+process-local singletons: :func:`caches_for` picks the ones an evaluator's
+simulation options name, through :func:`get_op_cache` /
+:func:`get_region_cache`; the evaluator ships only the cache *settings*,
+never the cache.  Worker processes of a
 :class:`~repro.runtime.executor.ParallelExecutor` inherit the parent's warm
 instances through fork (the registries below keep their entries across a
 PID change), exactly like the per-process workload-graph cache.
@@ -44,9 +42,9 @@ import hashlib
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Type, Union
 
 from repro.fusion.fast_fusion import RegionStats
 from repro.mapping.costmodel import OpCost
@@ -57,10 +55,10 @@ from repro.workloads.ops import OpType
 
 __all__ = [
     "CostCacheBase",
-    "OpCacheStats",
+    "CostCacheStats",
     "OpCostCache",
-    "RegionCacheStats",
     "RegionCostCache",
+    "caches_for",
     "get_op_cache",
     "get_region_cache",
     "reset_op_caches",
@@ -73,15 +71,15 @@ __all__ = [
 
 
 @dataclass
-class OpCacheStats:
-    """Hit/miss counters for one op-cost cache.
+class CostCacheStats:
+    """Hit/miss counters for one cost cache (op or region).
 
-    ``hits`` counts every lookup served from *any* tier; ``disk_hits``
-    breaks out the subset served from the persistent raw index (a pure
-    memory-LRU hit is ``hits`` minus ``disk_hits``).  ``corrupt_records``
-    counts torn/undecodable JSONL lines quarantined while loading the store
-    (the tail a crash mid-append leaves); ``stale_tmp_swept`` counts
-    leftover compaction temp files removed.
+    ``hits`` counts every lookup served from memory or the store;
+    ``disk_hits`` breaks out the subset served from the store's index (a
+    pure memory-LRU hit is ``hits`` minus ``disk_hits``).
+    ``corrupt_records`` counts torn/undecodable JSONL lines quarantined
+    while loading the store (the tail a crash mid-append leaves);
+    ``stale_tmp_swept`` counts leftover compaction temp files removed.
     """
 
     hits: int = 0
@@ -99,41 +97,10 @@ class OpCacheStats:
         return self.hits / total if total else 0.0
 
 
-@dataclass
-class RegionCacheStats:
-    """Hit/miss counters for one region-cost cache.
-
-    Shares the tier breakdown of :class:`OpCacheStats` and adds the cluster
-    tier: ``remote_hits``/``remote_misses`` count batched ``prefetch``
-    lookups against an attached cache service, ``remote_puts`` the entries
-    pushed back, ``remote_requests``/``remote_failures`` the HTTP round
-    trips behind them.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    disk_hits: int = 0
-    disk_entries_loaded: int = 0
-    corrupt_records: int = 0
-    stale_tmp_swept: int = 0
-    remote_hits: int = 0
-    remote_misses: int = 0
-    remote_puts: int = 0
-    remote_requests: int = 0
-    remote_failures: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of region lookups served from the cache."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 # ---------------------------------------------------------------------------
 # Payload codecs.  JSON floats round-trip exactly (repr-based shortest float
-# encoding), which is what keeps every persistent / remote tier
-# bit-for-bit neutral to search histories.
+# encoding), which is what keeps the persistent stores bit-for-bit neutral
+# to search histories.
 # ---------------------------------------------------------------------------
 def opcost_to_dict(cost: OpCost) -> Dict[str, object]:
     """JSON-compatible encoding of an :class:`OpCost` (exact float round-trip)."""
@@ -186,8 +153,8 @@ def region_entry_to_dict(entry: tuple) -> Dict[str, object]:
     ``(RegionPerformance, RegionStats)`` pair; floats round-trip exactly.
     Records carry no fusion outcome, but the encoding still writes
     ``"post_fusion_cycles"`` (equal to ``"pre_fusion_cycles"``, the value
-    every cached record held when records carried one), so region stores
-    and cache services of either format read each other's entries.
+    every cached record held when records carried one), so region stores of
+    either format read each other's entries.
     """
     if entry[0] is None:
         return {"failed": True}
@@ -285,13 +252,13 @@ def region_entry_from_dict(data: Dict[str, object]) -> tuple:
 # The shared store base.  Everything path-related — digest index, streamed
 # load, torn-tail quarantine, stale-tmp sweep, single-write appends, atomic
 # compaction — lives here once; OpCostCache and RegionCostCache differ only
-# in their payload codec and extra tiers.
+# in their payload codec.
 # ---------------------------------------------------------------------------
 class CostCacheBase:
-    """Tiered cost cache: memory LRU + digest-keyed raw index + JSONL store.
+    """Cost cache: memory LRU + an optional JSONL store and its digest index.
 
-    Keys are hashable tuples built by the mapper / simulator; the raw index
-    (and the persistent store behind it) keys them by a SHA-256 digest of
+    Keys are hashable tuples built by the mapper / simulator; the store
+    (and the raw index loaded from it) keys them by a SHA-256 digest of
     their canonical JSON form, so any process that derives the same key
     reads the same record.  Subclasses set :attr:`_PAYLOAD_FIELD` and the
     ``_encode``/``_decode`` codec.
@@ -303,7 +270,6 @@ class CostCacheBase:
     """
 
     _PAYLOAD_FIELD = "cost"
-    _STATS_FACTORY = OpCacheStats
 
     def __init__(
         self,
@@ -312,15 +278,11 @@ class CostCacheBase:
     ) -> None:
         self.path = Path(path) if path is not None else None
         self.max_memory_entries = max(1, int(max_memory_entries))
-        self.stats = self._STATS_FACTORY()
+        self.stats = CostCacheStats()
         self._memory: "OrderedDict[Tuple, object]" = OrderedDict()
-        # digest -> raw payload dict.  Mirrors the JSONL store when a path
-        # is configured; also populated without one when raw payloads are
-        # needed in RAM (cluster-cache publishing, remote put dedup).
+        # digest -> raw payload dict, mirroring the JSONL store; empty
+        # without a path, so a store-less cache is bounded by its LRU.
         self._disk_index: Dict[str, dict] = {}
-        # Keep raw payloads in ``_disk_index`` even without a store path
-        # (lets a path-less ``repro serve`` answer /cache/region lookups).
-        self.publish_raw = False
         if self.path is not None and self.path.exists():
             self._load_disk_index()
 
@@ -388,8 +350,8 @@ class CostCacheBase:
     def get(self, key: Tuple, prefix: Optional[str] = None):
         """Look up a cached value; returns None on a miss.
 
-        ``prefix`` (see :meth:`digest`) makes the key's digest cheap when a
-        tier beyond memory must be consulted.  Values are returned as
+        ``prefix`` (see :meth:`digest`) makes the key's digest cheap when
+        the store's index must be consulted.  Values are returned as
         stored, not copied.
         """
         value = self._memory.get(key)
@@ -420,27 +382,18 @@ class CostCacheBase:
         """
         self._remember(key, value)
         self.stats.puts += 1
-        if self.path is None and not self.publish_raw:
+        if self.path is None:
             return
         digest = self.digest(key, prefix)
         if digest in self._disk_index:
             return
-        self._store_raw(digest, self._encode(value))
-
-    def _store_raw(self, digest: str, raw: dict) -> None:
-        """Record a raw payload in the index, appending to the store if any."""
-        if self.path is not None:
-            record = {"key": digest, self._PAYLOAD_FIELD: raw}
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            # One write call per record: appends from concurrent processes
-            # can never split a line.
-            with self.path.open("a") as handle:
-                handle.write(json.dumps(record) + "\n")
+        raw = self._encode(value)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        # One write call per record: appends from concurrent processes can
+        # never split a line.
+        with self.path.open("a") as handle:
+            handle.write(json.dumps({"key": digest, self._PAYLOAD_FIELD: raw}) + "\n")
         self._disk_index[digest] = raw
-
-    def raw_lookup(self, digest: str) -> Optional[dict]:
-        """Raw payload for a digest, if the index holds one (cluster serving)."""
-        return self._disk_index.get(digest)
 
     def compact(self) -> int:
         """Rewrite the store with one record per key; returns records kept.
@@ -485,10 +438,9 @@ class CostCacheBase:
 
 
 class OpCostCache(CostCacheBase):
-    """Tiered cache of per-op mapping / vector costs (see module docstring)."""
+    """Cache of per-op mapping / vector costs (see module docstring)."""
 
     _PAYLOAD_FIELD = "cost"
-    _STATS_FACTORY = OpCacheStats
 
     def _encode(self, value: OpCost) -> dict:
         return opcost_to_dict(value)
@@ -510,14 +462,10 @@ class OpCostCache(CostCacheBase):
 # on the SimulationResult, not on the records).
 # ---------------------------------------------------------------------------
 class RegionCostCache(CostCacheBase):
-    """Tiered cache of fully evaluated fusion regions.
+    """Cache of fully evaluated fusion regions.
 
-    Adds two tiers on top of :class:`CostCacheBase`: persistence (the region
-    store, ``--engine region_store=PATH``, same JSONL machinery as the op
-    store) and an optional cluster tier — a
-    :class:`~repro.runtime.remote.RemoteCostCache` attached with
-    :meth:`attach_remote` and consulted in digest batches by
-    :meth:`prefetch` before the simulator walks a graph's regions.
+    Persists to the region store (``--engine region_store=PATH``) with the
+    same JSONL machinery as the op store.
 
     Args:
         path: Optional JSON-lines region store; created on first put.
@@ -527,10 +475,6 @@ class RegionCostCache(CostCacheBase):
     """
 
     _PAYLOAD_FIELD = "entry"
-    _STATS_FACTORY = RegionCacheStats
-    #: Buffered remote puts are flushed at this many pending entries (and on
-    #: every prefetch, so a steady search drains the buffer continuously).
-    REMOTE_PUT_FLUSH = 32
 
     def __init__(
         self,
@@ -539,8 +483,6 @@ class RegionCostCache(CostCacheBase):
     ) -> None:
         super().__init__(path=path, max_memory_entries=max_entries)
         self.max_entries = self.max_memory_entries
-        self._remote = None
-        self._remote_puts: Dict[str, dict] = {}
 
     def _encode(self, value: tuple) -> dict:
         return region_entry_to_dict(value)
@@ -568,120 +510,43 @@ class RegionCostCache(CostCacheBase):
         self._remember(key, entry)
         return entry
 
-    def put(self, key: Tuple, entry: tuple, prefix: Optional[str] = None) -> None:
-        """Store one evaluated region as is, evicting the LRU tail past capacity."""
-        self._remember(key, entry)
-        self.stats.puts += 1
-        if self.path is None and not self.publish_raw and self._remote is None:
-            return
-        digest = self.digest(key, prefix)
-        if digest in self._disk_index:
-            return
-        raw = self._encode(entry)
-        self._store_raw(digest, raw)
-        if self._remote is not None:
-            self._remote_puts[digest] = raw
-            if len(self._remote_puts) >= self.REMOTE_PUT_FLUSH:
-                self.flush_remote()
-
-    # -- cluster tier --------------------------------------------------
-    def attach_remote(self, client) -> None:
-        """Attach (or detach, with None) a cluster cache client.
-
-        ``client`` is duck-typed: ``get_many(digests) -> {digest: raw}`` and
-        ``put_many({digest: raw}) -> int`` (see
-        :class:`~repro.runtime.remote.RemoteCostCache`).  Batched lookups
-        happen only through :meth:`prefetch`; the per-key :meth:`get` path
-        never blocks on the network.
-        """
-        if client is not self._remote:
-            self.flush_remote()
-        self._remote = client
-
-    @property
-    def remote(self):
-        """The attached cluster cache client, or None."""
-        return self._remote
-
-    def prefetch(self, keys: Iterable[Tuple], prefix: Optional[str] = None) -> int:
-        """Batch-resolve keys against the cluster tier; returns new entries.
-
-        Looks up every key that no local tier can serve in one batched
-        remote round trip and promotes the results into memory (and the
-        local store, so a fetched region survives restarts).  Counted in
-        ``stats.remote_hits``/``remote_misses``; the promoted entries then
-        surface as ordinary hits in the accounted lookups that follow, so
-        histories stay bit-for-bit identical with or without the tier.
-        ``prefix``, as for :meth:`get`, must fit every key.
-        """
-        if self._remote is None:
-            return 0
-        self.flush_remote()  # piggyback pending puts on the round trip
-        need: List[Tuple[Tuple, str]] = []
-        seen: set = set()
-        for key in keys:
-            if self._memory.get(key) is not None:
-                continue
-            digest = self.digest(key, prefix)
-            if digest in seen or digest in self._disk_index:
-                continue
-            seen.add(digest)
-            need.append((key, digest))
-        if not need:
-            return 0
-        self.stats.remote_requests += 1
-        try:
-            found = self._remote.get_many([digest for _, digest in need])
-        except Exception:
-            self.stats.remote_failures += 1
-            return 0
-        fetched = 0
-        for key, digest in need:
-            raw = found.get(digest)
-            if raw is None:
-                self.stats.remote_misses += 1
-                continue
-            try:
-                entry = self._decode(raw)
-            except Exception:
-                self.stats.remote_misses += 1
-                continue
-            self._remember(key, entry)
-            self._store_raw(digest, raw)
-            self.stats.remote_hits += 1
-            fetched += 1
-        return fetched
-
-    def flush_remote(self) -> int:
-        """Push buffered local results to the cluster tier; returns count."""
-        if self._remote is None or not self._remote_puts:
-            return 0
-        pending, self._remote_puts = self._remote_puts, {}
-        self.stats.remote_requests += 1
-        try:
-            stored = self._remote.put_many(pending)
-        except Exception:
-            self.stats.remote_failures += 1
-            return 0
-        self.stats.remote_puts += len(pending)
-        return stored if isinstance(stored, int) else len(pending)
-
 
 # ---------------------------------------------------------------------------
-# Process-local registries.  Keyed by store path (None = anonymous in-memory
-# cache).  A PID change means this process was forked from a warm parent (or
-# the registry is simply stale in tests): the *entries* are deterministic
-# results and stay perfectly valid, so they are retained — this is what lets
-# fork-started executor workers begin life with the parent's warm op and
-# region caches — while the *statistics* are zeroed so workers never
-# double-count lookups the parent already reported.  A forked region cache
-# also drops its buffered remote puts (the parent owns those) and its remote
-# client, which the child's first trial re-attaches if configured.
+# Process-local registries, one per cache class, keyed by store path (None =
+# anonymous in-memory cache).  A PID change means this process was forked
+# from a warm parent (or the registry is simply stale in tests): the
+# *entries* are deterministic results and stay perfectly valid, so they are
+# retained — this is what lets fork-started executor workers begin life with
+# the parent's warm op and region caches — while the *statistics* are zeroed
+# so workers never double-count lookups the parent already reported.
 # ---------------------------------------------------------------------------
-_CACHES: Dict[Optional[str], OpCostCache] = {}
-_CACHES_PID: Optional[int] = None
-_REGION_CACHES: Dict[Optional[str], RegionCostCache] = {}
-_REGION_CACHES_PID: Optional[int] = None
+class _Registry:
+    """The process-local caches of one class, by store path."""
+
+    def __init__(self, cache_class: Type[CostCacheBase]) -> None:
+        self.cache_class = cache_class
+        self.caches: Dict[Optional[str], CostCacheBase] = {}
+        self.pid: Optional[int] = None
+
+    def get(self, path: Optional[Union[str, Path]]):
+        pid = os.getpid()
+        if self.pid != pid:
+            for cache in self.caches.values():
+                cache.stats = CostCacheStats()
+            self.pid = pid
+        key = str(Path(path)) if path is not None else None
+        cache = self.caches.get(key)
+        if cache is None:
+            cache = self.caches[key] = self.cache_class(path=path)
+        return cache
+
+    def clear(self) -> None:
+        self.caches.clear()
+        self.pid = None
+
+
+_OP_CACHES = _Registry(OpCostCache)
+_REGION_CACHES = _Registry(RegionCostCache)
 
 
 def get_op_cache(path: Optional[Union[str, Path]] = None) -> OpCostCache:
@@ -692,18 +557,7 @@ def get_op_cache(path: Optional[Union[str, Path]] = None) -> OpCostCache:
     trials, shards, and sequential searches.  After a fork the inherited
     entries are kept (warm workers) but the counters restart at zero.
     """
-    global _CACHES_PID
-    pid = os.getpid()
-    if _CACHES_PID != pid:
-        for cache in _CACHES.values():
-            cache.stats = OpCacheStats()
-        _CACHES_PID = pid
-    key = str(Path(path)) if path is not None else None
-    cache = _CACHES.get(key)
-    if cache is None:
-        cache = OpCostCache(path=path)
-        _CACHES[key] = cache
-    return cache
+    return _OP_CACHES.get(path)
 
 
 def get_region_cache(path: Optional[Union[str, Path]] = None) -> RegionCostCache:
@@ -711,36 +565,39 @@ def get_region_cache(path: Optional[Union[str, Path]] = None) -> RegionCostCache
 
     Shared by every simulator in the process that names the same region
     store (or none — the key carries the full mapping-relevant context, so
-    unrelated graphs or configs never collide).  After a fork the inherited
-    entries are kept but the counters restart at zero, mirroring
+    unrelated graphs or configs never collide).  Forks behave as for
     :func:`get_op_cache`.
     """
-    global _REGION_CACHES_PID
-    pid = os.getpid()
-    if _REGION_CACHES_PID != pid:
-        for cache in _REGION_CACHES.values():
-            cache.stats = RegionCacheStats()
-            cache._remote = None
-            cache._remote_puts = {}
-        _REGION_CACHES_PID = pid
-    key = str(Path(path)) if path is not None else None
-    cache = _REGION_CACHES.get(key)
-    if cache is None:
-        cache = RegionCostCache(path=path)
-        _REGION_CACHES[key] = cache
-    return cache
+    return _REGION_CACHES.get(path)
+
+
+def caches_for(options) -> Tuple[Optional[OpCostCache], Optional[RegionCostCache]]:
+    """The (op cache, region cache) that simulation options evaluate with.
+
+    The one place the four cache settings of
+    :class:`~repro.simulator.engine.SimulationOptions` — ``op_cache_enabled``,
+    ``op_cache_path``, ``region_cache_enabled`` and ``region_store_path`` —
+    pick caches.  A disabled cache is None, and so are both for
+    ``options=None`` (an evaluator without simulation options).  The first
+    call that names a store path loads the store.
+    """
+    if options is None:
+        return None, None
+    op_cache = get_op_cache(options.op_cache_path) if options.op_cache_enabled else None
+    region_cache = (
+        get_region_cache(options.region_store_path)
+        if options.region_cache_enabled
+        else None
+    )
+    return op_cache, region_cache
 
 
 def reset_region_caches() -> None:
     """Drop every process-local region cache (for tests and benchmarks)."""
-    global _REGION_CACHES_PID
     _REGION_CACHES.clear()
-    _REGION_CACHES_PID = None
 
 
 def reset_op_caches() -> None:
     """Drop every process-local op *and* region cache (tests, benchmarks)."""
-    global _CACHES_PID
-    _CACHES.clear()
-    _CACHES_PID = None
+    _OP_CACHES.clear()
     reset_region_caches()

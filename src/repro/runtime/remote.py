@@ -73,7 +73,6 @@ __all__ = [
     "RemoteExecutionError",
     "EndpointStats",
     "AsyncRemoteExecutor",
-    "RemoteCostCache",
 ]
 
 
@@ -586,124 +585,3 @@ class AsyncRemoteExecutor(TrialExecutor):
             "remote_fallbacks": self.fallbacks,
             "endpoint_stats": {e.url: e.to_counters() for e in self.endpoints},
         }
-
-
-# ---------------------------------------------------------------------------
-# Cluster cost-cache client.  The top tier of the shared cost-cache stack
-# (see repro.runtime.opcache): a RegionCostCache with this client attached
-# batch-prefetches region results from a ``repro serve`` endpoint's
-# ``/cache/region`` routes and pushes locally computed ones back, so every
-# evaluator, sweep shard, and remote worker pointed at the same service
-# shares one fingerprint-keyed, cluster-wide store.  Lookups and stores move
-# raw JSON payloads — the exact encoding the persistent stores use — so a
-# cluster hit is bit-identical to a private one.
-# ---------------------------------------------------------------------------
-class RemoteCostCache:
-    """Batched HTTP client for the ``/cache/region`` routes of ``repro serve``.
-
-    Args:
-        base_url: Service base URL (``http://host:port``).
-        fingerprint: Problem fingerprint declared on every request; the
-            service rejects malformed fingerprints the way ``/evaluate``
-            rejects mismatched ones, so a misconfigured client fails loudly
-            instead of silently polluting the store.
-        timeout: Per-request timeout in seconds.
-        max_retries: Extra attempts after a failed request.
-        backoff: Base sleep between attempts (doubles each retry).
-    """
-
-    def __init__(
-        self,
-        base_url: str,
-        fingerprint: str,
-        timeout: float = 15.0,
-        max_retries: int = 1,
-        backoff: float = 0.25,
-    ) -> None:
-        self.base_url = base_url.rstrip("/")
-        self.fingerprint = fingerprint
-        self.timeout = float(timeout)
-        self.max_retries = max(0, int(max_retries))
-        self.backoff = float(backoff)
-        self.requests = 0
-        self.failures = 0
-
-    # ------------------------------------------------------------------
-    def _request(self, op: str, method: str, payload: dict) -> dict:
-        """One traced, retried round trip to ``/cache/region``."""
-        tracer = get_tracer()
-        payload = dict(payload)
-        payload["fingerprint"] = self.fingerprint
-        data = json.dumps(payload).encode()
-        last_error: Optional[Exception] = None
-        for attempt in range(self.max_retries + 1):
-            self.requests += 1
-            status = "error"
-            span = tracer.start(
-                "remote_cache",
-                category="remote",
-                attrs={"endpoint": self.base_url, "op": op, "attempt": attempt},
-            ) if tracer.enabled else NULL_SPAN
-            headers = {"Content-Type": "application/json"}
-            if span.record is not None:
-                headers[TRACE_CONTEXT_HEADER] = (
-                    f"{span.record.trace_id}:{span.record.span_id}"
-                )
-            try:
-                request = urllib.request.Request(
-                    self.base_url + "/cache/region",
-                    data=data,
-                    headers=headers,
-                    method=method,
-                )
-                try:
-                    with urllib.request.urlopen(
-                        request, timeout=self.timeout
-                    ) as response:
-                        body = json.loads(response.read())
-                except urllib.error.HTTPError as error:
-                    detail = ""
-                    try:
-                        detail = json.loads(error.read()).get("error", "")
-                    except Exception:
-                        pass
-                    raise RemoteExecutionError(
-                        f"{self.base_url} returned HTTP {error.code}"
-                        + (f": {detail}" if detail else "")
-                    ) from error
-                status = "ok"
-                return body
-            except Exception as error:
-                self.failures += 1
-                last_error = error
-            finally:
-                span.set_attr("status", status)
-                tracer.finish(span)
-                get_metrics().counter(
-                    "repro_remote_cache_requests_total",
-                    "Cluster cost-cache round trips, by op and outcome.",
-                    ("op", "status"),
-                ).inc(op=op, status=status)
-            if attempt < self.max_retries:
-                time.sleep(self.backoff * (2**attempt))
-        raise RemoteExecutionError(
-            f"cache request to {self.base_url} failed: {last_error}"
-        ) from last_error
-
-    # ------------------------------------------------------------------
-    def get_many(self, digests: Sequence[str]) -> Dict[str, dict]:
-        """Batched lookup; returns only the digests the service holds."""
-        digests = list(digests)
-        if not digests:
-            return {}
-        body = self._request("get", "GET", {"digests": digests})
-        entries = body.get("entries")
-        return dict(entries) if isinstance(entries, dict) else {}
-
-    def put_many(self, entries: Dict[str, dict]) -> int:
-        """Batched store; returns how many entries were new to the service."""
-        if not entries:
-            return 0
-        body = self._request("put", "PUT", {"entries": dict(entries)})
-        stored = body.get("stored")
-        return int(stored) if isinstance(stored, int) else len(entries)

@@ -17,24 +17,13 @@ Wire protocol (all bodies are JSON):
   and refuses (HTTP 409) on a mismatch — so a client can never silently mix
   histories from services running a different problem, space, or simulator
   configuration.  The request's performance-only simulation options
-  (engine, caches, store paths, cache-service URL) are ignored: the service
-  evaluates with its own.  Response: ``{"fingerprint", "results":
-  [metrics...]}`` in request order.
-* ``GET /cache/region`` / ``PUT /cache/region`` — the cluster tier of the
-  shared cost-cache (see :mod:`repro.runtime.opcache`): GET takes
-  ``{"fingerprint", "digests": [...]}`` and returns the known subset as
-  ``{"entries": {digest: raw, ...}}``; PUT takes ``{"fingerprint",
-  "entries": {...}}`` and answers ``{"stored": n}``.  A PUT is all or
-  nothing: unless every digest is 64 lowercase hex digits and every entry
-  decodes as a region entry, it answers HTTP 400 and stores nothing, so no
-  client can plant an entry that would later fail the service's own
-  evaluations.  Region digests are
-  self-authenticating (each hashes the graph fingerprint plus the full
-  mapping-relevant configuration), so the declared fingerprint is checked
-  for form (16 lowercase hex digits, HTTP 400 otherwise) rather than
-  recomputed; entries are served from — and persisted to, when
-  ``--engine region_store=`` is set — the service's process-local
-  :class:`~repro.runtime.opcache.RegionCostCache`.
+  (engine, caches, store paths) are ignored: the service evaluates with its
+  own, so no client can make it write a file or change what it computes.
+  Response: ``{"fingerprint", "results": [metrics...]}`` in request order.
+  The service evaluates through its own op and region caches, loaded at
+  start-up from its stores when ``--op-cache`` / ``--engine region_store=``
+  name them, so a region one client had it evaluate is a cache hit for the
+  next.  This is how hosts share evaluated regions.
 * ``GET /scoreboard`` / ``POST /scoreboard`` — the service-backed
   cross-shard best-score exchange (see :mod:`repro.runtime.exchange`):
   shards POST ``{"shard_id", "objective", "score", "params", "trials"}``
@@ -69,7 +58,6 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -86,8 +74,8 @@ from repro.reporting.serialization import (
 )
 from repro.runtime.cache import _PERF_ONLY_SIMULATION_OPTIONS, problem_fingerprint
 from repro.runtime.exchange import ScoreRecord
-from repro.runtime.opcache import region_entry_from_dict
 from repro.runtime.executor import TrialExecutor, make_executor
+from repro.runtime.opcache import caches_for
 from repro.runtime.telemetry import (
     TRACE_CONTEXT_HEADER,
     MetricsRegistry,
@@ -100,20 +88,10 @@ __all__ = ["ServiceStats", "EvaluationService", "serve"]
 # runs stay quiet; ``repro serve --verbose`` raises the level to show them.
 logger = logging.getLogger("repro.runtime.service")
 
-#: Declared problem fingerprints are 16 lowercase hex digits (see
-#: :func:`repro.runtime.cache.problem_fingerprint`).  Cache routes check the
-#: form only: region digests are self-authenticating, but a malformed
-#: fingerprint means a confused client and gets a 400 instead of silence.
-_FINGERPRINT_RE = re.compile(r"[0-9a-f]{16}")
-
-#: Region digests are SHA-256 hex digests (see
-#: :meth:`repro.runtime.opcache.CostCacheBase.digest`).
-_DIGEST_RE = re.compile(r"[0-9a-f]{64}")
-
 #: Largest request body the service reads.  ``Content-Length`` comes from the
 #: client, so a longer body is refused (HTTP 413) before any of it is read.
-#: The in-repo clients send far less: a 32-entry region-cache PUT or one
-#: ``/evaluate`` chunk of parameter assignments.
+#: The in-repo clients send far less: one ``/evaluate`` chunk of parameter
+#: assignments or one scoreboard record.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 
@@ -134,10 +112,6 @@ class ServiceStats:
     trials_evaluated: int = 0
     fingerprint_rejections: int = 0
     errors: int = 0
-    region_cache_gets: int = 0
-    region_cache_puts: int = 0
-    region_entries_served: int = 0
-    region_entries_stored: int = 0
 
 
 def space_from_payload(payload: object) -> DatapathSearchSpace:
@@ -202,17 +176,12 @@ class EvaluationService:
     ) -> None:
         self.workers = max(1, int(workers))
         self.simulation_overrides = dict(simulation_overrides or {})
-        if self.simulation_overrides.get("op_cache_path"):
-            # Same warm-up the process-pool workers get: load the persistent
-            # op store up front so even the first request runs warm.
-            from repro.runtime.opcache import get_op_cache
-
-            get_op_cache(self.simulation_overrides["op_cache_path"])
-        # Warm-load the region store (if any) and keep raw entries around
-        # even without one, so ``/cache/region`` can serve what this
-        # service's own evaluations produce (publish_raw keeps the
-        # digest-keyed raw memo populated on a path-less cache).
-        self._region_cache().publish_raw = True
+        # Requests cannot choose caches, so the overrides alone name the
+        # caches every request evaluates with.  Looking them up now loads
+        # their stores, as the process-pool warm-up does, so even the first
+        # request runs warm.
+        self._cache_options = simulation_options_from_dict(self.simulation_overrides)
+        caches_for(self._cache_options)
         self.stats = ServiceStats()
         self.started_at = time.time()
         # Per-service registry/tracer (not the process globals): tests run
@@ -289,9 +258,9 @@ class EvaluationService:
         """(Re)build the evaluator + space a request describes, by fingerprint.
 
         The request's performance-only simulation options (engine, caches,
-        store paths, cache-service URL) are dropped: they never change a
-        result or a fingerprint, and the service must not write files or
-        call URLs a client names.  The service's own overrides apply instead.
+        store paths) are dropped: they never change a result or a
+        fingerprint, and the service must not write files a client names.
+        The service's own overrides apply instead.
         """
         problem = search_problem_from_dict(payload["problem"])
         options_payload = dict(payload.get("options") or {})
@@ -317,78 +286,6 @@ class EvaluationService:
         evaluator.warm_caches()
         self._evaluators[fingerprint] = (evaluator, space)
         return fingerprint, evaluator, space
-
-    def _region_cache(self):
-        """The process-local region cache backing ``/cache/region``."""
-        from repro.runtime.opcache import get_region_cache
-
-        return get_region_cache(self.simulation_overrides.get("region_store_path"))
-
-    def region_cache_payload(self, method: str, payload: dict) -> Tuple[int, dict]:
-        """Handle one ``GET``/``PUT /cache/region`` body; returns (status, body).
-
-        The fingerprint is validated for form only (16 lowercase hex digits):
-        region digests hash the graph fingerprint plus the mapping-relevant
-        configuration themselves, so a digest can never alias an entry from a
-        different problem.  GET serves the known subset of the requested
-        digests; PUT stores previously-unknown entries (appending to the
-        region store when the service has one), but only once every digest
-        has the SHA-256 hex form and every entry decodes with
-        :func:`~repro.runtime.opcache.region_entry_from_dict`.
-        """
-        fingerprint = payload.get("fingerprint")
-        if not isinstance(fingerprint, str) or not _FINGERPRINT_RE.fullmatch(
-            fingerprint
-        ):
-            return 400, {
-                "error": "missing or malformed fingerprint "
-                "(expected 16 lowercase hex digits)"
-            }
-        cache = self._region_cache()
-        outcomes = self.metrics.counter(
-            "repro_service_cache_entries_total",
-            "Region-cache entries served/stored by /cache/region, by outcome.",
-            ("outcome",),
-        )
-        if method == "GET":
-            digests = payload.get("digests")
-            if not isinstance(digests, list) or not all(
-                isinstance(digest, str) for digest in digests
-            ):
-                return 400, {"error": "digests must be a list of strings"}
-            entries: Dict[str, dict] = {}
-            for digest in digests:
-                raw = cache.raw_lookup(digest)
-                if raw is not None:
-                    entries[digest] = raw
-            self.stats.region_cache_gets += 1
-            self.stats.region_entries_served += len(entries)
-            outcomes.inc(len(entries), outcome="hit")
-            outcomes.inc(len(digests) - len(entries), outcome="miss")
-            return 200, {"fingerprint": fingerprint, "entries": entries}
-        entries_payload = payload.get("entries")
-        if not isinstance(entries_payload, dict):
-            return 400, {"error": "entries must be a digest-keyed object"}
-        for digest, raw in entries_payload.items():
-            if not (isinstance(digest, str) and _DIGEST_RE.fullmatch(digest)) or not isinstance(
-                raw, dict
-            ):
-                return 400, {
-                    "error": "entries must map digests (64 lowercase hex digits) to objects"
-                }
-            try:
-                region_entry_from_dict(raw)
-            except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as error:
-                return 400, {"error": f"entry {digest} is not a region entry: {error!r}"}
-        stored = 0
-        for digest, raw in entries_payload.items():
-            if cache.raw_lookup(digest) is None:
-                cache._store_raw(digest, raw)
-                stored += 1
-        self.stats.region_cache_puts += 1
-        self.stats.region_entries_stored += stored
-        outcomes.inc(stored, outcome="stored")
-        return 200, {"fingerprint": fingerprint, "stored": stored}
 
     def evaluate_payload(self, payload: dict) -> Tuple[int, dict]:
         """Handle one ``/evaluate`` request body; returns (status, response)."""
@@ -497,28 +394,16 @@ class EvaluationService:
             "repro_service_fingerprint_rejections",
             "Evaluate requests refused on fingerprint mismatch.",
         ).set(self.stats.fingerprint_rejections)
-        from repro.runtime.opcache import get_op_cache, get_region_cache
-
-        op_hits, op_misses = get_op_cache(
-            self.simulation_overrides.get("op_cache_path")
-        ).snapshot_counters()
-        cache = self.metrics.gauge(
+        lookups = gauge(
             "repro_cache_lookups",
             "Cost-cache lookups in this process, by cache and outcome.",
             ("cache", "outcome"),
         )
-        cache.set(op_hits, cache="op", outcome="hit")
-        cache.set(op_misses, cache="op", outcome="miss")
-        region_cache = get_region_cache(
-            self.simulation_overrides.get("region_store_path")
-        )
-        region_hits, region_misses = region_cache.snapshot_counters()
-        cache.set(region_hits, cache="region", outcome="hit")
-        cache.set(region_misses, cache="region", outcome="miss")
-        gauge(
-            "repro_service_region_entries",
-            "Raw region entries the /cache/region tier can serve.",
-        ).set(len(region_cache._disk_index))
+        for name, cache in zip(("op", "region"), caches_for(self._cache_options)):
+            if cache is not None:
+                hits, misses = cache.snapshot_counters()
+                lookups.set(hits, cache=name, outcome="hit")
+                lookups.set(misses, cache=name, outcome="miss")
         return self.metrics.expose()
 
     def health_snapshot(self) -> dict:
@@ -533,11 +418,6 @@ class EvaluationService:
             "trials_evaluated": self.stats.trials_evaluated,
             "fingerprint_rejections": self.stats.fingerprint_rejections,
             "errors": self.stats.errors,
-            "region_cache_gets": self.stats.region_cache_gets,
-            "region_cache_puts": self.stats.region_cache_puts,
-            "region_entries_served": self.stats.region_entries_served,
-            "region_entries_stored": self.stats.region_entries_stored,
-            "region_entries": len(self._region_cache()._disk_index),
             "known_fingerprints": sorted(self._evaluators),
         }
 
@@ -634,9 +514,6 @@ def _make_handler(service: EvaluationService):
         def do_POST(self) -> None:  # noqa: N802 - stdlib naming
             self._handle("POST")
 
-        def do_PUT(self) -> None:  # noqa: N802 - stdlib naming
-            self._handle("PUT")
-
         def _handle(self, method: str) -> None:
             service.stats.requests += 1
             route = self.path
@@ -673,7 +550,7 @@ def _make_handler(service: EvaluationService):
                 )
 
         def _dispatch(self, method: str, route: str, trace_header, span) -> int:
-            if method == "GET" and route != "/cache/region":
+            if method == "GET":
                 if route == "/health":
                     return self._reply(200, service.health_snapshot())
                 if route == "/scoreboard":
@@ -685,19 +562,6 @@ def _make_handler(service: EvaluationService):
                 payload = self._read_json()
             except _BodyError as error:
                 return self._reply(error.status, {"error": str(error)})
-            if route == "/cache/region":
-                if method not in ("GET", "PUT"):
-                    return self._reply(
-                        405, {"error": "use GET or PUT on /cache/region"}
-                    )
-                try:
-                    status, body = service.region_cache_payload(method, payload)
-                except Exception as error:  # defensive: never kill the thread
-                    service.stats.errors += 1
-                    status, body = 500, {"error": f"cache request failed: {error}"}
-                return self._reply(status, body)
-            if method == "PUT":
-                return self._reply(404, {"error": f"unknown path {route}"})
             if route == "/evaluate":
                 try:
                     status, body = service.evaluate_payload(payload)
@@ -740,7 +604,7 @@ def serve(
     ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`) sets the
     evaluation engine server-side.  Requests never choose it: the service
     drops their performance-only simulation options and evaluates with its
-    own, which is safe because both engines and every cache tier compute
+    own, which is safe because both engines and every cache compute
     identical results.
     """
     overrides: Dict[str, object] = {}

@@ -244,8 +244,7 @@ def run_shard(
     workers) one shared persistent region store the same way
     ``op_cache_path`` shares op costs — appends are single-write and
     duplicate-tolerant, so concurrent shards racing the same region key
-    are safe and compaction later folds the duplicates; ``cache_service=URL``
-    attaches each shard to a cluster cache service instead.
+    are safe and compaction later folds the duplicates.
     """
     from repro.core.trial import TrialEvaluator
     from repro.simulator.engine import SimulationOptions

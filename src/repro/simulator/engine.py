@@ -66,7 +66,7 @@ MAPPER_MODES: Tuple[str, ...] = ("scalar", "graph-batched")
 class SimulationOptions:
     """Knobs controlling a simulation run.
 
-    The last six fields are performance knobs that never change results
+    The last five fields are performance knobs that never change results
     (both mapping engines are bit-for-bit equivalent, and cache hits return
     exactly what a fresh evaluation would compute):
 
@@ -77,18 +77,18 @@ class SimulationOptions:
       op by op with the reference loop
       (:meth:`~repro.mapping.mapper.Mapper.map_op`).
     * ``region_cache_enabled`` — memoize whole fusion-region evaluations
-      across trials through :func:`repro.runtime.opcache.get_region_cache`;
-      cached regions skip mapping entirely on warm trials.
+      across trials in the process-local region cache; cached regions skip
+      mapping entirely on warm trials.
     * ``op_cache_enabled`` — share per-op mapping/vector costs across trials
-      through the process-local :func:`repro.runtime.opcache.get_op_cache`.
+      through the process-local op cache.
     * ``op_cache_path`` — optionally persist that cache as JSON lines.
     * ``region_store_path`` — optionally persist the region cache the same
       way (``--engine region_store=PATH``): evaluated regions append to a
       digest-keyed JSONL store that later runs, sweep shards, and
       ``repro serve`` warm-load.
-    * ``region_cache_service`` — base URL of a ``repro serve`` endpoint
-      whose ``/cache/region`` routes act as a cluster-wide region tier;
-      misses are batch-prefetched from it and local results pushed back.
+
+    :func:`repro.runtime.opcache.caches_for` turns the four cache fields
+    into the caches a simulator uses.
 
     Prefer building these knobs through
     :class:`repro.simulator.enginespec.EngineSpec` — the one-string engine
@@ -103,7 +103,6 @@ class SimulationOptions:
     op_cache_enabled: bool = True
     op_cache_path: Optional[str] = None
     region_store_path: Optional[str] = None
-    region_cache_service: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mapper_engine not in MAPPER_MODES:
@@ -200,13 +199,11 @@ class Simulator:
         self._core_config = self._derive_core_config(config)
         self.hierarchy = MemoryHierarchy(self._core_config)
         self.stage_seconds: Dict[str, float] = {"mapper": 0.0, "vector": 0.0, "fusion": 0.0}
-        self.op_cache = None
-        if self.options.op_cache_enabled:
-            # Imported lazily: repro.runtime imports this module at package
-            # import time, so a module-level import would be circular.
-            from repro.runtime.opcache import get_op_cache
+        # Imported lazily: repro.runtime imports this module at package
+        # import time, so a module-level import would be circular.
+        from repro.runtime.opcache import caches_for
 
-            self.op_cache = get_op_cache(self.options.op_cache_path)
+        self.op_cache, self.region_cache = caches_for(self.options)
         self.mapper = Mapper(
             self._core_config,
             self.hierarchy,
@@ -214,11 +211,6 @@ class Simulator:
             op_cache=self.op_cache,
         )
         self._batched = self.options.mapper_engine != "scalar"
-        self.region_cache = None
-        if self.options.region_cache_enabled:
-            from repro.runtime.opcache import get_region_cache
-
-            self.region_cache = get_region_cache(self.options.region_store_path)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -353,8 +345,7 @@ class Simulator:
     def gather_map_entry(self, graph: Graph, compiled: CompiledModel):
         """Gather half of :meth:`simulate` for one compiled graph.
 
-        Builds the graph's region keys once, prefetches them from the
-        cluster tier when one is attached, looks every region up with an
+        Builds the graph's region keys once, looks every region up with an
         accounted :meth:`~repro.runtime.opcache.RegionCostCache.get`, and
         collects the matrix ops of every region the cache cannot serve.
         Returns ``(keys, prefix, entries, ops)``: the region keys and their
@@ -370,10 +361,6 @@ class Simulator:
             key_base = self._region_key_base(graph, compiled)
             keys = [key_base + (region.index,) for region in regions]
             prefix = region_cache.key_prefix(key_base)
-            if region_cache.remote is not None:
-                # Cluster tier: resolve every locally-unserved key in one
-                # batched round trip before the accounted per-key lookups.
-                region_cache.prefetch(keys, prefix)
             entries = [region_cache.get(key, prefix) for key in keys]
         ops = [
             op

@@ -9,17 +9,14 @@ grammar — the ``--engine`` flag on ``repro search/sweep/profile/serve``::
     --engine scalar                             # bit-for-bit reference loop
     --engine graph-batched:op_cache=off,region_cache=off
     --engine graph-batched:region_store=runs/regions.jsonl
-    --engine graph-batched:cache_service=http://cache-host:8642
 
 ``MAPPER`` is ``scalar`` (the op-by-op reference loop) or ``graph-batched``
 (one stacked NumPy pass per trial); both compute identical costs.  Keys are
 ``op_cache`` and ``region_cache`` (booleans:
-``on/off/true/false/yes/no/1/0``), ``region_store`` (a path — persist region
-results as a JSONL store the way ``--op-cache`` persists op costs) and
-``cache_service`` (a ``repro serve`` base URL whose ``/cache/region`` routes
-act as the cluster-wide region tier).  ``str()`` of a spec is canonical and
-round-trips through :meth:`EngineSpec.parse`, omitting values that equal the
-defaults.
+``on/off/true/false/yes/no/1/0``) and ``region_store`` (a path — persist
+region results as a JSONL store the way ``--op-cache`` persists op costs).
+``str()`` of a spec is canonical and round-trips through
+:meth:`EngineSpec.parse`, omitting values that equal the defaults.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ __all__ = ["EngineSpec", "MAPPER_MODES", "DEFAULT_ENGINE"]
 
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
 _FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-_OPTION_KEYS = ("op_cache", "region_cache", "region_store", "cache_service")
+_OPTION_KEYS = ("op_cache", "region_cache", "region_store")
 
 
 def _parse_bool(key: str, word: str) -> bool:
@@ -64,7 +61,6 @@ class EngineSpec:
     op_cache: bool = True
     region_cache: bool = True
     region_store: Optional[str] = None
-    cache_service: Optional[str] = None
 
     def __post_init__(self) -> None:
         _check_mapper(self.mapper)
@@ -95,7 +91,7 @@ class EngineSpec:
                 raise ValueError(f"engine spec option {item!r} is not key=value")
             if key in ("op_cache", "region_cache"):
                 values[key] = _parse_bool(key, value)
-            elif key in ("region_store", "cache_service"):
+            elif key == "region_store":
                 stripped = value.strip()
                 if not stripped:
                     raise ValueError(f"engine spec: {key} needs a non-empty value")
@@ -116,8 +112,6 @@ class EngineSpec:
             options.append("region_cache=off")
         if self.region_store is not None:
             options.append(f"region_store={self.region_store}")
-        if self.cache_service is not None:
-            options.append(f"cache_service={self.cache_service}")
         if options:
             return f"{self.mapper}:{','.join(options)}"
         return self.mapper
@@ -134,7 +128,6 @@ class EngineSpec:
             op_cache_enabled=self.op_cache,
             region_cache_enabled=self.region_cache,
             region_store_path=self.region_store,
-            region_cache_service=self.cache_service,
             **extra,
         )
 
@@ -146,7 +139,6 @@ class EngineSpec:
             op_cache=options.op_cache_enabled,
             region_cache=options.region_cache_enabled,
             region_store=options.region_store_path,
-            cache_service=options.region_cache_service,
         )
 
 

@@ -1,21 +1,17 @@
-"""Tests for the shared cost-cache tier.
+"""Tests for the shared cost caches beyond one process's memory.
 
-Covers the tiers added on top of the private in-memory caches — the
-persistent region store (JSONL, digest-keyed, duplicate-tolerant under
-concurrent writers) and the cluster cache service (``/cache/region`` on
-``repro serve`` plus the batched :class:`RemoteCostCache` client) — and the
-pool workers that inherit a warm parent's caches through fork.  The
-invariant under test everywhere: every tier serves bit-identical entries, so
-search histories never depend on which tier answered.
+Covers the persistent region store (JSONL, digest-keyed, duplicate-tolerant
+under concurrent writers), the pool workers that inherit a warm parent's
+caches through fork, and ``repro serve`` as the place several searches
+share evaluated regions.  The invariant under test everywhere: a store
+entry is bit-identical to a fresh evaluation, so search histories never
+depend on where an entry came from.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-import os
-import urllib.error
-import urllib.request
 
 import numpy as np
 import pytest
@@ -32,6 +28,7 @@ from repro.reporting.serialization import (
     simulation_options_to_dict,
     trial_metrics_to_dict,
 )
+from repro.runtime.cache import problem_fingerprint
 from repro.runtime.executor import ParallelExecutor
 from repro.runtime.faults import FaultPlan, clear_faults, set_fault_plan
 from repro.runtime.opcache import (
@@ -41,8 +38,8 @@ from repro.runtime.opcache import (
     region_entry_to_dict,
     reset_op_caches,
 )
-from repro.runtime.remote import RemoteCostCache, RemoteExecutionError
-from repro.runtime.service import serve
+from repro.runtime.remote import AsyncRemoteExecutor
+from repro.runtime.service import EvaluationService, serve
 from repro.simulator.engine import SimulationOptions
 from repro.simulator.enginespec import EngineSpec
 from repro.simulator.result import RegionPerformance
@@ -295,208 +292,82 @@ class TestForkWarmWorkers:
 
 
 # ---------------------------------------------------------------------------
-class TestClusterTier:
-    def test_service_roundtrip_and_fingerprint_check(self, tmp_path):
-        store = tmp_path / "svc.jsonl"
-        engine = EngineSpec.parse(f"graph-batched:region_store={store}")
-        d1, d2, d3 = (RegionCostCache.digest(("d", i)) for i in (1, 2, 3))
-        with serve(port=0, engine=engine) as svc:
-            client = RemoteCostCache(svc.url, fingerprint="0123456789abcdef")
-            raw = region_entry_to_dict(_region_entry(2))
-            assert client.put_many({d1: raw, d2: {"failed": True}}) == 2
-            assert client.put_many({d1: raw}) == 0  # dedup
-            got = client.get_many([d1, d2, d3])
-            assert got == {d1: raw, d2: {"failed": True}}
-            assert region_entry_from_dict(got[d1]) == _region_entry(2)
+class TestServiceRegionCache:
+    """``repro serve`` is where searches on different hosts share regions."""
 
-            bad = RemoteCostCache(svc.url, fingerprint="NOT-HEX", max_retries=0)
-            with pytest.raises(RemoteExecutionError, match="400"):
-                bad.get_many([d1])
-        # PUTs were persisted to the service's region store.
-        assert len(store.read_text().splitlines()) == 2
-
-    def test_prefetch_promotes_and_counts(self):
-        with serve(port=0) as svc:
-            client = RemoteCostCache(svc.url, fingerprint="0123456789abcdef")
-            keys = [("k", i) for i in range(3)]
-            entries = {key: _region_entry(i) for i, key in enumerate(keys)}
-            client.put_many(
-                {
-                    RegionCostCache.digest(key): region_entry_to_dict(entry)
-                    for key, entry in entries.items()
-                }
-            )
-            cache = RegionCostCache()
-            cache.attach_remote(client)
-            fetched = cache.prefetch(keys + [("unknown",)])
-            assert fetched == 3
-            assert cache.stats.remote_hits == 3
-            assert cache.stats.remote_misses == 1
-            for key, entry in entries.items():
-                assert cache.get(key) == entry
-            # Prefetched entries surface as ordinary hits afterwards.
-            assert cache.stats.hits == 3
-
-    def test_search_against_cache_service(self, tmp_path):
-        problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
-
-        def run(url=None):
-            reset_op_caches()
-            options = SimulationOptions(
-                fusion_solver="greedy", region_cache_service=url
-            )
-            search = FASTSearch(
-                problem,
-                optimizer="random",
-                seed=23,
-                evaluator=TrialEvaluator(problem, simulation_options=options),
-            )
-            result = search.run(num_trials=5, batch_size=5)
-            return [trial_metrics_to_dict(m) for m in result.history], result
-
-        baseline, _ = run()
-        # The serve gets its own region store so its cache survives the
-        # reset_op_caches() that makes each client run cold (in-process the
-        # service and the clients share the per-path cache registry).
-        engine = EngineSpec.parse(
-            f"graph-batched:region_store={tmp_path / 'svc.jsonl'}"
-        )
-        with serve(port=0, engine=engine) as svc:
-            _, first = run(svc.url)
-            _, second = run(svc.url)  # cold client, warm service
-        assert first.runtime.remote_cache_puts > 0
-        assert first.runtime.remote_cache_hits == 0
-        total = (
-            second.runtime.remote_cache_hits + second.runtime.remote_cache_misses
-        )
-        assert total > 0
-        # Acceptance: a repeat sweep against a warmed cache service resolves
-        # at least half its region lookups remotely (here: all of them).
-        assert second.runtime.remote_cache_hits / total >= 0.5
-        assert second.runtime.region_cache_misses == 0
-        # The tier is invisible in the histories.
-        for history in (run(None)[0],):
-            assert history == baseline
-
-    def test_service_down_is_nonfatal(self):
-        problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
-        reset_op_caches()
-        options = SimulationOptions(
-            fusion_solver="greedy",
-            region_cache_service="http://127.0.0.1:9",  # nothing listens here
-        )
-        search = FASTSearch(
-            problem,
-            optimizer="random",
-            seed=23,
-            evaluator=TrialEvaluator(problem, simulation_options=options),
-        )
-        result = search.run(num_trials=3, batch_size=3)
-        assert result.num_trials == 3
-        assert result.runtime.remote_cache_failures > 0
-
-
-def _http(url: str, method: str, payload: dict):
-    """(status, decoded body) of one JSON request, error statuses included."""
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-        method=method,
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=120) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
-
-
-class TestCachePutValidation:
-    """A PUT /cache/region that is not all region entries stores nothing."""
-
-    def test_malformed_put_cannot_poison_evaluations(self, tmp_path):
+    def test_store_less_service_stays_within_its_lru_bound(self):
         problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
         options = SimulationOptions(fusion_solver="greedy")
         space = DatapathSearchSpace()
-        params = space.from_config(FAST_LARGE)
-        evaluate = {
+        rng = np.random.default_rng(3)
+        params = [space.from_config(FAST_LARGE)] + [space.sample(rng) for _ in range(5)]
+        client = TrialEvaluator(problem, simulation_options=options)
+        payload = {
+            "fingerprint": problem_fingerprint(problem, client, space),
             "problem": search_problem_to_dict(problem),
             "options": {
                 "num_cores": 1,
                 "simulation_options": simulation_options_to_dict(options),
             },
-            "params": [params_to_jsonable(params)],
+            "params": [params_to_jsonable(p) for p in params],
         }
-        # The digests of the design's real efficientnet-b0 region keys.
-        local_store = tmp_path / "local.jsonl"
-        TrialEvaluator(
-            problem,
-            simulation_options=SimulationOptions(
-                fusion_solver="greedy", region_store_path=str(local_store)
-            ),
-        ).evaluate_params(params, space)
-        digests = [json.loads(line)["key"] for line in local_store.read_text().splitlines()]
-        assert len(digests) > 1
-
-        reset_op_caches()
-        with serve(port=0) as clean:
-            status, body = _http(clean.url + "/evaluate", "POST", evaluate)
+        with EvaluationService() as service:
+            cache = get_region_cache()
+            cache.max_memory_entries = 20
+            status, _ = service.evaluate_payload(payload)
         assert status == 200
-        expected = body["results"]
+        # One batch prices far more distinct regions than the bound.
+        assert cache.stats.puts > 2 * cache.max_memory_entries
+        assert len(cache) <= cache.max_memory_entries
 
+    def test_remote_searches_share_the_service_region_store(self, tmp_path):
+        problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
+
+        def run(executor=None):
+            search = FASTSearch(problem, optimizer="random", seed=23, executor=executor)
+            try:
+                result = search.run(num_trials=5, batch_size=5)
+            finally:
+                if executor is not None:
+                    executor.close()
+            return [trial_metrics_to_dict(m) for m in result.history]
+
+        local = run()
+        store = tmp_path / "svc.jsonl"
+        engine = EngineSpec.parse(f"graph-batched:region_store={store}")
         reset_op_caches()
-        service_store = tmp_path / "svc.jsonl"
-        engine = EngineSpec.parse(f"graph-batched:region_store={service_store}")
-        good = region_entry_to_dict(_region_entry(1))
-        poison = {"record": {}, "stats": {}}
         with serve(port=0, engine=engine) as svc:
-            cache_url = svc.url + "/cache/region"
-            for entries in (
-                {digests[0]: poison},
-                {digests[0]: {"failed": False, "record": good["record"]}},
-                {"not-a-digest": good},
-                {digests[0].upper(): good},
-                {digests[0][:-1]: good},
-                {digests[1]: good, digests[0]: poison},  # all or nothing
-            ):
-                status, body = _http(
-                    cache_url, "PUT", {"fingerprint": "0123456789abcdef", "entries": entries}
-                )
-                assert status == 400, entries
-                assert "stored" not in body
-            status, body = _http(
-                cache_url, "GET", {"fingerprint": "0123456789abcdef", "digests": digests}
-            )
-            assert status == 200 and body["entries"] == {}
-            assert not service_store.exists() or service_store.read_text() == ""
+            cache = get_region_cache(str(store))
 
-            status, body = _http(svc.url + "/evaluate", "POST", evaluate)
-        assert status == 200
-        assert body["results"] == expected
+            def run_remote():
+                return run(AsyncRemoteExecutor([svc.url], timeout=120.0))
+
+            assert run_remote() == local
+            assert store.stat().st_size > 0
+            hits, misses = cache.snapshot_counters()
+            assert run_remote() == local
+        # The repeat is served from the regions the first run left behind.
+        assert cache.stats.misses == misses
+        assert cache.stats.hits > hits
 
 
 # ---------------------------------------------------------------------------
 class TestEngineSpecCacheKeys:
     def test_parse_str_roundtrip(self):
-        text = "graph-batched:region_store=runs/r.jsonl,cache_service=http://h:8642"
+        text = "graph-batched:op_cache=off,region_store=runs/r.jsonl"
         spec = EngineSpec.parse(text)
         assert spec.region_store == "runs/r.jsonl"
-        assert spec.cache_service == "http://h:8642"
+        assert spec.op_cache is False
         assert EngineSpec.parse(str(spec)) == spec
 
     def test_options_roundtrip(self):
-        spec = EngineSpec.parse(
-            "graph-batched:region_store=r.jsonl,cache_service=http://h:1"
-        )
+        spec = EngineSpec.parse("graph-batched:region_store=r.jsonl")
         options = spec.to_simulation_options(fusion_solver="greedy")
         assert options.region_store_path == "r.jsonl"
-        assert options.region_cache_service == "http://h:1"
         assert EngineSpec.from_simulation_options(options) == spec
 
     def test_cache_keys_are_perf_only(self):
-        """Region store / cache service must not change the problem fingerprint."""
-        from repro.runtime.cache import problem_fingerprint
-
+        """A region store must not change the problem fingerprint."""
         problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)
         plain = TrialEvaluator(
             problem,
@@ -505,9 +376,7 @@ class TestEngineSpecCacheKeys:
         tiered = TrialEvaluator(
             problem,
             simulation_options=SimulationOptions(
-                fusion_solver="greedy",
-                region_store_path="x.jsonl",
-                region_cache_service="http://h:8642",
+                fusion_solver="greedy", region_store_path="x.jsonl"
             ),
         )
         assert problem_fingerprint(problem, plain) == problem_fingerprint(

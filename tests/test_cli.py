@@ -182,9 +182,13 @@ class TestCommands:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_search_rejects_retired_engine_spec(self, capsys):
-        code = main(["search", "--workload", "mobilenet-v2", "--engine", "trial-batched"])
-        assert code == 1
-        assert "expected one of: scalar, graph-batched" in capsys.readouterr().out
+        for spec, choices in (
+            ("trial-batched", "scalar, graph-batched"),
+            ("graph-batched:cache_service=http://h:1", "op_cache, region_cache, region_store"),
+        ):
+            code = main(["search", "--workload", "mobilenet-v2", "--engine", spec])
+            assert code == 1
+            assert f"expected one of: {choices}" in capsys.readouterr().out
 
     def test_sweep_shared_op_cache_flag(self, tmp_path, capsys):
         store = tmp_path / "sweep-opcache.jsonl"

@@ -222,6 +222,11 @@ class TestRuntimeStatsSerialization:
         # written while it existed must still load.
         old.update({f"{tier}_cache_shared_hits": 3 for tier in ("op", "region")})
         old.update({f"shared_cache_{name}": 2 for name in ("attached", "entries")})
+        # The five counters of the removed cluster cache tier.
+        old.update(
+            {f"remote_cache_{name}": 4
+             for name in ("hits", "misses", "puts", "requests", "failures")}
+        )
         stats = runtime_stats_from_dict(old)
         assert stats.trials_evaluated == 5
         assert stats.op_cache_hits == 0

@@ -324,27 +324,25 @@ class TestServiceProtocol:
             simulation_options_to_dict,
         )
         from repro.runtime.cache import problem_fingerprint
-        from repro.runtime.opcache import get_region_cache, reset_op_caches
+        from repro.runtime.opcache import reset_op_caches
         from repro.simulator.enginespec import EngineSpec
 
         problem = _problem()
         space = DatapathSearchSpace()
         rng = np.random.default_rng(5)
         params = [space.from_config(FAST_SMALL)] + [space.sample(rng) for _ in range(3)]
-        options = EngineSpec(
-            region_store=str(tmp_path / "regions.jsonl"),
-            cache_service="http://127.0.0.1:9",
-        ).to_simulation_options(
+        options = EngineSpec(region_store=str(tmp_path / "regions.jsonl")).to_simulation_options(
             fusion_solver="greedy", op_cache_path=str(tmp_path / "ops.jsonl")
         )
         client = TrialEvaluator(problem, simulation_options=options)
+        # Clients built while a cache-service URL was an option still send it.
+        sim_payload = dict(
+            simulation_options_to_dict(options), region_cache_service="http://127.0.0.1:9"
+        )
         payload = {
             "fingerprint": problem_fingerprint(problem, client, space),
             "problem": search_problem_to_dict(problem),
-            "options": {
-                "num_cores": 1,
-                "simulation_options": simulation_options_to_dict(options),
-            },
+            "options": {"num_cores": 1, "simulation_options": sim_payload},
             "params": [params_to_jsonable(p) for p in params],
         }
         reset_op_caches()
@@ -357,7 +355,6 @@ class TestServiceProtocol:
         ]
         assert any(result["feasible"] for result in body["results"])
         assert list(tmp_path.iterdir()) == []
-        assert get_region_cache().remote is None
         reset_op_caches()
 
     def test_malformed_request_is_a_client_error(self, flaky_service):
@@ -387,9 +384,70 @@ class TestServiceProtocol:
 
     def test_unknown_path_is_404(self, flaky_service):
         service, _ = flaky_service
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(service.url + "/nope", timeout=5)
-        assert excinfo.value.code == 404
+        for path in ("/nope", "/cache/region"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(service.url + path, timeout=5)
+            assert excinfo.value.code == 404, path
+
+    def test_no_request_can_change_what_the_service_computes(self, tmp_path):
+        from repro.core.designs import FAST_LARGE
+        from repro.reporting.serialization import (
+            params_to_jsonable,
+            search_problem_to_dict,
+            simulation_options_to_dict,
+        )
+        from repro.runtime.opcache import reset_op_caches
+        from repro.simulator.engine import SimulationOptions
+
+        problem = _problem()
+        space = DatapathSearchSpace()
+        params = space.from_config(FAST_LARGE)
+        options = SimulationOptions(fusion_solver="greedy")
+        evaluate = {
+            "problem": search_problem_to_dict(problem),
+            "options": {
+                "num_cores": 1,
+                "simulation_options": simulation_options_to_dict(options),
+            },
+            "params": [params_to_jsonable(params)],
+        }
+        # The digests of the design's real region keys: an upload that could
+        # plant failure entries under them would turn the design infeasible.
+        store = tmp_path / "regions.jsonl"
+        options.region_store_path = str(store)
+        TrialEvaluator(problem, simulation_options=options).evaluate_params(params, space)
+        upload = {
+            "fingerprint": "0123456789abcdef",
+            "entries": {
+                json.loads(line)["key"]: {"failed": True}
+                for line in store.read_text().splitlines()
+            },
+        }
+
+        def request(url, payload, method="POST"):
+            request = urllib.request.Request(
+                url,
+                data=json.dumps(payload).encode(),
+                headers={"Content-Type": "application/json"},
+                method=method,
+            )
+            with urllib.request.urlopen(request, timeout=120) as response:
+                return json.loads(response.read())
+
+        reset_op_caches()
+        with EvaluationService() as fresh:
+            expected = request(fresh.url + "/evaluate", evaluate)["results"]
+        assert expected[0]["feasible"]
+        reset_op_caches()
+        with EvaluationService() as service:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                request(service.url + "/cache/region", upload, method="PUT")
+            assert excinfo.value.code == 501
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                request(service.url + "/cache/region", upload, method="GET")
+            assert excinfo.value.code == 404
+            assert request(service.url + "/evaluate", evaluate)["results"] == expected
+        reset_op_caches()
 
     @staticmethod
     def _raw_post(service, content_length: str):
