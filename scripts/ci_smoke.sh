@@ -47,13 +47,31 @@ smoke_sweep() {
 }
 
 # --------------------------------------------------------------------------
-# 3. Mapper profile smoke (fails on crash or equivalence break, not timing)
+# 3. Mapper profile smoke (fails on crash, equivalence break, or a stage
+#    column the span tracer left empty; never on how long a stage took)
 # --------------------------------------------------------------------------
 smoke_profile() {
-    log "profile smoke: scalar vs graph-batched vs cached vs pooled equivalence"
+    log "profile smoke: scalar vs graph-batched vs cached vs pooled equivalence, span-built stages"
     python -m repro profile \
         --workload mobilenet-v2 --trials 8 --batch-size 4 \
         --warm-op-cache --output "$SMOKE_DIR/mapper-profile.json"
+
+    python - "$SMOKE_DIR/mapper-profile.json" <<'PY'
+import json, sys
+report = json.load(open(sys.argv[1]))
+records = report["records"]
+if len(records) != 6:
+    raise SystemExit(f"expected the six-row profile ladder, got {len(records)} rows")
+if report["histories_match"] is not True:
+    raise SystemExit("profile modes diverged from the reference history")
+stages = {record["mode"]: record["stage_seconds"] for record in records}
+empty = [mode for mode, stage in stages.items() if not stage["evaluate"] > 0]
+if empty:
+    raise SystemExit(f"no trial spans behind the evaluate column of {empty}")
+if not stages["scalar"]["mapper"] > 0:
+    raise SystemExit("no map_op spans behind the scalar row's mapper column")
+print("profile ladder:", len(records), "rows, histories match, every stage column span-built")
+PY
 }
 
 # --------------------------------------------------------------------------

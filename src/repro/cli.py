@@ -71,13 +71,10 @@ between sweeps, not while one is writing — merged sidecars are deleted)::
 
     python -m repro cache compact --cache trials.jsonl --max-entries 10000
 
-A cache opened with a ``max_disk_entries`` cap also auto-compacts itself
-once the store overshoots the cap by a slack margin, so long exclusive-writer
-runs never grow the store unboundedly.  Sharded writers claim their sidecar
-with a pid/host owner marker: compaction folds in sidecars orphaned by
-crashed (or finished) writers while never touching one a live foreign
-process still appends to, so ``repro cache compact`` is safe even when a
-previous sweep died mid-write.
+Sharded writers claim their sidecar with a pid/host owner marker:
+compaction folds in sidecars orphaned by crashed (or finished) writers while
+never touching one a live foreign process still appends to, so ``repro cache
+compact`` is safe even when a previous sweep died mid-write.
 
 Remote evaluation
 ~~~~~~~~~~~~~~~~~
@@ -191,7 +188,10 @@ pool silently running a different engine than you asked for is visible in
 trials/sec, a per-stage time breakdown (mapper / vector / fusion / other),
 and cache hit rates for the scalar reference, the graph-batched engine with
 each cache off and on, and parallel modes, verifying along the way that
-every mode reproduces the same trial history::
+every mode reproduces the same trial history.  Every row runs traced: its
+stage columns are span totals (mapper is ``batch_map`` + ``map_op``, vector
+``vector_op``, fusion ``fusion``, other the rest of ``trial``), the names
+``repro trace`` prints; a pool row sums its workers' spans::
 
     python -m repro profile --workload efficientnet-b0 --trials 48 \
         --warm-op-cache --output profile.json
@@ -208,10 +208,12 @@ Observability
 Every run can explain where its time went.  ``--trace PATH`` on ``repro
 search`` and ``repro sweep`` records spans across the whole pipeline —
 search batches, trials, simulator stages (setup / mapping / regions /
-fusion), process-pool workers (worker spans merge back into the parent
-trace exactly once), and remote requests all the way into the evaluation
-service (the trace context travels in an HTTP header, so server-side spans
-appear in the client's trace) — and writes a Chrome-trace JSON (load it in
+fusion, plus a ``map_op`` span per op the scalar engine maps and a
+``vector_op`` span per VPU op costed on an op-cache miss), process-pool
+workers (worker spans merge back into the parent trace exactly once), and
+remote requests all the way into the evaluation service (the trace context
+travels in an HTTP header, so server-side spans appear in the client's
+trace) — and writes a Chrome-trace JSON (load it in
 chrome://tracing or Perfetto) or, with a ``.jsonl`` extension, one span per
 line.  ``--trace-sample RATE`` keeps that fraction of trial span trees.
 Tracing is strictly observational: trial histories are bit-for-bit
@@ -522,9 +524,6 @@ def _cmd_search(args) -> int:
             summary["region-cache hit rate"] = result.runtime.region_cache_hit_rate
         if result.runtime.region_cache_disk_hits:
             summary["region-cache disk hits"] = result.runtime.region_cache_disk_hits
-        if result.runtime.eval_seconds:
-            summary["mapper seconds"] = result.runtime.mapper_seconds
-            summary["fusion seconds"] = result.runtime.fusion_seconds
         if result.runtime.resumed_trials:
             summary["resumed trials"] = result.runtime.resumed_trials
         if result.runtime.worker_restarts:

@@ -49,13 +49,12 @@ class RuntimeStats:
     evaluations served by the region-level result cache layered above it.
     ``*_disk_hits`` are the subset of hits served from a persistent store's
     index (``--op-cache`` / ``--engine region_store=``).
-    The ``*_seconds`` fields break evaluation wall-clock time down by
-    pipeline stage (mapper / VPU cost model / fusion ILP / whole-trial
-    evaluation).  Under a serial executor they are collected from this
-    process's evaluator and caches; a
-    :class:`~repro.runtime.executor.ParallelExecutor` aggregates the same
+    Under a serial executor these counters come from this process's caches;
+    a :class:`~repro.runtime.executor.ParallelExecutor` aggregates the same
     counters inside its workers and reports them through
     ``runtime_counters()``, so parallel runs no longer show zeros here.
+    Per-stage times are not kept here: they are span totals of the tracer
+    (``--trace``, ``repro trace``, ``repro profile``).
 
     The ``remote_*`` counters and per-endpoint ``endpoint_stats`` map are
     filled in when the run used an
@@ -71,9 +70,9 @@ class RuntimeStats:
     its history changing: ``worker_restarts`` (process pools rebuilt after a
     worker died mid-batch), ``remote_fallbacks`` (batches a remote executor
     evaluated locally after the whole fleet failed), ``corrupt_records``
-    (torn JSONL records quarantined while loading the attached trial / op
-    stores), and ``faults_injected`` (faults fired by an ``--inject-faults``
-    plan during the run; zero in production runs).
+    (torn JSONL records quarantined while loading the attached trial, op
+    and region stores), and ``faults_injected`` (faults fired by an
+    ``--inject-faults`` plan during the run; zero in production runs).
 
     ``engine`` is a configuration echo, not a counter: the canonical
     :class:`~repro.simulator.enginespec.EngineSpec` string the evaluating
@@ -94,10 +93,6 @@ class RuntimeStats:
     region_cache_hits: int = 0
     region_cache_misses: int = 0
     region_cache_disk_hits: int = 0
-    mapper_seconds: float = 0.0
-    vector_seconds: float = 0.0
-    fusion_seconds: float = 0.0
-    eval_seconds: float = 0.0
     remote_batches: int = 0
     remote_requests: int = 0
     remote_retries: int = 0
@@ -293,7 +288,6 @@ class FASTSearch:
         started_unix = time.time()
         started_at = time.monotonic()
         stats = RuntimeStats()
-        stage_start = dict(getattr(self.evaluator, "stage_seconds", None) or {})
         # Op-cache counters only move in this process, i.e. under a serial
         # executor; with a parallel executor the lookups happen in the
         # workers, which report them through ``runtime_counters()``.
@@ -538,11 +532,6 @@ class FASTSearch:
 
         stats.elapsed_seconds = time.monotonic() - started_at
         stats.duplicates_avoided = batched.num_duplicates_avoided
-        stage_now = getattr(self.evaluator, "stage_seconds", None) or {}
-        stats.mapper_seconds = stage_now.get("mapper", 0.0) - stage_start.get("mapper", 0.0)
-        stats.vector_seconds = stage_now.get("vector", 0.0) - stage_start.get("vector", 0.0)
-        stats.fusion_seconds = stage_now.get("fusion", 0.0) - stage_start.get("fusion", 0.0)
-        stats.eval_seconds = stage_now.get("evaluate", 0.0) - stage_start.get("evaluate", 0.0)
         # Engine echo: serial runs resolve it from this process's evaluator;
         # a parallel/remote executor's worker-reported echo overwrites it
         # below, so mismatched pools can't hide behind the parent's config.
@@ -578,6 +567,8 @@ class FASTSearch:
             stats.corrupt_records += self.cache.stats.corrupt_records
         if op_cache is not None:
             stats.corrupt_records += op_cache.stats.corrupt_records
+        if region_cache is not None:
+            stats.corrupt_records += region_cache.stats.corrupt_records
         # Root span for the whole run, synthesized from the measured elapsed
         # time (no-op when tracing is off).  Recorded last so every child
         # span is already in the buffer when the trace file is written.

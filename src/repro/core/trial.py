@@ -10,7 +10,6 @@ minimizes — the three-phase flow of Figure 1.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -95,12 +94,10 @@ class TrialMetrics:
 class TrialEvaluator:
     """Evaluates candidate datapaths for a search problem.
 
-    ``stage_seconds`` accumulates wall-clock seconds per pipeline stage
-    (``mapper`` / ``vector`` / ``fusion`` from the simulator, plus the
-    all-inclusive ``evaluate``) across every trial this instance evaluates in
-    this process; the search loop and ``repro profile`` report deltas of it.
-    Parallel executors evaluate on worker-process copies, so the parent's
-    counters stay at zero there.
+    Each trial runs inside a ``trial`` tracer span, with ``area_power``,
+    ``setup`` and one ``simulate`` span per workload beneath it.  Parallel
+    executors evaluate on worker-process copies, whose spans travel back to
+    the parent tracer with each result.
     """
 
     def __init__(
@@ -114,12 +111,6 @@ class TrialEvaluator:
         self.area_power_model = area_power_model or AreaPowerModel()
         self.simulation_options = simulation_options or SimulationOptions(fusion_solver="greedy")
         self.num_cores = num_cores
-        self.stage_seconds: Dict[str, float] = {
-            "mapper": 0.0,
-            "vector": 0.0,
-            "fusion": 0.0,
-            "evaluate": 0.0,
-        }
 
     # ------------------------------------------------------------------
     def warm_caches(self, batch_sizes: Optional[tuple] = None) -> None:
@@ -173,13 +164,6 @@ class TrialEvaluator:
 
     def evaluate_config(self, config: DatapathConfig) -> TrialMetrics:
         """Evaluate a concrete datapath configuration."""
-        started = time.perf_counter()
-        try:
-            return self._evaluate_config(config)
-        finally:
-            self.stage_seconds["evaluate"] += time.perf_counter() - started
-
-    def _evaluate_config(self, config: DatapathConfig) -> TrialMetrics:
         with _tracer().span("area_power", category="simulate"):
             breakdown = self.area_power_model.evaluate(config)
         area = breakdown.total_area_mm2
@@ -205,24 +189,20 @@ class TrialEvaluator:
         with _tracer().span("setup", category="simulate"):
             simulator = Simulator(config, self.simulation_options)
         per_workload_scores: Dict[str, float] = {}
-        try:
-            for workload in self.problem.workloads:
-                with _tracer().span("simulate", category="simulate", workload=workload):
-                    graph = _cached_graph(workload, config.native_batch_size)
-                    result = simulator.simulate(graph)
-                if result.schedule_failed:
-                    metrics.feasible = False
-                    metrics.failure_reason = f"schedule failure on {workload}"
-                    return metrics
-                metrics.per_workload_qps[workload] = result.qps
-                metrics.per_workload_latency_ms[workload] = result.latency_ms
-                metrics.per_workload_utilization[workload] = result.compute_utilization
-                per_workload_scores[workload] = self.problem.workload_score(
-                    workload, result.qps, tdp, area
-                )
-        finally:
-            for stage, seconds in simulator.stage_seconds.items():
-                self.stage_seconds[stage] += seconds
+        for workload in self.problem.workloads:
+            with _tracer().span("simulate", category="simulate", workload=workload):
+                graph = _cached_graph(workload, config.native_batch_size)
+                result = simulator.simulate(graph)
+            if result.schedule_failed:
+                metrics.feasible = False
+                metrics.failure_reason = f"schedule failure on {workload}"
+                return metrics
+            metrics.per_workload_qps[workload] = result.qps
+            metrics.per_workload_latency_ms[workload] = result.latency_ms
+            metrics.per_workload_utilization[workload] = result.compute_utilization
+            per_workload_scores[workload] = self.problem.workload_score(
+                workload, result.qps, tdp, area
+            )
 
         metrics.aggregate_score = self.problem.aggregate(per_workload_scores)
         metrics.objective_value = self.problem.minimized_value(metrics.aggregate_score)

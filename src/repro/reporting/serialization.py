@@ -232,7 +232,7 @@ def trial_metrics_from_dict(data: Dict[str, object]) -> TrialMetrics:
 
 
 def runtime_stats_to_dict(stats: RuntimeStats) -> Dict[str, object]:
-    """Convert runtime statistics (counters + per-stage timings) to a dict."""
+    """Convert runtime statistics (counters and the engine echo) to a dict."""
     return dataclasses.asdict(stats)
 
 
@@ -240,7 +240,8 @@ def runtime_stats_from_dict(data: Dict[str, object]) -> RuntimeStats:
     """Rebuild runtime statistics from :func:`runtime_stats_to_dict` output.
 
     Unknown keys are ignored and missing ones get their defaults, so records
-    written before the op-cache / per-stage-timing fields existed still load.
+    written before a field existed, or with fields since removed (such as
+    the per-stage ``*_seconds`` timings, now span totals), still load.
     """
     known = {field.name for field in dataclasses.fields(RuntimeStats)}
     return RuntimeStats(**{key: value for key, value in data.items() if key in known})

@@ -7,7 +7,7 @@ engine, layered as:
   (pool workers fork from a warm parent and inherit its caches),
 * :mod:`repro.runtime.batching` — batched ask/tell over any optimizer,
 * :mod:`repro.runtime.cache` — persistent memoization of trial metrics with
-  shard-safe concurrent writers, compaction, and size-cap auto-compaction,
+  shard-safe concurrent writers and size-capped compaction,
 * :mod:`repro.runtime.opcache` — cross-trial memoization of per-op mapping
   and vector costs plus whole evaluated fusion regions, keyed by problem
   fingerprint + mapping-relevant sub-config and optionally persisted as
@@ -26,14 +26,15 @@ engine, layered as:
   (file- or service-backed scoreboard) feeding guided optimizers,
 * :mod:`repro.runtime.profiling` — per-stage timing harness comparing the
   scalar and graph-batched engines, each cache, and warm worker pools
-  (``repro profile``),
+  (``repro profile``), its stage times taken from span totals,
 * :mod:`repro.runtime.sharding` — sharded sweep orchestration: split one
   search into N shards (seed stream or design-space partition) and merge
   their Pareto fronts, histories, and stats into one deduplicated result,
 * :mod:`repro.runtime.telemetry` — dependency-free span tracer + metrics
   registry: end-to-end spans across search → executor → worker → remote
-  service, Chrome-trace / JSONL export (``repro search --trace``,
-  ``repro trace``), and Prometheus text exposition (``GET /metrics``),
+  service, per-span-name totals (``repro profile``), Chrome-trace / JSONL
+  export (``repro search --trace``, ``repro trace``), and Prometheus text
+  exposition (``GET /metrics``) — the one source of stage times,
 * :mod:`repro.runtime.faults` — seeded deterministic fault injection
   (``repro search --inject-faults``): worker crashes, remote drops /
   timeouts / slowdowns, service errors, and torn writes, exercising the

@@ -23,11 +23,10 @@ best record per key), and evicts the least-recently-written records beyond a
 size cap so multi-shard sweeps don't grow the store unboundedly.
 
 Each sharded writer claims its sidecar with a ``<sidecar>.owner`` marker
-(pid + host).  Compaction — explicit or automatic — uses the markers to
-tell *live* writers from the stale leftovers of crashed ones: sidecars with
-a live foreign owner are never folded or deleted, while orphaned sidecars
-(dead pid, or marker removed by :meth:`release`) are folded in rather than
-blocking compaction forever.
+(pid + host).  Compaction uses the markers to tell *live* writers from the
+stale leftovers of crashed ones: sidecars with a live foreign owner are never
+folded or deleted, while orphaned sidecars (dead pid, or marker removed by
+:meth:`release`) are folded in rather than blocking compaction forever.
 """
 
 from __future__ import annotations
@@ -129,7 +128,6 @@ class CacheStats:
     misses: int = 0
     puts: int = 0
     disk_entries_loaded: int = 0
-    auto_compactions: int = 0
     corrupt_records: int = 0
     stale_tmp_swept: int = 0
 
@@ -183,13 +181,6 @@ class TrialCache:
             sidecar file ``<path>.shard-<writer_id>`` instead of ``path``
             while reads cover the base file plus every sidecar.  Each
             concurrent writer (shard, host) must use a distinct id.
-        max_disk_entries: Default size cap applied by :meth:`compact`.  When
-            set, the cache also *auto-compacts*: once the store grows a
-            slack margin (a quarter of the cap, at least 16 records) past
-            the cap, :meth:`put` triggers a compaction down to the cap.
-            Auto-compaction only fires for exclusive writers — it is skipped
-            when ``writer_id`` is set or shard sidecar files exist, because
-            compaction deletes sidecars that live shards may still append to.
     """
 
     def __init__(
@@ -197,22 +188,16 @@ class TrialCache:
         path: Optional[Union[str, Path]] = None,
         max_memory_entries: int = 4096,
         writer_id: Optional[Union[int, str]] = None,
-        max_disk_entries: Optional[int] = None,
     ) -> None:
         self.path = Path(path) if path is not None else None
         self.max_memory_entries = max(1, int(max_memory_entries))
         self.writer_id = writer_id
-        self.max_disk_entries = max_disk_entries
         self.stats = CacheStats()
         self._owner_claimed = False
         self._memory: "OrderedDict[str, TrialMetrics]" = OrderedDict()
         self._disk_index: Dict[str, dict] = {}
-        # Approximate on-disk record count (deduplicated at load, then +1 per
-        # append) driving the auto-compaction trigger.
-        self._approx_disk_records = 0
         if self.path is not None:
             self._load_disk_index()
-            self._approx_disk_records = len(self._disk_index)
 
     # ------------------------------------------------------------------
     @property
@@ -263,9 +248,9 @@ class TrialCache:
     def release(self) -> None:
         """Drop this writer's sidecar ownership marker (call when done).
 
-        A released sidecar is treated as orphaned: the next compaction —
-        automatic or explicit, from any process — may fold it into the base
-        file.  Only meaningful for caches opened with ``writer_id``.
+        A released sidecar is treated as orphaned: the next compaction, from
+        any process, may fold it into the base file.  Only meaningful for
+        caches opened with ``writer_id``.
         """
         write_path = self.write_path
         if self.writer_id is not None and write_path is not None:
@@ -373,29 +358,6 @@ class TrialCache:
             # appends, so a reader (or a later compaction) sees whole lines.
             with write_path.open("a") as handle:
                 handle.write(line)
-            self._approx_disk_records += 1
-            self._maybe_auto_compact()
-
-    def _maybe_auto_compact(self) -> None:
-        """Compact once the store overshoots ``max_disk_entries`` by a slack.
-
-        The slack (a quarter of the cap, at least 16 records) keeps the
-        amortized cost low: each O(store) compaction pays for many O(1)
-        appends.  Skipped for sharded writers and whenever a sidecar with a
-        live (or same-process) writer exists; sidecars orphaned by crashed
-        or released writers do *not* block compaction — they are folded in
-        along with the base file (see the class docstring).
-        """
-        if self.max_disk_entries is None or self.writer_id is not None:
-            return
-        slack = max(16, int(self.max_disk_entries) // 4)
-        if self._approx_disk_records <= int(self.max_disk_entries) + slack:
-            return
-        for file in self.disk_files():
-            if file != self.path and self._sidecar_writer_state(file) != "orphaned":
-                return  # a live writer (any process, incl. ours) may append
-        self.compact(self.max_disk_entries)
-        self.stats.auto_compactions += 1
 
     def _remember(self, key: str, metrics: TrialMetrics) -> None:
         self._memory[key] = metrics
@@ -410,10 +372,10 @@ class TrialCache:
         All shard sidecars are folded into the base file and removed.  For
         each key the *best* record survives (feasible beats infeasible, then
         higher aggregate score, then the later write).  When the survivor
-        count exceeds ``max_entries`` (default: ``max_disk_entries``), the
-        least-recently-written records are evicted first — recency comes
-        from each record's ``ts`` stamp, falling back to the mtime of the
-        file it was read from.  The rewrite is atomic (temp file + rename).
+        count exceeds ``max_entries`` (default: no cap), the least-recently-
+        written records are evicted first — recency comes from each record's
+        ``ts`` stamp, falling back to the mtime of the file it was read from.
+        The rewrite is atomic (temp file + rename).
 
         Sidecars owned by a *live writer in another process* are left
         untouched (not merged, not deleted) and counted in
@@ -425,8 +387,6 @@ class TrialCache:
         """
         if self.path is None:
             raise ValueError("compaction requires a cache path")
-        if max_entries is None:
-            max_entries = self.max_disk_entries
 
         files = []
         live_skipped = 0
@@ -498,7 +458,6 @@ class TrialCache:
 
         self._disk_index = {}
         self._load_disk_index()
-        self._approx_disk_records = len(self._disk_index)
         stats.kept = len(kept)
         return stats
 

@@ -64,11 +64,10 @@ class WorkerCrashError(RuntimeError):
 # regions and loaded op / region stores.  Per-task payloads are just the
 # parameter dicts; graphs are never pickled.
 #
-# Each task returns its metrics together with a small dict of counter deltas
-# (op/region-cache hits and misses, per-stage seconds) measured around the
-# evaluation, so the parent can aggregate worker-side runtime statistics
-# that previously stayed invisible (parallel runs used to report
-# ``op_cache_hits: 0`` no matter how warm the workers were).
+# Each task returns its metrics together with a small dict of op/region-cache
+# counter deltas measured around the evaluation, the worker's engine echo and,
+# when tracing is on, the task's spans, so the parent can aggregate
+# worker-side runtime statistics and stage times.
 # ---------------------------------------------------------------------------
 _WORKER_EVALUATOR: Optional[TrialEvaluator] = None
 _WORKER_SPACE: Optional[DatapathSearchSpace] = None
@@ -117,20 +116,12 @@ def _evaluate_in_worker(task):
     evaluator = _WORKER_EVALUATOR
     options = getattr(evaluator, "simulation_options", None)
     op_cache, region_cache = caches_for(options)
-    stage_before = dict(getattr(evaluator, "stage_seconds", None) or {})
     cache_before = cache_counter_snapshot(op_cache, region_cache)
     metrics = evaluator.evaluate_params(params, _WORKER_SPACE)
-    stage_after = getattr(evaluator, "stage_seconds", None) or {}
     cache_after = cache_counter_snapshot(op_cache, region_cache)
     delta = {
         key: cache_after[key] - cache_before.get(key, 0) for key in cache_after
     }
-    delta.update({
-        "mapper_seconds": stage_after.get("mapper", 0.0) - stage_before.get("mapper", 0.0),
-        "vector_seconds": stage_after.get("vector", 0.0) - stage_before.get("vector", 0.0),
-        "fusion_seconds": stage_after.get("fusion", 0.0) - stage_before.get("fusion", 0.0),
-        "eval_seconds": stage_after.get("evaluate", 0.0) - stage_before.get("evaluate", 0.0),
-    })
     # Named engine echo: proof the worker inherited the parent's EngineSpec
     # through the initializer (a forked pool silently falling back to the
     # default engine would show up here and in ``repro profile``).
@@ -212,9 +203,9 @@ class ParallelExecutor(TrialExecutor):
     configured with them (``--op-cache PATH``, ``region_store=PATH``) —
     and every forked worker inherits all of it.  Under a start method other
     than fork, workers rebuild the same caches lazily on first use; results
-    are identical either way.  Worker-side cache hits and per-stage timings
-    flow back with every result and surface through
-    :meth:`runtime_counters`.
+    are identical either way.  Worker-side cache hits flow back with every
+    result and surface through :meth:`runtime_counters`; with tracing on,
+    so do the worker's spans, which the parent tracer ingests.
 
     The pool is supervised: worker death mid-batch (detected as
     ``BrokenProcessPool``) tears the broken pool down, builds a fresh one —
@@ -343,12 +334,13 @@ class ParallelExecutor(TrialExecutor):
         """Lifetime worker-side counters, keyed like ``RuntimeStats`` fields.
 
         The search loop snapshots this before and after a run and reports
-        the delta, so op/region-cache hit counters and per-stage timings no
-        longer read zero just because evaluation happened in worker
-        processes.  ``worker_restarts`` counts supervised pool rebuilds
-        after worker deaths.  One entry is non-numeric: ``engine`` echoes the
-        worker-resolved :class:`~repro.simulator.enginespec.EngineSpec`
-        string, proof the pool inherited the parent's engine configuration.
+        the delta, so op/region-cache hit counters do not read zero just
+        because evaluation happened in worker processes; stage times travel
+        home as spans instead.  ``worker_restarts`` counts supervised pool
+        rebuilds after worker deaths.  One entry is non-numeric: ``engine``
+        echoes the worker-resolved
+        :class:`~repro.simulator.enginespec.EngineSpec` string, proof the
+        pool inherited the parent's engine configuration.
         """
         counters: Dict[str, float] = dict(self._worker_totals)
         counters["worker_restarts"] = self.worker_restarts

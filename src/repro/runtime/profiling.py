@@ -5,12 +5,15 @@ configurations — the scalar reference mapping engine, the graph-batched
 engine with each cross-trial cache (region results, op costs) off and on,
 and a warm process-pool executor — and reports trials/sec plus a per-stage
 wall-clock breakdown (mapper / VPU cost model / fusion ILP / other) and
-cache hit counters.  Because every mode is bit-for-bit equivalent by
-design, the harness also verifies that every mode reproduces the reference
-trial history and flags any divergence: it doubles as an end-to-end
-equivalence check in CI.  The ``parallel`` rows exist so a process-pool
-regression can never hide: their throughput and worker-side cache counters
-land in the same report as every serial mode.
+cache hit counters.  Each mode runs under its own enabled tracer, and its
+stage times are that tracer's span totals — mapper is ``batch_map`` plus
+``map_op``, vector ``vector_op``, fusion ``fusion`` and evaluate ``trial``,
+the names ``repro trace`` prints.  Because every mode is bit-for-bit
+equivalent by design, the harness also verifies that every mode reproduces
+the reference trial history and flags any divergence: it doubles as an
+end-to-end equivalence check in CI.  The ``parallel`` rows exist so a
+process-pool regression can never hide: their throughput, worker-side cache
+counters and worker spans land in the same report as every serial mode.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
 from repro.reporting.serialization import trial_metrics_to_dict
 from repro.runtime.opcache import reset_op_caches
-from repro.runtime.telemetry import SpanRecord
+from repro.runtime.telemetry import SpanRecord, Tracer, get_tracer, set_tracer
 from repro.simulator.enginespec import EngineSpec
 
 __all__ = [
@@ -60,6 +63,25 @@ PROFILE_MODES = (
     ProfileMode("graph-batched+caches", EngineSpec()),
     ProfileMode("parallel-2", EngineSpec(), workers=2),
 )
+
+
+def _stage_seconds(totals: Dict[str, list]) -> Dict[str, float]:
+    """Stage columns from a tracer's per-span-name ``[count, seconds]`` totals.
+
+    ``map_ops_batch`` is not added to ``mapper``: it runs inside ``batch_map``.
+    """
+    def seconds(*names: str) -> float:
+        return sum(totals[name][1] for name in names if name in totals)
+
+    mapper = seconds("batch_map", "map_op")
+    vector, fusion, evaluate = seconds("vector_op"), seconds("fusion"), seconds("trial")
+    return {
+        "mapper": mapper,
+        "vector": vector,
+        "fusion": fusion,
+        "evaluate": evaluate,
+        "other": max(0.0, evaluate - mapper - vector - fusion),
+    }
 
 
 @dataclass
@@ -258,6 +280,10 @@ def profile_search(
     run — a parallel mode keeps its pool between the two runs, so the timed
     run's workers hold the caches the first run filled).
 
+    Each mode runs under a fresh enabled :class:`Tracer` (a process pool
+    ships it to its workers), cleared before a timed second run; the
+    caller's tracer is installed again on return.
+
     Every mode must reproduce the first mode's trial history bit-for-bit;
     ``histories_match`` records the verdict.
     """
@@ -300,39 +326,31 @@ def profile_search(
     run_once(modes[0], *mode_fixture(modes[0]))
 
     reference_history = None
+    caller_tracer = get_tracer()
     for mode in modes:
         reset_op_caches()
         fixture = mode_fixture(mode)
         executor = ParallelExecutor(num_workers=mode.workers) if mode.workers > 1 else None
+        tracer = set_tracer(Tracer(enabled=True))
         try:
             result = run_once(mode, *fixture, executor=executor)
             warmable = (
                 mode.engine.op_cache or mode.engine.region_cache or mode.workers > 1
             )
             if warmable and warm_op_cache:
+                tracer.clear()
                 result = run_once(mode, *fixture, executor=executor)  # steady state
         finally:
             if executor is not None:
                 executor.close()
+            set_tracer(caller_tracer)
         stats: RuntimeStats = result.runtime
         record = ProfileRecord(
             mode=mode.name,
             trials=result.num_trials,
             elapsed_seconds=stats.elapsed_seconds,
             trials_per_second=stats.trials_per_second,
-            stage_seconds={
-                "mapper": stats.mapper_seconds,
-                "vector": stats.vector_seconds,
-                "fusion": stats.fusion_seconds,
-                "evaluate": stats.eval_seconds,
-                "other": max(
-                    0.0,
-                    stats.eval_seconds
-                    - stats.mapper_seconds
-                    - stats.vector_seconds
-                    - stats.fusion_seconds,
-                ),
-            },
+            stage_seconds=_stage_seconds(tracer.totals),
             op_cache_hits=stats.op_cache_hits,
             op_cache_misses=stats.op_cache_misses,
             op_cache_hit_rate=stats.op_cache_hit_rate,

@@ -206,7 +206,6 @@ def run_shard(
     batch_size: int = 8,
     executor: Optional[TrialExecutor] = None,
     cache_path: Optional[Union[str, Path]] = None,
-    cache_max_entries: Optional[int] = None,
     exchange: Optional[Union[str, Path, Scoreboard]] = None,
     op_cache_path: Optional[Union[str, Path]] = None,
     op_cache_enabled: bool = True,
@@ -251,7 +250,7 @@ def run_shard(
 
     space = shard_space(space or DatapathSearchSpace(), spec)
     cache = (
-        TrialCache(cache_path, writer_id=spec.shard_id, max_disk_entries=cache_max_entries)
+        TrialCache(cache_path, writer_id=spec.shard_id)
         if cache_path is not None
         else None
     )
@@ -448,7 +447,6 @@ def run_sharded_sweep(
     batch_size: int = 8,
     executor: Optional[TrialExecutor] = None,
     cache_path: Optional[Union[str, Path]] = None,
-    cache_max_entries: Optional[int] = None,
     exchange: Optional[Union[str, Path, Scoreboard]] = None,
     op_cache_path: Optional[Union[str, Path]] = None,
     op_cache_enabled: bool = True,
@@ -489,7 +487,6 @@ def run_sharded_sweep(
             batch_size=batch_size,
             executor=executor,
             cache_path=cache_path,
-            cache_max_entries=cache_max_entries,
             exchange=scoreboard,
             op_cache_path=op_cache_path,
             op_cache_enabled=op_cache_enabled,

@@ -33,10 +33,12 @@ a bounded in-memory ring buffer:
   pair over the wire (the ``X-Repro-Trace-Context`` HTTP header), letting a
   service parent its server-side spans under the client's request span.
 
-Trace sinks: the ring buffer itself (``drain()``/``snapshot()``), a
-streaming :class:`JsonlSpanSink`, and :func:`write_chrome_trace`, whose
-output loads directly into ``about://tracing`` / Perfetto.
-:func:`load_trace` reads both file forms back into records.
+Trace output: the ring buffer itself (``drain()``/``snapshot()``),
+:func:`write_jsonl_trace` and :func:`write_chrome_trace`, whose output loads
+directly into ``about://tracing`` / Perfetto; :func:`load_trace` reads both
+file forms back into records.  ``Tracer.totals`` keeps a per-span-name
+``[count, seconds]`` total of every span recorded or ingested, evicted ones
+included; ``repro profile`` builds its stage columns from it.
 
 Metrics
 -------
@@ -70,7 +72,6 @@ __all__ = [
     "Span",
     "NULL_SPAN",
     "Tracer",
-    "JsonlSpanSink",
     "chrome_trace_events",
     "write_chrome_trace",
     "write_jsonl_trace",
@@ -265,7 +266,8 @@ class Tracer:
         self._seen_order: deque = deque()
         self.total_recorded = 0
         self.dropped = 0
-        self.sinks: List = []
+        # Span name -> [count, seconds], evicted spans included.
+        self.totals: Dict[str, List] = {}
 
     # ------------------------------------------------------------------
     def _new_id(self) -> str:
@@ -358,11 +360,6 @@ class Tracer:
         if not span.sampled:
             return
         self._append(span.record)
-        for sink in self.sinks:
-            try:
-                sink(span.record)
-            except Exception:
-                pass  # a broken sink must never break the traced code
 
     def record_span(
         self,
@@ -399,10 +396,17 @@ class Tracer:
     # ------------------------------------------------------------------
     def _append(self, record: SpanRecord) -> None:
         with self._lock:
-            if len(self._buffer) == self._buffer.maxlen:
-                self.dropped += 1
-            self._buffer.append(record)
-            self.total_recorded += 1
+            self._add(record)
+
+    def _add(self, record: SpanRecord) -> None:
+        """Buffer one span and count it in ``totals``; caller holds the lock."""
+        if len(self._buffer) == self._buffer.maxlen:
+            self.dropped += 1
+        self._buffer.append(record)
+        self.total_recorded += 1
+        total = self.totals.setdefault(record.name, [0, 0.0])
+        total[0] += 1
+        total[1] += record.duration
 
     def ingest(self, records: Iterable[Union[SpanRecord, Dict[str, object]]]) -> int:
         """Merge foreign spans (worker deltas, service responses); dedup.
@@ -423,10 +427,7 @@ class Tracer:
                 self._seen_order.append(key)
                 while len(self._seen_order) > 4 * self.capacity:
                     self._seen.discard(self._seen_order.popleft())
-                if len(self._buffer) == self._buffer.maxlen:
-                    self.dropped += 1
-                self._buffer.append(record)
-                self.total_recorded += 1
+                self._add(record)
                 added += 1
         return added
 
@@ -443,9 +444,10 @@ class Tracer:
             return list(self._buffer)
 
     def clear(self) -> None:
-        """Drop all buffered spans and dedup state."""
+        """Drop all buffered spans, ``totals`` and dedup state."""
         with self._lock:
             self._buffer.clear()
+            self.totals.clear()
             self._seen.clear()
             self._seen_order.clear()
 
@@ -462,40 +464,8 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# Trace sinks / exporters
+# Trace exporters
 # ---------------------------------------------------------------------------
-class JsonlSpanSink:
-    """Streaming sink appending each finished span as one JSON line.
-
-    Attach with ``tracer.sinks.append(sink)``; call :meth:`close` (or use as
-    a context manager) to flush.  The resulting file is what
-    :func:`load_trace` reads back.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._handle = open(self.path, "a")
-        self._lock = threading.Lock()
-        self.written = 0
-
-    def __call__(self, record: SpanRecord) -> None:
-        with self._lock:
-            self._handle.write(json.dumps(record.to_dict()) + "\n")
-            self.written += 1
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._handle.closed:
-                self._handle.flush()
-                self._handle.close()
-
-    def __enter__(self) -> "JsonlSpanSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def chrome_trace_events(records: Sequence[SpanRecord]) -> List[Dict[str, object]]:
     """Convert spans to Chrome ``trace_event`` dicts (complete ``X`` events).
 

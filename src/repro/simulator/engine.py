@@ -15,7 +15,6 @@ separate accelerator serving its own batch.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -177,10 +176,10 @@ def _fusion_memo_put(key: Tuple, result: FusionResult) -> None:
 class Simulator:
     """Evaluates workloads on a datapath configuration.
 
-    ``stage_seconds`` accumulates wall-clock time spent in the mapper, the
-    VPU cost model, and the fusion ILP across every ``simulate`` call on this
-    instance — the raw material for ``repro profile`` and
-    :class:`~repro.core.fast.RuntimeStats` per-stage timings.
+    Each stage runs inside a tracer span: ``compile``, ``batch_map``,
+    ``regions``, ``fusion``, and per op on a region miss ``map_op`` (scalar
+    engine) and ``vector_op`` (op-cache miss).  ``repro profile`` builds its
+    stage columns from those spans' totals.
 
     Results share rather than copy: a region-cache hit puts the cached
     :class:`~repro.simulator.result.RegionPerformance` record itself into the
@@ -198,7 +197,6 @@ class Simulator:
         self.options = options or SimulationOptions()
         self._core_config = self._derive_core_config(config)
         self.hierarchy = MemoryHierarchy(self._core_config)
-        self.stage_seconds: Dict[str, float] = {"mapper": 0.0, "vector": 0.0, "fusion": 0.0}
         # Imported lazily: repro.runtime imports this module at package
         # import time, so a module-level import would be circular.
         from repro.runtime.opcache import caches_for
@@ -259,9 +257,7 @@ class Simulator:
             with _tracer().span(
                 "batch_map", category="simulate", num_ops=len(gather_ops)
             ):
-                started = time.perf_counter()
                 premapped = self.mapper.map_ops_batch(gather_ops, graph.tensors)
-                self.stage_seconds["mapper"] += time.perf_counter() - started
 
         region_perf: List[RegionPerformance] = []
         region_stats: List[RegionStats] = []
@@ -325,9 +321,7 @@ class Simulator:
                 with _tracer().span(
                     "fusion", category="simulate", regions=len(region_stats)
                 ):
-                    started = time.perf_counter()
                     fusion_result = optimizer.optimize(region_stats)
-                    self.stage_seconds["fusion"] += time.perf_counter() - started
                 _fusion_memo_put(memo_key, fusion_result)
 
         return SimulationResult(
@@ -421,14 +415,12 @@ class Simulator:
         vector_costs: List[OpCost] = []
         op_busy_cycles: Dict[str, float] = {}
         op_cache = self.op_cache
-        stage_seconds = self.stage_seconds
         for op in region.ops:
             if is_matrix_op(op.op_type):
-                started = time.perf_counter()
                 cost = premapped.get(op.name) if premapped is not None else None
                 if cost is None:
-                    cost = self.mapper.map_op(op, tensors)
-                stage_seconds["mapper"] += time.perf_counter() - started
+                    with _tracer().span("map_op", category="simulate"):
+                        cost = self.mapper.map_op(op, tensors)
                 if cost.schedule_failed:
                     return None, None
                 matrix_costs.append(cost)
@@ -436,7 +428,6 @@ class Simulator:
                 if region.matrix_op is not None and op.name == region.matrix_op.name:
                     anchor_cost = cost
             else:
-                started = time.perf_counter()
                 cost = None
                 if op_cache is not None:
                     vector_key = vector_cost_cache_key(
@@ -444,10 +435,10 @@ class Simulator:
                     )
                     cost = op_cache.get(vector_key)
                 if cost is None:
-                    cost = vector_op_cost(op, tensors, core, compiled.softmax_factors)
+                    with _tracer().span("vector_op", category="simulate"):
+                        cost = vector_op_cost(op, tensors, core, compiled.softmax_factors)
                     if op_cache is not None:
                         op_cache.put(vector_key, cost)
-                stage_seconds["vector"] += time.perf_counter() - started
                 vector_costs.append(cost)
                 op_busy_cycles[op.name] = cost.vector_cycles
         if anchor_cost is None and matrix_costs:

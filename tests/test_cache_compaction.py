@@ -117,81 +117,24 @@ class TestCompaction:
         assert not (tmp_path / "cache.jsonl.tmp").exists()
         assert TrialCache(path).get("good") is not None
 
+    def test_entries_remain_readable_after_capped_compaction(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = TrialCache(path, max_memory_entries=1)
+        for i in range(60):
+            cache.put(f"k{i}", _metrics(float(i)))
+        assert cache.compact(8).kept == 8
+        # The compacting cache reads survivors back from its reloaded index.
+        hit = cache.get("k58")
+        assert hit is not None
+        assert trial_metrics_to_dict(hit) == trial_metrics_to_dict(_metrics(58.0))
+        assert cache.get("k51") is None  # evicted: older than the newest eight
+        reloaded = TrialCache(path)
+        assert reloaded.stats.disk_entries_loaded == 8
+        assert trial_metrics_to_dict(reloaded.get("k59")) == trial_metrics_to_dict(_metrics(59.0))
+
     def test_compact_requires_a_path(self):
         with pytest.raises(ValueError):
             TrialCache().compact()
-
-    def test_max_disk_entries_is_default_cap(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = TrialCache(path, max_disk_entries=3)
-        for i in range(6):
-            cache.put(f"k{i}", _metrics(float(i)))
-        assert cache.compact().kept == 3
-
-
-# ---------------------------------------------------------------------------
-class TestAutoCompaction:
-    def test_put_triggers_compaction_past_cap_plus_slack(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cap = 8
-        cache = TrialCache(path, max_disk_entries=cap)
-        slack = max(16, cap // 4)
-        for i in range(cap + slack + 1):
-            cache.put(f"k{i}", _metrics(float(i)))
-        assert cache.stats.auto_compactions >= 1
-        assert len(path.read_text().splitlines()) <= cap
-
-    def test_store_stays_bounded_over_many_puts(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cap = 10
-        cache = TrialCache(path, max_disk_entries=cap)
-        for i in range(120):
-            cache.put(f"k{i}", _metrics(float(i)))
-        lines = len(path.read_text().splitlines())
-        assert lines <= cap + max(16, cap // 4)
-        assert cache.stats.auto_compactions >= 2
-        # The most recent entries survive (LRU-by-recency eviction).
-        surviving = {json.loads(line)["key"] for line in path.read_text().splitlines()}
-        assert f"k119" in surviving or "k119" in cache._memory
-
-    def test_no_auto_compaction_without_cap(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = TrialCache(path)
-        for i in range(64):
-            cache.put(f"k{i}", _metrics(float(i)))
-        assert cache.stats.auto_compactions == 0
-        assert len(path.read_text().splitlines()) == 64
-
-    def test_sharded_writers_never_auto_compact(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = TrialCache(path, writer_id=0, max_disk_entries=4)
-        for i in range(64):
-            cache.put(f"k{i}", _metrics(float(i)))
-        assert cache.stats.auto_compactions == 0
-        sidecar = tmp_path / "cache.jsonl.shard-0"
-        assert len(sidecar.read_text().splitlines()) == 64
-
-    def test_exclusive_writer_skips_when_sidecars_exist(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        shard = TrialCache(path, writer_id=1)
-        shard.put("shard-key", _metrics(1.0))
-        exclusive = TrialCache(path, max_disk_entries=4)
-        for i in range(64):
-            exclusive.put(f"k{i}", _metrics(float(i)))
-        # A live shard sidecar blocks auto-compaction entirely.
-        assert exclusive.stats.auto_compactions == 0
-        assert (tmp_path / "cache.jsonl.shard-1").exists()
-
-    def test_entries_remain_readable_after_auto_compaction(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = TrialCache(path, max_disk_entries=8, max_memory_entries=1)
-        for i in range(60):
-            cache.put(f"k{i}", _metrics(float(i)))
-        assert cache.stats.auto_compactions >= 1
-        reloaded = TrialCache(path)
-        hit = reloaded.get("k59")
-        assert hit is not None
-        assert trial_metrics_to_dict(hit) == trial_metrics_to_dict(_metrics(59.0))
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +187,8 @@ class TestShardSafeWrites:
         reloaded = TrialCache(path)
         assert reloaded.stats.disk_entries_loaded == 4
 
-    def test_orphaned_sidecar_is_folded_by_auto_compaction(self, tmp_path):
-        """A sidecar left by a crashed writer must not block auto-compaction."""
+    def test_orphaned_sidecar_is_folded_by_compaction(self, tmp_path):
+        """A sidecar left by a crashed writer must not block compaction."""
         path = tmp_path / "cache.jsonl"
         shard = TrialCache(path, writer_id=7)
         shard.put("crashed-key", _metrics(99.0))
@@ -255,14 +198,16 @@ class TestShardSafeWrites:
         owner = tmp_path / "cache.jsonl.shard-7.owner"
         owner.write_text(json.dumps({"pid": dead.pid, "host": socket.gethostname()}))
 
-        exclusive = TrialCache(path, max_disk_entries=4)
+        exclusive = TrialCache(path)
         for i in range(64):
             exclusive.put(f"k{i}", _metrics(float(i)))
-        assert exclusive.stats.auto_compactions >= 1
+        stats = exclusive.compact(4)
+        assert stats.files_merged == 2
+        assert stats.live_writers_skipped == 0
         assert not (tmp_path / "cache.jsonl.shard-7").exists()
         assert not owner.exists()
-        # The orphan's record was folded in, not dropped... unless evicted by
-        # the size cap; it must at least never linger in a stale sidecar.
+        # The cap keeps the four newest records: the orphan's older one was
+        # folded in and evicted, not left behind in a stale sidecar.
         assert TrialCache(path).get("k63") is not None
 
     def test_ownerless_sidecar_counts_as_orphaned(self, tmp_path):
@@ -272,10 +217,10 @@ class TestShardSafeWrites:
         record = {"key": "legacy", "ts": time.time(),
                   "metrics": trial_metrics_to_dict(_metrics(1.0))}
         sidecar.write_text(json.dumps(record) + "\n")
-        exclusive = TrialCache(path, max_disk_entries=64)
+        exclusive = TrialCache(path)
         for i in range(64 + 17):
             exclusive.put(f"k{i}", _metrics(float(i)))
-        assert exclusive.stats.auto_compactions >= 1
+        assert exclusive.compact(64).files_merged == 2
         assert not sidecar.exists()
 
     def test_compact_skips_live_foreign_writer_sidecar(self, tmp_path):
@@ -303,10 +248,10 @@ class TestShardSafeWrites:
         assert (tmp_path / "cache.jsonl.shard-2.owner").exists()
         shard.release()
         assert not (tmp_path / "cache.jsonl.shard-2.owner").exists()
-        exclusive = TrialCache(path, max_disk_entries=4)
+        exclusive = TrialCache(path)
         for i in range(64):
             exclusive.put(f"k{i}", _metrics(float(i)))
-        assert exclusive.stats.auto_compactions >= 1
+        assert exclusive.compact(4).files_merged == 2
         assert not (tmp_path / "cache.jsonl.shard-2").exists()
 
     def test_sharded_writer_reclaims_ownership_after_its_own_compaction(self, tmp_path):

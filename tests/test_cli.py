@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime.telemetry import get_tracer
 
 
 class TestParser:
@@ -209,6 +210,7 @@ class TestCommands:
 
     def test_profile_smoke_writes_json(self, tmp_path, capsys):
         out_path = tmp_path / "profile.json"
+        caller_tracer = get_tracer()
         code = main(
             [
                 "profile",
@@ -236,6 +238,12 @@ class TestCommands:
         engines = {record["mode"]: record["engine"] for record in payload["records"]}
         assert engines["scalar"] == "scalar:op_cache=off,region_cache=off"
         assert engines["parallel-2"] == "graph-batched"
+        # Stage columns are span totals; the pool row's come from its workers.
+        stages = {record["mode"]: record["stage_seconds"] for record in payload["records"]}
+        assert all(stage["evaluate"] > 0 for stage in stages.values())
+        assert stages["scalar"]["mapper"] > 0
+        assert stages["scalar"]["vector"] > 0
+        assert get_tracer() is caller_tracer
 
     def test_sweep_smoke_golden_output(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"

@@ -34,9 +34,10 @@ from repro.runtime.faults import (
     parse_fault_spec,
     set_fault_plan,
 )
-from repro.runtime.opcache import OpCostCache
+from repro.runtime.opcache import OpCostCache, reset_op_caches
 from repro.runtime.remote import AsyncRemoteExecutor
 from repro.runtime.service import EvaluationService
+from repro.simulator.engine import SimulationOptions
 
 
 def _problem():
@@ -317,6 +318,23 @@ class TestTornWrites:
         path.write_text('{"not": "an op record"\n')  # undecodable line
         store = OpCostCache(path=path)
         assert store.stats.corrupt_records == 1
+
+    def test_search_counts_torn_lines_of_the_op_and_region_stores(self, tmp_path):
+        ops, regions = tmp_path / "ops.jsonl", tmp_path / "regions.jsonl"
+        for store in (ops, regions):
+            store.write_text('{"key": "torn-\n')  # one killed append each
+        options = SimulationOptions(
+            fusion_solver="greedy", op_cache_path=str(ops), region_store_path=str(regions)
+        )
+        reset_op_caches()  # the stores load on first use in this process
+        try:
+            result = FASTSearch(
+                _problem(), optimizer="lcs", seed=0,
+                evaluator=TrialEvaluator(_problem(), simulation_options=options),
+            ).run(num_trials=2, batch_size=2)
+        finally:
+            reset_op_caches()
+        assert result.runtime.corrupt_records == 2
 
     def test_op_store_stale_tmp_is_swept(self, tmp_path):
         path = tmp_path / "ops.jsonl"

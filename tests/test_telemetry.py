@@ -1,8 +1,9 @@
 """End-to-end tracing + metrics telemetry layer.
 
 Covers the span tracer (nesting, timing monotonicity, sampling determinism,
-ring-buffer bounds, ingest dedup), the trace file formats (Chrome trace_event
-schema, JSONL round trip), the Prometheus text exposition (golden output,
+ring-buffer bounds, ingest dedup, per-name totals), the trace file formats
+(Chrome trace_event schema, JSONL round trip), the profile stage columns built
+from span totals, the Prometheus text exposition (golden output,
 label escaping), and the cross-process plumbing: worker spans merged into the
 parent trace exactly once, trace context propagated from a remote search into
 the evaluation service, and the hard invariant that tracing never changes a
@@ -23,7 +24,12 @@ from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.reporting.serialization import trial_metrics_to_dict
 from repro.runtime import telemetry
 from repro.runtime.executor import ParallelExecutor
-from repro.runtime.profiling import summarize_trace
+from repro.runtime.profiling import (
+    PROFILE_MODES,
+    _stage_seconds,
+    profile_search,
+    summarize_trace,
+)
 from repro.runtime.progress import TRIAL_FINISHED, ProgressBus, ProgressPrinter
 from repro.runtime.remote import AsyncRemoteExecutor
 from repro.runtime.service import EvaluationService
@@ -124,6 +130,10 @@ class TestTracer:
         assert [r.name for r in kept] == ["s6", "s7", "s8", "s9"]
         assert tracer.dropped == 6
         assert tracer.total_recorded == 10
+        # The totals keep counting the six spans the buffer evicted.
+        assert {name: count for name, (count, _) in tracer.totals.items()} == {
+            f"s{i}": 1 for i in range(10)
+        }
 
     def test_ingest_dedup_is_exactly_once(self):
         source = Tracer(enabled=True)
@@ -132,8 +142,54 @@ class TestTracer:
         payload = [r.to_dict() for r in source.drain()]
         sink = Tracer(enabled=True)
         assert sink.ingest(payload) == 1
+        totals = {"a": [1, payload[0]["duration"]]}
+        assert sink.totals == totals
         assert sink.ingest(payload) == 0  # hedged/retried redelivery
         assert len(sink.snapshot()) == 1
+        assert sink.totals == totals
+
+    def test_totals_count_and_time_every_span_name(self):
+        tracer = Tracer(enabled=True)
+        for _ in range(2):
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    time.sleep(0.001)
+        tracer.record_span("search", start_unix=0.0, duration=0.5)
+        records = tracer.snapshot()
+        for name in ("outer", "inner"):
+            count, seconds = tracer.totals[name]
+            assert count == 2
+            assert seconds == pytest.approx(sum(r.duration for r in records if r.name == name))
+            assert seconds > 0
+        assert tracer.totals["search"] == [1, 0.5]
+
+    def test_unsampled_and_disabled_spans_stay_out_of_totals(self):
+        tracer = Tracer(enabled=True, sample_rate=0.5, seed=7)
+        for i in range(20):
+            with tracer.span(f"root{i}"):
+                with tracer.span("inner"):
+                    pass
+        kept = [r.name for r in tracer.snapshot()]
+        assert 0 < kept.count("inner") < 20
+        assert {name: count for name, (count, _) in tracer.totals.items()} == {
+            name: kept.count(name) for name in kept
+        }
+        disabled = Tracer(enabled=False)
+        with disabled.span("x"):
+            pass
+        assert disabled.record_span("search", start_unix=0.0, duration=1.0) is None
+        assert disabled.totals == {}
+
+    def test_clear_resets_totals(self):
+        tracer = Tracer(enabled=True)
+        with tracer.span("cold"):
+            pass
+        tracer.clear()
+        assert tracer.totals == {}
+        with tracer.span("timed"):
+            pass
+        assert list(tracer.totals) == ["timed"]
+        assert tracer.totals["timed"][0] == 1
 
     def test_disabled_tracer_is_noop(self):
         tracer = Tracer(enabled=False)
@@ -273,6 +329,65 @@ class TestSummarizeTrace:
 
 
 # ---------------------------------------------------------------------------
+# Profile stage columns (repro profile)
+# ---------------------------------------------------------------------------
+class TestProfileStages:
+    def test_stage_columns_come_from_span_totals(self):
+        stages = _stage_seconds({
+            "batch_map": [2, 0.5],
+            "map_ops_batch": [2, 0.375],  # nested inside batch_map: not added
+            "map_op": [3, 0.25],
+            "vector_op": [5, 0.125],
+            "fusion": [1, 0.0625],
+            "trial": [2, 1.5],
+            "area_power": [2, 0.03125],
+        })
+        assert stages == {
+            "mapper": 0.75,
+            "vector": 0.125,
+            "fusion": 0.0625,
+            "evaluate": 1.5,
+            "other": 0.5625,
+        }
+        assert _stage_seconds({}) == dict.fromkeys(stages, 0)
+
+    def test_warm_profile_times_only_the_steady_state_run(self):
+        caches = next(mode for mode in PROFILE_MODES if mode.name == "graph-batched+caches")
+
+        def stages(warm_op_cache):
+            report = profile_search(
+                ["mobilenet-v2"], trials=4, batch_size=2,
+                modes=[caches], warm_op_cache=warm_op_cache,
+            )
+            return report.records[0].stage_seconds
+
+        cold = stages(warm_op_cache=False)
+        assert cold["mapper"] > 0 and cold["vector"] > 0
+        # The timed rerun is all region-cache hits: the totals were cleared
+        # after the cold run, so its mapping and VPU time is not counted.
+        warm = stages(warm_op_cache=True)
+        assert warm["evaluate"] > 0
+        assert warm["mapper"] == warm["vector"] == 0
+
+    def test_profile_restores_the_callers_tracer_when_a_mode_fails(self, monkeypatch):
+        real_run = FASTSearch.run
+        runs = []
+
+        def run(search, *args, **kwargs):
+            runs.append(search)
+            if len(runs) > 1:  # the warm-up pass succeeds, the profiled mode fails
+                raise RuntimeError("mode failed")
+            return real_run(search, *args, **kwargs)
+
+        monkeypatch.setattr(FASTSearch, "run", run)
+        caller = set_tracer(Tracer(enabled=True))
+        with pytest.raises(RuntimeError, match="mode failed"):
+            profile_search(["mobilenet-v2"], trials=2, batch_size=2, modes=PROFILE_MODES[:1])
+        assert len(runs) == 2
+        assert get_tracer() is caller
+
+
+# ---------------------------------------------------------------------------
 # Prometheus metrics
 # ---------------------------------------------------------------------------
 class TestMetrics:
@@ -388,6 +503,19 @@ class TestSearchIntegration:
 
         assert any(r.pid != os.getpid() for r in trials)  # really from workers
         assert result.runtime.spans_recorded == len(records)
+
+    def test_worker_spans_count_once_in_totals(self):
+        configure_tracer(enabled=True)
+        executor = ParallelExecutor(num_workers=2)
+        try:
+            _run_search(executor=executor, trials=4, batch_size=2)
+        finally:
+            executor.close()
+        tracer = get_tracer()
+        trials = [r for r in tracer.snapshot() if r.name == "trial"]
+        count, seconds = tracer.totals["trial"]
+        assert count == len(trials) == 4
+        assert seconds == pytest.approx(sum(r.duration for r in trials))
 
     def test_remote_trace_propagates_into_the_service(self):
         configure_tracer(enabled=True)
