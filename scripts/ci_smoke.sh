@@ -32,18 +32,30 @@ smoke_search() {
 }
 
 # --------------------------------------------------------------------------
-# 2. Sharded sweep smoke (2 shards, shared cache, compaction)
+# 2. Sharded sweep smoke (2 shards, shared cache, compaction read back)
 # --------------------------------------------------------------------------
 smoke_sweep() {
     log "sweep smoke: 2 shards, shared cache, exchange, compaction"
+    local store="$SMOKE_DIR/sweep-trials.jsonl"
+    rm -f "$store" "$store".shard-*
     python -m repro sweep \
         --workload efficientnet-b0 --trials 16 --shards 2 \
         --optimizer random --batch-size 4 \
-        --cache "$SMOKE_DIR/sweep-trials.jsonl" \
+        --cache "$store" \
         --exchange "$SMOKE_DIR/sweep-scores.json" \
         --output "$SMOKE_DIR/sweep.json"
-    python -m repro cache compact \
-        --cache "$SMOKE_DIR/sweep-trials.jsonl" --max-entries 12
+    python -m repro cache compact --cache "$store" --max-entries 12
+
+    python - "$store" <<'PY'
+import glob, sys
+from repro.runtime.cache import TrialCache
+store = TrialCache(sys.argv[1])
+assert len(store) == 12, len(store)
+assert store.stats.corrupt_records == 0, vars(store.stats)
+leftover = glob.glob(sys.argv[1] + ".shard-*")
+assert not leftover, leftover
+print("compacted store reads back", len(store), "entries, no torn lines, no sidecars")
+PY
 }
 
 # --------------------------------------------------------------------------
@@ -333,11 +345,12 @@ PY
 }
 
 # --------------------------------------------------------------------------
-# 8. Cache-tier smoke: a search writes the persistent region store, a cold
-#    process warm-loads it (every region from disk, none recomputed), and a
-#    2-worker run's workers, forked from the warm parent, serve every region
-#    from the store too — all with histories bit-for-bit equal to the
-#    private-cache baseline.
+# 8. Cache-tier smoke: a search writes the persistent region store, which
+#    `repro cache compact` refuses to touch; a cold process warm-loads it
+#    (every region from disk, none recomputed), and a 2-worker run's
+#    workers, forked from the warm parent, serve every region from the
+#    store too — all with histories bit-for-bit equal to the private-cache
+#    baseline.
 # --------------------------------------------------------------------------
 smoke_cache_tier() {
     log "cache-tier smoke: region store warm-load + warm-pool equivalence"
@@ -350,6 +363,14 @@ smoke_cache_tier() {
         --engine "graph-batched:region_store=$store" \
         --output "$SMOKE_DIR/cache-store-cold.json"
     [ -s "$store" ] || { echo "region store was never written"; exit 1; }
+    # The trial-cache compactor must refuse a region store, not empty it.
+    local digest
+    digest=$(sha256sum "$store")
+    if python -m repro cache compact --cache "$store"; then
+        echo "cache compact accepted a region store"; exit 1
+    fi
+    [ "$(sha256sum "$store")" = "$digest" ] \
+        || { echo "cache compact changed the region store"; exit 1; }
     # Fresh processes: one serial warm-load, one 2-worker run.
     python -m repro search "${common[@]}" \
         --engine "graph-batched:region_store=$store" \

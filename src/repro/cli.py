@@ -65,16 +65,20 @@ or run shards on separate hosts and merge their files afterwards::
 
 Shards sharing one ``--cache`` path append to per-shard sidecar files, so
 concurrent writers never corrupt the store.  ``repro cache compact`` folds
-the sidecars back into the base file, keeps the best record per key, and
-evicts the least-recently-written entries beyond ``--max-entries`` (compact
-between sweeps, not while one is writing — merged sidecars are deleted)::
+the sidecars back into the base file, keeps one record per key (the last
+one read; evaluation is deterministic, so every record of a key is the
+same), and beyond ``--max-entries`` evicts the earliest-written entries:
+base file first, then sidecars in name order.  Merged sidecars are
+deleted.  It refuses a store of another kind — an op or region store, whose
+records have no ``"metrics"`` — and leaves it as it was::
 
     python -m repro cache compact --cache trials.jsonl --max-entries 10000
 
 Sharded writers claim their sidecar with a pid/host owner marker:
 compaction folds in sidecars orphaned by crashed (or finished) writers while
 never touching one a live foreign process still appends to, so ``repro cache
-compact`` is safe even when a previous sweep died mid-write.
+compact`` is safe while a sweep is writing, and when a previous sweep died
+mid-write.
 
 Remote evaluation
 ~~~~~~~~~~~~~~~~~
@@ -865,7 +869,11 @@ def _cmd_cache_compact(args) -> int:
     if not cache.disk_files():
         print(f"error: no cache store at {args.cache}")
         return 1
-    stats = cache.compact(args.max_entries)
+    try:
+        stats = cache.compact(args.max_entries)
+    except ValueError as error:
+        print(f"error: {error}")
+        return 1
     summary = {
         "files merged": stats.files_merged,
         "entries kept": stats.kept,
@@ -1151,13 +1159,14 @@ def build_parser() -> argparse.ArgumentParser:
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
     compact = cache_sub.add_parser(
         "compact",
-        help="Merge shard sidecars, keep the best record per key, cap the store "
-             "size (run only while no sweep is writing to the store)",
+        help="Merge shard sidecars (skipping those a live writer owns), keep one "
+             "record per key, cap the store size; refuses an op or region store",
     )
     compact.add_argument("--cache", required=True, metavar="PATH",
-                         help="Cache store to compact")
+                         help="Trial-cache store to compact")
     compact.add_argument("--max-entries", type=int, default=None,
-                         help="Evict least-recently-written entries beyond this count")
+                         help="Evict the earliest-written entries (base file first, "
+                              "then sidecars in name order) beyond this count")
     compact.set_defaults(func=_cmd_cache_compact)
 
     trace = sub.add_parser(

@@ -70,9 +70,10 @@ class RuntimeStats:
     its history changing: ``worker_restarts`` (process pools rebuilt after a
     worker died mid-batch), ``remote_fallbacks`` (batches a remote executor
     evaluated locally after the whole fleet failed), ``corrupt_records``
-    (torn JSONL records quarantined while loading the attached trial, op
-    and region stores), and ``faults_injected`` (faults fired by an
-    ``--inject-faults`` plan during the run; zero in production runs).
+    (torn JSONL records quarantined while loading the trial cache and the
+    op and region stores of a serial run or of a process pool's parent),
+    and ``faults_injected`` (faults fired by an ``--inject-faults`` plan
+    during the run; zero in production runs).
 
     ``engine`` is a configuration echo, not a counter: the canonical
     :class:`~repro.simulator.enginespec.EngineSpec` string the evaluating
@@ -264,7 +265,7 @@ class FASTSearch:
             optimizer_state_to_dict,
             restore_optimizer,
         )
-        from repro.runtime.executor import SerialExecutor
+        from repro.runtime.executor import ParallelExecutor, SerialExecutor
         from repro.runtime.progress import (
             BATCH_STARTED,
             BEST_IMPROVED,
@@ -288,15 +289,16 @@ class FASTSearch:
         started_unix = time.time()
         started_at = time.monotonic()
         stats = RuntimeStats()
-        # Op-cache counters only move in this process, i.e. under a serial
-        # executor; with a parallel executor the lookups happen in the
-        # workers, which report them through ``runtime_counters()``.
+        # The op and region caches this process loads: a serial executor's,
+        # or a process pool's, whose parent loads them before its workers
+        # fork.  Only a serial run moves their counters; pool workers report
+        # theirs through ``runtime_counters()``, which overrides them below.
         from repro.runtime.executor import cache_counter_snapshot
         from repro.runtime.opcache import caches_for
 
         op_cache, region_cache = caches_for(
             getattr(self.evaluator, "simulation_options", None)
-            if isinstance(executor, SerialExecutor)
+            if isinstance(executor, (SerialExecutor, ParallelExecutor))
             else None
         )
         cache_start = cache_counter_snapshot(op_cache, region_cache)
@@ -361,11 +363,14 @@ class FASTSearch:
             metrics: TrialMetrics,
             replay: bool = False,
         ) -> None:
-            """Fold one completed trial into history/best/Pareto state."""
+            """Tell one completed trial to the optimizer and fold it into
+            history/best/Pareto state (resume replays a history through here)."""
             nonlocal best_metrics, best_params
+            feasible = metrics.feasible and math.isfinite(metrics.objective_value)
+            self.optimizer.tell(params, metrics.objective_value, feasible=feasible)
             history.append(metrics)
             proposals_log.append(dict(params))
-            if metrics.feasible and math.isfinite(metrics.objective_value):
+            if feasible:
                 if best_metrics is None or metrics.aggregate_score > best_metrics.aggregate_score:
                     best_metrics = metrics
                     best_params = dict(params)
@@ -389,12 +394,16 @@ class FASTSearch:
                         "checkpoint was written for a different problem/space "
                         f"(fingerprint {state.fingerprint} != {fingerprint})"
                     )
-                restore_optimizer(self.optimizer, self.space, state.optimizer_state)
+                if self.optimizer.observations:
+                    raise ValueError(
+                        "cannot resume into an optimizer that already has observations"
+                    )
                 for trial_index, (params, metrics) in enumerate(
                     zip(state.proposals, state.history)
                 ):
                     batched.note_proposed(params)
                     _absorb(trial_index, params, metrics, replay=True)
+                restore_optimizer(self.optimizer, state.optimizer_state)
                 stats.resumed_trials = len(state.history)
                 bus.emit(SEARCH_RESUMED, num_completed=stats.resumed_trials)
 
@@ -477,11 +486,6 @@ class FASTSearch:
             cache_rates = _live_cache_rates()
             for offset, (params, metrics) in enumerate(zip(batch, results)):
                 trial_index = completed + offset
-                self.optimizer.tell(
-                    params,
-                    metrics.objective_value,
-                    feasible=metrics.feasible and math.isfinite(metrics.objective_value),
-                )
                 _absorb(trial_index, params, metrics)
                 bus.emit(
                     TRIAL_FINISHED,

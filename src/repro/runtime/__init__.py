@@ -5,15 +5,17 @@ engine, layered as:
 
 * :mod:`repro.runtime.executor` — serial / process-pool batch evaluation
   (pool workers fork from a warm parent and inherit its caches),
-* :mod:`repro.runtime.batching` — batched ask/tell over any optimizer,
+* :mod:`repro.runtime.batching` — batched, de-duplicated asks over any optimizer,
 * :mod:`repro.runtime.cache` — persistent memoization of trial metrics with
   shard-safe concurrent writers and size-capped compaction,
 * :mod:`repro.runtime.opcache` — cross-trial memoization of per-op mapping
   and vector costs plus whole evaluated fusion regions, keyed by problem
   fingerprint + mapping-relevant sub-config and optionally persisted as
   JSON lines (op store / region store); ``caches_for`` picks the caches
-  an evaluator's simulation options name,
-* :mod:`repro.runtime.checkpoint` — periodic save + ``--resume`` support,
+  an evaluator's simulation options name.  Its ``CostCacheBase`` is the
+  one JSONL store implementation, behind the trial cache too,
+* :mod:`repro.runtime.checkpoint` — periodic save + ``--resume`` support;
+  a checkpoint holds each trial once, and resume replays its history,
 * :mod:`repro.runtime.progress` — event bus for live progress reporting,
 * :mod:`repro.runtime.service` — stdlib HTTP evaluation service
   (``repro serve``): accepts batches of trial params + a problem
@@ -47,13 +49,7 @@ the ``repro search`` CLI exposes them as ``--workers``, ``--cache``,
 """
 
 from repro.runtime.batching import BatchedOptimizer, proposal_key
-from repro.runtime.cache import (
-    CacheStats,
-    CompactionStats,
-    TrialCache,
-    compact_cache,
-    problem_fingerprint,
-)
+from repro.runtime.cache import TrialCache, problem_fingerprint
 from repro.runtime.checkpoint import CheckpointState, SearchCheckpoint
 from repro.runtime.exchange import (
     ExchangeClient,
@@ -89,6 +85,7 @@ from repro.runtime.remote import (
     RemoteExecutionError,
 )
 from repro.runtime.opcache import (
+    CompactionStats,
     CostCacheStats,
     OpCostCache,
     RegionCostCache,
@@ -143,7 +140,6 @@ from repro.runtime.sharding import (
 __all__ = [
     "AsyncRemoteExecutor",
     "BatchedOptimizer",
-    "CacheStats",
     "CheckpointState",
     "CompactionStats",
     "CostCacheStats",
@@ -188,7 +184,6 @@ __all__ = [
     "caches_for",
     "chrome_trace_events",
     "clear_faults",
-    "compact_cache",
     "configure_faults",
     "configure_tracer",
     "executor_kinds",

@@ -1,30 +1,31 @@
-"""Batched ask/tell adapter over the single-proposal optimizer interface.
+"""Batched asks over the single-proposal optimizer interface.
 
 Evaluating trials in parallel requires asking the optimizer for several
 proposals *before* any of their results are known.  :class:`BatchedOptimizer`
 adapts any :class:`~repro.search.optimizer.Optimizer` to that pattern:
+``ask_batch(n)`` prefers the optimizer's native ``ask_batch`` (population /
+neighborhood / acquisition-ranked proposals generated in one pass, see
+:meth:`repro.search.optimizer.Optimizer.ask_batch`) and falls back to
+repeated ``ask()`` calls for duck-typed optimizers without one.  Either way
+every proposal passes tabu-style de-duplication — a proposal identical to
+anything already proposed in this run is re-asked a few times and finally
+diversified with a local mutation, so a batch never wastes parallel slots
+on duplicate configurations.
 
-* ``ask_batch(n)`` prefers the optimizer's native ``ask_batch`` (population /
-  neighborhood / acquisition-ranked proposals generated in one pass, see
-  :meth:`repro.search.optimizer.Optimizer.ask_batch`) and falls back to
-  repeated ``ask()`` calls for duck-typed optimizers without one.  Either
-  way every proposal passes tabu-style de-duplication — a proposal identical
-  to anything already proposed in this run is re-asked a few times and
-  finally diversified with a local mutation, so a batch never wastes
-  parallel slots on duplicate configurations.
-* ``tell_batch`` replays the measured outcomes in proposal order, which keeps
-  the optimizer's observation log — and therefore its future trajectory —
-  independent of the order in which workers happened to finish.
+Outcomes are told to the optimizer itself, by
+:meth:`~repro.core.fast.FASTSearch.run`, in proposal order, which keeps the
+optimizer's trajectory independent of the order in which workers happened
+to finish.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Sequence, Tuple
+from typing import List
 
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
 from repro.reporting.serialization import params_to_jsonable
-from repro.search.optimizer import Observation, Optimizer
+from repro.search.optimizer import Optimizer
 
 __all__ = ["proposal_key", "BatchedOptimizer"]
 
@@ -90,20 +91,3 @@ class BatchedOptimizer:
             retries += 1
         self._seen_keys.add(key)
         return params
-
-    # ------------------------------------------------------------------
-    def tell_batch(
-        self,
-        proposals: Sequence[ParameterValues],
-        outcomes: Iterable[Tuple[float, bool]],
-    ) -> List[Observation]:
-        """Report ``(objective, feasible)`` outcomes in proposal order."""
-        observations = []
-        for params, (objective, feasible) in zip(proposals, outcomes):
-            observations.append(self.optimizer.tell(params, objective, feasible=feasible))
-        return observations
-
-    def tell(self, params: ParameterValues, objective: float, feasible: bool = True) -> Observation:
-        """Single-result passthrough (also records the proposal as seen)."""
-        self.note_proposed(params)
-        return self.optimizer.tell(params, objective, feasible=feasible)

@@ -1,15 +1,20 @@
 """Checkpoint/resume for long searches.
 
 A checkpoint is a single JSON file holding everything needed to continue a
-search after an interruption: the proposal list, the full trial history, the
-optimizer's observation log, its RNG state(s), and any optimizer-declared
-ask-side state (``Optimizer.extra_checkpoint_state`` — sweep queues,
-annealing incumbents).  On resume the optimizer is rebuilt by *replaying*
-the observations through ``tell`` (population- and surrogate-based
-optimizers derive their internal state from observations), restoring the
-declared extra state, and finally restoring the saved RNG state — so a
-resumed run continues with exactly the proposal stream an uninterrupted run
-would have produced, bit-for-bit for every built-in optimizer.
+search after an interruption: the proposal list, the full trial history,
+the optimizer's RNG state(s), and any optimizer-declared ask-side state
+(``Optimizer.extra_checkpoint_state`` — sweep queues, annealing
+incumbents).  Each trial is stored once, in the history.  On resume the
+optimizer is rebuilt by *replaying* the history through ``tell`` exactly
+as the search loop told it (population- and surrogate-based optimizers
+derive their internal state from what they were told), then restoring the
+declared extra state, and finally the saved RNG state — so a resumed run
+continues with exactly the proposal stream an uninterrupted run would have
+produced, bit-for-bit for every built-in optimizer.
+
+Files are written as format version 2.  Version-1 files, which also held
+the optimizer's observation log, still load: the log is ignored, because
+replaying the history makes the same tells.
 
 The bit-for-bit guarantee holds when the checkpointed trial count is a
 multiple of the batch size, which is always the case for interruption
@@ -45,7 +50,7 @@ from repro.search.optimizer import Optimizer
 
 __all__ = ["CheckpointState", "SearchCheckpoint"]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -81,37 +86,20 @@ def _restore_rng_states(optimizer: Optimizer, states: Dict[str, object]) -> None
 
 
 def optimizer_state_to_dict(optimizer: Optimizer) -> Dict[str, object]:
-    """Serialize an optimizer: observation log, RNG state(s), and any
-    optimizer-declared ask-side state (sweep queues, incumbents, ...)."""
+    """Serialize what replaying the history cannot rebuild: the RNG state(s)
+    and any optimizer-declared ask-side state (sweep queues, incumbents, ...)."""
     return {
-        "observations": [
-            {
-                "params": params_to_jsonable(obs.params),
-                "objective": obs.objective,
-                "feasible": obs.feasible,
-            }
-            for obs in optimizer.observations
-        ],
         "rng_states": _rng_states(optimizer),
         "extra": optimizer.extra_checkpoint_state(),
     }
 
 
-def restore_optimizer(
-    optimizer: Optimizer, space: DatapathSearchSpace, state: Dict[str, object]
-) -> None:
-    """Rebuild optimizer state: replay observations, restore declared extra
-    state, then restore RNGs (in that order, so replay side-effects that
-    consumed fresh RNG draws or rebuilt stale internal state are overwritten).
+def restore_optimizer(optimizer: Optimizer, state: Dict[str, object]) -> None:
+    """Restore declared extra state, then RNGs, after the history's replay.
 
-    The optimizer must be freshly constructed (no observations yet); replay
-    into a used optimizer would double-count trials.
+    Run after the tells, so replay side-effects that consumed fresh RNG
+    draws or rebuilt stale internal state are overwritten.
     """
-    if optimizer.observations:
-        raise ValueError("cannot restore into an optimizer that already has observations")
-    for record in state.get("observations", []):
-        params = params_from_jsonable(record["params"], space)
-        optimizer.tell(params, record["objective"], feasible=record["feasible"])
     optimizer.restore_extra_checkpoint_state(state.get("extra", {}))
     _restore_rng_states(optimizer, state.get("rng_states", {}))
 
@@ -192,7 +180,7 @@ class SearchCheckpoint:
                 "restart the search from scratch"
             ) from error
         version = payload.get("version")
-        if version != _FORMAT_VERSION:
+        if version not in (1, _FORMAT_VERSION):
             raise ValueError(f"unsupported checkpoint version {version!r}")
         state = CheckpointState(
             fingerprint=payload["fingerprint"],

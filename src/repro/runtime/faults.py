@@ -25,9 +25,12 @@ counter the runtime consults at its failure sites:
                         response.
 ``service-delay``       The evaluation service sleeps ``delay`` seconds
                         before handling the request.
-``torn-write``          A JSONL cache / op-store append writes a truncated
-                        record, and a checkpoint save leaves a partial
-                        ``.tmp`` file behind, as a crash mid-write would.
+``torn-write``          A trial-cache append writes a truncated record,
+                        and a checkpoint save leaves a partial ``.tmp``
+                        file behind, as a crash mid-write would.  Op- and
+                        region-store appends never tear: they also run
+                        inside pool workers, and fault decisions are made
+                        only in the coordinating process.
 ======================  ====================================================
 
 Plans are built from a compact spec string (``--inject-faults``)::

@@ -1,4 +1,4 @@
-"""Cross-trial memoization of mapping costs: the shared cost caches.
+"""Cross-trial memoization of mapping costs, and the store every cache shares.
 
 The second-level cache of the mapping engine: while each
 :class:`~repro.mapping.mapper.Mapper` memoizes problems *within* one trial,
@@ -15,10 +15,12 @@ candidate sweep.  Vector-op costs are cached the same way under a
 :func:`repro.simulator.vector_ops.vector_cost_cache_key`.  One level up,
 :class:`RegionCostCache` memoizes whole fusion-region evaluations.
 
-Both caches are one tier: an in-process memory LRU in front of an optional
-append-only JSONL store (``--op-cache`` / ``--engine region_store=PATH``),
-indexed by key digest.  Records are written with a single ``write`` call
-each, so concurrent appends from multiple processes sharing a path never
+:class:`CostCacheBase` is the one store behind the op store
+(``--op-cache``), the region store (``--engine region_store=PATH``) and the
+trial cache (:class:`~repro.runtime.cache.TrialCache`): an in-process memory
+LRU in front of an optional append-only JSONL store, indexed by key digest.
+Records are appended through one method, with a single ``write`` call each,
+so concurrent appends from multiple processes sharing a path never
 interleave partial lines on POSIX filesystems, and torn tails left by
 crashes are quarantined (``corrupt_records``) rather than trusted.  Hosts
 share regions by sharing a store, or by evaluating on one ``repro serve``
@@ -26,9 +28,9 @@ that keeps it.
 
 A store entry decodes bit-identical to the value that was put (JSON float
 encoding round-trips exactly), so whether an entry came from memory or disk
-can never change a search history — only how fast it arrives.  Caches are
-process-local singletons: :func:`caches_for` picks the ones an evaluator's
-simulation options name, through :func:`get_op_cache` /
+can never change a search history — only how fast it arrives.  Cost caches
+are process-local singletons: :func:`caches_for` picks the ones an
+evaluator's simulation options name, through :func:`get_op_cache` /
 :func:`get_region_cache`; the evaluator ships only the cache *settings*,
 never the cache.  Worker processes of a
 :class:`~repro.runtime.executor.ParallelExecutor` inherit the parent's warm
@@ -44,7 +46,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Type, Union
 
 from repro.fusion.fast_fusion import RegionStats
 from repro.mapping.costmodel import OpCost
@@ -54,6 +56,7 @@ from repro.simulator.result import RegionPerformance
 from repro.workloads.ops import OpType
 
 __all__ = [
+    "CompactionStats",
     "CostCacheBase",
     "CostCacheStats",
     "OpCostCache",
@@ -72,13 +75,14 @@ __all__ = [
 
 @dataclass
 class CostCacheStats:
-    """Hit/miss counters for one cost cache (op or region).
+    """Hit/miss counters for one cache (op, region or trial).
 
     ``hits`` counts every lookup served from memory or the store;
     ``disk_hits`` breaks out the subset served from the store's index (a
     pure memory-LRU hit is ``hits`` minus ``disk_hits``).
-    ``corrupt_records`` counts torn/undecodable JSONL lines quarantined
-    while loading the store (the tail a crash mid-append leaves);
+    ``corrupt_records`` counts JSONL lines quarantined each time the store
+    is read (on load and by compaction): the torn tail a crash mid-append
+    leaves, or a record of another store kind;
     ``stale_tmp_swept`` counts leftover compaction temp files removed.
     """
 
@@ -95,6 +99,17 @@ class CostCacheStats:
         """Fraction of lookups served from the cache."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+@dataclass
+class CompactionStats:
+    """Outcome of one compaction pass (:meth:`CostCacheBase.compact`)."""
+
+    kept: int = 0
+    duplicates_dropped: int = 0
+    evicted: int = 0
+    files_merged: int = 0
+    live_writers_skipped: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +266,11 @@ def region_entry_from_dict(data: Dict[str, object]) -> tuple:
 # ---------------------------------------------------------------------------
 # The shared store base.  Everything path-related — digest index, streamed
 # load, torn-tail quarantine, stale-tmp sweep, single-write appends, atomic
-# compaction — lives here once; OpCostCache and RegionCostCache differ only
-# in their payload codec.
+# compaction — lives here once; OpCostCache, RegionCostCache and TrialCache
+# differ in their payload codec, and the trial cache adds writer sidecars.
 # ---------------------------------------------------------------------------
 class CostCacheBase:
-    """Cost cache: memory LRU + an optional JSONL store and its digest index.
+    """Cache: memory LRU + an optional JSONL store and its digest index.
 
     Keys are hashable tuples built by the mapper / simulator; the store
     (and the raw index loaded from it) keys them by a SHA-256 digest of
@@ -283,7 +298,7 @@ class CostCacheBase:
         # digest -> raw payload dict, mirroring the JSONL store; empty
         # without a path, so a store-less cache is bounded by its LRU.
         self._disk_index: Dict[str, dict] = {}
-        if self.path is not None and self.path.exists():
+        if self.path is not None:
             self._load_disk_index()
 
     # -- codec hooks ---------------------------------------------------
@@ -294,6 +309,17 @@ class CostCacheBase:
         raise NotImplementedError
 
     # -- persistence ---------------------------------------------------
+    @property
+    def write_path(self) -> Optional[Path]:
+        """File this cache appends to."""
+        return self.path
+
+    def disk_files(self) -> List[Path]:
+        """The store's files, in load order: its path, once it exists."""
+        if self.path is None or not self.path.exists():
+            return []
+        return [self.path]
+
     def _sweep_stale_tmp(self) -> None:
         """Remove a leftover ``.tmp`` from a compaction that crashed mid-write."""
         tmp_path = self.path.with_name(self.path.name + ".tmp")
@@ -304,25 +330,85 @@ class CostCacheBase:
         except OSError:
             pass  # best effort; a stale tmp is inert
 
-    def _load_disk_index(self) -> None:
-        # Streamed line-by-line: a multi-GB store must never be buffered
-        # whole (read_text doubles peak RSS) just to build its index.
-        self._sweep_stale_tmp()
+    def _read(self, files: Iterable[Path]) -> Tuple[Dict[str, dict], int, int]:
+        """Stream store files line by line into a ``{digest: payload}`` index.
+
+        The last record read for a key wins, at the key's first position.
+        Returns the index, the records read, and how many lines were whole
+        records of another store kind (a ``"key"`` but no
+        :attr:`_PAYLOAD_FIELD`).  Those and torn lines are quarantined:
+        counted in ``stats.corrupt_records`` and skipped.
+        """
+        index: Dict[str, dict] = {}
+        records = foreign = 0
         payload = self._PAYLOAD_FIELD
-        with self.path.open("r") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    self._disk_index[record["key"]] = record[payload]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    # Quarantine the torn line a killed run left behind:
-                    # count it, keep loading, let compaction drop it.
-                    self.stats.corrupt_records += 1
-                    continue
+        for file in files:
+            with file.open("r") as handle:
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    record = None
+                    try:
+                        record = json.loads(line)
+                        index[record["key"]] = record[payload]
+                        records += 1
+                    except (json.JSONDecodeError, KeyError, TypeError):
+                        self.stats.corrupt_records += 1
+                        if isinstance(record, dict) and "key" in record:
+                            foreign += 1
+        return index, records, foreign
+
+    def _load_disk_index(self) -> None:
+        self._sweep_stale_tmp()
+        self._disk_index = self._read(self.disk_files())[0]
         self.stats.disk_entries_loaded = len(self._disk_index)
+
+    def _append(self, line: str) -> None:
+        """Append one record line: the one place a store is written.  One
+        write call per record, so concurrent appends never split a line."""
+        path = self.write_path
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("a") as handle:
+            handle.write(line)
+
+    def _rewrite(
+        self, files: List[Path], max_entries: Optional[int] = None
+    ) -> CompactionStats:
+        """Fold ``files`` into the store's path: one streamed, atomic rewrite.
+
+        Keeps :meth:`_read`'s index, minus the earliest-written records past
+        ``max_entries``, and drops torn lines.  Records of another store
+        kind raise ``ValueError`` before anything is written, so a mistyped
+        path is refused, not emptied.
+        """
+        index, records, foreign = self._read(files)
+        if foreign:
+            raise ValueError(
+                f"{self.path} holds {foreign} records without a "
+                f"{self._PAYLOAD_FIELD!r} field: it is another kind of store; "
+                "refusing to compact it"
+            )
+        stats = CompactionStats(
+            files_merged=len(files), duplicates_dropped=records - len(index)
+        )
+        if max_entries is not None and len(index) > max_entries:
+            stats.evicted = len(index) - max(0, int(max_entries))
+            index = dict(list(index.items())[stats.evicted :])
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp_path = self.path.with_name(self.path.name + ".tmp")
+        payload = self._PAYLOAD_FIELD
+        with tmp_path.open("w") as handle:
+            for digest, raw in index.items():
+                handle.write(json.dumps({"key": digest, payload: raw}) + "\n")
+            # Durable before the rename, so the promoted file can never
+            # lose its data to a power failure after the replace.
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp_path, self.path)
+        self._disk_index = index
+        stats.kept = len(index)
+        return stats
 
     @staticmethod
     def digest(key: Tuple, prefix: Optional[str] = None) -> str:
@@ -388,37 +474,18 @@ class CostCacheBase:
         if digest in self._disk_index:
             return
         raw = self._encode(value)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # One write call per record: appends from concurrent processes can
-        # never split a line.
-        with self.path.open("a") as handle:
-            handle.write(json.dumps({"key": digest, self._PAYLOAD_FIELD: raw}) + "\n")
+        self._append(json.dumps({"key": digest, self._PAYLOAD_FIELD: raw}) + "\n")
         self._disk_index[digest] = raw
 
-    def compact(self) -> int:
-        """Rewrite the store with one record per key; returns records kept.
+    def compact(self) -> CompactionStats:
+        """Rewrite the store with one record per key (see :meth:`_rewrite`).
 
-        Records are deterministic per key, so compaction simply keeps the
-        first occurrence of each key.  The rewrite is atomic (temp file +
-        fsync + rename).  Run it only while no other process is appending to
-        the store — appends racing the rename window would be lost.
+        Run it only while no other process is appending to the store —
+        appends racing the rename window would be lost.
         """
         if self.path is None:
             raise ValueError("compaction requires a cache path")
-        self._disk_index = {}
-        if self.path.exists():
-            self._load_disk_index()
-        tmp_path = self.path.with_name(self.path.name + ".tmp")
-        payload = self._PAYLOAD_FIELD
-        with tmp_path.open("w") as handle:
-            for digest, raw in self._disk_index.items():
-                handle.write(json.dumps({"key": digest, payload: raw}) + "\n")
-            # Durable before the rename, so the promoted file can never
-            # lose its data to a power failure after the replace.
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.path)
-        return len(self._disk_index)
+        return self._rewrite(self.disk_files())
 
     def _remember(self, key: Tuple, value) -> None:
         self._memory[key] = value
@@ -431,6 +498,9 @@ class CostCacheBase:
         return len(self._memory) if not self._disk_index else len(
             {self.digest(k) for k in self._memory} | set(self._disk_index)
         )
+
+    def __contains__(self, key) -> bool:
+        return key in self._memory or self.digest(key) in self._disk_index
 
     def snapshot_counters(self) -> Tuple[int, int]:
         """(hits, misses) counters, for delta accounting across a run."""

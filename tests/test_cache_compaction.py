@@ -14,7 +14,8 @@ from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator, TrialMetrics
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.reporting.serialization import trial_metrics_to_dict
-from repro.runtime import TrialCache, compact_cache, problem_fingerprint
+from repro.runtime import OpCostCache, TrialCache, problem_fingerprint
+from repro.runtime.opcache import opcost_to_dict
 
 
 def _problem():
@@ -48,25 +49,19 @@ class TestCompaction:
     def test_compaction_deduplicates_keys(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = TrialCache(path)
+        racer = TrialCache(path)  # opened before any put, like a concurrent writer
         for _ in range(3):
             cache.put("k1", _metrics(1.0))
+        racer.put("k1", _metrics(1.0))
         cache.put("k2", _metrics(2.0))
-        assert len(path.read_text().splitlines()) == 4
+        # A put never re-appends a key the store indexes: the three puts of
+        # k1 append one line, and only the racing writer duplicates it.
+        assert len(path.read_text().splitlines()) == 3
         stats = cache.compact()
         assert stats.kept == 2
-        assert stats.duplicates_dropped == 2
+        assert stats.duplicates_dropped == 1
         assert stats.evicted == 0
         assert len(path.read_text().splitlines()) == 2
-
-    def test_compaction_preserves_best_entry_per_key(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = TrialCache(path)
-        cache.put("k", _metrics(5.0))
-        cache.put("k", _metrics(0.0, feasible=False))  # later but worse
-        cache.compact()
-        record = json.loads(path.read_text().splitlines()[0])
-        assert record["metrics"]["feasible"] is True
-        assert record["metrics"]["aggregate_score"] == 5.0
 
     def test_compaction_respects_size_cap_evicting_oldest(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -77,25 +72,13 @@ class TestCompaction:
         assert stats.kept == 4
         assert stats.evicted == 6
         keys = [json.loads(line)["key"] for line in path.read_text().splitlines()]
-        assert keys == ["k6", "k7", "k8", "k9"]  # least-recently-written evicted
-
-    def test_duplicate_write_bumps_recency(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = TrialCache(path)
-        cache.put("old_but_hot", _metrics(1.0))
-        for i in range(3):
-            cache.put(f"k{i}", _metrics(float(i)))
-        cache.put("old_but_hot", _metrics(1.0))  # re-written: recently used
-        stats = cache.compact(max_entries=2)
-        assert stats.kept == 2
-        keys = {json.loads(line)["key"] for line in path.read_text().splitlines()}
-        assert "old_but_hot" in keys
+        assert keys == ["k6", "k7", "k8", "k9"]  # earliest-written evicted
 
     def test_warm_hit_after_compaction_returns_identical_metrics(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cold = FASTSearch(_problem(), optimizer="random", seed=3,
                           cache=TrialCache(path)).run(8, batch_size=2)
-        compact_cache(path)
+        TrialCache(path).compact()
 
         evaluator = CountingEvaluator(_problem())
         warm = FASTSearch(_problem(), optimizer="random", seed=3,
@@ -136,6 +119,40 @@ class TestCompaction:
         with pytest.raises(ValueError):
             TrialCache().compact()
 
+    def test_compaction_refuses_a_store_of_another_kind(self, tmp_path):
+        from repro.mapping.costmodel import OpCost
+        from repro.workloads.ops import OpType
+
+        ops = tmp_path / "ops.jsonl"
+        cost = OpCost(op_name="op", op_type=OpType.MATMUL, compute_cycles=5.0)
+        ops.write_text(
+            json.dumps({"key": OpCostCache.digest(("k",)), "cost": opcost_to_dict(cost)})
+            + "\n"
+        )
+        trials = tmp_path / "trials.jsonl"
+        TrialCache(trials).put("k", _metrics(1.0))
+        for store, cache in ((ops, TrialCache(ops)), (trials, OpCostCache(path=trials))):
+            before = store.read_bytes()
+            with pytest.raises(ValueError, match="another kind of store"):
+                cache.compact()
+            assert store.read_bytes() == before
+            assert not store.with_name(store.name + ".tmp").exists()
+
+    def test_compaction_keeps_the_last_record_at_the_first_position(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        lines = [
+            {"key": "a", "metrics": trial_metrics_to_dict(_metrics(1.0))},
+            {"key": "b", "metrics": trial_metrics_to_dict(_metrics(2.0))},
+            {"key": "a", "ts": 0.0, "metrics": trial_metrics_to_dict(_metrics(3.0))},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        stats = TrialCache(path).compact()
+        assert (stats.kept, stats.duplicates_dropped) == (2, 1)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [record["key"] for record in records] == ["a", "b"]
+        assert records[0]["metrics"]["aggregate_score"] == 3.0
+        assert all("ts" not in record for record in records)  # old stamps dropped
+
 
 # ---------------------------------------------------------------------------
 class TestShardSafeWrites:
@@ -174,11 +191,13 @@ class TestShardSafeWrites:
 
     def test_compaction_folds_sidecars_into_base_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        for w in range(3):
-            shard = TrialCache(path, writer_id=w)
+        # All writers open before any put, as concurrent shards do, so none
+        # indexes another's "shared" record and each appends it.
+        shards = [TrialCache(path, writer_id=w) for w in range(3)]
+        for w, shard in enumerate(shards):
             shard.put(f"k{w}", _metrics(float(w)))
             shard.put("shared", _metrics(9.0))
-        stats = compact_cache(path)
+        stats = TrialCache(path).compact()
         assert stats.files_merged == 3
         assert stats.kept == 4  # k0, k1, k2, shared
         assert stats.duplicates_dropped == 2
@@ -206,9 +225,12 @@ class TestShardSafeWrites:
         assert stats.live_writers_skipped == 0
         assert not (tmp_path / "cache.jsonl.shard-7").exists()
         assert not owner.exists()
-        # The cap keeps the four newest records: the orphan's older one was
-        # folded in and evicted, not left behind in a stale sidecar.
-        assert TrialCache(path).get("k63") is not None
+        # The cap keeps the last four records read (base file first, then
+        # sidecars): the orphan's record was folded in, not left behind in
+        # a stale sidecar.
+        reloaded = TrialCache(path)
+        assert reloaded.get("k63") is not None
+        assert reloaded.get("crashed-key") is not None
 
     def test_ownerless_sidecar_counts_as_orphaned(self, tmp_path):
         """Legacy / pre-crash sidecars without owner markers are foldable."""

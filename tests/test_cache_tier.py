@@ -180,8 +180,7 @@ class TestConcurrentAppends:
             assert loaded.get(("private", i)) == _region_entry(index=i)
 
         # Compaction folds the duplicates down to one record per key.
-        kept = loaded.compact()
-        assert kept == 5
+        assert loaded.compact().kept == 5
         assert len(store.read_text().splitlines()) == 5
         recompacted = RegionCostCache(path=store)
         assert recompacted.get(("contested", "key")) == _region_entry(

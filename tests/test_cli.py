@@ -337,6 +337,34 @@ class TestCommands:
         assert "entries evicted     2" in out
         assert len(cache_path.read_text().splitlines()) == 2
 
+    def test_cache_compact_refuses_op_and_region_stores(self, tmp_path, capsys):
+        from repro.runtime.opcache import reset_op_caches
+
+        ops, regions = tmp_path / "ops.jsonl", tmp_path / "regions.jsonl"
+        reset_op_caches()  # the stores load, and are written, by this process
+        try:
+            code = main(
+                [
+                    "search",
+                    "--workload", "efficientnet-b0",
+                    "--trials", "4",
+                    "--optimizer", "random",
+                    "--batch-size", "2",
+                    "--op-cache", str(ops),
+                    "--engine", f"graph-batched:region_store={regions}",
+                ]
+            )
+        finally:
+            reset_op_caches()
+        assert code in (0, 1)
+        capsys.readouterr()
+        for store in (ops, regions):
+            before = store.read_bytes()
+            assert before  # the search wrote records
+            assert main(["cache", "compact", "--cache", str(store)]) == 1
+            assert "another kind of store" in capsys.readouterr().out
+            assert store.read_bytes() == before
+
     def test_cache_compact_missing_store_fails(self, tmp_path, capsys):
         code = main(["cache", "compact", "--cache", str(tmp_path / "nope.jsonl")])
         assert code == 1

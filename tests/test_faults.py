@@ -24,7 +24,7 @@ from repro.reporting.serialization import trial_metrics_to_dict
 from repro.runtime.cache import TrialCache, problem_fingerprint
 from repro.runtime.checkpoint import SearchCheckpoint
 from repro.runtime.exchange import FileScoreboard, ScoreRecord
-from repro.runtime.executor import ParallelExecutor, WorkerCrashError
+from repro.runtime.executor import ParallelExecutor, WorkerCrashError, make_executor
 from repro.runtime.faults import (
     KNOWN_FAULT_POINTS,
     FaultPlan,
@@ -319,7 +319,8 @@ class TestTornWrites:
         store = OpCostCache(path=path)
         assert store.stats.corrupt_records == 1
 
-    def test_search_counts_torn_lines_of_the_op_and_region_stores(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_search_counts_torn_lines_of_the_op_and_region_stores(self, tmp_path, workers):
         ops, regions = tmp_path / "ops.jsonl", tmp_path / "regions.jsonl"
         for store in (ops, regions):
             store.write_text('{"key": "torn-\n')  # one killed append each
@@ -328,10 +329,13 @@ class TestTornWrites:
         )
         reset_op_caches()  # the stores load on first use in this process
         try:
-            result = FASTSearch(
-                _problem(), optimizer="lcs", seed=0,
-                evaluator=TrialEvaluator(_problem(), simulation_options=options),
-            ).run(num_trials=2, batch_size=2)
+            # A pool's parent loads the stores before its workers fork.
+            with make_executor(workers) as executor:
+                result = FASTSearch(
+                    _problem(), optimizer="lcs", seed=0,
+                    evaluator=TrialEvaluator(_problem(), simulation_options=options),
+                    executor=executor,
+                ).run(num_trials=4, batch_size=2)
         finally:
             reset_op_caches()
         assert result.runtime.corrupt_records == 2

@@ -139,8 +139,8 @@ class TestOpCostCache:
         # Simulate two racing writers appending the same key.
         store.write_text((json.dumps(record) + "\n") * 3)
         cache = OpCostCache(path=store)
-        kept = cache.compact()
-        assert kept == 1
+        stats = cache.compact()
+        assert (stats.kept, stats.duplicates_dropped) == (1, 2)
         assert len(store.read_text().splitlines()) == 1
         assert cache.get(("k",)) == cost
 

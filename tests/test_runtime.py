@@ -140,16 +140,6 @@ class TestBatchedOptimizer:
         keys = [proposal_key(p) for p in first + second]
         assert len(set(keys)) == len(keys)
 
-    def test_tell_batch_replays_in_proposal_order(self):
-        space = DatapathSearchSpace()
-        optimizer = RandomSearchOptimizer(space, seed=1)
-        batched = BatchedOptimizer(optimizer, space)
-        proposals = batched.ask_batch(3)
-        batched.tell_batch(proposals, [(1.0, True), (2.0, False), (3.0, True)])
-        assert [obs.objective for obs in optimizer.observations] == [1.0, 2.0, 3.0]
-        assert [obs.feasible for obs in optimizer.observations] == [True, False, True]
-        assert [obs.params for obs in optimizer.observations] == proposals
-
 
 # ---------------------------------------------------------------------------
 class TestTrialCache:
@@ -285,10 +275,60 @@ class TestCheckpoint:
             _problem(), optimizer="random", seed=1, checkpoint=SearchCheckpoint(path, interval=2)
         ).run(6, batch_size=2)
         payload = json.loads(path.read_text())
+        assert payload["version"] == 2
         assert payload["num_completed"] == 6
         assert len(payload["proposals"]) == 6
         assert len(payload["history"]) == 6
-        assert len(payload["optimizer"]["observations"]) == 6
+        # Each trial is stored once: the history replaces the observation log.
+        assert set(payload["optimizer"]) == {"rng_states", "extra"}
+
+    @pytest.mark.parametrize("optimizer", ["lcs", "annealing"])
+    def test_resume_from_a_version_1_checkpoint(self, tmp_path, optimizer):
+        full = FASTSearch(_problem(), optimizer=optimizer, seed=5).run(20, batch_size=4)
+
+        path = tmp_path / "search.ckpt"
+        FASTSearch(
+            _problem(),
+            optimizer=optimizer,
+            seed=5,
+            checkpoint=SearchCheckpoint(path, interval=4),
+        ).run(12, batch_size=4)
+        # Rewrite the version-2 file as version 1 wrote it: the same
+        # payload plus the optimizer's observation log, one entry per tell.
+        payload = json.loads(path.read_text())
+        payload["version"] = 1
+        payload["optimizer"]["observations"] = [
+            {
+                "params": params,
+                "objective": metrics["objective_value"],
+                "feasible": metrics["feasible"]
+                and math.isfinite(metrics["objective_value"]),
+            }
+            for params, metrics in zip(payload["proposals"], payload["history"])
+        ]
+        path.write_text(json.dumps(payload))
+
+        resumed = FASTSearch(
+            _problem(),
+            optimizer=optimizer,
+            seed=5,
+            checkpoint=SearchCheckpoint(path, interval=4),
+        ).run(20, batch_size=4, resume=True)
+        assert resumed.runtime.resumed_trials == 12
+        assert _history_dicts(full) == _history_dicts(resumed)
+        assert full.proposals == resumed.proposals
+        assert json.loads(path.read_text())["version"] == 2  # re-saved as version 2
+
+    def test_unknown_checkpoint_version_is_rejected(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        FASTSearch(
+            _problem(), optimizer="random", seed=1, checkpoint=SearchCheckpoint(path)
+        ).run(2)
+        payload = json.loads(path.read_text())
+        payload["version"] = 3
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            SearchCheckpoint(path).load(DatapathSearchSpace())
 
 
 # ---------------------------------------------------------------------------
