@@ -277,7 +277,8 @@ PY
 # --------------------------------------------------------------------------
 # 7. Chaos smoke: seeded fault injection (worker SIGKILL + torn cache write)
 #    must leave the history bit-for-bit equal to a clean run, and a search
-#    SIGKILLed mid-run must reproduce the uninterrupted history on --resume.
+#    SIGKILLed mid-run (after its third checkpoint save) must reproduce the
+#    uninterrupted history on --resume.
 # --------------------------------------------------------------------------
 smoke_chaos() {
     log "chaos smoke: fault-injected history equivalence"
@@ -312,35 +313,44 @@ print("fault-injected == clean bit-for-bit over",
 PY
 
     log "chaos smoke: SIGKILL mid-run + --resume round-trip"
+    local long=(--workload efficientnet-b0 --trials 64 --batch-size 4 --seed 0 --history)
     local ckpt="$SMOKE_DIR/chaos-resume.ckpt"
-    rm -f "$ckpt"
-    python -m repro search "${common[@]}" \
-        --checkpoint "$ckpt" --checkpoint-every 4 \
-        --output "$SMOKE_DIR/chaos-interrupted.json" &
+    local progress="$SMOKE_DIR/chaos-interrupted.log"
+    rm -f "$ckpt" "$progress"
+    python -m repro search "${long[@]}" \
+        --output "$SMOKE_DIR/chaos-clean-64.json"
+    python -m repro search "${long[@]}" \
+        --checkpoint "$ckpt" --checkpoint-every 4 --progress \
+        --output "$SMOKE_DIR/chaos-interrupted.json" > "$progress" &
     local search_pid=$!
-    for _ in $(seq 1 120); do
-        [ -f "$ckpt" ] && break
+    # Kill after the third checkpoint line, so the journal holds a snapshot
+    # and two deltas (12 trials) and the run is far from its 64.
+    for _ in $(seq 1 1200); do
+        [ "$(grep -c '^checkpoint:' "$progress" || true)" -ge 3 ] && break
         kill -0 "$search_pid" 2>/dev/null || break
-        sleep 0.25
+        sleep 0.05
     done
     # SIGKILL, not TERM: no cleanup handlers, exactly like an OOM kill.
     kill -9 "$search_pid" 2>/dev/null || true
     wait "$search_pid" 2>/dev/null || true
     [ -f "$ckpt" ] || { echo "no checkpoint was written before the kill"; exit 1; }
 
-    python -m repro search "${common[@]}" \
+    python -m repro search "${long[@]}" \
         --resume "$ckpt" --checkpoint-every 4 \
         --output "$SMOKE_DIR/chaos-resumed.json"
 
-    python - "$SMOKE_DIR/chaos-clean.json" "$SMOKE_DIR/chaos-resumed.json" <<'PY'
+    python - "$SMOKE_DIR/chaos-clean-64.json" "$SMOKE_DIR/chaos-resumed.json" <<'PY'
 import json, sys
 clean = json.load(open(sys.argv[1]))
 resumed = json.load(open(sys.argv[2]))
+restored = (resumed.get("runtime") or {}).get("resumed_trials", 0)
+if not 12 <= restored < 64:
+    raise SystemExit(f"the kill did not land mid-run: {restored} of 64 trials restored")
 for key in ("proposals", "history", "best_score_curve", "best_score"):
     if clean.get(key) != resumed.get(key):
         raise SystemExit(f"resumed run diverged from the uninterrupted run on {key!r}")
-print("kill -9 + --resume reproduced the uninterrupted history bit-for-bit over",
-      len(resumed.get("history") or []), "trials")
+print(f"kill -9 after {restored} trials + --resume reproduced the uninterrupted "
+      f"history bit-for-bit over {len(resumed.get('history') or [])} trials")
 PY
 }
 

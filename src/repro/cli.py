@@ -252,12 +252,16 @@ recovery guarantees, from the inside out:
   batch *still* cannot be evaluated remotely, it is evaluated serially
   in-process instead of failing the search (``remote_fallbacks`` counts
   these, and a ``remote_fallback`` span records why).
-* **Crash-safe stores.**  Checkpoint saves and cache/op-store compactions
-  write a temp file, ``fsync`` it, then rename, so they survive power
-  loss, not just process death; a torn JSONL tail from a killed append is
-  quarantined (skipped + counted as ``corrupt_records``, dropped by the
-  next compaction) instead of aborting the load, and stale temp files from
-  crashed writers are swept on the next load or poll.  Killing a search
+* **Crash-safe stores.**  A checkpoint is a journal: its first save writes
+  a snapshot (temp file, ``fsync``, rename), and each later save of the
+  run appends only the trials since the one before, ``fsync``'d before
+  the search goes on.  Cache/op-store compactions also write a temp file,
+  ``fsync`` it, then rename, so they survive power loss, not just process
+  death.  A torn JSONL tail from a killed append, in a store or in the
+  checkpoint journal, is quarantined (skipped + counted as
+  ``corrupt_records``, dropped by the next compaction or snapshot) instead
+  of aborting the load, and stale temp files from crashed writers are
+  swept on the next load or poll.  Killing a search
   and rerunning with ``--resume`` reproduces the uninterrupted history
   bit-for-bit.
 
@@ -278,7 +282,7 @@ Fault points: ``worker-crash`` (SIGKILL a pool worker mid-batch),
 faults), ``service-error`` / ``service-drop`` / ``service-delay``
 (service-side faults; also available on ``repro serve --inject-faults`` to
 run a deliberately flaky endpoint), and ``torn-write`` (truncated cache
-append / partial checkpoint temp file).  The injected-fault history must
+append / half a checkpoint journal record / partial checkpoint temp file).  The injected-fault history must
 equal the clean history bit-for-bit — CI's ``chaos`` smoke asserts exactly
 that, plus a kill-and-``--resume`` round-trip.
 """

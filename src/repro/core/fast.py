@@ -71,8 +71,9 @@ class RuntimeStats:
     worker died mid-batch), ``remote_fallbacks`` (batches a remote executor
     evaluated locally after the whole fleet failed), ``corrupt_records``
     (torn JSONL records quarantined while loading the trial cache and the
-    op and region stores of a serial run or of a process pool's parent),
-    and ``faults_injected`` (faults fired by an ``--inject-faults`` plan
+    op and region stores of a serial run or of a process pool's parent,
+    plus the torn checkpoint-journal tail a resume dropped), and
+    ``faults_injected`` (faults fired by an ``--inject-faults`` plan
     during the run; zero in production runs).
 
     ``engine`` is a configuration echo, not a counter: the canonical
@@ -405,6 +406,7 @@ class FASTSearch:
                     _absorb(trial_index, params, metrics, replay=True)
                 restore_optimizer(self.optimizer, state.optimizer_state)
                 stats.resumed_trials = len(state.history)
+                stats.corrupt_records += self.checkpoint.corrupt_records
                 bus.emit(SEARCH_RESUMED, num_completed=stats.resumed_trials)
 
         seed_params = [self.space.from_config(config) for config in self.seed_configs]

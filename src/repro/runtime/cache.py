@@ -213,12 +213,14 @@ class TrialCache(CostCacheBase):
 
         A released sidecar is treated as orphaned: the next compaction, from
         any process, may fold it into the base file.  Only meaningful for
-        caches opened with ``writer_id``.
+        caches opened with ``writer_id``.  Also closes the held append
+        descriptor; a later put reopens it and re-claims the sidecar.
         """
         write_path = self.write_path
         if self.writer_id is not None and write_path is not None:
             self._owner_path(write_path).unlink(missing_ok=True)
         self._owner_claimed = False
+        self.close()
 
     def _sidecar_writer_state(self, sidecar: Path) -> str:
         """Ownership state of a sidecar: ``'self'``, ``'live'``, or ``'orphaned'``.
@@ -280,6 +282,9 @@ class TrialCache(CostCacheBase):
         folded = [file for file in files if file not in skipped]
         stats = self._rewrite(folded, max_entries)
         stats.live_writers_skipped = len(skipped)
+        # The rewrite closed this writer's held descriptor, so deleting its
+        # own folded sidecar cannot strand later puts: the next one reopens
+        # (and so recreates) the sidecar.
         for file in folded:
             if file != self.path:
                 file.unlink(missing_ok=True)

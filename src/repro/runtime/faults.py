@@ -25,12 +25,16 @@ counter the runtime consults at its failure sites:
                         response.
 ``service-delay``       The evaluation service sleeps ``delay`` seconds
                         before handling the request.
-``torn-write``          A trial-cache append writes a truncated record,
-                        and a checkpoint save leaves a partial ``.tmp``
-                        file behind, as a crash mid-write would.  Op- and
-                        region-store appends never tear: they also run
-                        inside pool workers, and fault decisions are made
-                        only in the coordinating process.
+``torn-write``          A write stops halfway, as a crash mid-write
+                        would: a trial-cache append writes a truncated
+                        record; a checkpoint save that appends a journal
+                        delta writes half of it (load drops that tail and
+                        the next save writes a snapshot); one that writes
+                        a snapshot leaves a partial ``.tmp`` file and no
+                        rename.  Op- and region-store appends never tear:
+                        they also run inside pool workers, and fault
+                        decisions are made only in the coordinating
+                        process.
 ======================  ====================================================
 
 Plans are built from a compact spec string (``--inject-faults``)::

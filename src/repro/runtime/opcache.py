@@ -19,12 +19,12 @@ candidate sweep.  Vector-op costs are cached the same way under a
 (``--op-cache``), the region store (``--engine region_store=PATH``) and the
 trial cache (:class:`~repro.runtime.cache.TrialCache`): an in-process memory
 LRU in front of an optional append-only JSONL store, indexed by key digest.
-Records are appended through one method, with a single ``write`` call each,
-so concurrent appends from multiple processes sharing a path never
-interleave partial lines on POSIX filesystems, and torn tails left by
-crashes are quarantined (``corrupt_records``) rather than trusted.  Hosts
-share regions by sharing a store, or by evaluating on one ``repro serve``
-that keeps it.
+Records are appended through one method, each as a single ``os.write`` on
+a descriptor the store holds open (:class:`AppendFile`), so concurrent
+appends from multiple processes sharing a path never interleave partial
+lines on POSIX filesystems, and torn tails left by crashes are quarantined
+(``corrupt_records``) rather than trusted.  Hosts share regions by sharing a
+store, or by evaluating on one ``repro serve`` that keeps it.
 
 A store entry decodes bit-identical to the value that was put (JSON float
 encoding round-trips exactly), so whether an entry came from memory or disk
@@ -40,6 +40,7 @@ PID change), exactly like the per-process workload-graph cache.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -56,6 +57,7 @@ from repro.simulator.result import RegionPerformance
 from repro.workloads.ops import OpType
 
 __all__ = [
+    "AppendFile",
     "CompactionStats",
     "CostCacheBase",
     "CostCacheStats",
@@ -263,6 +265,52 @@ def region_entry_from_dict(data: Dict[str, object]) -> tuple:
     )
 
 
+class AppendFile:
+    """One process's held-open append descriptor on a file.
+
+    The descriptor (``O_WRONLY | O_APPEND | O_CREAT``) is opened on the first
+    write and reopened after a PID change: a forked child opens its own and
+    never writes through, or closes, the one it inherited.  Each record goes
+    out as one ``os.write``, looping only on a short write, so appends from
+    processes sharing the file never interleave partial lines and no bytes
+    sit in a user-space buffer for a fork to duplicate.  Whoever replaces or
+    deletes the file must :meth:`close` the descriptor, or later records
+    land in the unlinked file.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self._fd: Optional[int] = None
+        self._pid: Optional[int] = None  # the process that opened _fd
+
+    def write(self, data: bytes) -> None:
+        """Append ``data`` to the file."""
+        if self._pid != os.getpid():
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+            self._pid = os.getpid()
+        view = memoryview(data)
+        while view:
+            view = view[os.write(self._fd, view) :]
+
+    def fsync(self) -> None:
+        """Make what was written durable (call after :meth:`write`)."""
+        os.fsync(self._fd)
+
+    def close(self) -> None:
+        """Close this process's descriptor, if open; the next write reopens."""
+        fd, pid = self._fd, self._pid
+        self._fd = self._pid = None
+        if pid == os.getpid():
+            os.close(fd)
+
+    def __del__(self) -> None:
+        try:
+            self.close()
+        except Exception:
+            pass  # best effort, e.g. at interpreter shutdown
+
+
 # ---------------------------------------------------------------------------
 # The shared store base.  Everything path-related — digest index, streamed
 # load, torn-tail quarantine, stale-tmp sweep, single-write appends, atomic
@@ -277,6 +325,14 @@ class CostCacheBase:
     their canonical JSON form, so any process that derives the same key
     reads the same record.  Subclasses set :attr:`_PAYLOAD_FIELD` and the
     ``_encode``/``_decode`` codec.
+
+    Appends go through a descriptor the store holds open from its first put
+    (:class:`AppendFile`) until :meth:`close`, which compaction calls after
+    its rename.  So while this process appends, another process compacting
+    the same file (whose rename replaces it) loses every later append of
+    this one, not only those racing the rename.  Sharded sweeps are safe:
+    each writer appends to its own sidecar, and compaction skips a sidecar
+    whose writer is live.
 
     Args:
         path: Optional JSON-lines store; loaded on construction when it
@@ -298,6 +354,7 @@ class CostCacheBase:
         # digest -> raw payload dict, mirroring the JSONL store; empty
         # without a path, so a store-less cache is bounded by its LRU.
         self._disk_index: Dict[str, dict] = {}
+        self._appender = AppendFile(self.write_path) if self.path is not None else None
         if self.path is not None:
             self._load_disk_index()
 
@@ -360,17 +417,37 @@ class CostCacheBase:
         return index, records, foreign
 
     def _load_disk_index(self) -> None:
+        """Read the store into the index with the cyclic collector paused.
+
+        A read builds several tracked objects per record, all of which live
+        as long as the cache, so collector passes during it are wasted.
+        Afterwards the heap is frozen (``gc.freeze``): later passes skip it,
+        and pool workers forked from this process inherit it frozen.  The
+        collector's state is left as the caller had it.
+        """
         self._sweep_stale_tmp()
-        self._disk_index = self._read(self.disk_files())[0]
+        files = self.disk_files()
+        pause = bool(files) and gc.isenabled()
+        if pause:
+            gc.collect()  # so nothing unreachable is frozen
+            gc.disable()
+        try:
+            self._disk_index = self._read(files)[0]
+        finally:
+            if pause:
+                gc.freeze()
+                gc.enable()
         self.stats.disk_entries_loaded = len(self._disk_index)
 
     def _append(self, line: str) -> None:
         """Append one record line: the one place a store is written.  One
-        write call per record, so concurrent appends never split a line."""
-        path = self.write_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as handle:
-            handle.write(line)
+        ``os.write`` per record, so concurrent appends never split a line."""
+        self._appender.write(line.encode())
+
+    def close(self) -> None:
+        """Close the held append descriptor; the next put reopens the file."""
+        if self._appender is not None:
+            self._appender.close()
 
     def _rewrite(
         self, files: List[Path], max_entries: Optional[int] = None
@@ -406,6 +483,7 @@ class CostCacheBase:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, self.path)
+        self.close()  # the held descriptor points at the replaced file
         self._disk_index = index
         stats.kept = len(index)
         return stats
@@ -480,8 +558,10 @@ class CostCacheBase:
     def compact(self) -> CompactionStats:
         """Rewrite the store with one record per key (see :meth:`_rewrite`).
 
-        Run it only while no other process is appending to the store —
-        appends racing the rename window would be lost.
+        Run it only while no other process is appending to the store: the
+        rename replaces the file that process holds open, so every append
+        it makes afterwards is lost, not only those racing the rename.
+        This cache's own descriptor is closed and reopened on the next put.
         """
         if self.path is None:
             raise ValueError("compaction requires a cache path")
@@ -611,6 +691,8 @@ class _Registry:
         return cache
 
     def clear(self) -> None:
+        for cache in self.caches.values():
+            cache.close()
         self.caches.clear()
         self.pid = None
 

@@ -189,6 +189,19 @@ class TestShardSafeWrites:
             for i in range(per_writer):
                 assert f"w{w}-k{i}" in merged
 
+    def test_writer_recreates_its_sidecar_after_compaction_folded_it(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        sidecar = tmp_path / "cache.jsonl.shard-0"
+        shard = TrialCache(path, writer_id=0)
+        shard.put("k1", _metrics(1.0))
+        shard.compact()  # folds this writer's own sidecar and deletes it
+        assert not sidecar.exists()
+        shard.put("k2", _metrics(2.0))
+        assert sidecar.exists()
+        assert (tmp_path / "cache.jsonl.shard-0.owner").exists()  # re-claimed
+        reopened = TrialCache(path)
+        assert reopened.get("k1") is not None and reopened.get("k2") is not None
+
     def test_compaction_folds_sidecars_into_base_file(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         # All writers open before any put, as concurrent shards do, so none

@@ -10,8 +10,10 @@ depend on where an entry came from.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -186,6 +188,104 @@ class TestConcurrentAppends:
         assert recompacted.get(("contested", "key")) == _region_entry(
             index=7, scale=2.5
         )
+
+
+def _forked_child_puts(cache: RegionCostCache, parent_fd: int) -> None:
+    """Append two records from a forked child; exit 3 if it wrote through
+    the descriptor it inherited instead of opening its own."""
+    for i in range(2):
+        cache.put(("child", i), _region_entry(index=10 + i))
+    if cache._appender._fd == parent_fd:
+        raise SystemExit(3)
+
+
+class TestHeldAppendDescriptor:
+    """Each store appends through one descriptor it holds open."""
+
+    def test_puts_open_the_store_once(self, tmp_path, monkeypatch):
+        store = tmp_path / "regions.jsonl"
+        opened = []
+        real_open = os.open
+
+        def counting_open(path, *args, **kwargs):
+            if str(path) == str(store):
+                opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        cache = RegionCostCache(path=store)
+        for i in range(50):
+            cache.put(("key", i), _region_entry(index=i))
+        assert len(opened) == 1
+        assert len(store.read_text().splitlines()) == 50
+
+    def test_a_put_after_compaction_lands_in_the_compacted_file(self, tmp_path):
+        store = tmp_path / "regions.jsonl"
+        cache = RegionCostCache(path=store)
+        cache.put(("before",), _region_entry(index=1))
+        cache.compact()  # replaces the file the descriptor was open on
+        cache.put(("after",), _region_entry(index=2))
+        reloaded = RegionCostCache(path=store)
+        assert reloaded.stats.disk_entries_loaded == 2
+        assert reloaded.get(("after",)) == _region_entry(index=2)
+
+    def test_forked_child_and_parent_appends_are_all_read_back(self, tmp_path):
+        store = tmp_path / "regions.jsonl"
+        cache = RegionCostCache(path=store)
+        cache.put(("parent", 0), _region_entry(index=0))  # opens the descriptor
+        child = multiprocessing.get_context("fork").Process(
+            target=_forked_child_puts, args=(cache, cache._appender._fd)
+        )
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        cache.put(("parent", 1), _region_entry(index=1))
+
+        reloaded = RegionCostCache(path=store)
+        assert reloaded.stats.corrupt_records == 0
+        assert reloaded.stats.disk_entries_loaded == 4
+        for key, index in (
+            (("parent", 0), 0), (("parent", 1), 1), (("child", 0), 10), (("child", 1), 11)
+        ):
+            assert reloaded.get(key) == _region_entry(index=index)
+
+
+class TestStoreLoadFreezesTheHeap:
+    """A store load pauses the cyclic collector, then freezes what it read."""
+
+    def _store(self, tmp_path):
+        store = tmp_path / "regions.jsonl"
+        RegionCostCache(path=store).put(("key",), _region_entry())
+        return store
+
+    def test_loading_a_store_freezes_the_heap(self, tmp_path):
+        store = self._store(tmp_path)
+        frozen = gc.get_freeze_count()
+        RegionCostCache(path=store)
+        assert gc.get_freeze_count() > frozen
+        assert gc.isenabled()
+
+    def test_loading_a_missing_store_freezes_nothing(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        RegionCostCache(path=tmp_path / "missing.jsonl")
+        assert gc.get_freeze_count() == frozen
+
+    def test_the_collector_state_comes_back(self, tmp_path, monkeypatch):
+        store = self._store(tmp_path)
+        gc.disable()
+        try:
+            RegionCostCache(path=store)
+            assert not gc.isenabled()  # the caller's choice stands
+        finally:
+            gc.enable()
+
+        def failing_read(self, files):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(RegionCostCache, "_read", failing_read)
+        with pytest.raises(OSError):
+            RegionCostCache(path=store)
+        assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

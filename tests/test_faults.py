@@ -381,6 +381,27 @@ class TestCheckpointRecovery:
         assert loaded.num_completed == 2
         assert not tmp.exists()  # swept on load
 
+        # A save that continues the last one (same history list) appends a
+        # delta instead; torn, it leaves half a line at the journal's end.
+        proposals, history = list(reference.proposals[:2]), list(reference.history[:2])
+        growing = CheckpointState(fingerprint="fp", proposals=proposals, history=history)
+        manager = SearchCheckpoint(path, interval=1)
+        manager.save(growing)  # a snapshot: the first save of this manager
+        proposals.extend(reference.proposals[2:4])
+        history.extend(reference.history[2:4])
+        set_fault_plan(FaultPlan("torn-write:at=0", seed=0))
+        manager.save(growing)  # injected crash: half a delta appended
+        clear_faults()
+        assert not path.read_text().endswith("\n")
+        reader = SearchCheckpoint(path)
+        assert reader.load(DatapathSearchSpace()).num_completed == 2
+        assert reader.corrupt_records == 1
+        # The next save rewrites the journal as one snapshot, without the debris.
+        manager.save(growing)
+        (line,) = path.read_text().splitlines()
+        assert json.loads(line)["num_completed"] == 4
+        assert SearchCheckpoint(path).load(DatapathSearchSpace()).num_completed == 4
+
     def test_torn_save_is_retried_at_next_interval(self, tmp_path, reference):
         from repro.runtime.checkpoint import CheckpointState
 

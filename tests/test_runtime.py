@@ -227,6 +227,19 @@ class TestTrialCache:
         assert cache.stats.disk_entries_loaded == 0
 
 
+def _single_document_checkpoint(path, version):
+    """The state a checkpoint journal loads to, as a version-1/2 document."""
+    state = SearchCheckpoint(path).load(DatapathSearchSpace())
+    return {
+        "version": version,
+        "fingerprint": state.fingerprint,
+        "num_completed": state.num_completed,
+        "proposals": [params_to_jsonable(params) for params in state.proposals],
+        "history": [trial_metrics_to_dict(metrics) for metrics in state.history],
+        "optimizer": state.optimizer_state,
+    }
+
+
 # ---------------------------------------------------------------------------
 class TestCheckpoint:
     @pytest.mark.parametrize(
@@ -274,18 +287,26 @@ class TestCheckpoint:
         FASTSearch(
             _problem(), optimizer="random", seed=1, checkpoint=SearchCheckpoint(path, interval=2)
         ).run(6, batch_size=2)
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2
-        assert payload["num_completed"] == 6
-        assert len(payload["proposals"]) == 6
-        assert len(payload["history"]) == 6
+        snapshot, *deltas = [json.loads(line) for line in path.read_text().splitlines()]
+        assert snapshot["version"] == 3
+        assert snapshot["num_completed"] == 2
+        assert len(snapshot["proposals"]) == len(snapshot["history"]) == 2
+        # Each later save appends the trials since the one before; the
+        # end-of-run save, at the same count as the last, appends none.
+        assert [delta["start"] for delta in deltas] == [2, 4, 6]
+        completed = 2
+        for delta in deltas:
+            assert delta["start"] == completed
+            assert len(delta["proposals"]) == len(delta["history"])
+            completed += len(delta["history"])
+        assert completed == 6
         # Each trial is stored once: the history replaces the observation log.
-        assert set(payload["optimizer"]) == {"rng_states", "extra"}
+        for record in (snapshot, *deltas):
+            assert set(record["optimizer"]) == {"rng_states", "extra"}
 
     @pytest.mark.parametrize("optimizer", ["lcs", "annealing"])
     def test_resume_from_a_version_1_checkpoint(self, tmp_path, optimizer):
         full = FASTSearch(_problem(), optimizer=optimizer, seed=5).run(20, batch_size=4)
-
         path = tmp_path / "search.ckpt"
         FASTSearch(
             _problem(),
@@ -293,10 +314,9 @@ class TestCheckpoint:
             seed=5,
             checkpoint=SearchCheckpoint(path, interval=4),
         ).run(12, batch_size=4)
-        # Rewrite the version-2 file as version 1 wrote it: the same
-        # payload plus the optimizer's observation log, one entry per tell.
-        payload = json.loads(path.read_text())
-        payload["version"] = 1
+        # Rewrite the checkpoint as version 1 wrote it: one document, plus
+        # the optimizer's observation log, one entry per tell.
+        payload = _single_document_checkpoint(path, version=1)
         payload["optimizer"]["observations"] = [
             {
                 "params": params,
@@ -317,7 +337,43 @@ class TestCheckpoint:
         assert resumed.runtime.resumed_trials == 12
         assert _history_dicts(full) == _history_dicts(resumed)
         assert full.proposals == resumed.proposals
-        assert json.loads(path.read_text())["version"] == 2  # re-saved as version 2
+        # Re-saved as a version-3 journal: a snapshot, then deltas.
+        snapshot, *deltas = [json.loads(line) for line in path.read_text().splitlines()]
+        assert snapshot["version"] == 3
+        assert deltas and all("start" in delta for delta in deltas)
+
+    def test_resume_from_a_version_2_checkpoint(self, tmp_path):
+        full = FASTSearch(_problem(), optimizer="lcs", seed=5).run(20, batch_size=4)
+        path = tmp_path / "search.ckpt"
+        FASTSearch(
+            _problem(), optimizer="lcs", seed=5, checkpoint=SearchCheckpoint(path, interval=4)
+        ).run(12, batch_size=4)
+        path.write_text(json.dumps(_single_document_checkpoint(path, version=2)))
+
+        resumed = FASTSearch(
+            _problem(), optimizer="lcs", seed=5, checkpoint=SearchCheckpoint(path, interval=4)
+        ).run(20, batch_size=4, resume=True)
+        assert resumed.runtime.resumed_trials == 12
+        assert _history_dicts(full) == _history_dicts(resumed)
+        assert full.proposals == resumed.proposals
+
+    def test_a_manager_reused_across_runs_never_mixes_their_trials(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        manager = SearchCheckpoint(path, interval=4)
+        FASTSearch(_problem(), optimizer="random", seed=1, checkpoint=manager).run(
+            4, batch_size=4
+        )
+        second = FASTSearch(_problem(), optimizer="random", seed=2, checkpoint=manager).run(
+            8, batch_size=4
+        )
+        # The second run's first save is a snapshot: appending its trials
+        # 4..8 to the first run's journal would resume a mix of both runs.
+        resumed = FASTSearch(
+            _problem(), optimizer="random", seed=2, checkpoint=SearchCheckpoint(path)
+        ).run(8, batch_size=4, resume=True)
+        assert resumed.runtime.resumed_trials == 8
+        assert _history_dicts(resumed) == _history_dicts(second)
+        assert resumed.proposals == second.proposals
 
     def test_unknown_checkpoint_version_is_rejected(self, tmp_path):
         path = tmp_path / "search.ckpt"
@@ -325,10 +381,30 @@ class TestCheckpoint:
             _problem(), optimizer="random", seed=1, checkpoint=SearchCheckpoint(path)
         ).run(2)
         payload = json.loads(path.read_text())
-        payload["version"] = 3
+        payload["version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             SearchCheckpoint(path).load(DatapathSearchSpace())
+
+    def test_resume_counts_a_torn_journal_tail(self, tmp_path):
+        full = FASTSearch(_problem(), optimizer="lcs", seed=5).run(20, batch_size=4)
+        path = tmp_path / "search.ckpt"
+        FASTSearch(
+            _problem(), optimizer="lcs", seed=5, checkpoint=SearchCheckpoint(path, interval=8)
+        ).run(12, batch_size=4)
+        # A snapshot at 8 trials, then the end-of-run delta of trials 8..12.
+        # A crash mid-append leaves half of that delta.
+        snapshot, delta = path.read_bytes().splitlines(keepends=True)
+        assert json.loads(delta)["start"] == 8
+        path.write_bytes(snapshot + delta[: len(delta) // 2])
+
+        resumed = FASTSearch(
+            _problem(), optimizer="lcs", seed=5, checkpoint=SearchCheckpoint(path, interval=4)
+        ).run(20, batch_size=4, resume=True)
+        assert resumed.runtime.corrupt_records == 1
+        assert resumed.runtime.resumed_trials == 8
+        assert _history_dicts(full) == _history_dicts(resumed)
+        assert full.proposals == resumed.proposals
 
 
 # ---------------------------------------------------------------------------
