@@ -89,27 +89,35 @@ PY
 # --------------------------------------------------------------------------
 # 3b. Mapper equivalence smoke: the same fixed-seed search under the default
 #     engine (graph-batched, both caches on) and the scalar reference with
-#     both caches off must produce bit-for-bit identical histories.
+#     both caches off must produce bit-for-bit identical histories, on
+#     efficientnet-b0 and on bert-seq128, whose softmax and layernorm
+#     regions (and its many two-pass-softmax proposals) no CNN reaches.
 # --------------------------------------------------------------------------
-smoke_mapper_equiv() {
-    log "mapper equivalence smoke: default engine vs scalar reference history"
-    local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
+mapper_equiv_case() {
+    local workload="$1" trials="$2"
+    local common=(--workload "$workload" --trials "$trials" --batch-size 4 --seed 0 --history)
     python -m repro search "${common[@]}" \
-        --output "$SMOKE_DIR/search-default.json"
+        --output "$SMOKE_DIR/search-default-$workload.json"
     python -m repro search "${common[@]}" \
         --engine scalar:op_cache=off,region_cache=off \
-        --output "$SMOKE_DIR/search-scalar.json"
+        --output "$SMOKE_DIR/search-scalar-$workload.json"
 
-    python - "$SMOKE_DIR/search-scalar.json" "$SMOKE_DIR/search-default.json" <<'PY'
+    python - "$SMOKE_DIR/search-scalar-$workload.json" "$SMOKE_DIR/search-default-$workload.json" "$workload" <<'PY'
 import json, sys
 reference = json.load(open(sys.argv[1]))
 other = json.load(open(sys.argv[2]))
 for key in ("proposals", "history", "best_score_curve", "best_score"):
     if reference.get(key) != other.get(key):
-        raise SystemExit(f"default engine diverged from the scalar reference on {key!r}")
-print("graph-batched == scalar bit-for-bit over",
+        raise SystemExit(f"{sys.argv[3]}: default engine diverged from the scalar reference on {key!r}")
+print(f"{sys.argv[3]}: graph-batched == scalar bit-for-bit over",
       len(reference.get("history") or []), "trials")
 PY
+}
+
+smoke_mapper_equiv() {
+    log "mapper equivalence smoke: default engine vs scalar reference history"
+    mapper_equiv_case efficientnet-b0 12
+    mapper_equiv_case bert-seq128 32
 }
 
 # --------------------------------------------------------------------------

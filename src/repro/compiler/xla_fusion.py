@@ -55,8 +55,7 @@ class FusionRegion:
         index: Execution-order index of the region.
         ops: Member operations in execution order.
         matrix_op: The region's *anchor* matrix op, if any (small epilogue
-            matrix ops such as squeeze-and-excite FCs may also be members —
-            see :meth:`matrix_ops`).
+            matrix ops such as squeeze-and-excite FCs may also be members).
         input_tensors: Region-external activation inputs (read from DRAM or
             Global Memory).
         output_tensors: Activation outputs consumed outside the region (or
@@ -73,11 +72,6 @@ class FusionRegion:
     output_tensors: List[str] = field(default_factory=list)
     weight_tensors: List[str] = field(default_factory=list)
     internal_tensors: List[str] = field(default_factory=list)
-
-    @property
-    def matrix_ops(self) -> List[Operation]:
-        """All matrix ops in the region (anchor plus absorbed small ones)."""
-        return [op for op in self.ops if is_matrix_op(op.op_type)]
 
     @property
     def name(self) -> str:

@@ -144,7 +144,7 @@ class SearchCheckpoint:
     def __init__(self, path: Union[str, Path], interval: int = 10) -> None:
         self.path = Path(path)
         self.interval = max(1, int(interval))
-        self._last_saved = -1
+        self._last_saved = 0
         self.corrupt_records = 0
         self._appender = AppendFile(self.path)
         # What the journal on disk ends with, for a delta to continue it:
@@ -231,8 +231,10 @@ class SearchCheckpoint:
         return True
 
     def maybe_save(self, state: CheckpointState) -> Optional[Path]:
-        """Save if at least ``interval`` trials completed since the last save."""
-        if state.num_completed - max(self._last_saved, 0) >= self.interval:
+        """Save if at least ``interval`` trials completed since this run's last save."""
+        journal = self._journal
+        new_run = journal is not None and journal[1] is not state.history  # counts from 0
+        if state.num_completed - (0 if new_run else self._last_saved) >= self.interval:
             return self.save(state)
         return None
 

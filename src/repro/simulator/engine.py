@@ -7,6 +7,11 @@ pre-fusion performance is assembled, and — when the datapath has a Global
 Memory and fusion is enabled — the FAST fusion ILP assigns tensors to the
 Global Memory and post-fusion performance is produced.
 
+Compiling a graph also builds, once, a plan per fusion region
+(:class:`_RegionPlan`) of every fact that depends on the graph alone, such as
+operand sizes and softmax traffic, so costing a region for a trial is
+arithmetic over its plan and that trial's op costs.
+
 Multi-core chips (the dual-core TPU-v3 baseline) are modeled by simulating a
 single core with its share of the DRAM bandwidth and multiplying throughput
 by the core count, matching the paper's treatment of each TPU-v3 core as a
@@ -15,11 +20,13 @@ separate accelerator serving its own batch.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.compiler.passes import CompiledModel, compile_graph
+from repro.compiler.softmax import SoftmaxCostFactors
 from repro.compiler.xla_fusion import FusionRegion
 from repro.fusion.fast_fusion import FastFusionOptimizer, FusionResult, RegionStats
 from repro.hardware.datapath import DatapathConfig
@@ -28,7 +35,7 @@ from repro.mapping.costmodel import OpCost
 from repro.mapping.mapper import Mapper, MapperOptions
 from repro.simulator.result import RegionPerformance, SimulationResult
 from repro.simulator.vector_ops import vector_cost_cache_key, vector_op_cost, vpu_lanes_per_core
-from repro.workloads.graph import Graph, TensorKind
+from repro.workloads.graph import Graph, Operation, Tensor, TensorKind
 from repro.workloads.ops import OpType, is_matrix_op
 from repro.workloads.registry import build_workload
 
@@ -111,34 +118,134 @@ class SimulationOptions:
             )
 
 
+@dataclass(frozen=True)
+class _RegionPlan:
+    """What evaluating one fusion region needs from the graph alone.
+
+    Built by :func:`_region_plans` once per compiled graph.  A ``source``
+    indexes the last matrix op reading the tensor, whose traffic
+    amplification applies; an input without one costs ``term``.  The
+    predecessor is fixed because :meth:`Simulator.simulate` visits regions
+    in order and stops at the first that fails to schedule.
+    """
+
+    index: int
+    name: str
+    ops: Tuple[Tuple[Operation, bool], ...]  # member ops in order, with their matrix flag
+    matrix_ops: Tuple[Operation, ...]
+    anchor: Optional[int]  # index in matrix_ops of the region's matrix_op, else of the first
+    matrix_bytes: Tuple[Tuple[int, int, int], ...]  # activation, weight, output bytes
+    inputs: Tuple[Tuple[int, Optional[int], float], ...]  # input tensors' (size, source, term)
+    weights: Tuple[Tuple[int, Optional[int]], ...]  # weight tensors' (size, source)
+    output_traffic: float  # output tensors' bytes, softmax outputs' times their factor
+    op_names: List[str]
+    primary_op_type: OpType
+    input_bytes: int
+    weight_bytes: int
+    output_bytes: int
+    is_graph_output: bool
+    predecessor: Optional[int]  # the region writing the largest input
+
+
+_Plans = Tuple[_RegionPlan, ...]
+
+
+def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
+    """One :class:`_RegionPlan` per region of ``compiled``, in region order."""
+    graph = compiled.graph
+    tensors = graph.tensors
+    size = {name: tensor.size_bytes for name, tensor in tensors.items()}
+    in_factor = compiled.softmax_factors.input_traffic_factor
+    out_factor = compiled.softmax_factors.output_traffic_factor
+    producer: Dict[str, int] = {}  # tensor -> the region writing it
+    for region in compiled.regions:
+        ops = tuple((op, is_matrix_op(op.op_type)) for op in region.ops)
+        matrix_ops = tuple(op for op, is_matrix in ops if is_matrix)
+        sources = {t: j for j, op in enumerate(matrix_ops) for t in op.inputs}  # last one wins
+        softmax_ops = [op for op in region.ops if op.op_type is OpType.SOFTMAX]
+        softmax_inputs = {t for op in softmax_ops for t in op.inputs}
+        softmax_outputs = {t for op in softmax_ops for t in op.outputs}
+        output_traffic = 0.0
+        for t in region.output_tensors:
+            output_traffic += size[t] * out_factor if t in softmax_outputs else size[t]
+        predecessor = producer.get(max(region.input_tensors, key=size.__getitem__, default=None))
+        producer.update(dict.fromkeys(region.output_tensors, region.index))
+        yield _RegionPlan(
+            index=region.index,
+            name=region.name,
+            ops=ops,
+            matrix_ops=matrix_ops,
+            anchor=next((j for j, op in enumerate(matrix_ops) if op is region.matrix_op),
+                        0 if matrix_ops else None),
+            matrix_bytes=tuple(
+                (sum(size[t] for t in op.inputs if tensors[t].kind is TensorKind.ACTIVATION),
+                 sum(size[t] for t in op.inputs if tensors[t].kind is not TensorKind.ACTIVATION),
+                 sum(size[t] for t in op.outputs))
+                for op in matrix_ops
+            ),
+            inputs=tuple(
+                (size[t], sources.get(t), size[t] * in_factor if t in softmax_inputs else size[t])
+                for t in region.input_tensors
+            ),
+            weights=tuple((size[t], sources.get(t)) for t in region.weight_tensors),
+            output_traffic=output_traffic,
+            op_names=[op.name for op in region.ops],
+            primary_op_type=_primary_op_type(region),
+            input_bytes=int(region.input_bytes(graph)),
+            weight_bytes=int(region.weight_bytes(graph)),
+            output_bytes=int(region.output_bytes(graph)),
+            is_graph_output=any(t in graph.output_names for t in region.output_tensors),
+            predecessor=predecessor,
+        )
+
+
+def _primary_op_type(region: FusionRegion) -> OpType:
+    """A region's matrix-op type, or with no matrix op its dominant vector type."""
+    if region.matrix_op is not None:
+        return region.matrix_op.op_type
+    if not region.ops:
+        return OpType.ELEMENTWISE_ADD
+    preferred = (OpType.SOFTMAX, OpType.LAYERNORM, OpType.POOLING, OpType.REDUCE)
+    for op_type in preferred:
+        for op in region.ops:
+            if op.op_type is op_type:
+                return op_type
+    return region.ops[0].op_type
+
+
 # ---------------------------------------------------------------------------
-# Compiled-graph cache.  Lowering a graph into fusion regions is identical
-# for every trial that simulates the same graph object with the same softmax
-# lowering, so the result is memoized per process.  Entries are keyed by
-# object identity + op count (guarding against post-build mutation); the
-# stored strong reference keeps ids stable, so entries inherited across a
-# fork stay valid — fork-started executor workers begin life with the
-# parent's warm compiled graphs instead of re-lowering them.
+# Compiled-graph cache.  Lowering a graph into fusion regions and planning
+# each region is identical for every trial that simulates the same graph
+# object with the same softmax lowering, so both are memoized per process,
+# in one entry.  Entries are keyed by object identity + op count (guarding
+# against post-build mutation); the stored strong reference keeps ids
+# stable, so entries inherited across a fork stay valid — fork-started
+# executor workers begin life with the parent's warm compiled graphs and
+# plans instead of rebuilding them.
 # ---------------------------------------------------------------------------
-_COMPILED_CACHE: Dict[Tuple[int, bool], Tuple[Graph, int, CompiledModel]] = {}
+_COMPILED_CACHE: Dict[Tuple[int, bool], Tuple[Graph, int, CompiledModel, _Plans]] = {}
 _COMPILED_CACHE_MAX = 64
 
 
-def _compile_cached(graph: Graph, use_two_pass_softmax: bool) -> CompiledModel:
+def _compile_with_plans(graph: Graph, use_two_pass_softmax: bool) -> Tuple[CompiledModel, _Plans]:
     key = (id(graph), use_two_pass_softmax)
     entry = _COMPILED_CACHE.get(key)
-    if entry is not None and entry[0] is graph and entry[1] == len(graph):
-        return entry[2]
-    compiled = compile_graph(graph, use_two_pass_softmax=use_two_pass_softmax)
-    _COMPILED_CACHE[key] = (graph, len(graph), compiled)
-    while len(_COMPILED_CACHE) > _COMPILED_CACHE_MAX:
-        _COMPILED_CACHE.pop(next(iter(_COMPILED_CACHE)))
-    return compiled
+    if entry is None or entry[0] is not graph or entry[1] != len(graph):
+        compiled = compile_graph(graph, use_two_pass_softmax=use_two_pass_softmax)
+        entry = (graph, len(graph), compiled, tuple(_region_plans(compiled)))
+        _COMPILED_CACHE[key] = entry
+        while len(_COMPILED_CACHE) > _COMPILED_CACHE_MAX:
+            _COMPILED_CACHE.pop(next(iter(_COMPILED_CACHE)))
+    return entry[2], entry[3]
+
+
+def _compile_cached(graph: Graph, use_two_pass_softmax: bool) -> CompiledModel:
+    return _compile_with_plans(graph, use_two_pass_softmax)[0]
 
 
 def precompile_graph(graph: Graph, use_two_pass_softmax: bool = False) -> None:
     """Warm the compiled-graph cache for one graph (worker/service warm-up)."""
-    _compile_cached(graph, use_two_pass_softmax)
+    _compile_with_plans(graph, use_two_pass_softmax)
 
 
 def clear_compiled_cache() -> None:
@@ -179,12 +286,15 @@ class Simulator:
     Each stage runs inside a tracer span: ``compile``, ``batch_map``,
     ``regions``, ``fusion``, and per op on a region miss ``map_op`` (scalar
     engine) and ``vector_op`` (op-cache miss).  ``repro profile`` builds its
-    stage columns from those spans' totals.
+    stage columns from those spans' totals.  A region the region cache
+    cannot serve is priced from its :class:`_RegionPlan` (built once per
+    compiled graph) and the trial's op costs.
 
     Results share rather than copy: a region-cache hit puts the cached
     :class:`~repro.simulator.result.RegionPerformance` record itself into the
-    result, and a repeated fusion input returns the memoized
-    :class:`~repro.fusion.fast_fusion.FusionResult`.  Neither is ever
+    result, every record of a region shares its plan's ``op_names`` list,
+    and a repeated fusion input returns the memoized
+    :class:`~repro.fusion.fast_fusion.FusionResult`.  None of them is ever
     modified after it is built, which is what makes sharing them exact.
     """
 
@@ -209,6 +319,8 @@ class Simulator:
             op_cache=self.op_cache,
         )
         self._batched = self.options.mapper_engine != "scalar"
+        self._vpu_lanes = vpu_lanes_per_core(self._core_config)
+        self._onchip_bytes = self._core_config.l1_total_bytes + self._core_config.l2_total_bytes
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -245,27 +357,29 @@ class Simulator:
         """
         core = self._core_config
         with _tracer().span("compile", category="simulate"):
-            compiled = _compile_cached(graph, core.use_two_pass_softmax)
+            compiled, plans = _compile_with_plans(graph, core.use_two_pass_softmax)
         dram_bpc = core.dram_bytes_per_cycle
+        fingerprint = graph.fingerprint()
+        # ``Graph.tensors`` is a copy: fetch it once, and only to cost an op.
+        graph_tensors = functools.cache(lambda: graph.tensors)
 
         region_cache = self.region_cache
         region_keys, prefix, cached_entries, gather_ops = self.gather_map_entry(
-            graph, compiled
+            graph, compiled, plans
         )
         premapped: Optional[Dict[str, OpCost]] = None
         if self._batched and gather_ops:
             with _tracer().span(
                 "batch_map", category="simulate", num_ops=len(gather_ops)
             ):
-                premapped = self.mapper.map_ops_batch(gather_ops, graph.tensors)
+                premapped = self.mapper.map_ops_batch(gather_ops, graph_tensors())
 
         region_perf: List[RegionPerformance] = []
         region_stats: List[RegionStats] = []
-        producer_region: Dict[str, int] = {}
         schedule_failed = False
 
         with _tracer().span("regions", category="simulate") as region_span:
-            for position, region in enumerate(compiled.regions):
+            for position, plan in enumerate(plans):
                 entry = cached_entries[position]
                 if entry is not None:
                     if entry[0] is None:
@@ -274,7 +388,8 @@ class Simulator:
                     record, stats = entry
                 else:
                     record, stats = self._evaluate_region(
-                        compiled, region, dram_bpc, producer_region, premapped
+                        plan, fingerprint, compiled.softmax_factors, dram_bpc, graph_tensors,
+                        premapped
                     )
                     if region_cache is not None:
                         region_cache.put(
@@ -287,9 +402,7 @@ class Simulator:
                         break
                 region_perf.append(record)
                 region_stats.append(stats)
-                for tensor_name in region.output_tensors:
-                    producer_region[tensor_name] = region.index
-            region_span.set_attr("regions", len(compiled.regions))
+            region_span.set_attr("regions", len(plans))
             if region_cache is not None:
                 hits = sum(1 for entry in cached_entries if entry is not None)
                 region_span.set_attr("region_cache_hits", hits)
@@ -336,31 +449,30 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def gather_map_entry(self, graph: Graph, compiled: CompiledModel):
+    def gather_map_entry(self, graph: Graph, compiled: CompiledModel, plans: _Plans):
         """Gather half of :meth:`simulate` for one compiled graph.
 
         Builds the graph's region keys once, looks every region up with an
         accounted :meth:`~repro.runtime.opcache.RegionCostCache.get`, and
-        collects the matrix ops of every region the cache cannot serve.
-        Returns ``(keys, prefix, entries, ops)``: the region keys and their
-        prefix (``None`` without a region cache), each region's cached entry
-        or ``None``, and the matrix ops left to map.
+        collects, from the region plans, the matrix ops of every region the
+        cache cannot serve.  Returns ``(keys, prefix, entries, ops)``: the
+        region keys and their prefix (``None`` without a region cache), each
+        region's cached entry or ``None``, and the matrix ops left to map.
         """
-        regions = compiled.regions
         region_cache = self.region_cache
         keys: Optional[List[Tuple]] = None
         prefix: Optional[str] = None  # canonical JSON of the region keys' base
-        entries: List[Optional[tuple]] = [None] * len(regions)
+        entries: List[Optional[tuple]] = [None] * len(plans)
         if region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
-            keys = [key_base + (region.index,) for region in regions]
+            keys = [key_base + (plan.index,) for plan in plans]
             prefix = region_cache.key_prefix(key_base)
             entries = [region_cache.get(key, prefix) for key in keys]
         ops = [
             op
-            for region, entry in zip(regions, entries)
+            for plan, entry in zip(plans, entries)
             if entry is None
-            for op in region.matrix_ops
+            for op in plan.matrix_ops
         ]
         return keys, prefix, entries, ops
 
@@ -383,136 +495,84 @@ class Simulator:
             core.use_two_pass_softmax,
             self.mapper.mapping_config_key(),
             core.dram_bytes_per_cycle,
-            vpu_lanes_per_core(core),
+            self._vpu_lanes,
             factors.input_traffic_factor,
             factors.output_traffic_factor,
             factors.flops_factor,
-            core.l1_total_bytes + core.l2_total_bytes,
+            self._onchip_bytes,
         )
 
     # ------------------------------------------------------------------
     def _evaluate_region(
         self,
-        compiled: CompiledModel,
-        region: FusionRegion,
+        plan: _RegionPlan,
+        fingerprint: str,
+        factors: SoftmaxCostFactors,
         dram_bpc: float,
-        producer_region: Dict[str, int],
+        graph_tensors: Callable[[], Dict[str, Tensor]],
         premapped: Optional[Dict[str, OpCost]] = None,
     ):
         """Cost one fusion region; returns (RegionPerformance, RegionStats).
 
-        ``premapped`` carries the scatter half of the graph-batched pipeline:
-        matrix-op costs already computed by the trial-wide batched sweep.
-        Ops absent from it (every op, on the scalar engine) are mapped by
-        :meth:`~repro.mapping.mapper.Mapper.map_op`.
+        Arithmetic over the region's :class:`_RegionPlan` (built once per
+        compiled graph) and the trial's op costs, taken in region order.
+        ``premapped`` holds the matrix-op costs of the trial-wide batched
+        sweep (the scatter half of the graph-batched pipeline); ops absent
+        from it (every op, on the scalar engine) are mapped by
+        :meth:`~repro.mapping.mapper.Mapper.map_op`.  A matrix op that fails
+        to schedule returns ``(None, None)`` before any later op is costed.
         """
-        graph = compiled.graph
-        tensors = graph.tensors
-        core = self._core_config
-
         matrix_costs: List[OpCost] = []
-        anchor_cost: Optional[OpCost] = None
         vector_costs: List[OpCost] = []
         op_busy_cycles: Dict[str, float] = {}
         op_cache = self.op_cache
-        for op in region.ops:
-            if is_matrix_op(op.op_type):
+        for op, is_matrix in plan.ops:
+            if is_matrix:
                 cost = premapped.get(op.name) if premapped is not None else None
                 if cost is None:
                     with _tracer().span("map_op", category="simulate"):
-                        cost = self.mapper.map_op(op, tensors)
+                        cost = self.mapper.map_op(op, graph_tensors())
                 if cost.schedule_failed:
                     return None, None
                 matrix_costs.append(cost)
                 op_busy_cycles[op.name] = cost.compute_cycles
-                if region.matrix_op is not None and op.name == region.matrix_op.name:
-                    anchor_cost = cost
             else:
                 cost = None
                 if op_cache is not None:
                     vector_key = vector_cost_cache_key(
-                        graph, op, core, compiled.softmax_factors
+                        fingerprint, op.name, self._vpu_lanes, factors
                     )
                     cost = op_cache.get(vector_key)
                 if cost is None:
                     with _tracer().span("vector_op", category="simulate"):
-                        cost = vector_op_cost(op, tensors, core, compiled.softmax_factors)
+                        cost = vector_op_cost(op, graph_tensors(), self._core_config, factors)
                     if op_cache is not None:
                         op_cache.put(vector_key, cost)
                 vector_costs.append(cost)
                 op_busy_cycles[op.name] = cost.vector_cycles
-        if anchor_cost is None and matrix_costs:
-            anchor_cost = matrix_costs[0]
+        anchor_cost = matrix_costs[plan.anchor] if plan.anchor is not None else None
 
         compute_cycles = sum(c.compute_cycles for c in matrix_costs)
         vector_cycles = sum(c.vector_cycles for c in vector_costs)
         flops = sum(c.flops for c in matrix_costs) + sum(c.flops for c in vector_costs)
 
         # --- DRAM traffic attribution -----------------------------------
-        # Each matrix op's mapping may re-read its operands (traffic
-        # amplification); record a per-tensor multiplier so region-external
-        # tensors feeding a matrix op are charged the amplified traffic.
-        matrix_inputs: set = set()
-        input_amp_by_tensor: Dict[str, float] = {}
-        weight_amp_by_tensor: Dict[str, float] = {}
-        for matrix_op, cost in zip(region.matrix_ops, matrix_costs):
-            matrix_inputs.update(matrix_op.inputs)
-            act_bytes = sum(
-                tensors[t].size_bytes
-                for t in matrix_op.inputs
-                if tensors[t].kind is TensorKind.ACTIVATION
-            )
-            w_bytes = sum(
-                tensors[t].size_bytes
-                for t in matrix_op.inputs
-                if tensors[t].kind in (TensorKind.WEIGHT, TensorKind.CONSTANT)
-            )
-            in_amp = max(1.0, cost.dram_input_bytes / act_bytes) if act_bytes else 1.0
-            w_amp = max(1.0, cost.dram_weight_bytes / w_bytes) if w_bytes else 1.0
-            for t in matrix_op.inputs:
-                if tensors[t].kind is TensorKind.ACTIVATION:
-                    input_amp_by_tensor[t] = in_amp
-                else:
-                    weight_amp_by_tensor[t] = w_amp
-
-        softmax_ops = {
-            op.name for op in region.ops if op.op_type is OpType.SOFTMAX
-        }
-        softmax_inputs = set()
-        softmax_outputs = set()
-        for op in region.ops:
-            if op.name in softmax_ops:
-                softmax_inputs.update(op.inputs)
-                softmax_outputs.update(op.outputs)
-
+        # A matrix op's mapping may re-read its operands (amplification),
+        # charged on the region-external tensors it reads, and may spill
+        # partial sums beyond on-chip capacity, charged as output traffic
+        # even when the matrix output itself stays inside the region.
+        input_amps, weight_amps = [], []
+        output_traffic = plan.output_traffic
+        for (act_bytes, w_bytes, out_bytes), cost in zip(plan.matrix_bytes, matrix_costs):
+            input_amps.append(max(1.0, cost.dram_input_bytes / act_bytes) if act_bytes else 1.0)
+            weight_amps.append(max(1.0, cost.dram_weight_bytes / w_bytes) if w_bytes else 1.0)
+            output_traffic += max(0.0, cost.dram_output_bytes - out_bytes)
         input_traffic = 0.0
-        for tname in region.input_tensors:
-            size = tensors[tname].size_bytes
-            if tname in input_amp_by_tensor:
-                input_traffic += size * input_amp_by_tensor[tname]
-            elif tname in softmax_inputs:
-                input_traffic += size * compiled.softmax_factors.input_traffic_factor
-            else:
-                input_traffic += size
-
+        for size, source, term in plan.inputs:
+            input_traffic += term if source is None else size * input_amps[source]
         weight_traffic = 0.0
-        for tname in region.weight_tensors:
-            size = tensors[tname].size_bytes
-            weight_traffic += size * weight_amp_by_tensor.get(tname, 1.0)
-
-        output_traffic = 0.0
-        for tname in region.output_tensors:
-            size = tensors[tname].size_bytes
-            if tname in softmax_outputs:
-                output_traffic += size * compiled.softmax_factors.output_traffic_factor
-            else:
-                output_traffic += size
-        # Partial-sum spill traffic from the matrix ops, if a mapping tiled
-        # the reduction beyond on-chip capacity (counted even when the matrix
-        # output itself stays inside the region).
-        for matrix_op, cost in zip(region.matrix_ops, matrix_costs):
-            matrix_out_bytes = sum(tensors[t].size_bytes for t in matrix_op.outputs)
-            output_traffic += max(0.0, cost.dram_output_bytes - matrix_out_bytes)
+        for size, source in plan.weights:
+            weight_traffic += size * (1.0 if source is None else weight_amps[source])
 
         # Within a fused region the vector ops execute as the matrix op's
         # epilogue, consuming results as they stream out of the systolic
@@ -523,16 +583,11 @@ class Simulator:
         dram_cycles = total_traffic / dram_bpc if dram_bpc > 0 else 0.0
         pre_fusion_cycles = max(busy_cycles, dram_cycles)
 
-        primary_type = (
-            region.matrix_op.op_type
-            if region.matrix_op is not None
-            else self._dominant_vector_type(region)
-        )
         record = RegionPerformance(
-            index=region.index,
-            name=region.name,
-            op_names=[op.name for op in region.ops],
-            primary_op_type=primary_type,
+            index=plan.index,
+            name=plan.name,
+            op_names=plan.op_names,
+            primary_op_type=plan.primary_op_type,
             flops=flops,
             compute_cycles=compute_cycles,
             vector_cycles=vector_cycles,
@@ -545,44 +600,23 @@ class Simulator:
         )
 
         # --- Fusion statistics -------------------------------------------
-        predecessor = None
-        if region.input_tensors:
-            largest_input = max(
-                region.input_tensors, key=lambda t: tensors[t].size_bytes
-            )
-            predecessor = producer_region.get(largest_input)
         blocking_gm = 0
         if anchor_cost is not None and anchor_cost.tiling is not None:
-            onchip_without_gm = (
-                self._core_config.l1_total_bytes + self._core_config.l2_total_bytes
-            )
-            blocking_gm = max(0, anchor_cost.tiling.buffer_bytes(2) - onchip_without_gm)
+            blocking_gm = max(0, anchor_cost.tiling.buffer_bytes(2) - self._onchip_bytes)
 
         stats = RegionStats(
-            index=region.index,
-            name=region.name,
+            index=plan.index,
+            name=plan.name,
             busy_cycles=busy_cycles,
             t_max_cycles=pre_fusion_cycles,
             input_dram_cycles=input_traffic / dram_bpc if dram_bpc > 0 else 0.0,
             weight_dram_cycles=weight_traffic / dram_bpc if dram_bpc > 0 else 0.0,
             output_dram_cycles=output_traffic / dram_bpc if dram_bpc > 0 else 0.0,
-            input_bytes=int(region.input_bytes(graph)),
-            weight_bytes=int(region.weight_bytes(graph)),
-            output_bytes=int(region.output_bytes(graph)),
+            input_bytes=plan.input_bytes,
+            weight_bytes=plan.weight_bytes,
+            output_bytes=plan.output_bytes,
             blocking_gm_bytes=blocking_gm,
-            predecessor=predecessor,
-            is_graph_output=any(t in graph.output_names for t in region.output_tensors),
+            predecessor=plan.predecessor,
+            is_graph_output=plan.is_graph_output,
         )
         return record, stats
-
-    @staticmethod
-    def _dominant_vector_type(region: FusionRegion) -> OpType:
-        """Primary op type of a region with no matrix op."""
-        if not region.ops:
-            return OpType.ELEMENTWISE_ADD
-        preferred = (OpType.SOFTMAX, OpType.LAYERNORM, OpType.POOLING, OpType.REDUCE)
-        for op_type in preferred:
-            for op in region.ops:
-                if op.op_type is op_type:
-                    return op_type
-        return region.ops[0].op_type

@@ -15,7 +15,7 @@ from typing import Dict
 from repro.compiler.softmax import SoftmaxCostFactors, THREE_PASS_SOFTMAX
 from repro.hardware.datapath import DatapathConfig
 from repro.mapping.costmodel import OpCost
-from repro.workloads.graph import Graph, Operation, Tensor, TensorKind
+from repro.workloads.graph import Operation, Tensor, TensorKind
 from repro.workloads.ops import OpType, op_flops
 
 __all__ = ["vector_op_cost", "vector_cost_cache_key", "vpu_lanes_per_core"]
@@ -30,23 +30,22 @@ def vpu_lanes_per_core(config: DatapathConfig) -> int:
 
 
 def vector_cost_cache_key(
-    graph: Graph,
-    op: Operation,
-    config: DatapathConfig,
+    fingerprint: str,
+    op_name: str,
+    lanes: int,
     softmax_factors: SoftmaxCostFactors,
 ) -> tuple:
     """Cross-trial cache key for :func:`vector_op_cost`.
 
-    A vector op's cost is a pure function of the op structure (captured by
-    the graph's content fingerprint plus the op name), the core's VPU lane
-    count, and the softmax lowering factors — everything else about the
-    datapath is irrelevant to the VPU model.
+    A vector op's cost is a pure function of the op structure (the graph's
+    content ``fingerprint`` plus the op name), the core's VPU ``lanes``, and
+    the softmax lowering factors — nothing else about the datapath matters.
     """
     return (
         "vector",
-        graph.fingerprint(),
-        op.name,
-        vpu_lanes_per_core(config),
+        fingerprint,
+        op_name,
+        lanes,
         softmax_factors.input_traffic_factor,
         softmax_factors.output_traffic_factor,
         softmax_factors.flops_factor,

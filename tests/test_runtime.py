@@ -360,18 +360,30 @@ class TestCheckpoint:
     def test_a_manager_reused_across_runs_never_mixes_their_trials(self, tmp_path):
         path = tmp_path / "search.ckpt"
         manager = SearchCheckpoint(path, interval=4)
+        saves = []
+        save = manager.save
+
+        def counting_save(state):
+            saves.append(state.num_completed)
+            return save(state)
+
+        manager.save = counting_save
         FASTSearch(_problem(), optimizer="random", seed=1, checkpoint=manager).run(
             4, batch_size=4
         )
+        assert saves == [4, 4]  # the interval save, then the end-of-run save
         second = FASTSearch(_problem(), optimizer="random", seed=2, checkpoint=manager).run(
-            8, batch_size=4
+            12, batch_size=4
         )
+        # The second run counts its interval from its own start, so the file
+        # holds the first run's journal for no trial of it.
+        assert saves[2:] == [4, 8, 12, 12]
         # The second run's first save is a snapshot: appending its trials
-        # 4..8 to the first run's journal would resume a mix of both runs.
+        # to the first run's journal would resume a mix of both runs.
         resumed = FASTSearch(
             _problem(), optimizer="random", seed=2, checkpoint=SearchCheckpoint(path)
-        ).run(8, batch_size=4, resume=True)
-        assert resumed.runtime.resumed_trials == 8
+        ).run(12, batch_size=4, resume=True)
+        assert resumed.runtime.resumed_trials == 12
         assert _history_dicts(resumed) == _history_dicts(second)
         assert resumed.proposals == second.proposals
 

@@ -25,6 +25,7 @@ from repro.core.designs import FAST_LARGE
 from repro.fusion.fast_fusion import FastFusionOptimizer, FusionResult, RegionStats
 from repro.runtime.opcache import (
     CostCacheBase,
+    OpCostCache,
     RegionCostCache,
     region_entry_from_dict,
     region_entry_to_dict,
@@ -54,6 +55,12 @@ PARENT_STORE_LINE = (
     '"input_bytes": 6422528, "weight_bytes": 1088, "output_bytes": 3211264, '
     '"blocking_gm_bytes": 0, "predecessor": 1, "is_graph_output": false}}}'
 )
+
+#: The op-store digest of the vector op-cost key of bert-seq128's first
+#: softmax (``layer0.attention.softmax``) on FAST-Large at its native batch
+#: 8 with the three-pass lowering, as written by the version that built the
+#: key from the graph, the op and the datapath.
+PARENT_SOFTMAX_KEY_DIGEST = "2f7e3d6844f31e5858b93876d15a2b175c99fe138f7fa0db6a6a94cbc11bd496"
 
 
 @pytest.fixture(autouse=True)
@@ -202,6 +209,25 @@ class TestDerivedDigest:
 
 
 class TestStoreFormatCompatibility:
+    def test_vector_op_keys_hash_to_the_previous_versions_digest(self):
+        # An op store written before this version keeps serving vector costs
+        # only if the key built now for the same op hashes the same.
+        keys = []
+        original = OpCostCache.get
+
+        def get(self, key, prefix=None):
+            keys.append(key)
+            return original(self, key, prefix)
+
+        graph = build_workload("bert-seq128", batch_size=FAST_LARGE.native_batch_size)
+        with mock.patch.object(OpCostCache, "get", get):
+            _simulator().simulate(graph)
+        softmax = [
+            key for key in keys if key[0] == "vector" and key[2] == "layer0.attention.softmax"
+        ]
+        assert len(softmax) == 1
+        assert CostCacheBase.digest(softmax[0]) == PARENT_SOFTMAX_KEY_DIGEST
+
     def test_previous_format_line_decodes_and_reencodes_identically(self, tmp_path):
         parent = json.loads(PARENT_STORE_LINE)
         record, stats = region_entry_from_dict(parent["entry"])
