@@ -371,16 +371,18 @@ PY
 #    baseline.
 # --------------------------------------------------------------------------
 smoke_cache_tier() {
-    log "cache-tier smoke: region store warm-load + warm-pool equivalence"
+    log "cache-tier smoke: region + op store warm-load + warm-pool equivalence"
     local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
     local store="$SMOKE_DIR/region-store.jsonl"
-    rm -f "$store"
+    local op_store="$SMOKE_DIR/op-store.jsonl"
+    rm -f "$store" "$op_store"
     python -m repro search "${common[@]}" \
         --output "$SMOKE_DIR/cache-private.json"
     python -m repro search "${common[@]}" \
-        --engine "graph-batched:region_store=$store" \
+        --engine "graph-batched:region_store=$store" --op-cache "$op_store" \
         --output "$SMOKE_DIR/cache-store-cold.json"
     [ -s "$store" ] || { echo "region store was never written"; exit 1; }
+    [ -s "$op_store" ] || { echo "op store was never written"; exit 1; }
     # The trial-cache compactor must refuse a region store, not empty it.
     local digest
     digest=$(sha256sum "$store")
@@ -397,26 +399,41 @@ smoke_cache_tier() {
         --workers 2 \
         --engine "graph-batched:region_store=$store" \
         --output "$SMOKE_DIR/cache-pool.json"
+    # Op costs alone: no region cache, so every matrix op is an op-store lookup.
+    python -m repro search "${common[@]}" \
+        --engine "graph-batched:region_cache=off" --op-cache "$op_store" \
+        --output "$SMOKE_DIR/cache-op-store-warm.json"
 
     python - "$SMOKE_DIR/cache-private.json" "$SMOKE_DIR/cache-store-cold.json" \
-        "$SMOKE_DIR/cache-store-warm.json" "$SMOKE_DIR/cache-pool.json" <<'PY'
+        "$SMOKE_DIR/cache-store-warm.json" "$SMOKE_DIR/cache-pool.json" \
+        "$SMOKE_DIR/cache-op-store-warm.json" "$store" "$op_store" <<'PY'
 import json, sys
-private = json.load(open(sys.argv[1]))
-for path in sys.argv[2:]:
+results, stores = sys.argv[1:6], sys.argv[6:]
+private = json.load(open(results[0]))
+for path in results[1:]:
     other = json.load(open(path))
     for key in ("proposals", "history", "best_score_curve", "best_score"):
         if private.get(key) != other.get(key):
             raise SystemExit(f"{path} diverged from the private-cache run on {key!r}")
-warm = json.load(open(sys.argv[3]))["runtime"]
+warm = json.load(open(results[2]))["runtime"]
 assert warm["region_cache_disk_hits"] > 0, warm
 assert warm["region_cache_misses"] == 0, warm
-pool = json.load(open(sys.argv[4]))["runtime"]
+pool = json.load(open(results[3]))["runtime"]
 assert pool["region_cache_disk_hits"] > 0, pool
 assert pool["region_cache_misses"] == 0, pool
-print("store + warm pool == private bit-for-bit over",
+ops = json.load(open(results[4]))["runtime"]
+assert ops["op_cache_disk_hits"] > 0, ops
+assert ops["op_cache_misses"] == 0, ops
+# Both stores hold format 2 only: every payload is a positional JSON array.
+for path, field in zip(stores, ("entry", "cost")):
+    for line in open(path):
+        if not isinstance(json.loads(line)[field], list):
+            raise SystemExit(f"{path} holds a line that is not a format-2 row: {line[:120]}")
+print("stores + warm pool == private bit-for-bit over",
       len(private.get("history") or []), "trials;",
       warm["region_cache_disk_hits"], "warm disk hits,",
-      pool["region_cache_disk_hits"], "pool disk hits")
+      pool["region_cache_disk_hits"], "pool disk hits,",
+      ops["op_cache_disk_hits"], "op-store disk hits")
 PY
 }
 

@@ -153,6 +153,10 @@ class Mapper:
         self.op_cache = op_cache
         self._cache: Dict[Tuple, OpCost] = {}
         self._config_key = self.mapping_config_key() if op_cache is not None else None
+        # Op-cache keys are (config key, problem key): hash them from a prefix.
+        self._key_prefix = (
+            op_cache.key_prefix((self._config_key,)) if op_cache is not None else None
+        )
         # Everything _PreparedProblem depends on besides the problem itself.
         self._prep_key = (
             config.systolic_array_x,
@@ -202,19 +206,16 @@ class Mapper:
         key = self._problem_key(problem)
         cached = self._cache.get(key)
         if cached is not None:
-            # Re-label the cached cost for this op name.
-            return OpCost(**{**cached.__dict__, "op_name": op.name, "op_type": op.op_type})
+            return _labelled(cached, op)
         if self.op_cache is not None:
-            shared = self.op_cache.get((self._config_key, key))
+            shared = self.op_cache.get((self._config_key, key), self._key_prefix)
             if shared is not None:
                 self._cache[key] = shared
-                return OpCost(
-                    **{**shared.__dict__, "op_name": op.name, "op_type": op.op_type}
-                )
+                return _labelled(shared, op)
         cost = self._map_problem(op, problem)
         self._cache[key] = cost
         if self.op_cache is not None:
-            self.op_cache.put((self._config_key, key), cost)
+            self.op_cache.put((self._config_key, key), cost, self._key_prefix)
         return cost
 
     def map_ops_batch(
@@ -259,7 +260,7 @@ class Mapper:
             if key in self._cache or key in pending_keys:
                 continue
             if self.op_cache is not None:
-                shared = self.op_cache.get((self._config_key, key))
+                shared = self.op_cache.get((self._config_key, key), self._key_prefix)
                 if shared is not None:
                     self._cache[key] = shared
                     continue
@@ -276,13 +277,8 @@ class Mapper:
             for (key, _, _), cost in zip(pending, costs):
                 self._cache[key] = cost
                 if self.op_cache is not None:
-                    self.op_cache.put((self._config_key, key), cost)
-        return {
-            op.name: OpCost(
-                **{**self._cache[key].__dict__, "op_name": op.name, "op_type": op.op_type}
-            )
-            for op, key in slots
-        }
+                    self.op_cache.put((self._config_key, key), cost, self._key_prefix)
+        return {op.name: _labelled(self._cache[key], op) for op, key in slots}
 
     # ------------------------------------------------------------------
     def _problem_key(self, problem: MatrixProblem) -> Tuple:
@@ -571,6 +567,18 @@ class Mapper:
         if compute_cycles <= 0 or peak_macs_per_cycle <= 0:
             return 0.0
         return min(1.0, raw_problem.macs / (compute_cycles * peak_macs_per_cycle))
+
+
+def _labelled(cost: OpCost, op: Operation) -> OpCost:
+    """``cost`` as the cost of ``op``: itself when its labels match, else a copy."""
+    if cost.op_name == op.name and cost.op_type is op.op_type:
+        return cost
+    return OpCost(
+        op.name, op.op_type, cost.flops, cost.padded_flops, cost.compute_cycles,
+        cost.vector_cycles, cost.dram_input_bytes, cost.dram_weight_bytes,
+        cost.dram_output_bytes, cost.utilization, cost.dataflow, cost.tiling,
+        cost.schedule_failed,
+    )
 
 
 def _select_batch_slots(

@@ -26,6 +26,20 @@ lines on POSIX filesystems, and torn tails left by crashes are quarantined
 (``corrupt_records``) rather than trusted.  Hosts share regions by sharing a
 store, or by evaluating on one ``repro serve`` that keeps it.
 
+Op and region stores write format 2: each line is ``{"key": <digest>,
+"cost"|"entry": <row>}``, the row a positional JSON array.  An op row is an
+:class:`OpCost`'s 13 fields in order, enums by value and the tiling as
+``[m, n, k]``.  A region row is ``[]`` for a schedule failure, else 24
+fields: the record's, then the stats' after the ``index`` and ``name`` both
+share; ``op_busy_cycles`` is its list of values when its keys are
+``op_names`` in order, as every simulated region's are.  The payload's JSON
+type names its format, so format-1 lines (an object payload) are still read
+and served, and never rewritten; programs from before format 2 cannot read
+its rows.  A put keeps the row it encoded in the store's index as tuples of
+atomic values, which the cyclic collector untracks in the first passes that
+see them (the nested tuples, then the row), so the index stays out of later
+full passes.
+
 A store entry decodes bit-identical to the value that was put (JSON float
 encoding round-trips exactly), so whether an entry came from memory or disk
 can never change a search history — only how fast it arrives.  Cost caches
@@ -68,9 +82,11 @@ __all__ = [
     "get_region_cache",
     "reset_op_caches",
     "reset_region_caches",
-    "opcost_to_dict",
+    "opcost_to_row",
+    "opcost_from_row",
     "opcost_from_dict",
-    "region_entry_to_dict",
+    "region_entry_to_row",
+    "region_entry_from_row",
     "region_entry_from_dict",
 ]
 
@@ -84,7 +100,8 @@ class CostCacheStats:
     pure memory-LRU hit is ``hits`` minus ``disk_hits``).
     ``corrupt_records`` counts JSONL lines quarantined each time the store
     is read (on load and by compaction): the torn tail a crash mid-append
-    leaves, or a record of another store kind;
+    leaves, or a record of another store kind; and index entries that fail
+    to decode when first looked up;
     ``stale_tmp_swept`` counts leftover compaction temp files removed.
     """
 
@@ -117,33 +134,48 @@ class CompactionStats:
 # ---------------------------------------------------------------------------
 # Payload codecs.  JSON floats round-trip exactly (repr-based shortest float
 # encoding), which is what keeps the persistent stores bit-for-bit neutral
-# to search histories.
+# to search histories.  Format-2 rows decode positionally with JSON's own
+# types, so a decoded row equals what was put, field types included.
 # ---------------------------------------------------------------------------
-def opcost_to_dict(cost: OpCost) -> Dict[str, object]:
-    """JSON-compatible encoding of an :class:`OpCost` (exact float round-trip)."""
-    return {
-        "op_name": cost.op_name,
-        "op_type": cost.op_type.value,
-        "flops": cost.flops,
-        "padded_flops": cost.padded_flops,
-        "compute_cycles": cost.compute_cycles,
-        "vector_cycles": cost.vector_cycles,
-        "dram_input_bytes": cost.dram_input_bytes,
-        "dram_weight_bytes": cost.dram_weight_bytes,
-        "dram_output_bytes": cost.dram_output_bytes,
-        "utilization": cost.utilization,
-        "dataflow": cost.dataflow.value if cost.dataflow is not None else None,
-        "tiling": (
-            [cost.tiling.m_tile, cost.tiling.n_tile, cost.tiling.k_tile]
-            if cost.tiling is not None
-            else None
-        ),
-        "schedule_failed": cost.schedule_failed,
-    }
+#: What the codecs raise on a payload they cannot decode.
+_CODEC_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+#: ``json.dumps(value, sort_keys=True, default=str)``, the canonical JSON a
+#: key digest hashes, without building an encoder per call.
+_canonical_json = json.JSONEncoder(sort_keys=True, default=str).encode
+
+#: Op types by wire value: a dict lookup instead of an Enum call, on the
+#: decode path of every first-touch cache hit.
+_OP_TYPES = {op_type.value: op_type for op_type in OpType}
+
+
+def opcost_to_row(cost: OpCost) -> tuple:
+    """Format-2 row of an :class:`OpCost`: its 13 fields in order, enums by value."""
+    tiling = cost.tiling
+    return (
+        cost.op_name, cost.op_type.value, cost.flops, cost.padded_flops,
+        cost.compute_cycles, cost.vector_cycles, cost.dram_input_bytes,
+        cost.dram_weight_bytes, cost.dram_output_bytes, cost.utilization,
+        cost.dataflow.value if cost.dataflow is not None else None,
+        (tiling.m_tile, tiling.n_tile, tiling.k_tile) if tiling is not None else None,
+        cost.schedule_failed,
+    )
+
+
+def opcost_from_row(row) -> OpCost:
+    """Inverse of :func:`opcost_to_row`, for a row as put or as loaded."""
+    (name, op_type, flops, padded_flops, compute, vector, dram_in, dram_weight, dram_out,
+     utilization, dataflow, tiling, failed) = row
+    return OpCost(
+        name, _OP_TYPES[op_type], flops, padded_flops, compute, vector, dram_in,
+        dram_weight, dram_out, utilization,
+        Dataflow(dataflow) if dataflow is not None else None,
+        Tiling(*tiling) if tiling is not None else None, failed,
+    )
 
 
 def opcost_from_dict(data: Dict[str, object]) -> OpCost:
-    """Inverse of :func:`opcost_to_dict`."""
+    """Decode a format-1 op payload: a dict of :class:`OpCost` fields."""
     tiling = data.get("tiling")
     dataflow = data.get("dataflow")
     return OpCost(
@@ -163,61 +195,56 @@ def opcost_from_dict(data: Dict[str, object]) -> OpCost:
     )
 
 
-def region_entry_to_dict(entry: tuple) -> Dict[str, object]:
-    """JSON-compatible encoding of a cached region entry.
+def region_entry_to_row(entry: tuple) -> tuple:
+    """Format-2 row of a cached region entry: ``()`` for the ``(None,)`` sentinel.
 
-    Entries are either the ``(None,)`` schedule-failure sentinel or a
-    ``(RegionPerformance, RegionStats)`` pair; floats round-trip exactly.
-    Records carry no fusion outcome, but the encoding still writes
-    ``"post_fusion_cycles"`` (equal to ``"pre_fusion_cycles"``, the value
-    every cached record held when records carried one), so region stores of
-    either format read each other's entries.
+    Otherwise the record's fields, ``op_busy_cycles`` as its values when its
+    keys are ``op_names`` in order (else as the dict), then the stats' fields
+    after the ``index`` and ``name`` it shares with the record (``ValueError``
+    if they differ).
     """
     if entry[0] is None:
-        return {"failed": True}
+        return ()
     record, stats = entry
-    return {
-        "record": {
-            "index": record.index,
-            "name": record.name,
-            "op_names": list(record.op_names),
-            "primary_op_type": record.primary_op_type.value,
-            "flops": record.flops,
-            "compute_cycles": record.compute_cycles,
-            "vector_cycles": record.vector_cycles,
-            "dram_input_bytes": record.dram_input_bytes,
-            "dram_weight_bytes": record.dram_weight_bytes,
-            "dram_output_bytes": record.dram_output_bytes,
-            "pre_fusion_cycles": record.pre_fusion_cycles,
-            "post_fusion_cycles": record.pre_fusion_cycles,
-            "matrix_utilization": record.matrix_utilization,
-            "op_busy_cycles": dict(record.op_busy_cycles),
-        },
-        "stats": {
-            "index": stats.index,
-            "name": stats.name,
-            "busy_cycles": stats.busy_cycles,
-            "t_max_cycles": stats.t_max_cycles,
-            "input_dram_cycles": stats.input_dram_cycles,
-            "weight_dram_cycles": stats.weight_dram_cycles,
-            "output_dram_cycles": stats.output_dram_cycles,
-            "input_bytes": stats.input_bytes,
-            "weight_bytes": stats.weight_bytes,
-            "output_bytes": stats.output_bytes,
-            "blocking_gm_bytes": stats.blocking_gm_bytes,
-            "predecessor": stats.predecessor,
-            "is_graph_output": stats.is_graph_output,
-        },
-    }
+    if stats.index != record.index or stats.name != record.name:
+        raise ValueError(f"region stats {stats.name!r} do not match record {record.name!r}")
+    op_names = tuple(record.op_names)
+    busy = record.op_busy_cycles
+    return (
+        record.index, record.name, op_names, record.primary_op_type.value,
+        record.flops, record.compute_cycles, record.vector_cycles,
+        record.dram_input_bytes, record.dram_weight_bytes, record.dram_output_bytes,
+        record.pre_fusion_cycles, record.matrix_utilization,
+        tuple(busy.values()) if tuple(busy) == op_names else dict(busy),
+        stats.busy_cycles, stats.t_max_cycles, stats.input_dram_cycles,
+        stats.weight_dram_cycles, stats.output_dram_cycles, stats.input_bytes,
+        stats.weight_bytes, stats.output_bytes, stats.blocking_gm_bytes,
+        stats.predecessor, stats.is_graph_output,
+    )
 
 
-#: Op types by wire value: a dict lookup instead of an Enum call, on the
-#: decode path of every first-touch region-cache hit.
-_OP_TYPES = {op_type.value: op_type for op_type in OpType}
+def region_entry_from_row(row) -> tuple:
+    """Inverse of :func:`region_entry_to_row`, for a row as put or as loaded."""
+    if row in ((), []):
+        return (None,)
+    (index, name, op_names, op_type, flops, compute, vector, dram_in, dram_weight,
+     dram_out, pre_fusion, utilization, busy, busy_cycles, t_max, in_cycles,
+     weight_cycles, out_cycles, in_bytes, weight_bytes, out_bytes, blocking_gm,
+     predecessor, is_graph_output) = row
+    op_names = list(op_names)
+    busy = dict(busy) if isinstance(busy, dict) else dict(zip(op_names, busy, strict=True))
+    return (
+        RegionPerformance(index, name, op_names, _OP_TYPES[op_type], flops, compute,
+                          vector, dram_in, dram_weight, dram_out, pre_fusion,
+                          utilization, busy),
+        RegionStats(index, name, busy_cycles, t_max, in_cycles, weight_cycles,
+                    out_cycles, in_bytes, weight_bytes, out_bytes, blocking_gm,
+                    predecessor, is_graph_output),
+    )
 
 
 def region_entry_from_dict(data: Dict[str, object]) -> tuple:
-    """Inverse of :func:`region_entry_to_dict`.
+    """Decode a format-1 region payload: ``{"failed": true}`` or a record and stats dict.
 
     Raises ``KeyError``, ``TypeError``, ``ValueError``, ``AttributeError`` or
     ``OverflowError`` on a payload that is not a region entry.
@@ -324,7 +351,9 @@ class CostCacheBase:
     (and the raw index loaded from it) keys them by a SHA-256 digest of
     their canonical JSON form, so any process that derives the same key
     reads the same record.  Subclasses set :attr:`_PAYLOAD_FIELD` and the
-    ``_encode``/``_decode`` codec.
+    ``_encode``/``_decode`` codec; ``_decode`` takes a payload as ``_encode``
+    returned it or as a load parsed it, of any store format still read.
+    An index entry that fails to decode is quarantined when first touched.
 
     Appends go through a descriptor the store holds open from its first put
     (:class:`AppendFile`) until :meth:`close`, which compaction calls after
@@ -351,18 +380,20 @@ class CostCacheBase:
         self.max_memory_entries = max(1, int(max_memory_entries))
         self.stats = CostCacheStats()
         self._memory: "OrderedDict[Tuple, object]" = OrderedDict()
-        # digest -> raw payload dict, mirroring the JSONL store; empty
-        # without a path, so a store-less cache is bounded by its LRU.
-        self._disk_index: Dict[str, dict] = {}
+        # digest -> payload, mirroring the JSONL store: the row a put
+        # encoded (atomic values in tuples, untracked by the collector) or
+        # what a load parsed (frozen by the load).  Empty without a path, so
+        # a store-less cache is bounded by its LRU.
+        self._disk_index: Dict[str, object] = {}
         self._appender = AppendFile(self.write_path) if self.path is not None else None
         if self.path is not None:
             self._load_disk_index()
 
     # -- codec hooks ---------------------------------------------------
-    def _encode(self, value) -> dict:
+    def _encode(self, value):
         raise NotImplementedError
 
-    def _decode(self, raw: dict):
+    def _decode(self, raw):
         raise NotImplementedError
 
     # -- persistence ---------------------------------------------------
@@ -493,22 +524,24 @@ class CostCacheBase:
         """Stable string form of a cache key (for the persistent store).
 
         The definition is the SHA-256 of the key's canonical JSON.  Keys
-        that extend a common base by one int index (``key_base + (index,)``,
-        as the simulator builds region keys) may pass ``prefix`` =
-        :meth:`key_prefix` of that base: their canonical JSON is the
-        prefix's array with one more element, so only the index is encoded
-        and the digest is byte-for-byte the same.
+        that extend a common base by one element (``key_base + (last,)``,
+        as the simulator builds region keys and the mapper op keys) may
+        pass ``prefix`` = :meth:`key_prefix` of that base: their canonical
+        JSON is the prefix's array with one more element, so only that
+        element is encoded and the digest is byte-for-byte the same.
         """
         if prefix is None:
-            canonical = json.dumps(key, sort_keys=True, default=str)
+            canonical = _canonical_json(key)
         else:
-            canonical = prefix[:-1] + ", " + str(key[-1]) + "]"
+            last = key[-1]
+            last = str(last) if type(last) is int else _canonical_json(last)
+            canonical = prefix[:-1] + ", " + last + "]"
         return hashlib.sha256(canonical.encode()).hexdigest()
 
     @staticmethod
     def key_prefix(key_base: Tuple) -> str:
         """Canonical JSON of a non-empty key base (the ``prefix`` of :meth:`digest`)."""
-        return json.dumps(key_base, sort_keys=True, default=str)
+        return _canonical_json(key_base)
 
     # -- lookup / store ------------------------------------------------
     def get(self, key: Tuple, prefix: Optional[str] = None):
@@ -524,15 +557,33 @@ class CostCacheBase:
             self.stats.hits += 1
             return value
         if self._disk_index:
-            raw = self._disk_index.get(self.digest(key, prefix))
-            if raw is not None:
-                value = self._decode(raw)
-                self._remember(key, value)
+            value = self._from_disk(key, prefix)
+            if value is not None:
                 self.stats.hits += 1
                 self.stats.disk_hits += 1
                 return value
         self.stats.misses += 1
         return None
+
+    def _from_disk(self, key: Tuple, prefix: Optional[str]):
+        """Decode the index entry of ``key`` into memory; None when it has none.
+
+        An entry that fails to decode is quarantined: dropped from the
+        index and counted in ``stats.corrupt_records``, so the lookup is a
+        miss and the put that follows appends a good record.
+        """
+        digest = self.digest(key, prefix)
+        raw = self._disk_index.get(digest)
+        if raw is None:
+            return None
+        try:
+            value = self._decode(raw)
+        except _CODEC_ERRORS:
+            del self._disk_index[digest]
+            self.stats.corrupt_records += 1
+            return None
+        self._remember(key, value)
+        return value
 
     def put(self, key: Tuple, value, prefix: Optional[str] = None) -> None:
         """Store a value in memory and (when configured) append to disk.
@@ -592,11 +643,11 @@ class OpCostCache(CostCacheBase):
 
     _PAYLOAD_FIELD = "cost"
 
-    def _encode(self, value: OpCost) -> dict:
-        return opcost_to_dict(value)
+    def _encode(self, value: OpCost) -> tuple:
+        return opcost_to_row(value)
 
-    def _decode(self, raw: dict) -> OpCost:
-        return opcost_from_dict(raw)
+    def _decode(self, raw) -> OpCost:
+        return opcost_from_dict(raw) if isinstance(raw, dict) else opcost_from_row(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -634,31 +685,25 @@ class RegionCostCache(CostCacheBase):
         super().__init__(path=path, max_memory_entries=max_entries)
         self.max_entries = self.max_memory_entries
 
-    def _encode(self, value: tuple) -> dict:
-        return region_entry_to_dict(value)
+    def _encode(self, value: tuple) -> tuple:
+        return region_entry_to_row(value)
 
-    def _decode(self, raw: dict) -> tuple:
-        return region_entry_from_dict(raw)
+    def _decode(self, raw) -> tuple:
+        return region_entry_from_dict(raw) if isinstance(raw, dict) else region_entry_from_row(raw)
 
     # ------------------------------------------------------------------
     def peek(self, key: Tuple, prefix: Optional[str] = None):
-        """Probe for an entry without touching stats or LRU order.
+        """Probe for an entry without touching hit counters or LRU order.
 
         A store entry found here is promoted into memory (still
-        unaccounted), so an accounted :meth:`get` that follows sees it.
+        unaccounted), so an accounted :meth:`get` that follows sees it; one
+        that fails to decode is quarantined as :meth:`get` does.
         ``prefix`` is as for :meth:`get`.
         """
         entry = self._memory.get(key)
         if entry is not None:
             return entry
-        if not self._disk_index:
-            return None
-        raw = self._disk_index.get(self.digest(key, prefix))
-        if raw is None:
-            return None
-        entry = self._decode(raw)
-        self._remember(key, entry)
-        return entry
+        return self._from_disk(key, prefix) if self._disk_index else None
 
 
 # ---------------------------------------------------------------------------

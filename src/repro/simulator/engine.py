@@ -133,7 +133,6 @@ class _RegionPlan:
     name: str
     ops: Tuple[Tuple[Operation, bool], ...]  # member ops in order, with their matrix flag
     matrix_ops: Tuple[Operation, ...]
-    anchor: Optional[int]  # index in matrix_ops of the region's matrix_op, else of the first
     matrix_bytes: Tuple[Tuple[int, int, int], ...]  # activation, weight, output bytes
     inputs: Tuple[Tuple[int, Optional[int], float], ...]  # input tensors' (size, source, term)
     weights: Tuple[Tuple[int, Optional[int]], ...]  # weight tensors' (size, source)
@@ -175,8 +174,6 @@ def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
             name=region.name,
             ops=ops,
             matrix_ops=matrix_ops,
-            anchor=next((j for j, op in enumerate(matrix_ops) if op is region.matrix_op),
-                        0 if matrix_ops else None),
             matrix_bytes=tuple(
                 (sum(size[t] for t in op.inputs if tensors[t].kind is TensorKind.ACTIVATION),
                  sum(size[t] for t in op.inputs if tensors[t].kind is not TensorKind.ACTIVATION),
@@ -550,7 +547,9 @@ class Simulator:
                         op_cache.put(vector_key, cost)
                 vector_costs.append(cost)
                 op_busy_cycles[op.name] = cost.vector_cycles
-        anchor_cost = matrix_costs[plan.anchor] if plan.anchor is not None else None
+        # The anchor is the first matrix op: the partitioner starts a region
+        # with its matrix_op, and a region without one anchors on it too.
+        anchor_cost = matrix_costs[0] if matrix_costs else None
 
         compute_cycles = sum(c.compute_cycles for c in matrix_costs)
         vector_cycles = sum(c.vector_cycles for c in vector_costs)

@@ -15,7 +15,7 @@ from repro.core.trial import TrialEvaluator, TrialMetrics
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.reporting.serialization import trial_metrics_to_dict
 from repro.runtime import OpCostCache, TrialCache, problem_fingerprint
-from repro.runtime.opcache import opcost_to_dict
+from store_format1 import opcost_to_dict
 
 
 def _problem():

@@ -37,7 +37,6 @@ from repro.runtime.opcache import (
     RegionCostCache,
     get_region_cache,
     region_entry_from_dict,
-    region_entry_to_dict,
     reset_op_caches,
 )
 from repro.runtime.remote import AsyncRemoteExecutor
@@ -46,6 +45,7 @@ from repro.simulator.engine import SimulationOptions
 from repro.simulator.enginespec import EngineSpec
 from repro.simulator.result import RegionPerformance
 from repro.workloads.ops import OpType
+from store_format1 import region_entry_to_dict
 
 
 @pytest.fixture(autouse=True)

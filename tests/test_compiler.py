@@ -15,7 +15,7 @@ from repro.compiler.softmax import (
 from repro.compiler.xla_fusion import build_fusion_regions
 from repro.workloads.builder import GraphBuilder
 from repro.workloads.ops import OpType
-from repro.workloads.registry import build_workload
+from repro.workloads.registry import available_workloads, build_workload
 
 
 class TestFusionRegions:
@@ -24,6 +24,15 @@ class TestFusionRegions:
         for region in regions:
             anchors = [op for op in region.ops if op is region.matrix_op]
             assert len(anchors) <= 1
+
+    @pytest.mark.parametrize("two_pass", [False, True])
+    def test_a_region_starts_with_its_anchor(self, two_pass):
+        # The simulator prices a region's utilization and blocking footprint
+        # on its first matrix op, which this makes the anchor.
+        for name in available_workloads():
+            compiled = compile_graph(build_workload(name), use_two_pass_softmax=two_pass)
+            for region in compiled.regions:
+                assert region.matrix_op is None or region.matrix_op is region.ops[0]
 
     def test_every_op_appears_exactly_once(self, efficientnet_b0):
         regions = build_fusion_regions(efficientnet_b0)

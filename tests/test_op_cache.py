@@ -25,13 +25,13 @@ from repro.runtime.opcache import (
     OpCostCache,
     get_op_cache,
     opcost_from_dict,
-    opcost_to_dict,
     reset_op_caches,
 )
 from repro.runtime.telemetry import Tracer, get_tracer, set_tracer
 from repro.simulator.engine import SimulationOptions, Simulator
 from repro.workloads.ops import is_matrix_op
 from repro.workloads.registry import build_workload
+from store_format1 import opcost_to_dict
 
 
 @pytest.fixture(autouse=True)
@@ -85,6 +85,22 @@ class TestOpCostCache:
             cost = fresh.map_op(op, tensors)
             assert cost.op_name == op.name
             assert cost == costs[op.name]
+
+    def test_a_cost_labelled_for_its_op_is_not_copied(self, small_config):
+        graph = build_workload("efficientnet-b0", batch_size=1)
+        tensors = graph.tensors
+        ops = _matrix_ops(graph)
+        cache = OpCostCache()
+        first = Mapper(small_config, op_cache=cache).map_ops_batch(ops, tensors)
+        again = Mapper(small_config, op_cache=cache).map_ops_batch(ops, tensors)
+        # Each cached cost carries the label of the op that mapped it first.
+        cached = {cost.op_name: cost for cost in cache._memory.values()}
+        assert len(cached) < len(ops)  # ops sharing a problem share its cost
+        for op in ops:
+            assert again[op.name] == first[op.name]
+            assert (again[op.name] is cached.get(op.name)) == (op.name in cached)
+            scalar = Mapper(small_config, op_cache=cache).map_op(op, tensors)
+            assert (scalar is cached.get(op.name)) == (op.name in cached)
 
     def test_persistence_round_trip(self, small_config, tmp_path):
         graph = build_workload("mobilenet-v2", batch_size=1)

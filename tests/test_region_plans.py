@@ -28,7 +28,7 @@ from repro.fusion.fast_fusion import RegionStats
 from repro.hardware.datapath import BufferConfig, DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.costmodel import OpCost
-from repro.runtime.opcache import region_entry_to_dict, reset_op_caches
+from repro.runtime.opcache import reset_op_caches
 from repro.simulator import engine
 from repro.simulator.engine import MAPPER_MODES, SimulationOptions, Simulator, clear_compiled_cache
 from repro.simulator.result import RegionPerformance
@@ -36,6 +36,7 @@ from repro.workloads.builder import GraphBuilder
 from repro.workloads.graph import TensorKind
 from repro.workloads.ops import OpType, is_matrix_op
 from repro.workloads.registry import build_workload
+from store_format1 import region_entry_to_dict
 
 #: Every op of every model fails to map on these 1 KiB L1 buffers, so a
 #: simulation stops at the first region holding a matrix op.

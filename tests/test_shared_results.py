@@ -4,10 +4,10 @@ A region-cache hit puts the cached ``(RegionPerformance, RegionStats)`` pair
 itself into the simulation result, and a repeated fusion input returns the
 simulator's memoized :class:`FusionResult`.  These tests pin what makes that
 sharing exact: nothing writes to a shared record or fusion result, a
-memoized solve equals a fresh one, region digests derived from a key prefix
-equal :meth:`CostCacheBase.digest`, and the region-store encoding still
-reads and writes the lines of the format whose records carried post-fusion
-fields.
+memoized solve equals a fresh one, digests derived from a key prefix equal
+:meth:`CostCacheBase.digest`, and the region store still reads the lines of
+the format whose records carried post-fusion fields (format 1) while it
+writes positional rows (format 2).
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from repro.runtime.opcache import (
     OpCostCache,
     RegionCostCache,
     region_entry_from_dict,
-    region_entry_to_dict,
     reset_op_caches,
 )
 from repro.simulator import engine
 from repro.simulator.engine import SimulationOptions, Simulator, clear_compiled_cache
 from repro.simulator.result import RegionPerformance
 from repro.workloads.registry import build_workload
+from store_format1 import region_entry_to_dict
 
 #: A line of a FAST-Large efficientnet-b0 region store (greedy fusion, native
 #: batch 8), written by the format whose records carried post-fusion fields.
@@ -54,6 +54,17 @@ PARENT_STORE_LINE = (
     '"weight_dram_cycles": 2.282857142857143, "output_dram_cycles": 6737.92, '
     '"input_bytes": 6422528, "weight_bytes": 1088, "output_bytes": 3211264, '
     '"blocking_gm_bytes": 0, "predecessor": 1, "is_graph_output": false}}}'
+)
+
+#: The line this version writes for the region of :data:`PARENT_STORE_LINE`: its
+#: format-2 row.
+CURRENT_STORE_LINE = (
+    '{"key": "640a2631cbe65b16d6fa8c5aff8073e036f0e45ae87b463b9880f5be55a3456f", '
+    '"entry": [2, "fusion[block1_0.project]", ["block1_0.project", "block1_0.project_bn"], '
+    '"conv2d", 104366080, 1569.0, 784.0, 6422528.0, 1088.0, 3211264.0, '
+    '20216.042857142857, 0.4996813256851498, [1569.0, 784.0], 1569.0, '
+    '20216.042857142857, 13475.84, 2.282857142857143, 6737.92, 6422528, 1088, 3211264, '
+    '0, 1, false]}'
 )
 
 #: The op-store digest of the vector op-cost key of bert-seq128's first
@@ -193,9 +204,36 @@ class TestDerivedDigest:
         for _ in range(500):
             key_base = _random_key_base(rng)
             prefix = CostCacheBase.key_prefix(key_base)
-            for index in (0, 1, int(rng.integers(2, 10**6))):
-                key = key_base + (index,)
+            lasts = (
+                0,
+                1,
+                int(rng.integers(2, 10**6)),
+                bool(rng.integers(2)),
+                float(rng.normal() * 10.0 ** int(rng.integers(-12, 12))),
+                _random_scalar(rng),
+                _random_key_base(rng),  # a tuple, as the mapper's problem keys are
+                "".join(chr(int(c)) for c in rng.integers(32, 0x2FF, size=4)),
+            )
+            for last in lasts:
+                key = key_base + (last,)
                 assert CostCacheBase.digest(key, prefix) == CostCacheBase.digest(key)
+
+    def test_equals_the_definition_on_mapper_op_keys(self):
+        calls = []
+        original = OpCostCache.get
+
+        def get(self, key, prefix=None):
+            calls.append((key, prefix))
+            return original(self, key, prefix)
+
+        graph = build_workload("bert-seq128", batch_size=2)
+        with mock.patch.object(OpCostCache, "get", get):
+            _simulator().simulate(graph)
+        op_keys = [(key, prefix) for key, prefix in calls if key[0] != "vector"]
+        assert op_keys
+        for key, prefix in op_keys:
+            assert prefix is not None
+            assert CostCacheBase.digest(key, prefix) == CostCacheBase.digest(key)
 
     def test_equals_the_definition_on_simulator_keys(self):
         graph = build_workload("bert-seq128", batch_size=2)
@@ -235,13 +273,13 @@ class TestStoreFormatCompatibility:
         assert reencoded == PARENT_STORE_LINE
 
         # The same region, evaluated now, is the object the old line decodes to,
-        # and the store this version writes holds the identical line.
+        # and the store this version writes holds its format-2 line.
         store = tmp_path / "regions.jsonl"
         result = _simulator(region_store_path=str(store)).simulate_workload("efficientnet-b0")
         assert result.regions[record.index] == record
         assert isinstance(stats, RegionStats)
         lines = {json.loads(line)["key"]: line for line in store.read_text().splitlines()}
-        assert lines[parent["key"]] == PARENT_STORE_LINE
+        assert lines[parent["key"]] == CURRENT_STORE_LINE
 
         # A fresh process-local cache loads that store and serves every region
         # from it.
@@ -250,3 +288,17 @@ class TestStoreFormatCompatibility:
         again = simulator.simulate_workload("efficientnet-b0")
         assert simulator.region_cache.stats.disk_hits == len(again.regions)
         assert again.region_post_fusion_cycles == result.region_post_fusion_cycles
+
+    def test_a_store_of_the_previous_format_line_serves_it_from_disk(self, tmp_path):
+        store = tmp_path / "regions.jsonl"
+        store.write_text(PARENT_STORE_LINE + "\n")
+        record, _ = region_entry_from_dict(json.loads(PARENT_STORE_LINE)["entry"])
+        simulator = _simulator(region_store_path=str(store))
+        result = simulator.simulate_workload("efficientnet-b0")
+        assert simulator.region_cache.stats.disk_entries_loaded == 1
+        assert simulator.region_cache.stats.disk_hits == 1
+        assert result.regions[record.index] == record
+        # The served entry is never re-appended: the store grows by the rest.
+        lines = store.read_text().splitlines()
+        assert lines[0] == PARENT_STORE_LINE
+        assert len(lines) == len(result.regions)
