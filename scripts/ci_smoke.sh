@@ -371,7 +371,7 @@ PY
 #    baseline.
 # --------------------------------------------------------------------------
 smoke_cache_tier() {
-    log "cache-tier smoke: region + op store warm-load + warm-pool equivalence"
+    log "cache-tier smoke: region + op store warm-load + warm-pool equivalence, twin regions"
     local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
     local store="$SMOKE_DIR/region-store.jsonl"
     local op_store="$SMOKE_DIR/op-store.jsonl"
@@ -434,6 +434,36 @@ print("stores + warm pool == private bit-for-bit over",
       warm["region_cache_disk_hits"], "warm disk hits,",
       pool["region_cache_disk_hits"], "pool disk hits,",
       ops["op_cache_disk_hits"], "op-store disk hits")
+PY
+
+    # Twin regions: bert-seq128's 97 regions have 7 distinct shapes, and
+    # only those 7 first-of-shape regions are looked up and stored per
+    # simulated trial (seed 3 simulates 7 of its 16 trials).
+    local bert=(--workload bert-seq128 --trials 16 --batch-size 4 --seed 3 --history)
+    local bert_store="$SMOKE_DIR/bert-region-store.jsonl"
+    rm -f "$bert_store"
+    python -m repro search "${bert[@]}" --output "$SMOKE_DIR/bert-private.json"
+    python -m repro search "${bert[@]}" \
+        --engine "graph-batched:region_store=$bert_store" \
+        --output "$SMOKE_DIR/bert-store-cold.json"
+    python -m repro search "${bert[@]}" \
+        --engine "graph-batched:region_store=$bert_store" \
+        --output "$SMOKE_DIR/bert-store-warm.json"
+    python - "$SMOKE_DIR/bert-private.json" "$SMOKE_DIR/bert-store-cold.json" \
+        "$SMOKE_DIR/bert-store-warm.json" 16 <<'PY'
+import json, sys
+private, cold, warm = (json.load(open(path)) for path in sys.argv[1:4])
+trials = int(sys.argv[4])
+for path, other in zip(sys.argv[2:4], (cold, warm)):
+    for key in ("proposals", "history", "best_score_curve", "best_score"):
+        if private.get(key) != other.get(key):
+            raise SystemExit(f"{path} diverged from the private-cache run on {key!r}")
+lookups = cold["runtime"]["region_cache_hits"] + cold["runtime"]["region_cache_misses"]
+assert 0 < lookups <= 7 * trials, cold["runtime"]  # 97 per simulated trial without twins
+assert warm["runtime"]["region_cache_misses"] == 0, warm["runtime"]
+assert warm["runtime"]["region_cache_disk_hits"] > 0, warm["runtime"]
+print("bert-seq128 store runs == private bit-for-bit;", lookups, "cold region lookups over",
+      trials, "trials,", warm["runtime"]["region_cache_disk_hits"], "warm disk hits")
 PY
 }
 

@@ -45,8 +45,10 @@ class RuntimeStats:
 
     ``op_cache_hits``/``op_cache_misses`` count per-op cost lookups served by
     the cross-trial :mod:`repro.runtime.opcache`, and
-    ``region_cache_hits``/``region_cache_misses`` count whole fusion-region
-    evaluations served by the region-level result cache layered above it.
+    ``region_cache_hits``/``region_cache_misses`` count lookups of whole
+    fusion-region evaluations in the region-level result cache layered above
+    it, for first-of-shape regions only: a twin repeating an earlier region
+    of its workload takes that region's numbers and is never looked up.
     ``*_disk_hits`` are the subset of hits served from a persistent store's
     index (``--op-cache`` / ``--engine region_store=``).
     Under a serial executor these counters come from this process's caches;

@@ -666,7 +666,9 @@ class RegionCostCache(CostCacheBase):
     """Cache of fully evaluated fusion regions.
 
     Persists to the region store (``--engine region_store=PATH``) with the
-    same JSONL machinery as the op store.
+    same JSONL machinery as the op store.  The simulator looks up and puts
+    first-of-shape regions only, so a store holds no twin entries; a store
+    that does, written before twins, still loads and serves the rest.
 
     Args:
         path: Optional JSON-lines region store; created on first put.

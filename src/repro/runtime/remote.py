@@ -62,6 +62,7 @@ from repro.reporting.serialization import (
 from repro.runtime.cache import problem_fingerprint
 from repro.runtime.executor import SerialExecutor, TrialExecutor
 from repro.runtime.faults import get_fault_plan
+from repro.runtime.service import MAX_PARAMS_PER_REQUEST
 from repro.runtime.telemetry import (
     NULL_SPAN,
     TRACE_CONTEXT_HEADER,
@@ -135,7 +136,8 @@ class AsyncRemoteExecutor(TrialExecutor):
             pending (slowest) chunks are hedged; ``None`` disables hedging.
         hedge_k: Most chunks duplicated per stall (``None`` = all pending).
         chunk_size: Proposals per request; ``None`` splits each batch evenly
-            across the live endpoints (at least 1 per request).
+            across the live endpoints (at least 1 per request); capped at
+            :data:`~repro.runtime.service.MAX_PARAMS_PER_REQUEST` either way.
         blacklist_after: Consecutive failures before an endpoint stops
             receiving new dispatches.
         local_fallback: Evaluate a batch locally (serial, in-process) when
@@ -517,6 +519,7 @@ class AsyncRemoteExecutor(TrialExecutor):
         if size is None:
             live = max(1, len(self._live_endpoints()))
             size = max(1, -(-len(batch) // live))  # ceil division
+        size = min(size, MAX_PARAMS_PER_REQUEST)  # a service refuses longer requests
         chunks = [list(batch[i : i + size]) for i in range(0, len(batch), size)]
         payloads = [
             dict(base, params=[params_to_jsonable(p) for p in chunk]) for chunk in chunks

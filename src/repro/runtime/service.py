@@ -94,6 +94,12 @@ logger = logging.getLogger("repro.runtime.service")
 #: assignments or one scoreboard record.
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+#: Most parameter assignments one ``/evaluate`` request may carry.  A longer
+#: ``params`` list is refused (HTTP 413) before any of it is decoded or
+#: evaluated; :class:`~repro.runtime.remote.AsyncRemoteExecutor` splits its
+#: chunks to this size.
+MAX_PARAMS_PER_REQUEST = 1024
+
 
 class _BodyError(Exception):
     """A request body the service refuses; carries the HTTP status."""
@@ -289,6 +295,9 @@ class EvaluationService:
 
     def evaluate_payload(self, payload: dict) -> Tuple[int, dict]:
         """Handle one ``/evaluate`` request body; returns (status, response)."""
+        raw_params = payload.get("params", [])
+        if isinstance(raw_params, list) and len(raw_params) > MAX_PARAMS_PER_REQUEST:
+            return 413, {"error": f"{len(raw_params)} params exceed {MAX_PARAMS_PER_REQUEST}"}
         try:
             fingerprint, evaluator, space = self._evaluator_for(payload)
         except (KeyError, TypeError, ValueError) as error:
@@ -303,9 +312,7 @@ class EvaluationService:
                 "service_fingerprint": fingerprint,
             }
         try:
-            batch = [
-                params_from_jsonable(raw, space) for raw in payload.get("params", [])
-            ]
+            batch = [params_from_jsonable(raw, space) for raw in raw_params]
         except (KeyError, TypeError, ValueError) as error:
             self.stats.errors += 1
             return 400, {"error": f"malformed params: {error}"}

@@ -10,7 +10,10 @@ Global Memory and post-fusion performance is produced.
 Compiling a graph also builds, once, a plan per fusion region
 (:class:`_RegionPlan`) of every fact that depends on the graph alone, such as
 operand sizes and softmax traffic, so costing a region for a trial is
-arithmetic over its plan and that trial's op costs.
+arithmetic over its plan and that trial's op costs.  Models repeat blocks
+(bert-seq128's 97 regions have 7 shapes), so a *twin*, a region repeating an
+earlier one's every cost input, takes the numbers of its *first-of-shape*
+region and is never mapped, looked up or cached itself.
 
 Multi-core chips (the dual-core TPU-v3 baseline) are modeled by simulating a
 single core with its share of the DRAM bandwidth and multiplying throughput
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.compiler.passes import CompiledModel, compile_graph
@@ -127,6 +130,12 @@ class _RegionPlan:
     amplification applies; an input without one costs ``term``.  The
     predecessor is fixed because :meth:`Simulator.simulate` visits regions
     in order and stops at the first that fails to schedule.
+
+    ``twin`` is the position of the earliest region with an equal signature,
+    or ``None``.  The signature is every cost input: ``matrix_bytes``,
+    ``inputs``, ``weights``, ``output_traffic``, the three byte totals, the op
+    types, and each op's operand shapes, dtypes and kinds and its attrs.
+    Names, the index, the predecessor and ``is_graph_output`` are identity.
     """
 
     index: int
@@ -144,6 +153,7 @@ class _RegionPlan:
     output_bytes: int
     is_graph_output: bool
     predecessor: Optional[int]  # the region writing the largest input
+    twin: Optional[int] = None  # the first-of-shape region's position, if this repeats it
 
 
 _Plans = Tuple[_RegionPlan, ...]
@@ -157,7 +167,12 @@ def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
     in_factor = compiled.softmax_factors.input_traffic_factor
     out_factor = compiled.softmax_factors.output_traffic_factor
     producer: Dict[str, int] = {}  # tensor -> the region writing it
-    for region in compiled.regions:
+    # Operands are compared only between regions whose plan facts match: the
+    # first region with some facts is keyed by its operands when a second
+    # one arrives.
+    unkeyed: Dict[tuple, Optional[Tuple[int, FusionRegion]]] = {}
+    first_of_shape: Dict[tuple, int] = {}  # signature -> its first region's position
+    for position, region in enumerate(compiled.regions):
         ops = tuple((op, is_matrix_op(op.op_type)) for op in region.ops)
         matrix_ops = tuple(op for op, is_matrix in ops if is_matrix)
         sources = {t: j for j, op in enumerate(matrix_ops) for t in op.inputs}  # last one wins
@@ -169,7 +184,7 @@ def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
             output_traffic += size[t] * out_factor if t in softmax_outputs else size[t]
         predecessor = producer.get(max(region.input_tensors, key=size.__getitem__, default=None))
         producer.update(dict.fromkeys(region.output_tensors, region.index))
-        yield _RegionPlan(
+        plan = _RegionPlan(
             index=region.index,
             name=region.name,
             ops=ops,
@@ -194,6 +209,35 @@ def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
             is_graph_output=any(t in graph.output_names for t in region.output_tensors),
             predecessor=predecessor,
         )
+        facts = (
+            tuple(op.op_type.value for op in region.ops), plan.matrix_bytes, plan.inputs,
+            plan.weights, output_traffic, plan.input_bytes, plan.weight_bytes, plan.output_bytes,
+        )
+        earlier = unkeyed.setdefault(facts, (position, region))
+        if earlier is None or earlier[0] != position:  # another region has these facts
+            if earlier is not None:
+                first_of_shape[facts, _operands(earlier[1], tensors)] = earlier[0]
+                unkeyed[facts] = None
+            twin = first_of_shape.setdefault((facts, _operands(region, tensors)), position)
+            if twin != position:
+                plan = replace(plan, twin=twin)
+        yield plan
+
+
+def _operands(region: FusionRegion, tensors: Dict[str, Tensor]) -> tuple:
+    """Each op's operands' (shape, dtype, kind) and its attrs, canonicalized
+    as :meth:`~repro.workloads.graph.Graph.fingerprint` does.  Enum values,
+    not members, keep the tuple cheap to hash.
+    """
+
+    def described(names):
+        return tuple((tensors[t].shape, tensors[t].dtype.value, tensors[t].kind.value) for t in names)
+
+    return tuple(
+        (described(op.inputs), described(op.outputs),
+         tuple(sorted((k, str(v)) for k, v in op.attrs.items())))
+        for op in region.ops
+    )
 
 
 def _primary_op_type(region: FusionRegion) -> OpType:
@@ -208,6 +252,33 @@ def _primary_op_type(region: FusionRegion) -> OpType:
             if op.op_type is op_type:
                 return op_type
     return region.ops[0].op_type
+
+
+def _twin_entry(plan: _RegionPlan, record: RegionPerformance, stats: RegionStats):
+    """A twin's ``(RegionPerformance, RegionStats)``: its first-of-shape
+    region's numbers, which evaluating the twin would repeat exactly, under
+    the twin's own identity.  Both regions list their ops in the same order,
+    so ``op_busy_cycles`` keeps an evaluation's key order.
+
+    Twins are most regions of a transformer, so both records are built with
+    positional arguments, in field order: keyword arguments make the calls a
+    third slower, and copying a record's ``__dict__`` makes larger objects
+    that slow the whole search.
+    """
+    r, s = record, stats
+    return (
+        RegionPerformance(
+            plan.index, plan.name, plan.op_names, plan.primary_op_type, r.flops,
+            r.compute_cycles, r.vector_cycles, r.dram_input_bytes, r.dram_weight_bytes,
+            r.dram_output_bytes, r.pre_fusion_cycles, r.matrix_utilization,
+            dict(zip(plan.op_names, r.op_busy_cycles.values())),
+        ),
+        RegionStats(
+            plan.index, plan.name, s.busy_cycles, s.t_max_cycles, s.input_dram_cycles,
+            s.weight_dram_cycles, s.output_dram_cycles, s.input_bytes, s.weight_bytes,
+            s.output_bytes, s.blocking_gm_bytes, plan.predecessor, plan.is_graph_output,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +354,11 @@ class Simulator:
     Each stage runs inside a tracer span: ``compile``, ``batch_map``,
     ``regions``, ``fusion``, and per op on a region miss ``map_op`` (scalar
     engine) and ``vector_op`` (op-cache miss).  ``repro profile`` builds its
-    stage columns from those spans' totals.  A region the region cache
-    cannot serve is priced from its :class:`_RegionPlan` (built once per
-    compiled graph) and the trial's op costs.
+    stage columns from those spans' totals.  A first-of-shape region the
+    region cache cannot serve is priced from its :class:`_RegionPlan` (built
+    once per compiled graph) and the trial's op costs.  A twin copies its
+    first-of-shape region's numbers, so only first-of-shape regions reach the
+    mapper, the VPU cost model, the region cache and its stores.
 
     Results share rather than copy: a region-cache hit puts the cached
     :class:`~repro.simulator.result.RegionPerformance` record itself into the
@@ -339,14 +412,14 @@ class Simulator:
         """Simulate a prepared graph (already at the desired batch size).
 
         The region walk is a gather -> batch-map -> scatter pipeline:
-        :meth:`gather_map_entry` looks every region up in the region cache
-        and collects the matrix ops of the rest, the fast engine prices them
-        in ONE stacked candidate sweep
+        :meth:`gather_map_entry` looks first-of-shape regions up in the
+        region cache and collects the matrix ops of the misses, the fast
+        engine prices them in ONE stacked candidate sweep
         (:meth:`~repro.mapping.mapper.Mapper.map_ops_batch`), and the
         per-region evaluation then just scatters the pre-mapped costs.  The
         scalar engine skips the sweep and maps op by op inside the region
         walk; both engines, and a cold or warm region cache, produce the
-        identical result.
+        identical result.  A twin takes its numbers in the walk.
 
         Region-cache entries go into the result as they are, and freshly
         evaluated ones are cached without a copy: records are read-only, and
@@ -378,7 +451,13 @@ class Simulator:
         with _tracer().span("regions", category="simulate") as region_span:
             for position, plan in enumerate(plans):
                 entry = cached_entries[position]
-                if entry is not None:
+                if plan.twin is not None:
+                    # Its first-of-shape region came earlier and scheduled,
+                    # or the walk would have stopped there.
+                    record, stats = _twin_entry(
+                        plan, region_perf[plan.twin], region_stats[plan.twin]
+                    )
+                elif entry is not None:
                     if entry[0] is None:
                         schedule_failed = True
                         break
@@ -402,8 +481,9 @@ class Simulator:
             region_span.set_attr("regions", len(plans))
             if region_cache is not None:
                 hits = sum(1 for entry in cached_entries if entry is not None)
+                looked_up = sum(1 for plan in plans if plan.twin is None)
                 region_span.set_attr("region_cache_hits", hits)
-                region_span.set_attr("region_cache_misses", len(cached_entries) - hits)
+                region_span.set_attr("region_cache_misses", looked_up - hits)
 
         fusion_result: Optional[FusionResult] = None
         fusion_enabled = (
@@ -449,12 +529,12 @@ class Simulator:
     def gather_map_entry(self, graph: Graph, compiled: CompiledModel, plans: _Plans):
         """Gather half of :meth:`simulate` for one compiled graph.
 
-        Builds the graph's region keys once, looks every region up with an
-        accounted :meth:`~repro.runtime.opcache.RegionCostCache.get`, and
-        collects, from the region plans, the matrix ops of every region the
-        cache cannot serve.  Returns ``(keys, prefix, entries, ops)``: the
-        region keys and their prefix (``None`` without a region cache), each
-        region's cached entry or ``None``, and the matrix ops left to map.
+        Builds the graph's region keys once, looks every first-of-shape
+        region up with an accounted :meth:`~repro.runtime.opcache.RegionCostCache.get`,
+        and collects, from the plans, the matrix ops of each one the cache
+        cannot serve.  Returns ``(keys, prefix, entries, ops)``: the region
+        keys and their prefix (``None`` without a region cache), each region's
+        cached entry or ``None`` (always, for a twin), and the ops to map.
         """
         region_cache = self.region_cache
         keys: Optional[List[Tuple]] = None
@@ -464,11 +544,14 @@ class Simulator:
             key_base = self._region_key_base(graph, compiled)
             keys = [key_base + (plan.index,) for plan in plans]
             prefix = region_cache.key_prefix(key_base)
-            entries = [region_cache.get(key, prefix) for key in keys]
+            entries = [
+                None if plan.twin is not None else region_cache.get(key, prefix)
+                for plan, key in zip(plans, keys)
+            ]
         ops = [
             op
             for plan, entry in zip(plans, entries)
-            if entry is None
+            if entry is None and plan.twin is None
             for op in plan.matrix_ops
         ]
         return keys, prefix, entries, ops

@@ -12,6 +12,9 @@ is covered too.  The invariants are exact, not tolerance-checked:
 * ``total_cycles`` is the sum of the per-region post-fusion cycles;
 * fusion never adds DRAM traffic;
 * compute utilization lies in (0, 1] and fusion efficiency in [0, 1].
+
+One invariant of the area/power model rides along: more PEs never lower a
+datapath's area or TDP.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from typing import List
 import numpy as np
 import pytest
 
+from repro.hardware.area_power import AreaPowerModel
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.simulator.engine import SimulationOptions, Simulator
 from repro.simulator.result import SimulationResult
@@ -89,3 +93,33 @@ class TestPostFusionInvariants:
         assert 0.0 <= result.fusion_efficiency <= 1.0
         for position in range(len(result.regions)):
             assert 0.0 <= result.region_achieved_utilization(position) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Area and TDP in PE count
+# ---------------------------------------------------------------------------
+NUM_DESIGNS = 400
+
+
+def test_area_and_tdp_are_monotone_in_pe_count():
+    """Doubling ``pes_x_dim`` or ``pes_y_dim`` never lowers area or TDP.
+
+    Each seeded sample of the search space is doubled along each PE axis
+    whose doubled value the space still holds, everything else fixed.
+    """
+    space = DatapathSearchSpace()
+    model = AreaPowerModel()
+    rng = np.random.default_rng(SEED)
+    doublings = 0
+    for _ in range(NUM_DESIGNS):
+        params = space.sample(rng)
+        base = model.evaluate(space.to_config(params))
+        for axis in ("pes_x_dim", "pes_y_dim"):
+            doubled = params[axis] * 2
+            if doubled not in space.spec(axis).choices:
+                continue
+            bigger = model.evaluate(space.to_config(dict(params, **{axis: doubled})))
+            assert bigger.total_area_mm2 >= base.total_area_mm2, (params, axis)
+            assert bigger.total_tdp_w >= base.total_tdp_w, (params, axis)
+            doublings += 1
+    assert doublings > NUM_DESIGNS  # most draws double along both axes

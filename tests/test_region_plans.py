@@ -10,7 +10,9 @@ oracle's under ``==``, encode to the same store record (so an int never
 turns into a float), keep the same ``op_busy_cycles`` key order, and cost
 the same vector ops in the same order, so a reordered float sum, a
 misattributed amplification or a vector op costed after a failed matrix
-op fails here.
+op fails here.  A twin (a region repeating an earlier region's every cost
+input) takes that region's numbers instead of being evaluated, so its entry
+must equal the oracle's too, and only first-of-shape regions price ops.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from repro.fusion.fast_fusion import RegionStats
 from repro.hardware.datapath import BufferConfig, DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.costmodel import OpCost
-from repro.runtime.opcache import reset_op_caches
+from repro.runtime.opcache import RegionCostCache, reset_op_caches
 from repro.simulator import engine
 from repro.simulator.engine import MAPPER_MODES, SimulationOptions, Simulator, clear_compiled_cache
 from repro.simulator.result import RegionPerformance
@@ -320,22 +322,38 @@ def _record_vector_ops(monkeypatch) -> List[str]:
 
 
 def _planned_walk(config: DatapathConfig, graph, mapper_engine: str, monkeypatch):
-    """Each region's (record, stats) as ``Simulator.simulate`` evaluates them now."""
-    entries = []
-    original = Simulator._evaluate_region
+    """Each region's (record, stats) as ``Simulator.simulate`` walks them now.
 
-    def recording(self, *args, **kwargs):
-        entries.append(original(self, *args, **kwargs))
+    A first-of-shape region's entry is evaluated, a twin's is derived; both
+    are recorded in walk order.
+    """
+    entries = []
+    evaluate, derive = Simulator._evaluate_region, engine._twin_entry
+
+    def evaluating(self, *args, **kwargs):
+        entries.append(evaluate(self, *args, **kwargs))
         return entries[-1]
 
-    monkeypatch.setattr(Simulator, "_evaluate_region", recording)
+    def deriving(*args):
+        entries.append(derive(*args))
+        return entries[-1]
+
+    monkeypatch.setattr(Simulator, "_evaluate_region", evaluating)
+    monkeypatch.setattr(engine, "_twin_entry", deriving)
     options = SimulationOptions(  # fusion reads these stats; it is not under test
         mapper_engine=mapper_engine, region_cache_enabled=False, enable_fast_fusion=False
     )
     result = Simulator(config, options).simulate(graph)
-    monkeypatch.setattr(Simulator, "_evaluate_region", original)
+    monkeypatch.setattr(Simulator, "_evaluate_region", evaluate)
+    monkeypatch.setattr(engine, "_twin_entry", derive)
     assert result.schedule_failed == (entries[-1][0] is None)
     return entries
+
+
+def _first_of_shape_ops(graph, two_pass: bool) -> set:
+    """Names of the ops of every first-of-shape region of ``graph``."""
+    _, plans = engine._compile_with_plans(graph, two_pass)
+    return {name for plan in plans if plan.twin is None for name in plan.op_names}
 
 
 @pytest.mark.parametrize("mapper_engine", MAPPER_MODES)
@@ -359,7 +377,10 @@ def test_plans_price_every_region_as_the_reference_walk(
 
         assert len(planned) == len(reference)
         assert planned == reference
-        assert planned_costed == costed  # no vector op costed past a failed matrix op
+        # Only first-of-shape regions price vector ops, and none past a
+        # failed matrix op.
+        priced = _first_of_shape_ops(graph, config.use_two_pass_softmax)
+        assert planned_costed == [name for name in costed if name in priced]
         for (record, stats), (ref_record, ref_stats) in zip(planned, reference):
             if record is None:
                 failed += 1
@@ -409,3 +430,146 @@ def test_plans_are_built_once_per_compiled_graph(monkeypatch):
     clear_compiled_cache()  # the plans go with their compiled graph
     engine.precompile_graph(graph)
     assert len(built) == 2
+
+
+# ---------------------------------------------------------------------------
+# Twins
+# ---------------------------------------------------------------------------
+def _counting_evaluations(monkeypatch) -> List[int]:
+    """Record the index of every region ``Simulator._evaluate_region`` prices."""
+    evaluated: List[int] = []
+    original = Simulator._evaluate_region
+
+    def counting(self, plan, *args, **kwargs):
+        evaluated.append(plan.index)
+        return original(self, plan, *args, **kwargs)
+
+    monkeypatch.setattr(Simulator, "_evaluate_region", counting)
+    return evaluated
+
+
+def _spying_region_cache(monkeypatch):
+    """Record the region index of every key ``RegionCostCache.get``/``put`` sees."""
+    gets: List[int] = []
+    puts: List[int] = []
+    get, put = RegionCostCache.get, RegionCostCache.put
+
+    def spying_get(self, key, prefix=None):
+        gets.append(key[-1])
+        return get(self, key, prefix)
+
+    def spying_put(self, key, entry, prefix=None):
+        puts.append(key[-1])
+        return put(self, key, entry, prefix)
+
+    monkeypatch.setattr(RegionCostCache, "get", spying_get)
+    monkeypatch.setattr(RegionCostCache, "put", spying_put)
+    return gets, puts
+
+
+def test_bert_prices_each_of_its_seven_region_shapes_once(monkeypatch):
+    evaluated = _counting_evaluations(monkeypatch)
+    gets, puts = _spying_region_cache(monkeypatch)
+    simulator = Simulator(FAST_LARGE, SimulationOptions(fusion_solver="greedy"))
+    result = simulator.simulate_workload("bert-seq128")
+    assert len(result.regions) == 97
+    assert len(evaluated) == 7
+    assert len(gets) == len(puts) == 7
+    assert simulator.region_cache.stats.misses == 7
+
+
+def test_twins_never_reach_the_region_cache(monkeypatch):
+    graph = build_workload("bert-seq128", batch_size=FAST_LARGE.native_batch_size)
+    _, plans = engine._compile_with_plans(graph, FAST_LARGE.use_two_pass_softmax)
+    first_of_shape = [plan.index for plan in plans if plan.twin is None]
+    assert len(first_of_shape) == 7
+    gets, puts = _spying_region_cache(monkeypatch)
+    simulator = Simulator(FAST_LARGE, SimulationOptions(fusion_solver="greedy"))
+    cold = simulator.simulate(graph)
+    assert gets == puts == first_of_shape
+    gets.clear()
+    puts.clear()
+    warm = simulator.simulate(graph)
+    assert gets == first_of_shape and puts == []
+    assert warm.regions == cold.regions
+
+
+def _probe_pair(second_shape, second_fn: str):
+    """Two one-matmul regions, each reading its own graph input.
+
+    With ``second_shape == (2, 256, 512)`` and ``second_fn == "relu"`` the
+    regions repeat each other; another shape of the same size, or another
+    activation, keeps every plan fact and op type and changes one operand
+    shape or one attr.
+    """
+    builder = GraphBuilder("twin-probe", batch_size=2)
+    first = builder.input("x", (2, 256, 512))
+    second = builder.input("y", second_shape)
+    outputs = [
+        builder.activation(builder.matmul(first, 512, name="a"), name="a_act"),
+        builder.activation(builder.matmul(second, 512, name="b"), fn=second_fn, name="b_act"),
+    ]
+    return builder.finish(outputs=outputs)
+
+
+def _plan_facts(plan):
+    return (
+        [op.op_type for op, _ in plan.ops],
+        plan.matrix_bytes,
+        plan.inputs,
+        plan.weights,
+        plan.output_traffic,
+        plan.input_bytes,
+        plan.weight_bytes,
+        plan.output_bytes,
+    )
+
+
+@pytest.mark.parametrize(
+    "second_shape, second_fn, twin",
+    [
+        ((2, 256, 512), "relu", 0),
+        ((2, 2, 128, 512), "relu", None),  # one operand shape differs
+        ((2, 256, 512), "gelu", None),  # one attr differs
+    ],
+    ids=["repeat", "operand-shape", "attr"],
+)
+def test_twins_need_equal_operands_and_attrs(second_shape, second_fn, twin, monkeypatch):
+    graph = _probe_pair(second_shape, second_fn)
+    _, plans = engine._compile_with_plans(graph, False)
+    assert len(plans) == 2
+    assert _plan_facts(plans[0]) == _plan_facts(plans[1])
+    assert plans[0].twin is None
+    assert plans[1].twin == twin
+
+    evaluated = _counting_evaluations(monkeypatch)
+    config = FAST_LARGE.evolve(use_two_pass_softmax=False)
+    planned = _planned_walk(config, graph, "graph-batched", monkeypatch)
+    assert evaluated == ([0] if twin == 0 else [0, 1])
+    assert planned == reference_region_walk(config, graph, "graph-batched")
+
+
+def test_a_twin_keeps_its_own_identity(monkeypatch):
+    # The second region repeats the first, but reads the first's output and
+    # writes the graph output.
+    builder = GraphBuilder("twin-chain", batch_size=2)
+    tokens = builder.input("tokens", (2, 256, 512))
+    hidden = builder.activation(builder.matmul(tokens, 512, name="a"), name="a_act")
+    graph = builder.finish(
+        outputs=[builder.activation(builder.matmul(hidden, 512, name="b"), name="b_act")]
+    )
+    _, plans = engine._compile_with_plans(graph, False)
+    assert [plan.twin for plan in plans] == [None, 0]
+
+    evaluated = _counting_evaluations(monkeypatch)
+    config = FAST_LARGE.evolve(use_two_pass_softmax=False)
+    planned = _planned_walk(config, graph, "graph-batched", monkeypatch)
+    assert evaluated == [0]
+    assert planned == reference_region_walk(config, graph, "graph-batched")
+    (first, first_stats), (twin, twin_stats) = planned
+    assert (first_stats.predecessor, first_stats.is_graph_output) == (None, False)
+    assert (twin_stats.predecessor, twin_stats.is_graph_output) == (0, True)
+    assert (twin.index, twin.name, twin.op_names) == (1, "fusion[b]", ["b", "b_act"])
+    assert list(twin.op_busy_cycles) == ["b", "b_act"]
+    assert list(twin.op_busy_cycles.values()) == list(first.op_busy_cycles.values())
+    assert twin.op_names is plans[1].op_names

@@ -40,7 +40,8 @@ from repro.runtime.exchange import (
 from repro.runtime.executor import SerialExecutor, make_executor, register_executor
 from repro.runtime.faults import FaultPlan
 from repro.runtime.remote import AsyncRemoteExecutor, RemoteExecutionError
-from repro.runtime.service import MAX_BODY_BYTES, EvaluationService
+from repro.runtime import remote, service as service_module
+from repro.runtime.service import MAX_BODY_BYTES, MAX_PARAMS_PER_REQUEST, EvaluationService
 from repro.runtime.sharding import run_sharded_sweep
 from repro.search.annealing import SimulatedAnnealingOptimizer
 from repro.search.bayesian import BayesianOptimizer
@@ -107,6 +108,20 @@ class TestRemoteEquivalence:
         per_endpoint = stats.endpoint_stats[service.url]
         assert per_endpoint["successes"] == per_endpoint["requests"] >= 4
         assert per_endpoint["latency_seconds"] > 0
+
+    def test_batches_past_the_request_cap_are_split(
+        self, flaky_service, serial_reference, monkeypatch
+    ):
+        # A cap of 3 under batches of 4: one endpoint takes chunks of 3 and
+        # 1, and the service refuses any longer request.
+        monkeypatch.setattr(remote, "MAX_PARAMS_PER_REQUEST", 3)
+        monkeypatch.setattr(service_module, "MAX_PARAMS_PER_REQUEST", 3)
+        service, _ = flaky_service
+        result = _run_remote(_remote([service.url], local_fallback=False))
+        assert result.proposals == serial_reference.proposals
+        assert _history_dicts(result) == _history_dicts(serial_reference)
+        assert service.stats.batches == 8
+        assert service.stats.trials_evaluated == 16
 
     def test_chunks_split_across_endpoints(self, serial_reference):
         with EvaluationService() as a, EvaluationService() as b:
@@ -448,6 +463,23 @@ class TestServiceProtocol:
             assert excinfo.value.code == 404
             assert request(service.url + "/evaluate", evaluate)["results"] == expected
         reset_op_caches()
+
+    def test_params_past_the_cap_are_refused_before_decoding(self, flaky_service):
+        service, _ = flaky_service
+        # Entries that would not decode: a 413 shows none was decoded.
+        payload = {"problem": {}, "params": [{}] * (MAX_PARAMS_PER_REQUEST + 1)}
+        request = urllib.request.Request(
+            service.url + "/evaluate",
+            data=json.dumps(payload).encode(),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 413
+        assert "error" in json.loads(excinfo.value.read())
+        assert service.stats.batches == 0
+        assert service.stats.trials_evaluated == 0
 
     @staticmethod
     def _raw_post(service, content_length: str):
