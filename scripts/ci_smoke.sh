@@ -93,29 +93,41 @@ PY
 #     efficientnet-b0 and on bert-seq128, whose softmax and layernorm
 #     regions (and its many two-pass-softmax proposals) no CNN reaches.
 # --------------------------------------------------------------------------
+# The default engine and the scalar engine with both caches on (the op
+# cache is its only memo of mapped costs) must each reproduce the uncached
+# scalar reference's history.
 mapper_equiv_case() {
     local workload="$1" trials="$2"
     local common=(--workload "$workload" --trials "$trials" --batch-size 4 --seed 0 --history)
     python -m repro search "${common[@]}" \
+        --engine scalar:op_cache=off,region_cache=off \
+        --output "$SMOKE_DIR/search-reference-$workload.json"
+    python -m repro search "${common[@]}" \
         --output "$SMOKE_DIR/search-default-$workload.json"
     python -m repro search "${common[@]}" \
-        --engine scalar:op_cache=off,region_cache=off \
+        --engine scalar \
         --output "$SMOKE_DIR/search-scalar-$workload.json"
 
-    python - "$SMOKE_DIR/search-scalar-$workload.json" "$SMOKE_DIR/search-default-$workload.json" "$workload" <<'PY'
+    python - "$SMOKE_DIR/search-reference-$workload.json" "$workload" \
+        "graph-batched=$SMOKE_DIR/search-default-$workload.json" \
+        "scalar=$SMOKE_DIR/search-scalar-$workload.json" <<'PY'
 import json, sys
 reference = json.load(open(sys.argv[1]))
-other = json.load(open(sys.argv[2]))
-for key in ("proposals", "history", "best_score_curve", "best_score"):
-    if reference.get(key) != other.get(key):
-        raise SystemExit(f"{sys.argv[3]}: default engine diverged from the scalar reference on {key!r}")
-print(f"{sys.argv[3]}: graph-batched == scalar bit-for-bit over",
-      len(reference.get("history") or []), "trials")
+for leg in sys.argv[3:]:
+    engine, _, path = leg.partition("=")
+    other = json.load(open(path))
+    for key in ("proposals", "history", "best_score_curve", "best_score"):
+        if reference.get(key) != other.get(key):
+            raise SystemExit(
+                f"{sys.argv[2]}: {engine} diverged from the uncached scalar reference on {key!r}"
+            )
+    print(f"{sys.argv[2]}: {engine} == uncached scalar bit-for-bit over",
+          len(reference.get("history") or []), "trials")
 PY
 }
 
 smoke_mapper_equiv() {
-    log "mapper equivalence smoke: default engine vs scalar reference history"
+    log "mapper equivalence smoke: default and cached scalar engines vs uncached scalar reference history"
     mapper_equiv_case efficientnet-b0 12
     mapper_equiv_case bert-seq128 32
 }

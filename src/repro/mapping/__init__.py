@@ -1,6 +1,6 @@
 """Scheduling / mapping engine (the Timeloop substitute)."""
 
-from repro.mapping.costmodel import OpCost, ScheduleFailure
+from repro.mapping.costmodel import OpCost
 from repro.mapping.dataflow import Dataflow, SpatialMapping, spatial_mapping
 from repro.mapping.loopnest import MatrixProblem, extract_problem
 from repro.mapping.mapper import Mapper, MapperOptions
@@ -14,7 +14,6 @@ __all__ = [
     "MatrixProblem",
     "OpCost",
     "PaddingDecision",
-    "ScheduleFailure",
     "SpatialMapping",
     "Tiling",
     "TrafficEstimate",

@@ -15,11 +15,7 @@ from repro.mapping.dataflow import Dataflow
 from repro.mapping.tiling import Tiling
 from repro.workloads.ops import OpType
 
-__all__ = ["OpCost", "ScheduleFailure"]
-
-
-class ScheduleFailure(RuntimeError):
-    """Raised when an op cannot be mapped onto the datapath at all."""
+__all__ = ["OpCost"]
 
 
 @dataclass(frozen=True)

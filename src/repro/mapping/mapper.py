@@ -16,7 +16,10 @@ exactly as Vizier does in the paper (Section 5.3).
 Step (4) has two engines that return bit-for-bit identical costs:
 :meth:`Mapper.map_op` runs the scalar reference loop one op at a time, and
 :meth:`Mapper.map_ops_batch` — the fast engine the simulator uses — prices
-every op a trial needs mapped in one stacked NumPy pass.
+every op a trial needs mapped in one stacked NumPy pass.  Both read and fill
+the optional shared :class:`~repro.runtime.opcache.OpCostCache`, the one
+memo of mapped costs across calls; the memos below hold only lowered
+problems and their candidate grids.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from repro.mapping.tiling import (
 from repro.workloads.graph import Operation, Tensor
 from repro.workloads.ops import is_matrix_op
 
-__all__ = ["Mapper", "MapperOptions", "clear_problem_memo"]
+__all__ = ["Mapper", "MapperOptions"]
 
 # Lazily resolved tracer accessor (a module-level telemetry import would pull
 # in ``repro.runtime`` mid-init through packages that import this module).
@@ -112,12 +115,6 @@ _PREP_MEMO: Dict[Tuple, _PreparedProblem] = {}
 _PREP_MEMO_MAX = 16384
 
 
-def clear_problem_memo() -> None:
-    """Drop all memoized problem extractions and preparations (for tests)."""
-    _PROBLEM_MEMO.clear()
-    _PREP_MEMO.clear()
-
-
 @dataclass(frozen=True)
 class MapperOptions:
     """Tunable knobs of the mapper search (the mapspace, not the engine)."""
@@ -137,7 +134,9 @@ class Mapper:
     their fusion/memory/batch parameters differ — reuse each other's op costs.
     The cache itself is tiered (memory LRU and persistent JSONL store — see
     :mod:`repro.runtime.opcache`); every tier serves bit-identical costs, so
-    the mapper never needs to know which one answered.
+    the mapper never needs to know which one answered.  It is the mapper's
+    only memo of costs across calls: without it, every call maps its
+    problems afresh.
     """
 
     def __init__(
@@ -151,7 +150,6 @@ class Mapper:
         self.hierarchy = hierarchy or MemoryHierarchy(config)
         self.options = options or MapperOptions()
         self.op_cache = op_cache
-        self._cache: Dict[Tuple, OpCost] = {}
         self._config_key = self.mapping_config_key() if op_cache is not None else None
         # Op-cache keys are (config key, problem key): hash them from a prefix.
         self._key_prefix = (
@@ -197,23 +195,18 @@ class Mapper:
     def map_op(self, op: Operation, tensors: Dict[str, Tensor]) -> OpCost:
         """Map a matrix op with the scalar reference loop.
 
-        Returns its cost, cached by problem signature in the same caches
+        Returns its cost, cached by problem signature in the op cache
         :meth:`map_ops_batch` fills.
         """
         if not is_matrix_op(op.op_type):
             raise ValueError(f"mapper only handles matrix ops, got {op.op_type}")
         problem = _memoized_problem(op, tensors)
         key = self._problem_key(problem)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return _labelled(cached, op)
         if self.op_cache is not None:
             shared = self.op_cache.get((self._config_key, key), self._key_prefix)
             if shared is not None:
-                self._cache[key] = shared
                 return _labelled(shared, op)
         cost = self._map_problem(op, problem)
-        self._cache[key] = cost
         if self.op_cache is not None:
             self.op_cache.put((self._config_key, key), cost, self._key_prefix)
         return cost
@@ -223,10 +216,10 @@ class Mapper:
     ) -> Dict[str, OpCost]:
         """Map many matrix ops in one batched candidate sweep (the fast engine).
 
-        Every op that misses both the per-trial memo and the shared op cache
+        Each distinct problem among ``ops`` that misses the shared op cache
         contributes its candidate grid to ONE stacked NumPy pass
         (:func:`estimate_traffic_batch_ops`), and the results land in the
-        same caches :meth:`map_op` uses.  Returns ``{op.name: OpCost}`` with
+        op cache :meth:`map_op` uses.  Returns ``{op.name: OpCost}`` with
         each cost labeled for its op, bit-for-bit equal to mapping the ops
         one at a time with :meth:`map_op`.
         """
@@ -249,6 +242,7 @@ class Mapper:
         self, ops: Sequence[Operation], tensors: Dict[str, Tensor]
     ) -> Dict[str, OpCost]:
         slots: List[Tuple[Operation, Tuple]] = []
+        costs: Dict[Tuple, OpCost] = {}
         pending: List[Tuple[Tuple, Operation, MatrixProblem]] = []
         pending_keys = set()
         for op in ops:
@@ -257,12 +251,12 @@ class Mapper:
             problem = _memoized_problem(op, tensors)
             key = self._problem_key(problem)
             slots.append((op, key))
-            if key in self._cache or key in pending_keys:
+            if key in costs or key in pending_keys:
                 continue
             if self.op_cache is not None:
                 shared = self.op_cache.get((self._config_key, key), self._key_prefix)
                 if shared is not None:
-                    self._cache[key] = shared
+                    costs[key] = shared
                     continue
             pending_keys.add(key)
             pending.append((key, op, problem))
@@ -273,12 +267,12 @@ class Mapper:
                 num_ops=len(ops),
                 num_pending=len(pending),
             ):
-                costs = self._map_problems_batch(pending)
-            for (key, _, _), cost in zip(pending, costs):
-                self._cache[key] = cost
+                mapped = self._map_problems_batch(pending)
+            for (key, _, _), cost in zip(pending, mapped):
+                costs[key] = cost
                 if self.op_cache is not None:
                     self.op_cache.put((self._config_key, key), cost, self._key_prefix)
-        return {op.name: _labelled(self._cache[key], op) for op, key in slots}
+        return {op.name: _labelled(costs[key], op) for op, key in slots}
 
     # ------------------------------------------------------------------
     def _problem_key(self, problem: MatrixProblem) -> Tuple:
@@ -473,13 +467,9 @@ class Mapper:
                 for _, op, raw_problem in items
             ]
         preps = [self._prepared(raw_problem, key) for key, _, raw_problem in items]
-        if len(preps) == 1:
-            op_index = np.zeros(preps[0].m_tiles.shape[0], dtype=np.int64)
-            m_all, n_all, k_all = preps[0].m_tiles, preps[0].n_tiles, preps[0].k_tiles
-        else:
-            op_index, m_all, n_all, k_all = stack_candidate_grids(
-                [(prep.m_tiles, prep.n_tiles, prep.k_tiles) for prep in preps]
-            )
+        op_index, m_all, n_all, k_all = stack_candidate_grids(
+            [(prep.m_tiles, prep.n_tiles, prep.k_tiles) for prep in preps]
+        )
         arrays = estimate_traffic_batch_ops(
             [prep.problem for prep in preps],
             op_index,
@@ -606,12 +596,6 @@ def _select_batch_slots(
     fit_flat = np.flatnonzero(arrays.fits)
     if fit_flat.size == 0:
         return selections
-    if num_problems == 1:
-        # Single-problem fast path: a Python scan over the (few) fitting
-        # candidates beats segmented NumPy reductions at this size.  Same
-        # ranking, same first-wins tie-breaking, same result.
-        selections[0] = _select_single_slot(rounded_cycles[0], dram_bpc, arrays, fit_flat)
-        return selections
     op_fit = op_index[fit_flat]
     counts = np.bincount(op_fit, minlength=num_problems)
     active = counts > 0
@@ -673,42 +657,3 @@ def _select_batch_slots(
                 )
     return selections
 
-
-def _select_single_slot(
-    rounded_cycles: Tuple[float, ...], dram_bpc: float, arrays, fit_flat: np.ndarray
-):
-    """Scalar-scan twin of :func:`_select_batch_slots` for one problem."""
-    totals = arrays.total_bytes[fit_flat]
-    # np.rint rounds half-to-even exactly like Python's round(float) -> int.
-    rounded_totals = np.rint(totals).tolist()
-    buffer_list = arrays.buffer_bytes[fit_flat].tolist()
-    index_list = fit_flat.tolist()
-    if dram_bpc > 0:
-        rounded_dram = [round(d, 3) for d in (totals / dram_bpc).tolist()]
-    else:
-        rounded_dram = [0.0] * len(index_list)
-
-    best = None
-    for dataflow_position, rounded_cc in enumerate(rounded_cycles):
-        # Manual lexicographic argmin with strict-< (first wins on ties),
-        # mirroring the scalar loop's ``rank < best[0]`` comparison.
-        best_obj = best_total = best_buffer = best_position = None
-        for position, rounded_d in enumerate(rounded_dram):
-            objective = rounded_cc if rounded_cc >= rounded_d else rounded_d
-            if best_position is not None:
-                if objective > best_obj:
-                    continue
-                if objective == best_obj:
-                    total = rounded_totals[position]
-                    if total > best_total:
-                        continue
-                    if total == best_total and buffer_list[position] >= best_buffer:
-                        continue
-            best_obj = objective
-            best_total = rounded_totals[position]
-            best_buffer = buffer_list[position]
-            best_position = position
-        rank = (best_obj, best_total, best_buffer)
-        if best is None or rank < best[0]:
-            best = (rank, dataflow_position, index_list[best_position])
-    return best

@@ -210,24 +210,47 @@ def trial_metrics_to_dict(metrics: TrialMetrics) -> Dict[str, object]:
     }
 
 
+_MISSING = object()
+_NUMBER = (int, float)
+_PER_WORKLOAD_FIELDS = ("per_workload_qps", "per_workload_latency_ms", "per_workload_utilization")
+
+
+def _field(data: dict, name: str, types: tuple, default: object = _MISSING):
+    """``data[name]``, or ``default`` when missing, if it is of ``types``.
+
+    Anything else raises ``TypeError``; a bool is not a number here.
+    """
+    value = data[name] if default is _MISSING else data.get(name, default)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise TypeError(f"{name} {value!r} has the wrong type")
+    return value
+
+
 def trial_metrics_from_dict(data: Dict[str, object]) -> TrialMetrics:
     """Rebuild trial metrics from :func:`trial_metrics_to_dict` output.
 
-    Used by the runtime's persistent trial cache and checkpoint files; older
-    records without ``objective_value`` get the infeasible default (``inf``).
+    Records come from outside the process (trial cache, checkpoints, remote
+    replies), so one decodes only when each field has its declared type;
+    otherwise ``KeyError``, ``TypeError`` or ``ValueError`` is raised.
+    Older records without ``objective_value`` get the infeasible default
+    (``inf``).
     """
-    config = data.get("config")
+    per_workload = {}
+    for name in _PER_WORKLOAD_FIELDS:
+        values = _field(data, name, (dict, type(None)), None) or {}
+        if not all(isinstance(key, str) for key in values):
+            raise TypeError(f"{name} has a key that is not a workload name")
+        per_workload[name] = {key: float(_field(values, key, _NUMBER)) for key in values}
+    config = _field(data, "config", (dict, type(None)), None)
     return TrialMetrics(
         config=config_from_dict(config) if config is not None else None,
-        area_mm2=float(data["area_mm2"]),
-        tdp_w=float(data["tdp_w"]),
-        feasible=bool(data["feasible"]),
-        failure_reason=data.get("failure_reason"),
-        per_workload_qps=dict(data.get("per_workload_qps") or {}),
-        per_workload_latency_ms=dict(data.get("per_workload_latency_ms") or {}),
-        per_workload_utilization=dict(data.get("per_workload_utilization") or {}),
-        aggregate_score=float(data.get("aggregate_score", 0.0)),
-        objective_value=float(data.get("objective_value", math.inf)),
+        area_mm2=float(_field(data, "area_mm2", _NUMBER)),
+        tdp_w=float(_field(data, "tdp_w", _NUMBER)),
+        feasible=_field(data, "feasible", (bool,)),
+        failure_reason=_field(data, "failure_reason", (str, type(None)), None),
+        aggregate_score=float(_field(data, "aggregate_score", _NUMBER, 0.0)),
+        objective_value=float(_field(data, "objective_value", _NUMBER, math.inf)),
+        **per_workload,
     )
 
 

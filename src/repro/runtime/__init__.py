@@ -4,7 +4,9 @@ This package turns the serial FAST search loop into a scalable execution
 engine, layered as:
 
 * :mod:`repro.runtime.executor` — serial / process-pool batch evaluation
-  (pool workers fork from a warm parent and inherit its caches),
+  (pool workers fork from a warm parent and inherit its caches), and
+  ``make_executor``, which builds the ``serial``, ``process`` or
+  ``remote`` executor by name,
 * :mod:`repro.runtime.batching` — batched, de-duplicated asks over any optimizer,
 * :mod:`repro.runtime.cache` — persistent memoization of trial metrics with
   shard-safe concurrent writers and size-capped compaction,
@@ -60,14 +62,11 @@ from repro.runtime.exchange import (
     make_scoreboard,
 )
 from repro.runtime.executor import (
-    EXECUTOR_KINDS,
     ParallelExecutor,
     SerialExecutor,
     TrialExecutor,
     WorkerCrashError,
-    executor_kinds,
     make_executor,
-    register_executor,
 )
 from repro.runtime.faults import (
     KNOWN_FAULT_POINTS,
@@ -143,7 +142,6 @@ __all__ = [
     "CheckpointState",
     "CompactionStats",
     "CostCacheStats",
-    "EXECUTOR_KINDS",
     "EndpointStats",
     "EvaluationService",
     "FaultPlan",
@@ -186,7 +184,6 @@ __all__ = [
     "clear_faults",
     "configure_faults",
     "configure_tracer",
-    "executor_kinds",
     "get_fault_plan",
     "get_metrics",
     "get_tracer",
@@ -202,7 +199,6 @@ __all__ = [
     "problem_fingerprint",
     "profile_search",
     "proposal_key",
-    "register_executor",
     "reset_metrics",
     "reset_op_caches",
     "reset_region_caches",

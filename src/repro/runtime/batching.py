@@ -8,9 +8,8 @@ neighborhood / acquisition-ranked proposals generated in one pass, see
 :meth:`repro.search.optimizer.Optimizer.ask_batch`) and falls back to
 repeated ``ask()`` calls for duck-typed optimizers without one.  Either way
 every proposal passes tabu-style de-duplication — a proposal identical to
-anything already proposed in this run is re-asked a few times and finally
-diversified with a local mutation, so a batch never wastes parallel slots
-on duplicate configurations.
+anything already proposed in this run is mutated or re-asked up to eight
+times, so a batch never wastes parallel slots on duplicate configurations.
 
 Outcomes are told to the optimizer itself, by
 :meth:`~repro.core.fast.FASTSearch.run`, in proposal order, which keeps the
@@ -29,6 +28,9 @@ from repro.search.optimizer import Optimizer
 
 __all__ = ["proposal_key", "BatchedOptimizer"]
 
+# Times a duplicate proposal is mutated or re-asked before it is kept.
+_MAX_RETRIES = 8
+
 
 def proposal_key(params: ParameterValues) -> str:
     """Canonical string identity of a parameter assignment."""
@@ -43,19 +45,11 @@ class BatchedOptimizer:
             so the batched trajectory stays deterministic for a fixed seed).
         space: Search space used for fallback mutations; defaults to the
             optimizer's own space.
-        max_retries: Times a duplicate proposal is re-asked before falling
-            back to mutation.
     """
 
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        space: DatapathSearchSpace = None,
-        max_retries: int = 8,
-    ) -> None:
+    def __init__(self, optimizer: Optimizer, space: DatapathSearchSpace = None) -> None:
         self.optimizer = optimizer
         self.space = space or optimizer.space
-        self.max_retries = max(0, int(max_retries))
         self._seen_keys = set()
         self.num_duplicates_avoided = 0
 
@@ -76,7 +70,7 @@ class BatchedOptimizer:
     def _dedup(self, params: ParameterValues) -> ParameterValues:
         key = proposal_key(params)
         retries = 0
-        while key in self._seen_keys and retries < self.max_retries:
+        while key in self._seen_keys and retries < _MAX_RETRIES:
             self.num_duplicates_avoided += 1
             # Mutate first, re-ask only for persistent duplicates: a local
             # mutation usually suffices and costs nothing, while a re-ask can

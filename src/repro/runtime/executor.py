@@ -26,7 +26,7 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.trial import TrialEvaluator, TrialMetrics
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
@@ -45,9 +45,6 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "WorkerCrashError",
-    "EXECUTOR_KINDS",
-    "register_executor",
-    "executor_kinds",
     "make_executor",
 ]
 
@@ -168,10 +165,8 @@ class TrialExecutor(ABC):
 class SerialExecutor(TrialExecutor):
     """Evaluates trials in the calling process.
 
-    Prefers the evaluator's batch entry point
-    (:meth:`~repro.core.trial.TrialEvaluator.evaluate_params_batch`) when it
-    exists; it evaluates the batch trial by trial, so results are identical
-    either way.
+    Runs the evaluator's batch entry point,
+    :meth:`~repro.core.trial.TrialEvaluator.evaluate_params_batch`.
     """
 
     name = "serial"
@@ -182,10 +177,7 @@ class SerialExecutor(TrialExecutor):
         space: DatapathSearchSpace,
         batch: Sequence[ParameterValues],
     ) -> List[TrialMetrics]:
-        batch_eval = getattr(evaluator, "evaluate_params_batch", None)
-        if callable(batch_eval):
-            return batch_eval(batch, space)
-        return [evaluator.evaluate_params(params, space) for params in batch]
+        return evaluator.evaluate_params_batch(batch, space)
 
 
 class ParallelExecutor(TrialExecutor):
@@ -216,10 +208,11 @@ class ParallelExecutor(TrialExecutor):
     matches a fault-free run bit-for-bit; ``worker_restarts`` in
     :meth:`runtime_counters` reports how many times it happened.
 
+    Each worker task is one proposal, the best load balance for
+    heterogeneous trial costs.
+
     Args:
         num_workers: Worker process count (defaults to the CPU count).
-        chunk_size: Proposals per worker task; 1 gives the best load balance
-            for heterogeneous trial costs.
         max_worker_restarts: Pool rebuilds tolerated for one batch before
             :class:`WorkerCrashError` is raised (a batch that *always*
             kills its worker would otherwise respawn forever).
@@ -230,11 +223,9 @@ class ParallelExecutor(TrialExecutor):
     def __init__(
         self,
         num_workers: Optional[int] = None,
-        chunk_size: int = 1,
         max_worker_restarts: int = 3,
     ) -> None:
         self.num_workers = max(1, int(num_workers or os.cpu_count() or 1))
-        self.chunk_size = max(1, int(chunk_size))
         self.max_worker_restarts = max(0, int(max_worker_restarts))
         self.worker_restarts = 0
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -292,9 +283,7 @@ class ParallelExecutor(TrialExecutor):
                 for params in batch
             ]
             try:
-                outcomes = list(
-                    pool.map(_evaluate_in_worker, tasks, chunksize=self.chunk_size)
-                )
+                outcomes = list(pool.map(_evaluate_in_worker, tasks))
                 break
             except BrokenProcessPool as error:
                 self.close()  # the broken pool's workers are already gone
@@ -354,77 +343,26 @@ class ParallelExecutor(TrialExecutor):
             self._pool_telemetry = None
 
 
-# ---------------------------------------------------------------------------
-# Registry / factory.  Executors register under a short kind name so the CLI
-# (``repro search --executor serial|process|remote``) and programmatic callers
-# build them uniformly; out-of-tree executors can plug in the same way.
-# ---------------------------------------------------------------------------
-def _make_serial(**_options) -> TrialExecutor:
-    return SerialExecutor()
-
-
-def _make_process(
-    workers: int = 1, chunk_size: Optional[int] = None, **_options
-) -> TrialExecutor:
-    return ParallelExecutor(num_workers=workers, chunk_size=chunk_size or 1)
-
-
-def _make_remote(endpoints: Optional[Sequence[str]] = None, **options) -> TrialExecutor:
-    from repro.runtime.remote import AsyncRemoteExecutor  # avoid an import cycle
-
-    if not endpoints:
-        raise ValueError("the remote executor needs at least one endpoint URL")
-    known = {
-        "timeout",
-        "max_retries",
-        "backoff",
-        "backoff_cap",
-        "hedge_after",
-        "hedge_k",
-        "chunk_size",
-        "blacklist_after",
-        "local_fallback",
-    }
-    kwargs = {key: value for key, value in options.items() if key in known}
-    return AsyncRemoteExecutor(endpoints, **kwargs)
-
-
-EXECUTOR_KINDS: Dict[str, Callable[..., TrialExecutor]] = {
-    "serial": _make_serial,
-    "process": _make_process,
-    "remote": _make_remote,
-}
-
-
-def register_executor(kind: str, factory: Callable[..., TrialExecutor]) -> None:
-    """Register an executor factory under a kind name (overwrites)."""
-    EXECUTOR_KINDS[kind] = factory
-
-
-def executor_kinds() -> List[str]:
-    """Registered executor kind names, sorted."""
-    return sorted(EXECUTOR_KINDS)
-
-
 def make_executor(
-    workers: int = 1,
-    chunk_size: Optional[int] = None,
-    kind: Optional[str] = None,
-    **options,
+    workers: int = 1, kind: Optional[str] = None, **remote_options
 ) -> TrialExecutor:
-    """Build an executor by kind, or by worker count when ``kind`` is None.
+    """Build a ``serial``, ``process`` or ``remote`` executor.
 
-    Without ``kind`` this keeps the original behavior: more than one worker
-    selects the process pool, otherwise serial.  With ``kind`` the matching
-    registered factory is called with ``workers``/``chunk_size`` plus any
-    extra options (e.g. ``endpoints=[...]``, ``timeout=...`` for
-    ``kind='remote'``).
+    Without ``kind``, more than one worker selects the process pool and
+    otherwise the serial executor.  ``remote_options`` configure
+    ``kind='remote'`` (``endpoints=[...]``, ``timeout=...``, ...; see
+    :class:`~repro.runtime.remote.AsyncRemoteExecutor`), and the local kinds
+    ignore them, so ``repro search --executor`` passes the same options to
+    every kind.
     """
     if kind is None:
         kind = "process" if workers and workers > 1 else "serial"
-    factory = EXECUTOR_KINDS.get(kind)
-    if factory is None:
-        raise ValueError(
-            f"unknown executor kind {kind!r}; registered: {', '.join(executor_kinds())}"
-        )
-    return factory(workers=workers, chunk_size=chunk_size, **options)
+    if kind == "serial":
+        return SerialExecutor()
+    if kind == "process":
+        return ParallelExecutor(num_workers=workers)
+    if kind == "remote":
+        from repro.runtime.remote import AsyncRemoteExecutor  # avoid an import cycle
+
+        return AsyncRemoteExecutor(remote_options.pop("endpoints", None) or (), **remote_options)
+    raise ValueError(f"unknown executor kind {kind!r}; known: process, remote, serial")

@@ -1,9 +1,9 @@
 """Cross-trial memoization of mapping costs, and the store every cache shares.
 
-The second-level cache of the mapping engine: while each
-:class:`~repro.mapping.mapper.Mapper` memoizes problems *within* one trial,
-an :class:`OpCostCache` is shared across trials (and, when persistent, across
-processes and restarts) and keyed by the pair
+The mapping engine's one memo of mapped costs: an :class:`OpCostCache` is
+shared by every :class:`~repro.mapping.mapper.Mapper` (one per trial) in a
+process, across trials (and, when persistent, across processes and
+restarts), and keyed by the pair
 
 ``(mapping-relevant datapath sub-config, op shape fingerprint)``
 
@@ -685,7 +685,6 @@ class RegionCostCache(CostCacheBase):
         max_entries: int = 16384,
     ) -> None:
         super().__init__(path=path, max_memory_entries=max_entries)
-        self.max_entries = self.max_memory_entries
 
     def _encode(self, value: tuple) -> tuple:
         return region_entry_to_row(value)

@@ -92,13 +92,12 @@ class ProgressPrinter:
     """Formats search events as single-line progress output.
 
     Attach to a :class:`ProgressBus` with ``bus.subscribe(ProgressPrinter())``.
-    ``every`` thins per-trial lines (1 = every trial); run-level events and
-    best-so-far improvements are always printed.
+    Every trial gets one line, and so does every run-level event and
+    best-so-far improvement.
     """
 
-    def __init__(self, stream: Optional[TextIO] = None, every: int = 1) -> None:
+    def __init__(self, stream: Optional[TextIO] = None) -> None:
         self.stream = stream or sys.stdout
-        self.every = max(1, every)
         self._started_at: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -119,8 +118,6 @@ class ProgressPrinter:
         if event.kind == SEARCH_RESUMED:
             return f"resume: {payload.get('num_completed', 0)} trials restored from checkpoint"
         if event.kind == TRIAL_FINISHED:
-            if (event.trial_index + 1) % self.every:
-                return None
             score = payload.get("score", 0.0)
             best = payload.get("best_score", float("nan"))
             status = "ok" if payload.get("feasible") else "infeasible"

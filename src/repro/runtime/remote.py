@@ -14,12 +14,12 @@ Failure handling, in increasing order of escalation:
   abandoned (the service may still finish it; the result is discarded).
 * **Bounded retry with exponential backoff** — a failed or timed-out chunk
   is retried on the next live endpoint up to ``max_retries`` times, sleeping
-  ``backoff * 2^attempt`` (capped) between attempts.
+  ``backoff * 2^attempt`` (capped at 4 s) between attempts.
 * **Hedged re-dispatch of stragglers** — when no chunk has completed for
-  ``hedge_after`` seconds, the still-pending chunks (by definition the
-  slowest) are duplicated onto different endpoints, at most ``hedge_k`` per
-  stall; the first successful result per chunk wins and the loser is
-  discarded, so a straggling service delays but never corrupts the batch.
+  ``hedge_after`` seconds, every still-pending chunk (by definition the
+  slowest) is duplicated onto a different endpoint, once; the first
+  successful result per chunk wins and the loser is discarded, so a
+  straggling service delays but never corrupts the batch.
 * **Graceful endpoint blacklisting** — an endpoint failing
   ``blacklist_after`` consecutive requests stops receiving new dispatches.
   If every endpoint ends up blacklisted the executor forgives all of them
@@ -77,6 +77,10 @@ __all__ = [
 ]
 
 
+# Upper bound on one retry backoff sleep, in seconds (or ``backoff``, if longer).
+_BACKOFF_CAP_S = 4.0
+
+
 class RemoteExecutionError(RuntimeError):
     """A chunk could not be evaluated by any endpoint within its budgets."""
 
@@ -130,11 +134,10 @@ class AsyncRemoteExecutor(TrialExecutor):
         endpoints: Base URLs of running services (``http://host:port``).
         timeout: Per-request timeout in seconds.
         max_retries: Retry budget per chunk (beyond the first attempt).
-        backoff: Initial retry backoff in seconds (doubles per attempt).
-        backoff_cap: Upper bound on a single backoff sleep.
+        backoff: Initial retry backoff in seconds (doubles per attempt, up
+            to 4 s or ``backoff``, whichever is longer).
         hedge_after: Stall seconds without any chunk completion before the
             pending (slowest) chunks are hedged; ``None`` disables hedging.
-        hedge_k: Most chunks duplicated per stall (``None`` = all pending).
         chunk_size: Proposals per request; ``None`` splits each batch evenly
             across the live endpoints (at least 1 per request); capped at
             :data:`~repro.runtime.service.MAX_PARAMS_PER_REQUEST` either way.
@@ -154,9 +157,7 @@ class AsyncRemoteExecutor(TrialExecutor):
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 0.25,
-        backoff_cap: float = 4.0,
         hedge_after: Optional[float] = 10.0,
-        hedge_k: Optional[int] = None,
         chunk_size: Optional[int] = None,
         blacklist_after: int = 3,
         local_fallback: bool = True,
@@ -168,9 +169,7 @@ class AsyncRemoteExecutor(TrialExecutor):
         self.timeout = float(timeout)
         self.max_retries = max(0, int(max_retries))
         self.backoff = max(0.0, float(backoff))
-        self.backoff_cap = max(self.backoff, float(backoff_cap))
         self.hedge_after = hedge_after if hedge_after is None else max(0.01, float(hedge_after))
-        self.hedge_k = hedge_k if hedge_k is None else max(1, int(hedge_k))
         self.chunk_size = chunk_size if chunk_size is None else max(1, int(chunk_size))
         self.blacklist_after = max(1, int(blacklist_after))
         self.local_fallback = bool(local_fallback)
@@ -276,7 +275,7 @@ class AsyncRemoteExecutor(TrialExecutor):
             )
             try:
                 with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                    body = json.loads(response.read())
+                    reply = response.read()
             except urllib.error.HTTPError as error:
                 detail = ""
                 try:
@@ -287,18 +286,24 @@ class AsyncRemoteExecutor(TrialExecutor):
                     f"{endpoint.url} returned HTTP {error.code}"
                     + (f": {detail}" if detail else "")
                 ) from error
-            results = body.get("results")
-            if not isinstance(results, list) or len(results) != len(payload["params"]):
+            try:
+                # A reply that does not decode whole is an endpoint failure,
+                # like an HTTP error: retried, then evaluated locally.
+                body = json.loads(reply)
+                results = body["results"]
+                if not isinstance(results, list) or len(results) != len(payload["params"]):
+                    raise ValueError(f"not one result per param: {results!r:.80}")
+                metrics = [trial_metrics_from_dict(raw) for raw in results]
+                if tracer.enabled and body.get("spans"):
+                    # Server-side spans; ingest() dedups by span id, so a
+                    # hedge loser or a retry delivering them is harmless.
+                    tracer.ingest(body["spans"])
+            except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as error:
                 raise RemoteExecutionError(
-                    f"{endpoint.url} returned {0 if not isinstance(results, list) else len(results)} "
-                    f"results for {len(payload['params'])} params"
-                )
-            if tracer.enabled and body.get("spans"):
-                # Server-side spans of this request; ingest() dedups by span
-                # id, so a hedge loser delivering the same spans is harmless.
-                tracer.ingest(body["spans"])
+                    f"{endpoint.url} returned a malformed reply: {error!r}"
+                ) from error
             status = "ok"
-            return [trial_metrics_from_dict(raw) for raw in results]
+            return metrics
         finally:
             span.set_attr("status", status)
             tracer.finish(span)
@@ -373,7 +378,7 @@ class AsyncRemoteExecutor(TrialExecutor):
             active_endpoint[index] = endpoint
             if attempt:
                 endpoint.retries += 1
-                await asyncio.sleep(min(delay, self.backoff_cap))
+                await asyncio.sleep(min(delay, max(self.backoff, _BACKOFF_CAP_S)))
                 delay *= 2
             plan = get_fault_plan()
             if plan is not None:
@@ -444,10 +449,7 @@ class AsyncRemoteExecutor(TrialExecutor):
             if not done:
                 # Stall: duplicate the still-pending (slowest) chunks onto
                 # other endpoints — first successful result per chunk wins.
-                stragglers = sorted({tasks[t] for t in tasks} - hedged)
-                if self.hedge_k is not None:
-                    stragglers = stragglers[: self.hedge_k]
-                for index in stragglers:
+                for index in sorted({tasks[t] for t in tasks} - hedged):
                     hedged.add(index)
                     straggling = active_endpoint.get(index)
                     if straggling is not None:

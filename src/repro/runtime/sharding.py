@@ -59,6 +59,7 @@ from repro.runtime.cache import TrialCache
 from repro.runtime.exchange import ExchangeClient, Scoreboard, make_scoreboard
 from repro.runtime.executor import TrialExecutor
 from repro.search.pareto import ParetoFront
+from repro.simulator.enginespec import EngineSpec
 
 __all__ = [
     "ShardSpec",
@@ -208,8 +209,7 @@ def run_shard(
     cache_path: Optional[Union[str, Path]] = None,
     exchange: Optional[Union[str, Path, Scoreboard]] = None,
     op_cache_path: Optional[Union[str, Path]] = None,
-    op_cache_enabled: bool = True,
-    engine: Optional[object] = None,
+    engine: Optional[EngineSpec] = None,
 ) -> ShardResult:
     """Run one shard as a plain :class:`FASTSearch` and wrap the result.
 
@@ -222,9 +222,9 @@ def run_shard(
     keeps the process-local op cache enabled, and ``op_cache_path`` names
     one persistent store they (and their pool workers) all attach to —
     neighboring shards reuse each other's mapped op costs instead of
-    re-running the candidate sweep.  ``op_cache_enabled=False`` opts out
-    (``repro sweep --engine graph-batched:op_cache=off``); results are
-    identical either way.
+    re-running the candidate sweep.  ``engine=EngineSpec(op_cache=False)``
+    opts out (``repro sweep --engine graph-batched:op_cache=off``); results
+    are identical either way.
 
     ``exchange`` (off by default) enables live cross-shard best-score
     exchange: a scoreboard instance, file prefix, or service URL (see
@@ -235,10 +235,10 @@ def run_shard(
     never sees an external best (including any 1-shard sweep) is bit-for-bit
     identical to an exchange-free run.
 
-    ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`) selects
-    the evaluation engine for every shard; when set it supersedes the
-    ``op_cache_enabled`` toggle.  Both engines are bit-for-bit equivalent,
-    so the merged sweep result is engine-independent.  An
+    ``engine`` (an :class:`~repro.simulator.enginespec.EngineSpec`, the
+    default engine when None) selects the evaluation engine for every
+    shard.  Both engines are bit-for-bit equivalent, so the merged sweep
+    result is engine-independent.  An
     engine with ``region_store=PATH`` gives every shard (and its pool
     workers) one shared persistent region store the same way
     ``op_cache_path`` shares op costs — appends are single-write and
@@ -246,7 +246,6 @@ def run_shard(
     are safe and compaction later folds the duplicates.
     """
     from repro.core.trial import TrialEvaluator
-    from repro.simulator.engine import SimulationOptions
 
     space = shard_space(space or DatapathSearchSpace(), spec)
     cache = (
@@ -259,17 +258,10 @@ def run_shard(
         if exchange is not None
         else None
     )
-    resolved_path = str(op_cache_path) if op_cache_path is not None else None
-    if engine is not None:
-        options = engine.to_simulation_options(
-            fusion_solver="greedy", op_cache_path=resolved_path
-        )
-    else:
-        options = SimulationOptions(
-            fusion_solver="greedy",
-            op_cache_enabled=op_cache_enabled,
-            op_cache_path=resolved_path,
-        )
+    options = (engine or EngineSpec()).to_simulation_options(
+        fusion_solver="greedy",
+        op_cache_path=str(op_cache_path) if op_cache_path is not None else None,
+    )
     evaluator = TrialEvaluator(problem, simulation_options=options)
     search = FASTSearch(
         problem,
@@ -449,8 +441,7 @@ def run_sharded_sweep(
     cache_path: Optional[Union[str, Path]] = None,
     exchange: Optional[Union[str, Path, Scoreboard]] = None,
     op_cache_path: Optional[Union[str, Path]] = None,
-    op_cache_enabled: bool = True,
-    engine: Optional[object] = None,
+    engine: Optional[EngineSpec] = None,
 ) -> SweepResult:
     """Plan, run, and merge a sharded sweep in one call.
 
@@ -465,8 +456,9 @@ def run_sharded_sweep(
     pass ``op_cache_path`` and every shard (and every pool worker, forked
     from the warm parent) attaches to the same store, so later shards run
     on the op costs earlier shards already mapped.  Even without a path the
-    shards share the process-local op cache.  ``op_cache_enabled=False``
-    opts out entirely; results are identical either way.
+    shards share the process-local op cache.  ``engine`` is as for
+    :func:`run_shard`; ``EngineSpec(op_cache=False)`` opts out of the op
+    cache entirely, and results are identical either way.
 
     With ``exchange`` set (a scoreboard, file prefix, or service URL), each
     shard publishes its running best between batches and later shards — or,
@@ -489,7 +481,6 @@ def run_sharded_sweep(
             cache_path=cache_path,
             exchange=scoreboard,
             op_cache_path=op_cache_path,
-            op_cache_enabled=op_cache_enabled,
             engine=engine,
         )
         for spec in specs

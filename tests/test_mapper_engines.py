@@ -16,13 +16,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.designs import FAST_LARGE, TPU_V3
 from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
 from repro.hardware.datapath import BufferConfig, DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.dataflow import Dataflow
-from repro.mapping.loopnest import MatrixProblem
+from repro.mapping.loopnest import MatrixProblem, extract_problem
 from repro.mapping.mapper import Mapper, MapperOptions
 from repro.mapping.tiling import (
     candidate_tilings,
@@ -170,6 +171,35 @@ class TestCandidateSweep:
             offset += m.shape[0]
 
 
+def _spy_batch_problems(monkeypatch):
+    """Record the problem keys of each stacked sweep, one set per sweep."""
+    swept = []
+    original = Mapper._map_problems_batch
+
+    def spy(self, items):
+        keys = [key for key, _, _ in items]
+        assert len(set(keys)) == len(keys)  # each problem is swept once
+        swept.append(set(keys))
+        return original(self, items)
+
+    monkeypatch.setattr(Mapper, "_map_problems_batch", spy)
+    return swept
+
+
+def _spy_mapper_calls(monkeypatch):
+    """Count calls of both mapper entry points."""
+    calls = {"map_op": 0, "map_ops_batch": 0}
+    for name in calls:
+        original = getattr(Mapper, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Mapper, name, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 class TestMapOpsBatch:
     """``map_ops_batch`` (fast) against ``map_op`` (scalar), op by op."""
@@ -188,6 +218,24 @@ class TestMapOpsBatch:
                         mismatches.append((workload, index, op.name))
         assert mismatches == []
 
+    @pytest.mark.parametrize(
+        "config",
+        [TPU_V3, FAST_LARGE, *_random_configs(2, seed=41)],
+        ids=["tpu-v3", "fast-large", "draw-0", "draw-1"],
+    )
+    def test_one_op_batches_equal_scalar_on_every_workload(self, config):
+        # A sweep of one problem takes the same segmented selection as a
+        # sweep of many, and must pick what the scalar loop picks.
+        mismatches = []
+        for workload in available_workloads():
+            graph = build_workload(workload, batch_size=2)
+            tensors = graph.tensors
+            for op in _matrix_ops(graph):
+                batched = Mapper(config).map_ops_batch([op], tensors)[op.name]
+                if batched != Mapper(config).map_op(op, tensors):
+                    mismatches.append((workload, op.name))
+        assert mismatches == []
+
     def test_batch_equals_scalar_reference(self, bert_seq128):
         ops = _matrix_ops(bert_seq128)
         config = DatapathConfig()
@@ -196,18 +244,24 @@ class TestMapOpsBatch:
         for op in ops:
             assert batched[op.name] == scalar.map_op(op, bert_seq128.tensors)
 
-    def test_engines_share_one_memo(self, efficientnet_b0):
-        # Ops the scalar loop mapped first are memo hits for the batch; the
-        # stacked pass costs only the rest, and the outcome is unchanged.
+    def test_engines_share_one_memo(self, efficientnet_b0, monkeypatch):
+        # Ops the scalar loop mapped first are op-cache hits for the batch;
+        # the stacked pass costs only the rest, and the outcome is unchanged.
         ops = _matrix_ops(efficientnet_b0)
+        tensors = efficientnet_b0.tensors
         config = DatapathConfig()
-        mapper = Mapper(config)
-        first = {op.name: mapper.map_op(op, efficientnet_b0.tensors) for op in ops[::2]}
-        batched = mapper.map_ops_batch(ops, efficientnet_b0.tensors)
-        fresh = Mapper(config)
-        assert batched == fresh.map_ops_batch(ops, efficientnet_b0.tensors)
+        shared = OpCostCache()
+        mapper = Mapper(config, op_cache=shared)
+        first = {op.name: mapper.map_op(op, tensors) for op in ops[::2]}
+        swept = _spy_batch_problems(monkeypatch)
+        batched = mapper.map_ops_batch(ops, tensors)
+        keys = {op.name: mapper._problem_key(extract_problem(op, tensors)) for op in ops}
+        left = set(keys.values()) - {keys[name] for name in first}
+        assert left and swept == [left]
+        fresh_cache = OpCostCache()
+        assert batched == Mapper(config, op_cache=fresh_cache).map_ops_batch(ops, tensors)
         assert {name: batched[name] for name in first} == first
-        assert mapper._cache.keys() == fresh._cache.keys()
+        assert shared._memory.keys() == fresh_cache._memory.keys()
 
     def test_equivalence_covers_chosen_tiling_cycles_and_bytes(self, small_config):
         graph = build_workload("efficientnet-b0", batch_size=2)
@@ -241,16 +295,17 @@ class TestMapOpsBatch:
         for op in ops:
             assert batched[op.name] == scalar.map_op(op, bert_seq128.tensors)
 
-    def test_batch_labels_each_op_and_dedupes_problems(self, resnet50):
+    def test_batch_labels_each_op_and_dedupes_problems(self, resnet50, monkeypatch):
         ops = _matrix_ops(resnet50)
         mapper = Mapper(DatapathConfig())
+        swept = _spy_batch_problems(monkeypatch)
         costs = mapper.map_ops_batch(ops, resnet50.tensors)
         assert set(costs) == {op.name for op in ops}
         for op in ops:
             assert costs[op.name].op_name == op.name
-        # ResNet repeats block shapes: the per-trial memo must be smaller
+        # ResNet repeats block shapes: the sweep must cost fewer problems
         # than the op list (shared problems computed once).
-        assert len(mapper._cache) < len(ops)
+        assert len(swept) == 1 and len(swept[0]) < len(ops)
 
     def test_batch_populates_shared_op_cache(self, efficientnet_b0):
         ops = _matrix_ops(efficientnet_b0)
@@ -357,15 +412,7 @@ class TestSimulateEquivalence:
             assert _result_signature(fast) == _result_signature(scalar)
 
     def test_each_engine_calls_only_its_own_entry_point(self, efficientnet_b0, monkeypatch):
-        calls = {"map_op": 0, "map_ops_batch": 0}
-        for name in calls:
-            original = getattr(Mapper, name)
-
-            def counted(*args, _original=original, _name=name, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(Mapper, name, counted)
+        calls = _spy_mapper_calls(monkeypatch)
         config = DatapathConfig()
         _simulate(efficientnet_b0, config, SCALAR)
         assert calls["map_op"] > 0 and calls["map_ops_batch"] == 0
@@ -377,7 +424,9 @@ class TestSimulateEquivalence:
         assert calls == {"map_op": 0, "map_ops_batch": 1}
 
     @pytest.mark.parametrize("warm_mapper", MAPPER_MODES)
-    def test_region_cache_is_shared_across_engines(self, efficientnet_b0, warm_mapper):
+    def test_region_cache_is_shared_across_engines(
+        self, efficientnet_b0, warm_mapper, monkeypatch
+    ):
         # Region keys carry no engine, so regions priced by one engine serve
         # the other without running its mapper.
         config = DatapathConfig()
@@ -389,9 +438,10 @@ class TestSimulateEquivalence:
             EngineSpec(cold_mapper, op_cache=False).to_simulation_options(fusion_solver="greedy"),
         )
         misses = simulator.region_cache.stats.misses
+        calls = _spy_mapper_calls(monkeypatch)
         result = simulator.simulate(efficientnet_b0)
         assert simulator.region_cache.stats.misses == misses
-        assert len(simulator.mapper._cache) == 0
+        assert calls == {"map_op": 0, "map_ops_batch": 0}
         assert _result_signature(result) == reference
 
 

@@ -13,39 +13,50 @@ is covered too.  The invariants are exact, not tolerance-checked:
 * fusion never adds DRAM traffic;
 * compute utilization lies in (0, 1] and fusion efficiency in [0, 1].
 
+Below the post-fusion view, two roofline bounds hold on the same sample:
+every mapped matrix op takes at least ``MACs / (num_pes * macs_per_pe)``
+cycles, and every region's pre-fusion cycles cover its compute, vector and
+DRAM (``bytes / dram_bytes_per_cycle``) cycles.  More resources never hurt:
+doubling the GDDR6 channels (up to 8) or the Global Memory (up to 256 MiB)
+never makes a design fail to schedule and never lengthens its latency.
+
 One invariant of the area/power model rides along: more PEs never lower a
 datapath's area or TDP.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 import pytest
 
 from repro.hardware.area_power import AreaPowerModel
+from repro.hardware.datapath import DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace
+from repro.mapping.loopnest import extract_problem
 from repro.simulator.engine import SimulationOptions, Simulator
 from repro.simulator.result import SimulationResult
+from repro.workloads.ops import is_matrix_op
+from repro.workloads.registry import build_workload
 
 WORKLOADS = ("efficientnet-b0", "bert-seq128")
 NUM_DATAPATHS = 40
 SEED = 13
+OPTIONS = SimulationOptions(fusion_solver="greedy")
 
 
-def _feasible_results() -> List[List[SimulationResult]]:
-    """Both models' results on each of the first NUM_DATAPATHS feasible samples."""
+def _feasible_results() -> List[Tuple[DatapathConfig, List[SimulationResult]]]:
+    """The first NUM_DATAPATHS feasible samples, each with both models' results."""
     space = DatapathSearchSpace()
     rng = np.random.default_rng(SEED)
-    options = SimulationOptions(fusion_solver="greedy")
     found = []
     while len(found) < NUM_DATAPATHS:
         config = space.to_config(space.sample(rng))
-        simulator = Simulator(config, options)
+        simulator = Simulator(config, OPTIONS)
         results = [simulator.simulate_workload(workload) for workload in WORKLOADS]
         if not any(result.schedule_failed for result in results):
-            found.append(results)
+            found.append((config, results))
     return found
 
 
@@ -56,7 +67,7 @@ def feasible():
 
 @pytest.fixture(params=range(NUM_DATAPATHS))
 def datapath(request, feasible):
-    return feasible[request.param]
+    return feasible[request.param][1]
 
 
 @pytest.fixture(params=range(len(WORKLOADS)), ids=WORKLOADS)
@@ -65,7 +76,7 @@ def result(request, datapath):
 
 
 def test_sample_covers_fused_and_unfused_datapaths(feasible):
-    fused = [result.fusion_result is not None for results in feasible for result in results]
+    fused = [result.fusion_result is not None for _, results in feasible for result in results]
     assert len(fused) == NUM_DATAPATHS * len(WORKLOADS)
     assert any(fused) and not all(fused)
 
@@ -93,6 +104,63 @@ class TestPostFusionInvariants:
         assert 0.0 <= result.fusion_efficiency <= 1.0
         for position in range(len(result.regions)):
             assert 0.0 <= result.region_achieved_utilization(position) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Roofline bounds
+# ---------------------------------------------------------------------------
+def test_mapped_ops_take_at_least_their_macs_over_peak(feasible):
+    checked = 0
+    for config, _ in feasible:
+        simulator = Simulator(config, OPTIONS)
+        core = simulator.mapper.config
+        peak = core.num_pes * core.macs_per_pe
+        for workload in WORKLOADS:
+            graph = build_workload(workload, batch_size=config.native_batch_size)
+            tensors = graph.tensors
+            ops = [op for op in graph.ops if is_matrix_op(op.op_type)]
+            for op in ops:
+                cost = simulator.mapper.map_op(op, tensors)
+                assert not cost.schedule_failed, (config, op.name)
+                macs = extract_problem(op, tensors).macs
+                assert cost.compute_cycles >= macs / peak, (config, op.name)
+                checked += 1
+    assert checked > NUM_DATAPATHS * len(WORKLOADS) * 50
+
+
+def test_region_pre_fusion_cycles_cover_compute_vector_and_dram(feasible):
+    for config, results in feasible:
+        dram_bpc = Simulator(config, OPTIONS).mapper.config.dram_bytes_per_cycle
+        for result in results:
+            for region in result.regions:
+                assert region.pre_fusion_cycles >= max(
+                    region.compute_cycles,
+                    region.vector_cycles,
+                    region.dram_bytes_pre_fusion / dram_bpc,
+                ), (config, region.name)
+
+
+# ---------------------------------------------------------------------------
+# More resources never hurt
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "axis, limit", [("gddr6_channels", 8), ("l3_global_buffer_mib", 256)]
+)
+def test_doubling_a_resource_never_hurts(feasible, axis, limit):
+    """A design that schedules still schedules, and is no slower, with twice
+    the DRAM channels or Global Memory; a design without one keeps none."""
+    doublings = 0
+    for config, results in feasible:
+        value = getattr(config, axis)
+        if not 0 < 2 * value <= limit:
+            continue
+        simulator = Simulator(config.evolve(**{axis: 2 * value}), OPTIONS)
+        for workload, base in zip(WORKLOADS, results):
+            bigger = simulator.simulate_workload(workload)
+            assert not bigger.schedule_failed, (config, axis, workload)
+            assert bigger.latency_ms <= base.latency_ms, (config, axis, workload)
+            doublings += 1
+    assert doublings >= NUM_DATAPATHS  # most draws double on both models
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ class TestSimulatorIntegration:
     def test_simulator_modes_identical_results(self, small_config, tiny_graph):
         results = []
         for engine, op_cache in [
-            ("scalar", False), ("graph-batched", False), ("graph-batched", True)
+            ("scalar", False), ("scalar", True), ("graph-batched", False), ("graph-batched", True)
         ]:
             simulator = Simulator(small_config, SimulationOptions(
                 fusion_solver="greedy",

@@ -24,6 +24,8 @@ from repro.runtime.opcache import (
 )
 from repro.runtime.telemetry import Tracer, get_tracer, set_tracer
 from repro.simulator.engine import SimulationOptions, Simulator
+from repro.simulator.enginespec import EngineSpec
+from test_mapper_engines import _spy_mapper_calls
 
 
 @pytest.fixture(autouse=True)
@@ -81,10 +83,11 @@ class TestRegionCachedSimulator:
         cache = get_region_cache()
         assert cache.stats.hits > 0
 
-    def test_warm_trial_skips_the_mapper_entirely(self, efficientnet_b0):
+    def test_warm_trial_skips_the_mapper_entirely(self, efficientnet_b0, monkeypatch):
         config = DatapathConfig()
         _simulate(efficientnet_b0, config)
         warm_simulator = Simulator(config, SimulationOptions(fusion_solver="greedy"))
+        calls = _spy_mapper_calls(monkeypatch)
         saved = get_tracer()
         tracer = set_tracer(Tracer(enabled=True))
         try:
@@ -94,7 +97,7 @@ class TestRegionCachedSimulator:
         # All regions came from the cache: the mapper never ran.
         assert "regions" in tracer.totals
         assert not {"batch_map", "map_op"} & tracer.totals.keys()
-        assert len(warm_simulator.mapper._cache) == 0
+        assert calls == {"map_op": 0, "map_ops_batch": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +220,7 @@ class TestSweepOpCacheSharing:
         reset_op_caches()
         without = run_sharded_sweep(
             problem, total_trials=8, num_shards=2, optimizer="random", seed=9,
-            op_cache_enabled=False,
+            engine=EngineSpec(op_cache=False),
         )
         assert [trial_metrics_to_dict(t.metrics) for t in with_store.trials] == [
             trial_metrics_to_dict(t.metrics) for t in without.trials

@@ -16,9 +16,12 @@ partial.
 
 from __future__ import annotations
 
+import contextlib
+import http.server
 import json
 import math
 import socket
+import threading
 import urllib.error
 import urllib.request
 
@@ -29,7 +32,7 @@ from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
 from repro.hardware.search_space import DatapathSearchSpace
-from repro.reporting.serialization import trial_metrics_to_dict
+from repro.reporting.serialization import params_from_jsonable, trial_metrics_to_dict
 from repro.runtime.exchange import (
     ExchangeClient,
     FileScoreboard,
@@ -37,12 +40,13 @@ from repro.runtime.exchange import (
     ServiceScoreboard,
     make_scoreboard,
 )
-from repro.runtime.executor import SerialExecutor, make_executor, register_executor
+from repro.runtime.executor import SerialExecutor, make_executor
 from repro.runtime.faults import FaultPlan
 from repro.runtime.remote import AsyncRemoteExecutor, RemoteExecutionError
 from repro.runtime import remote, service as service_module
 from repro.runtime.service import MAX_BODY_BYTES, MAX_PARAMS_PER_REQUEST, EvaluationService
 from repro.runtime.sharding import run_sharded_sweep
+from repro.runtime.telemetry import Tracer, get_tracer, set_tracer
 from repro.search.annealing import SimulatedAnnealingOptimizer
 from repro.search.bayesian import BayesianOptimizer
 
@@ -76,6 +80,45 @@ def _remote(urls, **overrides):
     options = dict(timeout=30.0, max_retries=3, backoff=0.01, hedge_after=None)
     options.update(overrides)
     return AsyncRemoteExecutor(urls, **options)
+
+
+def _evaluated(params):
+    """The metrics records a service would return for ``params``."""
+    space = DatapathSearchSpace()
+    evaluator = TrialEvaluator(_problem())
+    return [
+        trial_metrics_to_dict(evaluator.evaluate_params(params_from_jsonable(p, space), space))
+        for p in params
+    ]
+
+
+@contextlib.contextmanager
+def _replying_service(reply):
+    """A stand-in service answering each POST with 200 and ``reply(params)``."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):  # noqa: N802 - stdlib naming
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            body = reply(payload["params"])
+            data = body.encode() if isinstance(body, str) else json.dumps(body).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def _run_remote(executor, trials=16, batch_size=4, seed=0):
@@ -286,6 +329,34 @@ class TestFaultHandling:
         result = _run_remote(executor)
         assert _history_dicts(result) == _history_dicts(serial_reference)
         assert result.runtime.remote_fallbacks == 4  # every batch degraded
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            lambda params: {"results": [{} for _ in params]},
+            lambda params: [{} for _ in params],
+            lambda params: "not json",
+            lambda params: {"results": _evaluated(params), "spans": [1]},
+        ],
+        ids=["undecodable-results", "non-object", "non-json", "undecodable-spans"],
+    )
+    def test_a_malformed_reply_is_an_endpoint_failure(self, reply):
+        # A 200 whose body is not one metrics record per param, or whose
+        # spans do not decode while the client traces, is retried and then
+        # evaluated by the local fallback, never raised.
+        saved = get_tracer()
+        set_tracer(Tracer(enabled=True))
+        try:
+            with _replying_service(reply) as url:
+                result = _run_remote(_remote([url], max_retries=1), trials=4)
+        finally:
+            set_tracer(saved)
+        reference = FASTSearch(_problem(), optimizer="lcs", seed=0).run(
+            num_trials=4, batch_size=4
+        )
+        assert _history_dicts(result) == _history_dicts(reference)
+        assert result.runtime.remote_fallbacks == 1
+        assert result.runtime.remote_failures == 2
 
     def test_blacklisting_every_endpoint_forgives_gracefully(self, flaky_service,
                                                              serial_reference):
@@ -525,15 +596,6 @@ class TestExecutorRegistry:
     def test_remote_kind_requires_endpoints(self):
         with pytest.raises(ValueError, match="endpoint"):
             make_executor(kind="remote")
-
-    def test_custom_kind_can_register(self):
-        try:
-            register_executor("custom-serial", lambda **_: SerialExecutor())
-            assert isinstance(make_executor(kind="custom-serial"), SerialExecutor)
-        finally:
-            from repro.runtime.executor import EXECUTOR_KINDS
-
-            EXECUTOR_KINDS.pop("custom-serial", None)
 
     def test_default_kinds_unchanged(self):
         assert isinstance(make_executor(1), SerialExecutor)

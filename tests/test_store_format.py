@@ -6,7 +6,9 @@ format-1 payload is an object of named fields, and stores holding either
 was put, field types included (a fresh evaluation's int ``0`` stays an int);
 the last line for a key wins whatever its format; the rows a put keeps in
 the index leave the cyclic collector; and a row that does not decode is
-quarantined at first touch, never raised into a search.
+quarantined at first touch, never raised into a search.  Trial-cache
+records (JSON objects) and the checkpoints that hold them decode as
+strictly.
 """
 
 from __future__ import annotations
@@ -19,9 +21,17 @@ import numpy as np
 import pytest
 
 from repro.core.designs import FAST_LARGE
+from repro.core.fast import FASTSearch
+from repro.core.problem import ObjectiveKind, SearchProblem
+from repro.core.trial import TrialMetrics
+from repro.hardware.datapath import DatapathConfig
+from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.costmodel import OpCost
 from repro.mapping.dataflow import Dataflow
 from repro.mapping.tiling import Tiling
+from repro.reporting.serialization import trial_metrics_from_dict, trial_metrics_to_dict
+from repro.runtime.cache import TrialCache
+from repro.runtime.checkpoint import SearchCheckpoint
 from repro.runtime.opcache import (
     OpCostCache,
     RegionCostCache,
@@ -314,6 +324,53 @@ class TestUntrustedRows:
         assert cache.get(("k",)) is None
         assert (cache.stats.misses, cache.stats.corrupt_records) == (1, 1)
 
+    def test_real_records_decode_as_before(self, trial_records):
+        for record in trial_records:
+            metrics = trial_metrics_from_dict(record)
+            _assert_declared_types(metrics)
+            assert trial_metrics_to_dict(metrics) == record
+
+    def test_mutated_records_decode_typed_or_raise_a_named_error(self, trial_records):
+        rng = np.random.default_rng(31)
+        raised = decoded = 0
+        for record in trial_records:
+            for mutant in _record_mutants(rng, record, 24):
+                try:
+                    metrics = trial_metrics_from_dict(mutant)
+                except NAMED_ERRORS:
+                    raised += 1
+                    continue
+                _assert_declared_types(metrics)
+                decoded += 1
+        assert raised and decoded  # both outcomes are reached
+
+    def test_a_crafted_record_is_quarantined_and_the_search_completes(self, tmp_path):
+        clean_store = tmp_path / "clean.jsonl"
+        clean = _search(clean_store)
+        line = next(
+            json.loads(line) for line in clean_store.read_text().splitlines()
+            if json.loads(line)["metrics"]["feasible"]
+        )
+        store = tmp_path / "crafted.jsonl"
+        store.write_text(_line(line["key"], "metrics", _crafted(line["metrics"])))
+
+        result = _search(store)
+        assert [trial_metrics_to_dict(m) for m in result.history] == [
+            trial_metrics_to_dict(m) for m in clean.history
+        ]
+        assert result.runtime.cache_hits == 0
+        assert result.runtime.corrupt_records == 1
+
+    def test_a_checkpoint_holding_a_crafted_record_fails_to_load(self, tmp_path):
+        path = tmp_path / "search.ckpt"
+        _search(tmp_path / "trials.jsonl", checkpoint_path=path)
+        snapshot = json.loads(path.read_text().splitlines()[0])
+        position = next(i for i, m in enumerate(snapshot["history"]) if m["feasible"])
+        snapshot["history"][position] = _crafted(snapshot["history"][position])
+        path.write_text(json.dumps(snapshot) + "\n")
+        with pytest.raises(ValueError, match="cannot read checkpoint"):
+            SearchCheckpoint(path).load(DatapathSearchSpace())
+
 
 def _decodes(decode, payload) -> bool:
     try:
@@ -321,3 +378,66 @@ def _decodes(decode, payload) -> bool:
     except NAMED_ERRORS:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+_PER_WORKLOAD = ("per_workload_qps", "per_workload_latency_ms", "per_workload_utilization")
+
+
+def _search(cache_path, checkpoint_path=None):
+    """The 8-trial efficientnet-b0 search these tests replay."""
+    problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
+    checkpoint = SearchCheckpoint(checkpoint_path) if checkpoint_path else None
+    search = FASTSearch(
+        problem, optimizer="lcs", seed=0, cache=TrialCache(cache_path), checkpoint=checkpoint
+    )
+    return search.run(num_trials=8, batch_size=4)
+
+
+def _record_mutants(rng, record, count):
+    """``count`` mutants of a trial record: a field dropped or retyped, or a
+    per-workload value retyped."""
+    for _ in range(count):
+        mutant = json.loads(json.dumps(record))
+        kind = int(rng.integers(3))
+        retype = _RETYPES[int(rng.integers(len(_RETYPES)))]
+        names = sorted(mutant)
+        name = names[int(rng.integers(len(names)))]
+        if kind == 0:
+            del mutant[name]
+        elif kind == 1:
+            mutant[name] = retype
+        else:
+            values = mutant[_PER_WORKLOAD[int(rng.integers(len(_PER_WORKLOAD)))]]
+            if not values:
+                continue
+            values[sorted(values)[0]] = retype
+        yield mutant
+
+
+def _assert_declared_types(metrics: TrialMetrics) -> None:
+    assert metrics.config is None or isinstance(metrics.config, DatapathConfig)
+    for name in ("area_mm2", "tdp_w", "aggregate_score", "objective_value"):
+        assert type(getattr(metrics, name)) is float, name
+    assert type(metrics.feasible) is bool
+    assert metrics.failure_reason is None or type(metrics.failure_reason) is str
+    for name in _PER_WORKLOAD:
+        values = getattr(metrics, name)
+        assert type(values) is dict, name
+        assert all(type(key) is str and type(value) is float for key, value in values.items())
+
+
+@pytest.fixture(scope="module")
+def trial_records(tmp_path_factory):
+    """The records a real search writes to its trial cache, feasible and not."""
+    store = tmp_path_factory.mktemp("trials") / "trials.jsonl"
+    _search(store)
+    records = [json.loads(line)["metrics"] for line in store.read_text().splitlines()]
+    assert {record["feasible"] for record in records} == {True, False}
+    return records
+
+
+def _crafted(record):
+    """A feasible record whose efficientnet-b0 latency is not a number."""
+    assert record["feasible"]
+    return dict(record, per_workload_latency_ms={"efficientnet-b0": "fast"})
