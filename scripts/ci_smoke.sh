@@ -482,14 +482,15 @@ PY
 # --------------------------------------------------------------------------
 # Paper-figure smoke: the figure/table benchmarks that read the simulator's
 # post-fusion metrics (operational intensity, per-layer utilization, memory
-# stalls, fusion efficiency), each asserting its reproduced trend.
+# stalls, fusion efficiency) or, for Figure 5, the per-op busy cycles of
+# twin regions, each asserting its reproduced trend.
 # --------------------------------------------------------------------------
 smoke_figures() {
     log "figures smoke: post-fusion paper figures and tables, tiny budget"
     (cd benchmarks && REPRO_BENCH_TRIALS=8 PYTHONPATH="../src" python -m pytest -q \
         bench_fig3_op_intensity.py bench_fig4_perlayer_util.py \
-        bench_fig13_fusion_sweep.py bench_fig14_fastlarge_util.py \
-        bench_fig15_breakdown.py bench_table5_designs.py)
+        bench_fig5_bert_seqlen.py bench_fig13_fusion_sweep.py \
+        bench_fig14_fastlarge_util.py bench_fig15_breakdown.py bench_table5_designs.py)
 }
 
 # --------------------------------------------------------------------------

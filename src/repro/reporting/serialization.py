@@ -17,7 +17,13 @@ from typing import Dict, List, Optional, Union
 from repro.core.fast import FASTSearchResult, RuntimeStats
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialMetrics
-from repro.hardware.datapath import BufferConfig, DatapathConfig, L2Config, MemoryTechnology
+from repro.hardware.datapath import (
+    BufferConfig,
+    DatapathConfig,
+    DatapathValidationError,
+    L2Config,
+    MemoryTechnology,
+)
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
 from repro.hardware.tpu import EvaluationConstraints
 
@@ -59,12 +65,38 @@ def config_to_dict(config: DatapathConfig) -> Dict[str, object]:
 
 
 def config_from_dict(data: Dict[str, object]) -> DatapathConfig:
-    """Rebuild a datapath configuration from :func:`config_to_dict` output."""
-    kwargs = dict(data)
-    for name, enum_type in _ENUM_FIELDS.items():
-        if name in kwargs and not isinstance(kwargs[name], enum_type):
-            kwargs[name] = enum_type(kwargs[name])
-    return DatapathConfig(**kwargs)
+    """Rebuild a datapath configuration from :func:`config_to_dict` output.
+
+    Configs come from outside the process (saved designs, trial records), so
+    each field must hold its declared JSON type: an integer field an integer,
+    ``clock_ghz`` a number, a flag a bool (and a bool only a flag), an enum
+    field one of its values.  Anything else raises
+    :class:`DatapathValidationError` naming the field.
+    """
+    return DatapathConfig(**{name: _config_field(name, value) for name, value in data.items()})
+
+
+#: Each datapath field's declared type (every field has a default of it).
+_CONFIG_FIELD_TYPES = {f.name: type(f.default) for f in dataclasses.fields(DatapathConfig)}
+#: What a JSON value of each scalar field type must be, and its Python types.
+_JSON_SCALARS = {int: ("an integer", int), float: ("a number", (int, float)), bool: ("a bool", bool)}
+
+
+def _config_field(name: str, value: object) -> object:
+    """``value`` as datapath field ``name``'s declared type."""
+    declared = _CONFIG_FIELD_TYPES.get(name)
+    if declared is None:  # not a field: the constructor names it
+        return value
+    if issubclass(declared, Enum):
+        try:
+            return declared(value)
+        except (TypeError, ValueError):
+            expected = f"one of {[member.value for member in declared]}"
+    else:
+        expected, types = _JSON_SCALARS[declared]
+        if isinstance(value, types) and isinstance(value, bool) == (declared is bool):
+            return float(value) if declared is float else value
+    raise DatapathValidationError(f"{name} must be {expected}, got {value!r}")
 
 
 def save_config(config: DatapathConfig, path: Union[str, Path]) -> Path:

@@ -113,10 +113,8 @@ from repro.runtime.telemetry import (
     apply_telemetry_config,
     chrome_trace_events,
     configure_tracer,
-    get_metrics,
     get_tracer,
     load_trace,
-    reset_metrics,
     set_tracer,
     telemetry_config,
     write_chrome_trace,
@@ -185,7 +183,6 @@ __all__ = [
     "configure_faults",
     "configure_tracer",
     "get_fault_plan",
-    "get_metrics",
     "get_tracer",
     "load_trace",
     "get_op_cache",
@@ -199,7 +196,6 @@ __all__ = [
     "problem_fingerprint",
     "profile_search",
     "proposal_key",
-    "reset_metrics",
     "reset_op_caches",
     "reset_region_caches",
     "run_shard",

@@ -35,7 +35,6 @@ from repro.runtime.opcache import caches_for
 from repro.simulator.enginespec import EngineSpec
 from repro.runtime.telemetry import (
     apply_telemetry_config,
-    get_metrics,
     get_tracer,
     telemetry_config,
 )
@@ -289,10 +288,6 @@ class ParallelExecutor(TrialExecutor):
                 self.close()  # the broken pool's workers are already gone
                 self.worker_restarts += 1
                 restarts += 1
-                get_metrics().counter(
-                    "repro_worker_restarts_total",
-                    "Process-pool rebuilds after a worker died mid-batch.",
-                ).inc()
                 get_tracer().record_span(
                     "worker_restart",
                     start_unix=time.time(),

@@ -658,9 +658,10 @@ class OpCostCache(CostCacheBase):
 # gather step of the graph-batched mapper: no problem extraction, no op-cache
 # lookups, no traffic sweep.  The cache stores opaque entries; the simulator
 # owns the key construction.  Entries are shared, never copied: a hit hands
-# the cached record and stats to the live simulation result itself, which is
-# exact because neither is modified after it is built (fusion outcomes live
-# on the SimulationResult, not on the records).
+# the cached record and stats to the live simulation result itself, for the
+# region and for each of its twins, which is exact because neither is
+# modified after it is built (fusion outcomes live on the SimulationResult,
+# and a twin's identity on its region plan, not on the records).
 # ---------------------------------------------------------------------------
 class RegionCostCache(CostCacheBase):
     """Cache of fully evaluated fusion regions.

@@ -66,7 +66,6 @@ from repro.runtime.service import MAX_PARAMS_PER_REQUEST
 from repro.runtime.telemetry import (
     NULL_SPAN,
     TRACE_CONTEXT_HEADER,
-    get_metrics,
     get_tracer,
 )
 
@@ -213,12 +212,6 @@ class AsyncRemoteExecutor(TrialExecutor):
             endpoint.timeouts += 1
         endpoint.consecutive_failures += 1
         if endpoint.consecutive_failures >= self.blacklist_after:
-            if not endpoint.blacklisted:
-                get_metrics().counter(
-                    "repro_remote_blacklists_total",
-                    "Endpoint transitions into the blacklist.",
-                    ("endpoint",),
-                ).inc(endpoint=endpoint.url)
             endpoint.blacklisted = True
 
     def _record_success(self, endpoint: EndpointStats, latency: float) -> None:
@@ -307,11 +300,6 @@ class AsyncRemoteExecutor(TrialExecutor):
         finally:
             span.set_attr("status", status)
             tracer.finish(span)
-            get_metrics().counter(
-                "repro_remote_requests_total",
-                "Remote evaluate requests by endpoint and outcome.",
-                ("endpoint", "status"),
-            ).inc(endpoint=endpoint.url, status=status)
 
     # ------------------------------------------------------------------
     # Async orchestration
@@ -558,10 +546,6 @@ class AsyncRemoteExecutor(TrialExecutor):
         ``remote_fallbacks`` counter, never in the history.
         """
         self.fallbacks += 1
-        get_metrics().counter(
-            "repro_remote_fallbacks_total",
-            "Batches evaluated by the local fallback after remote failure.",
-        ).inc()
         with get_tracer().span(
             "remote_fallback",
             category="remote",

@@ -44,13 +44,9 @@ Metrics
 -------
 :class:`MetricsRegistry` holds counters, gauges, and histograms with label
 support and renders them in the Prometheus text exposition format
-(``expose()``), which is what ``repro serve`` returns from ``GET /metrics``.
-Metrics are get-or-create by name, so call sites never need module-level
-handles::
-
-    get_metrics().counter(
-        "repro_remote_requests_total", "Remote requests.", ("endpoint", "status")
-    ).inc(endpoint=url, status="ok")
+(``expose()``), which is what ``repro serve`` returns from ``GET /metrics``
+for the service's own registry.  Metrics are get-or-create by name, so call
+sites never need module-level handles.
 """
 
 from __future__ import annotations
@@ -85,8 +81,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_metrics",
-    "reset_metrics",
 ]
 
 #: HTTP header carrying ``trace_id:span_id`` from a client request span to
@@ -857,18 +851,3 @@ class MetricsRegistry:
             lines.append(f"# TYPE {name} {metric.kind}")
             lines.extend(metric.expose_lines())
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-_GLOBAL_METRICS = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-global metrics registry."""
-    return _GLOBAL_METRICS
-
-
-def reset_metrics() -> MetricsRegistry:
-    """Replace the global registry with an empty one (tests)."""
-    global _GLOBAL_METRICS
-    _GLOBAL_METRICS = MetricsRegistry()
-    return _GLOBAL_METRICS

@@ -12,8 +12,10 @@ Compiling a graph also builds, once, a plan per fusion region
 operand sizes and softmax traffic, so costing a region for a trial is
 arithmetic over its plan and that trial's op costs.  Models repeat blocks
 (bert-seq128's 97 regions have 7 shapes), so a *twin*, a region repeating an
-earlier one's every cost input, takes the numbers of its *first-of-shape*
-region and is never mapped, looked up or cached itself.
+earlier one's every cost input, shares the records of its *first-of-shape*
+region by reference and is never mapped, looked up or cached itself.  Its own
+view, under its own identity, is built only when a report or the fusion
+solver reads it, and the fusion memo keys on one stats record per shape.
 
 Multi-core chips (the dual-core TPU-v3 baseline) are modeled by simulating a
 single core with its share of the DRAM bandwidth and multiplying throughput
@@ -135,7 +137,9 @@ class _RegionPlan:
     or ``None``.  The signature is every cost input: ``matrix_bytes``,
     ``inputs``, ``weights``, ``output_traffic``, the three byte totals, the op
     types, and each op's operand shapes, dtypes and kinds and its attrs.
-    Names, the index, the predecessor and ``is_graph_output`` are identity.
+    Names, the index, the predecessor and ``is_graph_output`` are identity: a
+    simulation holds a twin's first-of-shape region's records, and a twin's
+    view takes that identity from its plan.
     """
 
     index: int
@@ -254,57 +258,60 @@ def _primary_op_type(region: FusionRegion) -> OpType:
     return region.ops[0].op_type
 
 
-def _twin_entry(plan: _RegionPlan, record: RegionPerformance, stats: RegionStats):
-    """A twin's ``(RegionPerformance, RegionStats)``: its first-of-shape
-    region's numbers, which evaluating the twin would repeat exactly, under
-    the twin's own identity.  Both regions list their ops in the same order,
-    so ``op_busy_cycles`` keeps an evaluation's key order.
+class _Layout(tuple):
+    """Each region's identity and twin position, from a graph's plans.
 
-    Twins are most regions of a transformer, so both records are built with
-    positional arguments, in field order: keyword arguments make the calls a
-    third slower, and copying a record's ``__dict__`` makes larger objects
-    that slow the whole search.
+    The fusion memo keys on it with the first-of-shape regions' stats, which
+    together fix every region's stats: a twin's are its first-of-shape
+    region's numbers under its own index, name, predecessor and graph-output
+    flag.  It compares as a tuple, so graphs planned alike share memo entries
+    (efficientnet-b0's plans are equal under both softmax lowerings), and it
+    hashes once.
     """
-    r, s = record, stats
-    return (
-        RegionPerformance(
-            plan.index, plan.name, plan.op_names, plan.primary_op_type, r.flops,
-            r.compute_cycles, r.vector_cycles, r.dram_input_bytes, r.dram_weight_bytes,
-            r.dram_output_bytes, r.pre_fusion_cycles, r.matrix_utilization,
-            dict(zip(plan.op_names, r.op_busy_cycles.values())),
-        ),
-        RegionStats(
-            plan.index, plan.name, s.busy_cycles, s.t_max_cycles, s.input_dram_cycles,
-            s.weight_dram_cycles, s.output_dram_cycles, s.input_bytes, s.weight_bytes,
-            s.output_bytes, s.blocking_gm_bytes, plan.predecessor, plan.is_graph_output,
-        ),
-    )
+
+    def __new__(cls, plans: _Plans) -> "_Layout":
+        layout = super().__new__(cls, (
+            (plan.index, plan.name, plan.input_bytes, plan.weight_bytes, plan.output_bytes,
+             plan.predecessor, plan.is_graph_output, plan.twin)
+            for plan in plans
+        ))
+        layout._hash = tuple.__hash__(layout)
+        return layout
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # ---------------------------------------------------------------------------
-# Compiled-graph cache.  Lowering a graph into fusion regions and planning
-# each region is identical for every trial that simulates the same graph
-# object with the same softmax lowering, so both are memoized per process,
-# in one entry.  Entries are keyed by object identity + op count (guarding
-# against post-build mutation); the stored strong reference keeps ids
-# stable, so entries inherited across a fork stay valid — fork-started
-# executor workers begin life with the parent's warm compiled graphs and
-# plans instead of rebuilding them.
+# Compiled-graph cache.  Lowering a graph into fusion regions, planning each
+# region and laying out the plans for the fusion memo is identical for every
+# trial that simulates the same graph object with the same softmax lowering,
+# so all three are memoized per process, in one entry.  Entries are keyed by
+# object identity + op count (guarding against post-build mutation); the
+# stored strong reference keeps ids stable, so entries inherited across a
+# fork stay valid — fork-started executor workers begin life with the
+# parent's warm compiled graphs and plans instead of rebuilding them.
 # ---------------------------------------------------------------------------
-_COMPILED_CACHE: Dict[Tuple[int, bool], Tuple[Graph, int, CompiledModel, _Plans]] = {}
+_COMPILED_CACHE: Dict[Tuple[int, bool], Tuple[Graph, int, CompiledModel, _Plans, _Layout]] = {}
 _COMPILED_CACHE_MAX = 64
 
 
-def _compile_with_plans(graph: Graph, use_two_pass_softmax: bool) -> Tuple[CompiledModel, _Plans]:
+def _compiled_entry(graph: Graph, use_two_pass_softmax: bool) -> Tuple[CompiledModel, _Plans, _Layout]:
+    """The graph's compiled model, plans and layout, from the compiled-graph cache."""
     key = (id(graph), use_two_pass_softmax)
     entry = _COMPILED_CACHE.get(key)
     if entry is None or entry[0] is not graph or entry[1] != len(graph):
         compiled = compile_graph(graph, use_two_pass_softmax=use_two_pass_softmax)
-        entry = (graph, len(graph), compiled, tuple(_region_plans(compiled)))
+        plans = tuple(_region_plans(compiled))
+        entry = (graph, len(graph), compiled, plans, _Layout(plans))
         _COMPILED_CACHE[key] = entry
         while len(_COMPILED_CACHE) > _COMPILED_CACHE_MAX:
             _COMPILED_CACHE.pop(next(iter(_COMPILED_CACHE)))
-    return entry[2], entry[3]
+    return entry[2:]
+
+
+def _compile_with_plans(graph: Graph, use_two_pass_softmax: bool) -> Tuple[CompiledModel, _Plans]:
+    return _compiled_entry(graph, use_two_pass_softmax)[:2]
 
 
 def _compile_cached(graph: Graph, use_two_pass_softmax: bool) -> CompiledModel:
@@ -313,7 +320,7 @@ def _compile_cached(graph: Graph, use_two_pass_softmax: bool) -> CompiledModel:
 
 def precompile_graph(graph: Graph, use_two_pass_softmax: bool = False) -> None:
     """Warm the compiled-graph cache for one graph (worker/service warm-up)."""
-    _compile_with_plans(graph, use_two_pass_softmax)
+    _compiled_entry(graph, use_two_pass_softmax)
 
 
 def clear_compiled_cache() -> None:
@@ -325,8 +332,11 @@ def clear_compiled_cache() -> None:
 # ---------------------------------------------------------------------------
 # Fusion memo.  A fusion solve is a pure function of (GM capacity, solver,
 # region stats), and a search keeps proposing datapaths whose regions and
-# Global Memory repeat, so recent solves are memoized in a small LRU.  Its
-# FusionResults are shared read-only by every SimulationResult that hits
+# Global Memory repeat, so recent solves are memoized in a small LRU.  The
+# key holds the stats of first-of-shape regions only, with the graph's
+# _Layout, which fixes the twins' stats from them: it hashes bert-seq128's 7
+# shapes, not its 97 regions, and hits exactly when the full list repeats.
+# Its FusionResults are shared read-only by every SimulationResult that hits
 # them.  The bound is fixed: an unbounded memo grows with every distinct
 # datapath a search visits and measurably raises a long search's peak RSS,
 # while 64 recent solves already catch nearly all of the repeats.
@@ -356,16 +366,19 @@ class Simulator:
     engine) and ``vector_op`` (op-cache miss).  ``repro profile`` builds its
     stage columns from those spans' totals.  A first-of-shape region the
     region cache cannot serve is priced from its :class:`_RegionPlan` (built
-    once per compiled graph) and the trial's op costs.  A twin copies its
-    first-of-shape region's numbers, so only first-of-shape regions reach the
+    once per compiled graph) and the trial's op costs.  A twin takes its
+    first-of-shape region's records, so only first-of-shape regions reach the
     mapper, the VPU cost model, the region cache and its stores.
 
     Results share rather than copy: a region-cache hit puts the cached
-    :class:`~repro.simulator.result.RegionPerformance` record itself into the
-    result, every record of a region shares its plan's ``op_names`` list,
-    and a repeated fusion input returns the memoized
-    :class:`~repro.fusion.fast_fusion.FusionResult`.  None of them is ever
-    modified after it is built, which is what makes sharing them exact.
+    :class:`~repro.simulator.result.RegionPerformance` and
+    :class:`~repro.fusion.fast_fusion.RegionStats` themselves into the
+    result, a twin's entries are its first-of-shape region's objects (the
+    result builds a twin's own view only when it is read), every record of a
+    region shares its plan's ``op_names`` list, and a repeated fusion input
+    returns the memoized :class:`~repro.fusion.fast_fusion.FusionResult`.
+    None of them is ever modified after it is built, which is what makes
+    sharing them exact.
     """
 
     def __init__(
@@ -419,15 +432,17 @@ class Simulator:
         per-region evaluation then just scatters the pre-mapped costs.  The
         scalar engine skips the sweep and maps op by op inside the region
         walk; both engines, and a cold or warm region cache, produce the
-        identical result.  A twin takes its numbers in the walk.
+        identical result.  A twin appends its first-of-shape region's records
+        in the walk.
 
         Region-cache entries go into the result as they are, and freshly
         evaluated ones are cached without a copy: records are read-only, and
         the post-fusion view comes from the (possibly memoized) fusion result.
+        Only a fusion-memo miss builds the twins' own stats, for the solver.
         """
         core = self._core_config
         with _tracer().span("compile", category="simulate"):
-            compiled, plans = _compile_with_plans(graph, core.use_two_pass_softmax)
+            compiled, plans, layout = _compiled_entry(graph, core.use_two_pass_softmax)
         dram_bpc = core.dram_bytes_per_cycle
         fingerprint = graph.fingerprint()
         # ``Graph.tensors`` is a copy: fetch it once, and only to cost an op.
@@ -444,20 +459,22 @@ class Simulator:
             ):
                 premapped = self.mapper.map_ops_batch(gather_ops, graph_tensors())
 
-        region_perf: List[RegionPerformance] = []
+        records: List[RegionPerformance] = []
         region_stats: List[RegionStats] = []
+        shape_stats: List[RegionStats] = []  # first-of-shape regions' only
         schedule_failed = False
 
         with _tracer().span("regions", category="simulate") as region_span:
-            for position, plan in enumerate(plans):
-                entry = cached_entries[position]
+            for plan in plans:
                 if plan.twin is not None:
                     # Its first-of-shape region came earlier and scheduled,
                     # or the walk would have stopped there.
-                    record, stats = _twin_entry(
-                        plan, region_perf[plan.twin], region_stats[plan.twin]
-                    )
-                elif entry is not None:
+                    records.append(records[plan.twin])
+                    region_stats.append(region_stats[plan.twin])
+                    continue
+                shape = len(shape_stats)
+                entry = cached_entries[shape]
+                if entry is not None:
                     if entry[0] is None:
                         schedule_failed = True
                         break
@@ -469,91 +486,80 @@ class Simulator:
                     )
                     if region_cache is not None:
                         region_cache.put(
-                            region_keys[position],
+                            region_keys[shape],
                             (None,) if record is None else (record, stats),
                             prefix,
                         )
                     if record is None:
                         schedule_failed = True
                         break
-                region_perf.append(record)
+                records.append(record)
                 region_stats.append(stats)
+                shape_stats.append(stats)
             region_span.set_attr("regions", len(plans))
             if region_cache is not None:
                 hits = sum(1 for entry in cached_entries if entry is not None)
-                looked_up = sum(1 for plan in plans if plan.twin is None)
                 region_span.set_attr("region_cache_hits", hits)
-                region_span.set_attr("region_cache_misses", looked_up - hits)
+                region_span.set_attr("region_cache_misses", len(cached_entries) - hits)
 
-        fusion_result: Optional[FusionResult] = None
+        result = SimulationResult(
+            workload=graph.name,
+            config=self.config,
+            batch_size=graph.batch_size,
+            records=records,
+            stats=region_stats,
+            plans=plans,
+            fusion_result=None,
+            schedule_failed=schedule_failed,
+            clock_ghz=core.clock_ghz,
+            num_cores=self.config.num_cores,
+        )
         fusion_enabled = (
             self.options.enable_fast_fusion
             if self.options.enable_fast_fusion is not None
             else core.enable_fast_fusion
         )
-        if (
-            fusion_enabled
-            and not schedule_failed
-            and core.l3_global_buffer_mib > 0
-            and region_stats
-        ):
+        if fusion_enabled and not schedule_failed and core.l3_global_buffer_mib > 0 and records:
             memo_key = (
                 core.global_buffer_bytes,
                 self.options.fusion_solver,
-                tuple(region_stats),
+                layout,
+                tuple(shape_stats),
             )
-            fusion_result = _fusion_memo_get(memo_key)
-            if fusion_result is None:
+            result.fusion_result = _fusion_memo_get(memo_key)
+            if result.fusion_result is None:
                 optimizer = FastFusionOptimizer(
                     gm_capacity_bytes=core.global_buffer_bytes,
                     solver=self.options.fusion_solver,
                 )
-                with _tracer().span(
-                    "fusion", category="simulate", regions=len(region_stats)
-                ):
-                    fusion_result = optimizer.optimize(region_stats)
-                _fusion_memo_put(memo_key, fusion_result)
-
-        return SimulationResult(
-            workload=graph.name,
-            config=self.config,
-            batch_size=graph.batch_size,
-            regions=region_perf,
-            fusion_result=fusion_result,
-            schedule_failed=schedule_failed,
-            clock_ghz=core.clock_ghz,
-            num_cores=self.config.num_cores,
-        )
+                with _tracer().span("fusion", category="simulate", regions=len(records)):
+                    result.fusion_result = optimizer.optimize(result.region_stats)
+                _fusion_memo_put(memo_key, result.fusion_result)
+        return result
 
     # ------------------------------------------------------------------
     def gather_map_entry(self, graph: Graph, compiled: CompiledModel, plans: _Plans):
         """Gather half of :meth:`simulate` for one compiled graph.
 
-        Builds the graph's region keys once, looks every first-of-shape
-        region up with an accounted :meth:`~repro.runtime.opcache.RegionCostCache.get`,
-        and collects, from the plans, the matrix ops of each one the cache
-        cannot serve.  Returns ``(keys, prefix, entries, ops)``: the region
-        keys and their prefix (``None`` without a region cache), each region's
-        cached entry or ``None`` (always, for a twin), and the ops to map.
+        Twins are never looked up: for the first-of-shape regions only, in
+        order, builds the region keys, looks each up with an accounted
+        :meth:`~repro.runtime.opcache.RegionCostCache.get`, and collects, from
+        the plans, the matrix ops of each one the cache cannot serve.
+        Returns ``(keys, prefix, entries, ops)``: those regions' keys and the
+        keys' prefix (``None`` without a region cache), each one's cached
+        entry or ``None``, and the ops to map.
         """
         region_cache = self.region_cache
+        shapes = [plan for plan in plans if plan.twin is None]
         keys: Optional[List[Tuple]] = None
         prefix: Optional[str] = None  # canonical JSON of the region keys' base
-        entries: List[Optional[tuple]] = [None] * len(plans)
+        entries: List[Optional[tuple]] = [None] * len(shapes)
         if region_cache is not None:
             key_base = self._region_key_base(graph, compiled)
-            keys = [key_base + (plan.index,) for plan in plans]
+            keys = [key_base + (plan.index,) for plan in shapes]
             prefix = region_cache.key_prefix(key_base)
-            entries = [
-                None if plan.twin is not None else region_cache.get(key, prefix)
-                for plan, key in zip(plans, keys)
-            ]
-        ops = [
-            op
-            for plan, entry in zip(plans, entries)
-            if entry is None and plan.twin is None
-            for op in plan.matrix_ops
-        ]
+            entries = [region_cache.get(key, prefix) for key in keys]
+        ops = [op for plan, entry in zip(shapes, entries) if entry is None for op in plan.matrix_ops]
         return keys, prefix, entries, ops
 
     # ------------------------------------------------------------------

@@ -10,9 +10,10 @@ runtime share by op type or BERT component.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.fusion.fast_fusion import FusionDecision, FusionResult
+from repro.fusion.fast_fusion import FusionDecision, FusionResult, RegionStats
 from repro.hardware.datapath import DatapathConfig
 from repro.workloads.ops import OpType
 
@@ -24,8 +25,9 @@ class RegionPerformance:
     """Pre-fusion performance of one fusion region on one core.
 
     Records are shared read-only: a region-cache hit hands the cached record
-    itself to every result whose workload contains the region, so nothing
-    may modify a record once it is built.  What fusion does to a region
+    itself to every result whose workload contains the region, and a twin
+    region shares its first-of-shape region's record, so nothing may modify
+    a record once it is built.  What fusion does to a region
     (its post-fusion cycles and pin decision) lives on the
     :class:`SimulationResult` instead.
     """
@@ -70,25 +72,80 @@ def _dram_bytes_post_fusion(record: RegionPerformance, decision: FusionDecision)
 _NO_FUSION = FusionDecision()
 
 
+def _twin_record(plan, r: RegionPerformance) -> RegionPerformance:
+    """A twin's record: its first-of-shape region's numbers under the plan's
+    identity, with ``op_busy_cycles`` keyed by the twin's own op names in
+    order (both regions list their ops in the same order)."""
+    return RegionPerformance(
+        plan.index, plan.name, plan.op_names, plan.primary_op_type, r.flops, r.compute_cycles,
+        r.vector_cycles, r.dram_input_bytes, r.dram_weight_bytes, r.dram_output_bytes,
+        r.pre_fusion_cycles, r.matrix_utilization,
+        dict(zip(plan.op_names, r.op_busy_cycles.values())),
+    )
+
+
+def _twin_stats(plan, s: RegionStats) -> RegionStats:
+    """A twin's fusion stats: its first-of-shape region's numbers under the
+    plan's identity (index, name, predecessor and graph-output flag).  Every
+    fusion-memo miss builds one per twin, so the arguments are positional, in
+    field order: keyword arguments are a third slower."""
+    return RegionStats(
+        plan.index, plan.name, s.busy_cycles, s.t_max_cycles, s.input_dram_cycles,
+        s.weight_dram_cycles, s.output_dram_cycles, s.input_bytes, s.weight_bytes,
+        s.output_bytes, s.blocking_gm_bytes, plan.predecessor, plan.is_graph_output,
+    )
+
+
 @dataclass
 class SimulationResult:
     """Whole-workload simulation outcome on a datapath configuration.
 
-    ``regions`` holds the pre-fusion records and ``fusion_result`` the fusion
-    pass's outcome (None when fusion did not run); the post-fusion view of
-    each region is read from the two together.  Both may be shared with
-    other results (region-cache hits and the simulator's fusion memo), so
-    treat them as read-only.
+    ``records`` and ``stats`` hold each simulated region's pre-fusion record
+    and fusion stats, in region order; a twin's are its first-of-shape
+    region's objects, and its region plan in ``plans`` gives it its own
+    identity.  ``fusion_result`` is the fusion pass's outcome (None when
+    fusion did not run).  All of them may be shared with other results
+    (region-cache hits, twins and the simulator's fusion memo), so treat
+    them as read-only.
+
+    Metrics read the shared records, in region order; only
+    :meth:`runtime_fraction_by` needs op names, and reads :attr:`regions`.
     """
 
     workload: str
     config: DatapathConfig
     batch_size: int
-    regions: List[RegionPerformance]
+    records: List[RegionPerformance]
+    stats: List[RegionStats]
+    plans: Sequence
     fusion_result: Optional[FusionResult]
     schedule_failed: bool
     clock_ghz: float
     num_cores: int
+
+    # ------------------------------------------------------------------
+    # Per-region views
+    # ------------------------------------------------------------------
+    @cached_property
+    def regions(self) -> List[RegionPerformance]:
+        """Each simulated region's pre-fusion record under its own identity.
+
+        A first-of-shape region's entry is its shared record itself; a
+        twin's is built on the first read and then kept.
+        """
+        return [
+            record if plan.twin is None else _twin_record(plan, record)
+            for plan, record in zip(self.plans, self.records)
+        ]
+
+    @cached_property
+    def region_stats(self) -> List[RegionStats]:
+        """Each simulated region's fusion stats, built like :attr:`regions`:
+        the per-region list the fusion pass solves."""
+        return [
+            stats if plan.twin is None else _twin_stats(plan, stats)
+            for plan, stats in zip(self.plans, self.stats)
+        ]
 
     # ------------------------------------------------------------------
     # Per-region post-fusion view
@@ -97,13 +154,13 @@ class SimulationResult:
         """Per-region cycles after (or before) fusion; may be the fusion result's own list."""
         if post_fusion and self.fusion_result is not None:
             return self.fusion_result.region_cycles
-        return [r.pre_fusion_cycles for r in self.regions]
+        return [r.pre_fusion_cycles for r in self.records]
 
     def _decisions(self) -> List[FusionDecision]:
         """Per-region pin decisions (the fusion result's own list: read-only)."""
         if self.fusion_result is not None:
             return self.fusion_result.decisions
-        return [_NO_FUSION] * len(self.regions)
+        return [_NO_FUSION] * len(self.records)
 
     @property
     def region_post_fusion_cycles(self) -> List[float]:
@@ -121,14 +178,14 @@ class SimulationResult:
 
     def region_dram_bytes_post_fusion(self, position: int) -> float:
         """DRAM traffic of ``regions[position]`` after FAST fusion."""
-        return _dram_bytes_post_fusion(self.regions[position], self._decisions()[position])
+        return _dram_bytes_post_fusion(self.records[position], self._decisions()[position])
 
     def region_achieved_utilization(self, position: int) -> float:
         """Fraction of ``regions[position]``'s post-fusion time it is busy."""
         cycles = self._cycles()[position]
         if cycles <= 0:
             return 0.0
-        return min(1.0, self.regions[position].busy_cycles / cycles)
+        return min(1.0, self.records[position].busy_cycles / cycles)
 
     # ------------------------------------------------------------------
     # Time and throughput
@@ -141,7 +198,7 @@ class SimulationResult:
     @property
     def pre_fusion_cycles(self) -> float:
         """Pre-fusion execution cycles for one batch on one core."""
-        return sum(r.pre_fusion_cycles for r in self.regions)
+        return sum(r.pre_fusion_cycles for r in self.records)
 
     @property
     def execution_time_s(self) -> float:
@@ -177,19 +234,19 @@ class SimulationResult:
     @property
     def total_flops(self) -> int:
         """Useful FLOPs of one batch."""
-        return sum(r.flops for r in self.regions)
+        return sum(r.flops for r in self.records)
 
     @property
     def dram_bytes_pre_fusion(self) -> float:
         """Total DRAM traffic before FAST fusion."""
-        return sum(r.dram_bytes_pre_fusion for r in self.regions)
+        return sum(r.dram_bytes_pre_fusion for r in self.records)
 
     @property
     def dram_bytes_post_fusion(self) -> float:
         """Total DRAM traffic after FAST fusion."""
         return sum(
             _dram_bytes_post_fusion(r, decision)
-            for r, decision in zip(self.regions, self._decisions())
+            for r, decision in zip(self.records, self._decisions())
         )
 
     def operational_intensity(self, post_fusion: bool = True) -> float:
@@ -218,7 +275,7 @@ class SimulationResult:
         """Fraction of execution time spent waiting on DRAM transfers."""
         total = 0.0
         stalled = 0.0
-        for region, cycles in zip(self.regions, self._cycles(post_fusion)):
+        for region, cycles in zip(self.records, self._cycles(post_fusion)):
             total += cycles
             stalled += max(0.0, cycles - region.busy_cycles)
         if total <= 0:
@@ -234,11 +291,11 @@ class SimulationResult:
         recovered.
         """
         stall_pre = sum(
-            max(0.0, r.pre_fusion_cycles - r.busy_cycles) for r in self.regions
+            max(0.0, r.pre_fusion_cycles - r.busy_cycles) for r in self.records
         )
         stall_post = sum(
             max(0.0, cycles - r.busy_cycles)
-            for r, cycles in zip(self.regions, self._cycles())
+            for r, cycles in zip(self.records, self._cycles())
         )
         if stall_pre <= 0:
             return 0.0
@@ -250,7 +307,7 @@ class SimulationResult:
     def runtime_fraction_by_op_type(self, post_fusion: bool = True) -> Dict[OpType, float]:
         """Fraction of execution time attributed to each (primary) op type."""
         totals: Dict[OpType, float] = {}
-        for region, cycles in zip(self.regions, self._cycles(post_fusion)):
+        for region, cycles in zip(self.records, self._cycles(post_fusion)):
             totals[region.primary_op_type] = totals.get(region.primary_op_type, 0.0) + cycles
         grand_total = sum(totals.values())
         if grand_total <= 0:
@@ -260,7 +317,7 @@ class SimulationResult:
     def flop_fraction_by_op_type(self) -> Dict[OpType, float]:
         """Fraction of useful FLOPs attributed to each (primary) op type."""
         totals: Dict[OpType, float] = {}
-        for region in self.regions:
+        for region in self.records:
             totals[region.primary_op_type] = totals.get(region.primary_op_type, 0.0) + region.flops
         grand_total = sum(totals.values())
         if grand_total <= 0:
@@ -298,7 +355,7 @@ class SimulationResult:
     def per_layer_utilization(self, matrix_only: bool = True) -> List[float]:
         """Per-region achieved fraction of peak FLOPs (Figures 4 and 14)."""
         utilizations = []
-        for region, cycles in zip(self.regions, self._cycles()):
+        for region, cycles in zip(self.records, self._cycles()):
             if matrix_only and region.primary_op_type not in (
                 OpType.CONV2D,
                 OpType.DEPTHWISE_CONV2D,

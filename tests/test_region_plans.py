@@ -11,8 +11,9 @@ turns into a float), keep the same ``op_busy_cycles`` key order, and cost
 the same vector ops in the same order, so a reordered float sum, a
 misattributed amplification or a vector op costed after a failed matrix
 op fails here.  A twin (a region repeating an earlier region's every cost
-input) takes that region's numbers instead of being evaluated, so its entry
-must equal the oracle's too, and only first-of-shape regions price ops.
+input) shares that region's records instead of being evaluated, so the
+views a simulation result builds for it must equal the oracle's entry too,
+and only first-of-shape regions price ops.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import pytest
 from repro.compiler.passes import CompiledModel, compile_graph
 from repro.compiler.xla_fusion import FusionRegion
 from repro.core.designs import FAST_LARGE, TPU_V3
-from repro.fusion.fast_fusion import RegionStats
+from repro.core.fast import FASTSearch
+from repro.core.problem import ObjectiveKind, SearchProblem
+from repro.fusion.fast_fusion import FastFusionOptimizer, RegionStats
 from repro.hardware.datapath import BufferConfig, DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.costmodel import OpCost
@@ -324,28 +327,26 @@ def _record_vector_ops(monkeypatch) -> List[str]:
 def _planned_walk(config: DatapathConfig, graph, mapper_engine: str, monkeypatch):
     """Each region's (record, stats) as ``Simulator.simulate`` walks them now.
 
-    A first-of-shape region's entry is evaluated, a twin's is derived; both
-    are recorded in walk order.
+    The result's record and stats views, in region order (a first-of-shape
+    region's evaluated entry, a twin's built from it), then the ``(None,
+    None)`` that evaluating the region that failed to schedule returned.
     """
-    entries = []
-    evaluate, derive = Simulator._evaluate_region, engine._twin_entry
+    evaluated = []
+    evaluate = Simulator._evaluate_region
 
     def evaluating(self, *args, **kwargs):
-        entries.append(evaluate(self, *args, **kwargs))
-        return entries[-1]
-
-    def deriving(*args):
-        entries.append(derive(*args))
-        return entries[-1]
+        evaluated.append(evaluate(self, *args, **kwargs))
+        return evaluated[-1]
 
     monkeypatch.setattr(Simulator, "_evaluate_region", evaluating)
-    monkeypatch.setattr(engine, "_twin_entry", deriving)
     options = SimulationOptions(  # fusion reads these stats; it is not under test
         mapper_engine=mapper_engine, region_cache_enabled=False, enable_fast_fusion=False
     )
     result = Simulator(config, options).simulate(graph)
     monkeypatch.setattr(Simulator, "_evaluate_region", evaluate)
-    monkeypatch.setattr(engine, "_twin_entry", derive)
+    entries = list(zip(result.regions, result.region_stats))
+    if evaluated[-1][0] is None:
+        entries.append(evaluated[-1])
     assert result.schedule_failed == (entries[-1][0] is None)
     return entries
 
@@ -573,3 +574,64 @@ def test_a_twin_keeps_its_own_identity(monkeypatch):
     assert list(twin.op_busy_cycles) == ["b", "b_act"]
     assert list(twin.op_busy_cycles.values()) == list(first.op_busy_cycles.values())
     assert twin.op_names is plans[1].op_names
+
+
+def test_each_twin_keeps_its_own_name_in_reports():
+    # ``op_component`` classifies by name suffix, so a twin reported under its
+    # first-of-shape region's op names would still pass Figure 5.  Grouped
+    # by layer, the twelve identical encoder layers share the time equally.
+    simulator = Simulator(FAST_LARGE, SimulationOptions(fusion_solver="greedy"))
+    result = simulator.simulate_workload("bert-seq128")
+    for post_fusion in (False, True):
+        shares = result.runtime_fraction_by(lambda name: name.split(".")[0], post_fusion)
+        layers = [shares[f"layer{i}"] for i in range(12)]
+        assert layers[0] > 0
+        assert layers == [layers[0]] * 12
+
+
+def _spy_built(monkeypatch, record_type) -> List[str]:
+    """Record the name of every ``record_type`` built, however it is built."""
+    names: List[str] = []
+    original = record_type.__init__
+
+    def spying(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        names.append(self.name)
+
+    monkeypatch.setattr(record_type, "__init__", spying)
+    return names
+
+
+def test_the_trial_path_builds_no_twin_record(monkeypatch):
+    # A search reads only numbers off a result, so a twin costs its shared
+    # records and never a view; only a fusion-memo miss builds the twins'
+    # stats, for the solver.
+    records = _spy_built(monkeypatch, RegionPerformance)
+    stats = _spy_built(monkeypatch, RegionStats)
+    solved: List[List[RegionStats]] = []
+    optimize, memo_get = FastFusionOptimizer.optimize, engine._fusion_memo_get
+    memo_hits = []
+
+    def recording(self, regions):
+        solved.append(list(regions))
+        return optimize(self, regions)
+
+    def counting_hits(key):
+        found = memo_get(key)
+        memo_hits.append(found is not None)
+        return found
+
+    monkeypatch.setattr(FastFusionOptimizer, "optimize", recording)
+    monkeypatch.setattr(engine, "_fusion_memo_get", counting_hits)
+    problem = SearchProblem(["efficientnet-b0", "bert-seq128"], ObjectiveKind.PERF_PER_TDP)
+    FASTSearch(problem, optimizer="annealing", seed=0).run(num_trials=16, batch_size=8)
+
+    entries = engine._COMPILED_CACHE.values()
+    twins = {plan.name for entry in entries for plan in entry[3] if plan.twin is not None}
+    firsts = {plan.name for entry in entries for plan in entry[3] if plan.twin is None}
+    assert twins and not twins & firsts
+    assert solved and any(memo_hits)  # fusion both solved and hit the memo
+    assert records and not [name for name in records if name in twins]
+    built_twin_stats = [name for name in stats if name in twins]
+    assert built_twin_stats == [region.name for regions in solved for region in regions
+                                if region.name in twins]

@@ -164,6 +164,24 @@ class TestFusionMemo:
         for field in fields(FusionResult):
             assert getattr(second.fusion_result, field.name) == getattr(fresh, field.name)
 
+    def test_the_memo_sees_through_equal_lowerings(self):
+        # efficientnet-b0 has no softmax, so its plans and stats are equal
+        # under both lowerings and one solve serves both; bert-seq128's
+        # softmax traffic differs, so it solves once per lowering.
+        optimize = FastFusionOptimizer.optimize
+        for workload, solves in (("efficientnet-b0", 1), ("bert-seq128", 2)):
+            graph = build_workload(workload, batch_size=FAST_LARGE.native_batch_size)
+            solved = []
+
+            def recording(self, stats):
+                solved.append(len(stats))
+                return optimize(self, stats)
+
+            with mock.patch.object(FastFusionOptimizer, "optimize", recording):
+                for two_pass in (False, True):
+                    _simulator(FAST_LARGE.evolve(use_two_pass_softmax=two_pass)).simulate(graph)
+            assert len(solved) == solves, workload
+
     def test_memo_keys_on_the_solver(self, tiny_graph):
         greedy = _simulator(solver="greedy").simulate(tiny_graph)
         ilp = _simulator(solver="ilp").simulate(tiny_graph)

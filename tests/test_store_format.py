@@ -395,11 +395,11 @@ def _search(cache_path, checkpoint_path=None):
 
 
 def _record_mutants(rng, record, count):
-    """``count`` mutants of a trial record: a field dropped or retyped, or a
-    per-workload value retyped."""
+    """``count`` mutants of a trial record: a field dropped or retyped, a
+    per-workload value retyped, or a field of its config retyped."""
     for _ in range(count):
         mutant = json.loads(json.dumps(record))
-        kind = int(rng.integers(3))
+        kind = int(rng.integers(4))
         retype = _RETYPES[int(rng.integers(len(_RETYPES)))]
         names = sorted(mutant)
         name = names[int(rng.integers(len(names)))]
@@ -407,16 +407,22 @@ def _record_mutants(rng, record, count):
             del mutant[name]
         elif kind == 1:
             mutant[name] = retype
-        else:
+        elif kind == 2:
             values = mutant[_PER_WORKLOAD[int(rng.integers(len(_PER_WORKLOAD)))]]
             if not values:
                 continue
             values[sorted(values)[0]] = retype
+        else:
+            config = mutant["config"]
+            config[sorted(config)[int(rng.integers(len(config)))]] = retype
         yield mutant
 
 
 def _assert_declared_types(metrics: TrialMetrics) -> None:
     assert metrics.config is None or isinstance(metrics.config, DatapathConfig)
+    if metrics.config is not None:
+        for field in fields(DatapathConfig):  # each default has its field's declared type
+            assert type(getattr(metrics.config, field.name)) is type(field.default), field.name
     for name in ("area_mm2", "tdp_w", "aggregate_score", "objective_value"):
         assert type(getattr(metrics, name)) is float, name
     assert type(metrics.feasible) is bool

@@ -51,11 +51,10 @@ from repro.runtime.telemetry import (
 
 @pytest.fixture(autouse=True)
 def _isolated_telemetry():
-    """Restore the global tracer and metrics registry after every test."""
+    """Restore the global tracer after every test."""
     saved = telemetry.get_tracer()
     yield
     telemetry.set_tracer(saved)
-    telemetry.reset_metrics()
 
 
 def _problem():
