@@ -1,137 +1,28 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out beyond the paper.
-
-These complement the paper's Table 6 ablation with three extension studies:
+"""Extension ablations beyond the paper's Table 6.
 
 * inter-op blocking on top of FAST fusion (Section 5.5's stated refinement),
-* the NoC's area/power overhead across PE grid shapes (Figure 7 substrate),
+* the NoC's area overhead across PE grid shapes (Figure 7 substrate),
 * int8 quantization as an orthogonal booster (Figure 2 caption).
 """
 
-from __future__ import annotations
 
-from conftest import format_table, report
-
-from repro.core.designs import FAST_LARGE, FAST_SMALL, TPU_V3
-from repro.fusion.blocking import BlockingAwareFusionOptimizer, blocked_region_stats
-from repro.fusion.fast_fusion import FastFusionOptimizer, RegionStats
-from repro.hardware.area_power import AreaPowerModel
-from repro.hardware.noc import MeshNocModel
-from repro.simulator.engine import Simulator
-from repro.workloads.quantization import quantize_graph
-from repro.workloads.registry import build_workload
-
-MIB = 1024 * 1024
+def test_ablation_interop_blocking(figure):
+    """Blocking recovers fusion speedups when activations exceed the GM."""
+    data = figure("ablation-blocking")
+    assert data["blocked"]["cycles"] <= data["plain"]["cycles"]
+    assert data["blocked"]["block_factor"] > 1  # whole 24 MiB activations do not fit
 
 
-def _chain(num_regions: int, activation_mib: int, weight_mib: int) -> list:
-    """A memory-bound region chain standing in for a large-activation model."""
-    regions = []
-    for i in range(num_regions):
-        input_cycles = 400.0 * activation_mib
-        weight_cycles = 400.0 * weight_mib
-        regions.append(
-            RegionStats(
-                index=i,
-                name=f"region{i}",
-                busy_cycles=900.0,
-                t_max_cycles=2 * input_cycles + weight_cycles,
-                input_dram_cycles=input_cycles,
-                weight_dram_cycles=weight_cycles,
-                output_dram_cycles=input_cycles,
-                input_bytes=activation_mib * MIB,
-                weight_bytes=weight_mib * MIB,
-                output_bytes=activation_mib * MIB,
-                predecessor=i - 1 if i > 0 else None,
-                is_graph_output=(i == num_regions - 1),
-            )
-        )
-    return regions
+def test_ablation_noc_overhead(figure):
+    """NoC area overhead across the named designs stays a small fraction."""
+    for design in figure("ablation-noc").values():
+        assert design["die_share"] < 0.10
 
 
-def test_ablation_interop_blocking(benchmark):
-    """Blocking should recover fusion speedups when activations exceed the GM."""
-    regions = _chain(num_regions=12, activation_mib=24, weight_mib=2)
-    capacity = 32 * MIB  # one whole activation fits, producer+consumer pair does not
-
-    def run():
-        plain = FastFusionOptimizer(capacity, solver="greedy").optimize(regions)
-        blocked = BlockingAwareFusionOptimizer(
-            capacity, solver="greedy", block_factors=(1, 2, 4, 8, 16)
-        ).optimize(regions)
-        return plain, blocked
-
-    plain, blocked = benchmark(run)
-    rows = [
-        ["FAST fusion (whole tensors)", 1, f"{plain.speedup:.2f}x"],
-        [
-            "FAST fusion + inter-op blocking",
-            blocked.block_factor,
-            f"{blocked.fusion.speedup:.2f}x",
-        ],
-    ]
-    report(
-        "ablation_interop_blocking",
-        format_table(["Fusion variant", "Block factor", "Speedup over unfused"], rows),
-    )
-    assert blocked.fusion.total_cycles_post <= plain.total_cycles_post
-    assert blocked.block_factor > 1  # whole 24 MiB activations do not fit comfortably
-
-
-def test_ablation_noc_overhead(benchmark):
-    """NoC area/power overhead across the named designs stays a small fraction."""
-    noc_model = MeshNocModel()
-    area_power = AreaPowerModel()
-    designs = {"tpu-v3": TPU_V3, "fast-large": FAST_LARGE, "fast-small": FAST_SMALL}
-
-    def run():
-        rows = []
-        for name, config in designs.items():
-            noc = noc_model.characterize(config)
-            chip = area_power.evaluate(config)
-            rows.append(
-                [
-                    name,
-                    f"{config.pes_x_dim}x{config.pes_y_dim}",
-                    f"{noc.area_mm2:.1f}",
-                    f"{100 * noc.area_mm2 / chip.total_area_mm2:.1f}%",
-                    f"{noc.bisection_bandwidth_bytes_per_cycle:.0f} B/cyc",
-                ]
-            )
-        return rows
-
-    rows = run()
-    benchmark(run)
-    report(
-        "ablation_noc_overhead",
-        format_table(["Design", "PE grid", "NoC area mm2", "Share of die", "Bisection BW"], rows),
-    )
-    for row in rows:
-        assert float(row[3].rstrip("%")) < 10.0
-
-
-def test_ablation_quantization(benchmark):
-    """Int8 halves DRAM traffic and never slows FAST-Large down."""
-    graph = build_workload("efficientnet-b0", batch_size=FAST_LARGE.native_batch_size)
-    simulator = Simulator(FAST_LARGE)
-
-    def run():
-        bf16 = simulator.simulate(graph)
-        int8 = simulator.simulate(quantize_graph(graph))
-        return bf16, int8
-
-    bf16, int8 = benchmark(run)
-    rows = [
-        ["bfloat16", f"{bf16.qps:.0f}", f"{bf16.operational_intensity(post_fusion=False):.0f}",
-         f"{bf16.dram_bytes_pre_fusion / 1e6:.0f} MB"],
-        ["int8", f"{int8.qps:.0f}", f"{int8.operational_intensity(post_fusion=False):.0f}",
-         f"{int8.dram_bytes_pre_fusion / 1e6:.0f} MB"],
-    ]
-    report(
-        "ablation_quantization",
-        format_table(["Datatype", "QPS", "Pre-fusion op intensity", "Pre-fusion DRAM traffic"], rows),
-    )
-    # Quantization halves the streamed bytes; once FAST fusion has already
-    # removed the bandwidth bottleneck the QPS gain can be small, but int8
-    # must never be slower than bf16 on the same datapath.
-    assert int8.qps >= bf16.qps
-    assert int8.dram_bytes_pre_fusion < bf16.dram_bytes_pre_fusion
+def test_ablation_quantization(figure):
+    """Int8 shrinks DRAM traffic and never slows FAST-Large down."""
+    data = figure("ablation-int8")
+    # Once FAST fusion has removed the bandwidth bottleneck the QPS gain can
+    # be small, but int8 must never be slower than bf16 on the same datapath.
+    assert data["int8"]["qps"] >= data["bfloat16"]["qps"]
+    assert data["int8"]["dram_bytes_pre_fusion"] < data["bfloat16"]["dram_bytes_pre_fusion"]

@@ -1,67 +1,16 @@
 """Figure 10: modeled Perf/TDP relative to TPU-v3 (same process technology)."""
 
-from conftest import bench_trials, format_table, report
 
-from repro.core.designs import TPU_V3
-from repro.core.problem import ObjectiveKind, SearchProblem, geometric_mean
-from repro.core.trial import TrialEvaluator
-from repro.workloads.registry import FULL_SUITE, MULTI_WORKLOAD_SUITE
+def test_fig10_perf_per_tdp_speedups(figure):
+    data = figure("fig10")
+    gains, geomean = data["gain"], data["geomean"]
 
-
-def test_fig10_perf_per_tdp_speedups(benchmark, baseline_results, area_power, run_search):
-    trials = bench_trials()
-    tpu_tdp = area_power.tdp_w(TPU_V3)
-
-    def run_all_searches():
-        return {
-            workload: run_search([workload], ObjectiveKind.PERF_PER_TDP, trials)
-            for workload in FULL_SUITE
-        }
-
-    single = benchmark.pedantic(run_all_searches, rounds=1, iterations=1)
-    multi = run_search(MULTI_WORKLOAD_SUITE, ObjectiveKind.PERF_PER_TDP, trials, seed=1)
-
-    rows = []
-    single_gains, multi_gains, efficientnet_gains = [], [], []
-    for workload in FULL_SUITE:
-        baseline_score = baseline_results(workload).qps / tpu_tdp
-        best = single[workload].best_metrics
-        single_gain = (best.perf_per_tdp(workload) / baseline_score) if best else 0.0
-        single_gains.append(single_gain)
-        if workload.startswith("efficientnet"):
-            efficientnet_gains.append(single_gain)
-        row = [workload, f"{single_gain:.2f}x"]
-        if workload in MULTI_WORKLOAD_SUITE and multi.best_config is not None:
-            evaluator = TrialEvaluator(SearchProblem([workload], ObjectiveKind.PERF_PER_TDP))
-            result = evaluator.simulate_design(multi.best_config, workload)
-            multi_gain = (result.qps / area_power.tdp_w(multi.best_config)) / baseline_score
-            multi_gains.append(multi_gain)
-            row.append(f"{multi_gain:.2f}x")
-        else:
-            row.append("-")
-        rows.append(row)
-
-    rows.append(
-        [
-            "GeoMean",
-            f"{geometric_mean(single_gains):.2f}x",
-            f"{geometric_mean(multi_gains):.2f}x" if multi_gains else "-",
-        ]
-    )
-    report(
-        "fig10_perf_per_tdp",
-        format_table(["Workload", "FAST single-workload", "FAST multi-workload"], rows)
-        + f"\n(Perf/TDP relative to TPU-v3; {trials} trials per search — paper uses 5000)"
-        + "\n(paper: 3.7x average single-workload incl. 6.4x EfficientNet / 2.7x BERT; 2.4x multi-workload)",
-    )
-
-    # Shape assertions: FAST improves Perf/TDP on average; EfficientNet
-    # benefits more than the already-efficient OCR workloads; the
-    # multi-workload design trails the specialized ones.
-    gains = dict(zip(FULL_SUITE, single_gains))
-    assert geometric_mean(single_gains) > 1.0
-    assert geometric_mean(efficientnet_gains) > gains["ocr-rpn"]
-    assert gains["efficientnet-b7"] > 1.5
-    if multi_gains:
-        assert geometric_mean(multi_gains) > 0.8
-        assert geometric_mean(single_gains) >= 0.8 * geometric_mean(multi_gains)
+    # FAST improves Perf/TDP on average; EfficientNet benefits more than the
+    # already-efficient OCR workloads; the multi-workload design trails the
+    # specialized ones.
+    assert geomean["single"] > 1.0
+    assert geomean["efficientnet_single"] > gains["ocr-rpn"]["single"]
+    assert gains["efficientnet-b7"]["single"] > 1.5
+    if geomean["multi"] is not None:
+        assert geomean["multi"] > 0.8
+        assert geomean["single"] >= 0.8 * geomean["multi"]

@@ -1,47 +1,11 @@
 """Figure 11: search convergence rate on EfficientNet-B7 for three optimizers."""
 
-from conftest import bench_trials, format_table, report
 
-from repro.core.fast import FASTSearch
-from repro.core.problem import ObjectiveKind, SearchProblem
-
-_OPTIMIZERS = ["bayesian", "random", "lcs"]
-
-
-def _run_convergence(trials, seeds=(0, 1)):
-    curves = {}
-    for name in _OPTIMIZERS:
-        per_seed = []
-        for seed in seeds:
-            problem = SearchProblem(["efficientnet-b7"], ObjectiveKind.PERF_PER_TDP)
-            result = FASTSearch(problem, optimizer=name, seed=seed).run(trials)
-            per_seed.append(result.best_score_curve)
-        curves[name] = [
-            sum(curve[i] for curve in per_seed) / len(per_seed) for i in range(trials)
-        ]
-    return curves
-
-
-def test_fig11_search_convergence(benchmark):
-    trials = bench_trials(default=100)
-    curves = benchmark.pedantic(_run_convergence, args=(trials,), rounds=1, iterations=1)
-
-    checkpoints = [t for t in (10, 25, 50, 75, trials) if t <= trials]
-    rows = []
-    for checkpoint in checkpoints:
-        rows.append(
-            [checkpoint]
-            + [f"{curves[name][checkpoint - 1]:.3f}" for name in _OPTIMIZERS]
-        )
-    report(
-        "fig11_convergence",
-        format_table(["Trials"] + _OPTIMIZERS, rows)
-        + "\n(best Perf/TDP score so far, mean of 2 seeds; paper runs 5 seeds x 5000 trials"
-        + " and finds LCS ahead beyond ~2000 trials)",
-    )
+def test_fig11_search_convergence(figure):
+    curves = figure("fig11")
 
     # Every optimizer improves over its own early phase...
-    for name in _OPTIMIZERS:
-        assert curves[name][-1] >= curves[name][min(9, trials - 1)]
+    for curve in curves.values():
+        assert curve[-1] >= curve[min(9, len(curve) - 1)]
     # ...and the guided optimizers finish at least as well as random sampling.
     assert max(curves["lcs"][-1], curves["bayesian"][-1]) >= curves["random"][-1] * 0.95

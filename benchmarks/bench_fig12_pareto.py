@@ -1,59 +1,10 @@
 """Figure 12: EfficientNet-B7 step time vs TDP and area Pareto frontiers."""
 
-from conftest import bench_trials, format_table, report
 
-from repro.core.designs import TPU_V3
-from repro.core.fast import FASTSearch
-from repro.core.problem import ObjectiveKind, SearchProblem
-from repro.search.pareto import ParetoFront
+def test_fig12_pareto_frontier(figure):
+    tdp_front = figure("fig12")["tdp"]
 
-
-def test_fig12_pareto_frontier(benchmark, baseline_results, area_power):
-    from repro.core.designs import FAST_LARGE, FAST_SMALL
-
-    trials = bench_trials()
-    problem = SearchProblem(["efficientnet-b7"], ObjectiveKind.PERF_PER_TDP)
-
-    def run():
-        return FASTSearch(
-            problem, optimizer="lcs", seed=2, seed_configs=[FAST_LARGE, FAST_SMALL]
-        ).run(trials)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    tpu = baseline_results("efficientnet-b7")
-    tpu_step_time = tpu.latency_ms / tpu.batch_size
-    tpu_tdp = area_power.tdp_w(TPU_V3)
-    tpu_area = area_power.area_mm2(TPU_V3)
-
-    tdp_front, area_front = ParetoFront(), ParetoFront()
-    for metrics in result.history:
-        if not metrics.feasible:
-            continue
-        step_time = (
-            metrics.per_workload_latency_ms["efficientnet-b7"]
-            / metrics.config.native_batch_size
-        )
-        tdp_front.add((step_time / tpu_step_time, metrics.tdp_w / tpu_tdp))
-        area_front.add((step_time / tpu_step_time, metrics.area_mm2 / tpu_area))
-
-    rows = [
-        [f"{p.objectives[0]:.3f}", f"{p.objectives[1]:.3f}"]
-        for p in tdp_front.sorted_by(0)
-    ]
-    text = "Step time vs TDP frontier (relative to TPU-v3 at (1.0, 1.0)):\n"
-    text += format_table(["step time (rel)", "TDP (rel)"], rows)
-    rows = [
-        [f"{p.objectives[0]:.3f}", f"{p.objectives[1]:.3f}"]
-        for p in area_front.sorted_by(0)
-    ]
-    text += "\n\nStep time vs area frontier (relative to TPU-v3 at (1.0, 1.0)):\n"
-    text += format_table(["step time (rel)", "area (rel)"], rows)
-    report("fig12_pareto", text)
-
-    # Shape: the search finds designs that dominate the TPU-v3 point (both
-    # faster per image and lower TDP), i.e. points toward the lower-left.
+    # The search finds designs that dominate the TPU-v3 point (both faster
+    # per image and lower TDP), i.e. points toward the lower-left.
     assert len(tdp_front) >= 1
-    assert any(
-        p.objectives[0] < 1.0 and p.objectives[1] < 1.0 for p in tdp_front.points
-    )
+    assert any(step < 1.0 and tdp < 1.0 for step, tdp in tdp_front)

@@ -1,55 +1,18 @@
 """Figure 13: post-fusion operational intensity, sweeping Global Memory and batch size."""
 
-from conftest import format_table, report
 
-from repro.core.designs import FAST_LARGE
-from repro.simulator.engine import Simulator
+def test_fig13_fusion_sweep(figure):
+    data = figure("fig13")
+    intensity, ridge = data["intensity"], data["ridgepoint"]
 
-_GLOBAL_MEMORIES_MIB = [16, 32, 64, 128, 256]
-_BATCH_SIZES = [1, 8, 64]
-_MODELS = ["efficientnet-b0", "efficientnet-b7"]
-
-
-def _sweep():
-    table = {}
-    for model in _MODELS:
-        for batch in _BATCH_SIZES:
-            for gm in _GLOBAL_MEMORIES_MIB:
-                config = FAST_LARGE.evolve(l3_global_buffer_mib=gm, native_batch_size=batch)
-                result = Simulator(config).simulate_workload(model)
-                table[(model, batch, gm)] = result.operational_intensity(post_fusion=True)
-    return table
-
-
-def test_fig13_fusion_sweep(benchmark):
-    table = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-
-    text_blocks = []
-    for model in _MODELS:
-        rows = []
-        for batch in _BATCH_SIZES:
-            rows.append(
-                [batch] + [f"{table[(model, batch, gm)]:.0f}" for gm in _GLOBAL_MEMORIES_MIB]
-            )
-        text_blocks.append(
-            f"{model} (post-fusion FLOPS/byte; FAST-Large ridgepoint "
-            f"{FAST_LARGE.operational_intensity_ridgepoint:.0f}):\n"
-            + format_table(
-                ["Batch \\ GM (MiB)"] + [str(g) for g in _GLOBAL_MEMORIES_MIB], rows
-            )
-        )
-    report("fig13_fusion_sweep", "\n\n".join(text_blocks))
-
-    ridge = FAST_LARGE.operational_intensity_ridgepoint
-    # Larger Global Memory increases post-fusion intensity at a fixed batch.
-    for model in _MODELS:
-        for batch in _BATCH_SIZES:
-            series = [table[(model, batch, gm)] for gm in _GLOBAL_MEMORIES_MIB]
+    for by_batch in intensity.values():
+        # Larger Global Memory increases post-fusion intensity at a fixed batch.
+        for by_gm in by_batch.values():
+            series = list(by_gm.values())
             assert series[-1] >= series[0]
-    # Smaller batch sizes reach higher intensity (more tensors fit on chip).
-    for model in _MODELS:
-        assert table[(model, 1, 128)] >= table[(model, 64, 128)]
+        # Smaller batch sizes reach higher intensity (more tensors fit on chip).
+        assert by_batch["1"]["128"] >= by_batch["64"]["128"]
     # EfficientNet-B0 easily exceeds the ridgepoint at 128 MiB; B7 is the
     # worst case for fusion and needs small batches to approach it.
-    assert table[("efficientnet-b0", 8, 128)] > ridge
-    assert table[("efficientnet-b7", 1, 256)] > table[("efficientnet-b7", 64, 16)]
+    assert intensity["efficientnet-b0"]["8"]["128"] > ridge
+    assert intensity["efficientnet-b7"]["1"]["256"] > intensity["efficientnet-b7"]["64"]["16"]

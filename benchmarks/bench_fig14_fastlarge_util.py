@@ -1,39 +1,16 @@
 """Figure 14: FAST-Large EfficientNet-B7 per-layer utilization (with and without fusion)."""
 
-from conftest import report
 
-from repro.core.designs import FAST_LARGE, TPU_V3
-from repro.simulator.engine import SimulationOptions, Simulator
-
-
-def _per_layer(config, fusion=True):
-    options = SimulationOptions(enable_fast_fusion=fusion)
-    result = Simulator(config, options).simulate_workload("efficientnet-b7")
-    return result.per_layer_utilization(), result
+def mean(values):
+    return sum(values) / len(values)
 
 
-def test_fig14_fast_large_per_layer_utilization(benchmark):
-    fused_values, fused_result = benchmark.pedantic(
-        _per_layer, args=(FAST_LARGE, True), rounds=1, iterations=1
-    )
-    unfused_values, _ = _per_layer(FAST_LARGE, fusion=False)
-    tpu_values, _ = _per_layer(TPU_V3)
+def test_fig14_fast_large_per_layer_utilization(figure):
+    data = figure("fig14")
+    fused = mean(data["fast_large_fused"])
 
-    lines = ["layer  tpu_v3  fast_large_no_fusion  fast_large_fused"]
-    for i, fused in enumerate(fused_values):
-        tpu = tpu_values[i] if i < len(tpu_values) else float("nan")
-        unfused = unfused_values[i] if i < len(unfused_values) else float("nan")
-        lines.append(f"{i:5d}  {tpu:.3f}   {unfused:.3f}                 {fused:.3f}")
-    mean = lambda xs: sum(xs) / len(xs)
-    lines.append(
-        f"means: tpu={mean(tpu_values):.3f} no_fusion={mean(unfused_values):.3f} "
-        f"fused={mean(fused_values):.3f} (paper: 0.148 -> 0.61 overall)"
-    )
-    report("fig14_fastlarge_util", "\n".join(lines))
-
-    # Figure 14 shape: the 32x32 arrays improve utilization over TPU-v3, but
-    # the full gain only materializes once FAST fusion removes the memory
-    # bottleneck.
-    assert mean(fused_values) > mean(tpu_values)
-    assert mean(fused_values) >= mean(unfused_values)
-    assert fused_result.compute_utilization > 0.3
+    # The 32x32 arrays improve utilization over TPU-v3, but the full gain only
+    # materializes once FAST fusion removes the memory bottleneck.
+    assert fused > mean(data["tpu_v3"])
+    assert fused >= mean(data["fast_large_no_fusion"])
+    assert data["fused_compute_utilization"] > 0.3

@@ -1,65 +1,13 @@
-"""Figure 15: additive performance breakdown of FAST-Large's components.
-
-The paper compares a single TPU-v3 core against a halved FAST-Large (32 PEs)
-and attributes the speedup to scheduling, datapath, and fusion.  Our baseline
-simulator already schedules with the Timeloop-style mapper, so the breakdown
-here isolates the two components we can toggle independently: the datapath
-change (32x32 arrays + 128 MiB Global Memory, fusion off) and FAST fusion.
-"""
-
-from conftest import format_table, report
-
-from repro.core.designs import FAST_LARGE, TPU_V3_SINGLE_CORE
-from repro.simulator.engine import SimulationOptions, Simulator
-
-_HALF_FAST_LARGE = FAST_LARGE.evolve(pes_x_dim=8, pes_y_dim=4)  # 32 PEs, half the chip
+"""Figure 15: additive performance breakdown of FAST-Large's components."""
 
 
-def _breakdown():
-    steps = {}
-    steps["tpu_v3_single_core"] = Simulator(TPU_V3_SINGLE_CORE).simulate_workload(
-        "efficientnet-b7"
-    )
-    steps["plus_datapath"] = Simulator(
-        _HALF_FAST_LARGE, SimulationOptions(enable_fast_fusion=False)
-    ).simulate_workload("efficientnet-b7")
-    steps["plus_fast_fusion"] = Simulator(
-        _HALF_FAST_LARGE, SimulationOptions(enable_fast_fusion=True)
-    ).simulate_workload("efficientnet-b7")
-    return steps
+def test_fig15_component_breakdown(figure):
+    steps = figure("fig15")
+    baseline = steps["tpu_v3_single_core"]["qps"]
+    datapath, fusion = steps["plus_datapath"], steps["plus_fast_fusion"]
 
-
-def test_fig15_component_breakdown(benchmark):
-    steps = benchmark.pedantic(_breakdown, rounds=1, iterations=1)
-
-    baseline_qps = steps["tpu_v3_single_core"].qps
-    rows = []
-    for name, result in steps.items():
-        rows.append(
-            [
-                name,
-                f"{result.qps:.0f}",
-                f"{result.qps / baseline_qps:.2f}x",
-                f"{result.memory_stall_fraction():.0%}",
-                f"{result.compute_utilization:.2f}",
-            ]
-        )
-    report(
-        "fig15_breakdown",
-        format_table(
-            ["Configuration", "QPS", "Speedup vs TPU-v3 core", "Mem stall", "Utilization"],
-            rows,
-        )
-        + "\n(paper: datapath-only gains are limited by bandwidth; fusion unlocks them)",
-    )
-
-    # Additivity shape: each component adds performance, and the datapath
-    # change alone is bandwidth-limited (its gain is small relative to the
-    # gain once fusion is enabled).
-    datapath_gain = steps["plus_datapath"].qps / baseline_qps
-    full_gain = steps["plus_fast_fusion"].qps / baseline_qps
-    assert full_gain > datapath_gain
-    assert full_gain > 1.2
-    assert steps["plus_fast_fusion"].memory_stall_fraction() < steps[
-        "plus_datapath"
-    ].memory_stall_fraction()
+    # Each component adds performance, and the datapath change alone is
+    # bandwidth-limited: its gain is small next to the gain with fusion.
+    assert fusion["qps"] / baseline > datapath["qps"] / baseline
+    assert fusion["qps"] / baseline > 1.2
+    assert fusion["memory_stall_fraction"] < datapath["memory_stall_fraction"]

@@ -1,45 +1,12 @@
 """Figure 2: EfficientNet family inference step time, FAST-Large vs TPU-v3."""
 
-from conftest import format_table, report
 
-from repro.core.designs import FAST_LARGE, TPU_V3
-from repro.workloads.efficientnet import EFFICIENTNET_TOP1_ACCURACY, EFFICIENTNET_VARIANTS
+def test_fig2_efficientnet_family_step_time(figure):
+    family = figure("fig2")
 
-
-def _family_step_times(simulator):
-    return {
-        name: simulator.simulate_workload(name).latency_ms / simulator.config.native_batch_size
-        for name in EFFICIENTNET_VARIANTS
-    }
-
-
-def test_fig2_efficientnet_family_step_time(benchmark, tpu_simulator, fast_large_simulator):
-    fast_times = benchmark(_family_step_times, fast_large_simulator)
-    tpu_times = _family_step_times(tpu_simulator)
-
-    rows = []
-    for name in EFFICIENTNET_VARIANTS:
-        rows.append(
-            [
-                name,
-                f"{EFFICIENTNET_TOP1_ACCURACY[name]:.1f}%",
-                f"{tpu_times[name]:.2f} ms",
-                f"{fast_times[name]:.2f} ms",
-                f"{tpu_times[name] / fast_times[name]:.2f}x",
-            ]
-        )
-    report(
-        "fig2_efficientnet_family",
-        format_table(
-            ["Model", "ImageNet top-1", "TPU-v3 step time", "FAST-Large step time", "speedup"],
-            rows,
-        ),
-    )
-
-    # Figure 2 shape: FAST-Large runs every variant faster per image, and step
-    # time grows with model size (so a faster accelerator buys accuracy at a
-    # fixed latency budget).
-    for name in EFFICIENTNET_VARIANTS:
-        assert fast_times[name] < tpu_times[name]
-    family = [fast_times[f"efficientnet-b{i}"] for i in range(8)]
-    assert family[-1] > family[0]
+    # FAST-Large runs every variant faster per image, and step time grows with
+    # model size (so a faster accelerator buys accuracy at a fixed latency
+    # budget).
+    for times in family.values():
+        assert times["fast_large_ms"] < times["tpu_v3_ms"]
+    assert family["efficientnet-b7"]["fast_large_ms"] > family["efficientnet-b0"]["fast_large_ms"]

@@ -1,54 +1,18 @@
 """Figure 3: impact of op fusion and batch size on operational intensity."""
 
-from conftest import format_table, report
 
-from repro.analysis.intensity import intensity_report
-from repro.workloads.registry import build_workload
+def test_fig3_operational_intensity(figure):
+    intensity = figure("fig3")
 
-_WORKLOADS = ["efficientnet-b0", "efficientnet-b7", "resnet50", "bert-seq128", "bert-seq1024"]
-_BATCHES = [1, 8, 64]
-
-
-def _sweep():
-    reports = {}
-    for name in _WORKLOADS:
-        for batch in _BATCHES:
-            reports[(name, batch)] = intensity_report(build_workload(name, batch_size=batch))
-    return reports
-
-
-def test_fig3_operational_intensity(benchmark):
-    reports = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-
-    rows = []
-    for (name, batch), rep in reports.items():
-        rows.append(
-            [
-                name,
-                batch,
-                f"{rep['none']:.0f}",
-                f"{rep['xla']:.0f}",
-                f"{rep['block']:.0f}",
-                f"{rep['ideal']:.0f}",
-            ]
-        )
-    report(
-        "fig3_op_intensity",
-        format_table(
-            ["Workload", "Batch", "No fusion", "XLA fusion", "Block fusion", "Ideal (weights pinned)"],
-            rows,
-        )
-        + "\n(FLOPS/byte; TPU-v3 ridgepoint is 137, A100 is 208)",
-    )
-
-    # Shape assertions from Section 4.1 / Figure 3.
-    b7_b1 = reports[("efficientnet-b7", 1)]
-    assert b7_b1["none"] < 40  # unfused EfficientNet is far below the ridgepoint
-    assert b7_b1["block"] > 150  # fusing whole MBConv blocks crosses ~200
+    # Section 4.1: unfused EfficientNet is far below the ridgepoint, and
+    # fusing whole MBConv blocks crosses ~200.
+    b7_batch1 = intensity["efficientnet-b7"]["1"]
+    assert b7_batch1["none"] < 40
+    assert b7_batch1["block"] > 150
 
     # Batching helps ResNet-50 and BERT-128 but not EfficientNet / BERT-1024.
-    def batching_gain(name):
-        return reports[(name, 64)]["xla"] / reports[(name, 1)]["xla"]
+    def batching_gain(workload):
+        return intensity[workload]["64"]["xla"] / intensity[workload]["1"]["xla"]
 
     assert batching_gain("resnet50") > 1.5
     assert batching_gain("bert-seq128") > 1.5

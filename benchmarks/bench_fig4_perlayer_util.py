@@ -1,27 +1,13 @@
 """Figure 4: EfficientNet-B7 per-layer utilization (fraction of peak FLOPS) on TPU-v3."""
 
-from conftest import report
 
-from repro.analysis.bottleneck import per_layer_utilization
-from repro.core.designs import TPU_V3
-
-
-def test_fig4_per_layer_utilization_on_tpu(benchmark):
-    values = benchmark(per_layer_utilization, "efficientnet-b7", TPU_V3)
-
-    lines = ["layer_index  utilization"]
-    lines.extend(f"{i:11d}  {v:.3f}" for i, v in enumerate(values))
-    overall = sum(values) / len(values)
-    lines.append(f"mean matrix-layer utilization: {overall:.3f} (paper: overall 0.148)")
-    report("fig4_perlayer_util_tpu", "\n".join(lines))
+def test_fig4_per_layer_utilization_on_tpu(figure):
+    values = figure("fig4")["utilization"]
 
     assert len(values) > 50
     # Early layers (few channels) run at low utilization; later layers improve.
-    early = sum(values[:15]) / 15
-    late = sum(values[-30:]) / 30
-    assert early < late
+    assert sum(values[:15]) / 15 < sum(values[-30:]) / 30
     # Overall utilization on TPU-v3 is poor (paper: 14.8%).
-    assert overall < 0.45
-    # No layer reaches the 0.7 "good utilization" bar cited in the paper text
-    # for more than a minority of early layers.
+    assert sum(values) / len(values) < 0.45
+    # Some early layer sits far below the paper's 0.7 "good utilization" bar.
     assert min(values) < 0.1

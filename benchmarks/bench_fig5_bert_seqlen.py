@@ -1,38 +1,14 @@
 """Figure 5: BERT per-component runtime share on TPU-v3 vs sequence length."""
 
-from conftest import format_table, report
 
-from repro.analysis.bottleneck import bert_component_breakdown
-from repro.core.designs import TPU_V3
+def test_fig5_bert_component_breakdown(figure):
+    breakdown = figure("fig5")
 
-_SEQ_LENGTHS = [128, 256, 512, 1024, 2048]
-
-
-def test_fig5_bert_component_breakdown(benchmark):
-    breakdown = benchmark.pedantic(
-        bert_component_breakdown, args=(TPU_V3, _SEQ_LENGTHS), kwargs={"batch_size": 8},
-        rounds=1, iterations=1,
-    )
-
-    components = ["qkv_projection", "feed_forward", "self_attention", "softmax", "other"]
-    rows = []
-    for seq_len in _SEQ_LENGTHS:
-        shares = breakdown[seq_len]
-        rows.append([seq_len] + [f"{shares.get(c, 0.0):.2%}" for c in components])
-    report(
-        "fig5_bert_seqlen",
-        format_table(["Seq length"] + components, rows),
-    )
-
-    short = breakdown[128]
-    long = breakdown[2048]
+    short, long = breakdown["128"], breakdown["2048"]
     # At short sequence lengths the efficient QKV/feed-forward ops dominate.
     assert short["feed_forward"] + short["qkv_projection"] > 0.6
     # At long sequence lengths softmax + self-attention dominate (O(N^2) scaling).
     assert long.get("softmax", 0) + long.get("self_attention", 0) > 0.5
     # The attention share grows monotonically with sequence length.
-    attention_shares = [
-        breakdown[s].get("softmax", 0) + breakdown[s].get("self_attention", 0)
-        for s in _SEQ_LENGTHS
-    ]
-    assert attention_shares == sorted(attention_shares)
+    attention = [s.get("softmax", 0) + s.get("self_attention", 0) for s in breakdown.values()]
+    assert attention == sorted(attention)

@@ -1,41 +1,16 @@
 """Figure 6: accelerator ROI vs deployment volume for hypothetical Perf/TCO gains."""
 
-from conftest import format_table, report
 
-from repro.economics.roi import RoiModel
+def test_fig6_roi_vs_deployment_volume(figure):
+    data = figure("fig6")
+    volumes, curves = data["volumes"], data["roi"]
 
-_SPEEDUPS = [1.5, 2.0, 4.0, 10.0, 100.0]
-_VOLUMES = [500, 1000, 2000, 4000, 8000, 16000, 32000]
-
-
-def _roi_table():
-    model = RoiModel()
-    return {s: model.roi_curve(_VOLUMES, s) for s in _SPEEDUPS}
-
-
-def test_fig6_roi_vs_deployment_volume(benchmark):
-    curves = benchmark(_roi_table)
-
-    rows = []
-    for volume_index, volume in enumerate(_VOLUMES):
-        rows.append(
-            [volume] + [f"{curves[s][volume_index]:.2f}" for s in _SPEEDUPS]
-        )
-    report(
-        "fig6_roi",
-        format_table(
-            ["Deployed accelerators"] + [f"{s}x Perf/TCO" for s in _SPEEDUPS], rows
-        )
-        + "\n(ROI > 1 is profitable)",
-    )
-
-    model = RoiModel()
-    # ROI grows with volume for every speedup.
-    for s in _SPEEDUPS:
-        assert curves[s] == sorted(curves[s])
-    # All positive-speedup designs become profitable with sufficient volume.
-    assert all(curves[s][-1] > 1.0 for s in _SPEEDUPS)
+    # ROI grows with volume for every speedup, and every speedup becomes
+    # profitable with sufficient volume.
+    for curve in curves.values():
+        assert curve == sorted(curve)
+        assert curve[-1] > 1.0
     # Diminishing returns: 8000 units at 1.5x beats 2000 units at 100x.
-    assert model.roi(8000, 1.5) > model.roi(2000, 100.0)
+    assert curves["1.5"][volumes.index(8000)] > curves["100.0"][volumes.index(2000)]
     # Break-even volumes land in the low thousands for moderate speedups.
-    assert 1000 < model.breakeven_volume(4.0) < 10000
+    assert 1000 < data["breakeven_volume"]["4.0"] < 10000

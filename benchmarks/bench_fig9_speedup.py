@@ -1,89 +1,21 @@
 """Figure 9: modeled inference throughput (QPS) relative to TPU-v3.
 
-Three configurations are compared against the simulated TPU-v3 baseline:
-
-* *FAST scheduling/fusion* — the TPU-v3 datapath with FAST's scheduling and
-  FAST fusion enabled (no datapath change).
-* *FAST search, single workload* — a design searched for each workload.
-* *FAST search, multi workload* — one design searched across the 5-workload
-  suite and evaluated on each of its members.
+Three ways to use FAST are compared against the simulated TPU-v3: its own
+datapath with FAST fusion on, a design searched per workload, and one
+design searched across the multi-workload suite.
 """
 
-from conftest import bench_trials, format_table, perf_per_tdp, report
 
-from repro.core.designs import TPU_V3
-from repro.core.problem import ObjectiveKind, geometric_mean
-from repro.core.trial import TrialEvaluator
-from repro.core.problem import SearchProblem
-from repro.simulator.engine import SimulationOptions, Simulator
-from repro.workloads.registry import FULL_SUITE, MULTI_WORKLOAD_SUITE
+def test_fig9_throughput_speedups(figure):
+    data = figure("fig9")
+    single = {w: row["single"] for w, row in data["speedup"].items()}
+    geomean = data["geomean"]
 
-_SEARCH_WORKLOADS = FULL_SUITE
-
-
-def _tpu_with_fast_scheduling_and_fusion(workload):
-    config = TPU_V3.evolve(enable_fast_fusion=True)
-    return Simulator(config, SimulationOptions(enable_fast_fusion=True)).simulate_workload(workload)
-
-
-def test_fig9_throughput_speedups(benchmark, baseline_results, run_search):
-    trials = bench_trials()
-
-    def run_all_searches():
-        return {
-            workload: run_search([workload], ObjectiveKind.THROUGHPUT, trials)
-            for workload in _SEARCH_WORKLOADS
-        }
-
-    single = benchmark.pedantic(run_all_searches, rounds=1, iterations=1)
-    multi = run_search(MULTI_WORKLOAD_SUITE, ObjectiveKind.THROUGHPUT, trials, seed=1)
-
-    rows = []
-    sched_speedups, single_speedups, multi_speedups = [], [], []
-    for workload in _SEARCH_WORKLOADS:
-        baseline_qps = baseline_results(workload).qps
-        sched_qps = _tpu_with_fast_scheduling_and_fusion(workload).qps
-        best = single[workload].best_metrics
-        single_qps = best.per_workload_qps[workload] if best else 0.0
-        sched_speedup = sched_qps / baseline_qps
-        single_speedup = single_qps / baseline_qps
-        sched_speedups.append(sched_speedup)
-        single_speedups.append(single_speedup)
-        row = [workload, f"{sched_speedup:.2f}x", f"{single_speedup:.2f}x"]
-        if workload in MULTI_WORKLOAD_SUITE and multi.best_config is not None:
-            evaluator = TrialEvaluator(SearchProblem([workload], ObjectiveKind.THROUGHPUT))
-            multi_result = evaluator.simulate_design(multi.best_config, workload)
-            multi_speedup = multi_result.qps / baseline_qps
-            multi_speedups.append(multi_speedup)
-            row.append(f"{multi_speedup:.2f}x")
-        else:
-            row.append("-")
-        rows.append(row)
-
-    rows.append(
-        [
-            "GeoMean",
-            f"{geometric_mean(sched_speedups):.2f}x",
-            f"{geometric_mean(single_speedups):.2f}x",
-            f"{geometric_mean(multi_speedups):.2f}x" if multi_speedups else "-",
-        ]
-    )
-    report(
-        "fig9_speedup",
-        format_table(
-            ["Workload", "FAST sched/fusion", "FAST search (single)", "FAST search (multi)"],
-            rows,
-        )
-        + f"\n(QPS relative to simulated TPU-v3; {trials} trials per search — paper uses 5000)"
-        + "\n(paper: sched/fusion 1.7x avg, single-workload 3.8x avg, multi-workload 3.1x on the 5-suite)",
-    )
-
-    # Shape: searched designs beat the TPU-v3 baseline on average, and the
+    # Searched designs beat the TPU-v3 baseline on average, and the
     # single-workload designs are at least as good as the multi-workload one.
-    assert geometric_mean(single_speedups) > 0.9
-    if multi_speedups:
-        assert geometric_mean(single_speedups) >= 0.8 * geometric_mean(multi_speedups)
+    assert geomean["single"] > 0.9
+    if geomean["multi"] is not None:
+        assert geomean["single"] >= 0.8 * geomean["multi"]
     # EfficientNet gains exceed the OCR gains (already TPU-efficient workloads).
-    speedup_by_workload = dict(zip(_SEARCH_WORKLOADS, single_speedups))
-    assert speedup_by_workload["efficientnet-b7"] > speedup_by_workload["ocr-rpn"]
-    assert speedup_by_workload["efficientnet-b7"] > 1.2
+    assert single["efficientnet-b7"] > single["ocr-rpn"]
+    assert single["efficientnet-b7"] > 1.2

@@ -1,30 +1,16 @@
 """Table 1: EfficientNet on-chip storage requirements (bfloat16, batch 1)."""
 
-from conftest import format_table, report
-
-from repro.analysis.footprint import storage_requirements_table
-from repro.workloads.efficientnet import EFFICIENTNET_VARIANTS
+MIB = 1 << 20
 
 
-def test_table1_efficientnet_storage_requirements(benchmark):
-    table = benchmark(storage_requirements_table, list(EFFICIENTNET_VARIANTS), 1)
+def test_table1_efficientnet_storage_requirements(figure):
+    table = figure("table1")
 
-    rows = []
-    for name in EFFICIENTNET_VARIANTS:
-        req = table[name]
-        rows.append(
-            [name, f"{req.max_working_set_mib:.2f} MiB", f"{req.weight_mib:.1f} MiB"]
-        )
-    report(
-        "table1_workingsets",
-        format_table(["Model", "Max Working Set", "Weights"], rows),
-    )
-
-    # Shape assertions mirroring Table 1: monotone growth, and the larger
-    # variants exceed typical on-chip capacities (tens of MiB).
-    working_sets = [table[f"efficientnet-b{i}"].max_working_set_bytes for i in range(8)]
-    weights = [table[f"efficientnet-b{i}"].weight_bytes for i in range(8)]
+    # Monotone growth, and the larger variants exceed typical on-chip
+    # capacities (tens of MiB).
+    working_sets = [table[f"efficientnet-b{i}"]["max_working_set_bytes"] for i in range(8)]
+    weights = [table[f"efficientnet-b{i}"]["weight_bytes"] for i in range(8)]
     assert weights == sorted(weights)
     assert working_sets[7] > 8 * working_sets[0]
-    assert table["efficientnet-b7"].max_working_set_mib > 32
-    assert table["efficientnet-b0"].max_working_set_mib < 8
+    assert working_sets[7] > 32 * MIB
+    assert working_sets[0] < 8 * MIB

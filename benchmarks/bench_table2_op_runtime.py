@@ -1,35 +1,12 @@
 """Table 2: EfficientNet-B7 per-op-type FLOP vs runtime share on TPU-v3."""
 
-from conftest import format_table, report
 
-from repro.analysis.bottleneck import characterize_op_types
-from repro.core.designs import TPU_V3
-from repro.workloads.ops import OpType
+def test_table2_efficientnet_b7_op_runtime(figure):
+    shares = figure("table2")
 
-
-def test_table2_efficientnet_b7_op_runtime(benchmark):
-    rows = benchmark(characterize_op_types, "efficientnet-b7", TPU_V3)
-
-    by_type = {row.op_type: row for row in rows}
-    table_rows = []
-    for op_type in (OpType.DEPTHWISE_CONV2D, OpType.CONV2D):
-        row = by_type[op_type]
-        table_rows.append(
-            [op_type.value, f"{row.flop_fraction:.2%}", f"{row.runtime_fraction:.2%}"]
-        )
-    other_flops = 1.0 - sum(by_type[t].flop_fraction for t in (OpType.DEPTHWISE_CONV2D, OpType.CONV2D))
-    other_runtime = 1.0 - sum(by_type[t].runtime_fraction for t in (OpType.DEPTHWISE_CONV2D, OpType.CONV2D))
-    table_rows.append(["other", f"{other_flops:.2%}", f"{other_runtime:.2%}"])
-    report(
-        "table2_op_runtime",
-        format_table(["Op Type", "FLOP %", "Runtime %"], table_rows)
-        + "\n(paper: depthwise 5.0% FLOPs / 65.3% runtime, Conv2D 94.7% / 34.2%)",
-    )
-
-    dw = by_type[OpType.DEPTHWISE_CONV2D]
-    conv = by_type[OpType.CONV2D]
-    assert dw.flop_fraction < 0.10
-    assert conv.flop_fraction > 0.80
+    depthwise, conv = shares["depthwise_conv2d"], shares["conv2d"]
+    assert depthwise["flop"] < 0.10
+    assert conv["flop"] > 0.80
     # Depthwise convolutions consume far more runtime than their FLOP share.
-    assert dw.runtime_fraction > 5 * dw.flop_fraction
-    assert dw.runtime_fraction > 0.3
+    assert depthwise["runtime"] > 5 * depthwise["flop"]
+    assert depthwise["runtime"] > 0.3

@@ -1,64 +1,12 @@
 """Table 4: deployment volume required to reach ROI targets for FAST designs."""
 
-from conftest import bench_trials, format_table, report
 
-from repro.core.designs import TPU_V3
-from repro.core.problem import ObjectiveKind
-from repro.economics.roi import RoiModel
-from repro.workloads.registry import MULTI_WORKLOAD_SUITE
+def test_table4_roi_deployment_volumes(figure):
+    paper = figure("table4")["paper"]
 
-_ROI_TARGETS = [1, 2, 4, 8]
-# Per-workload Perf/TCO speedups reported in Table 4 of the paper; the second
-# column reports volumes recomputed from our own measured speedups.
-_PAPER_SPEEDUPS = {
-    "efficientnet-b7": 3.91,
-    "resnet50": 2.65,
-    "ocr-rpn": 2.34,
-    "ocr-recognizer": 2.72,
-    "bert-seq128": 1.84,
-    "bert-seq1024": 2.70,
-    "multi-workload": 2.82,
-}
-
-
-def test_table4_roi_deployment_volumes(benchmark, baseline_results, area_power, run_search):
-    model = RoiModel()
-    trials = bench_trials()
-    tpu_tdp = area_power.tdp_w(TPU_V3)
-
-    def measured_speedups():
-        speedups = {}
-        for workload in ["efficientnet-b7", "resnet50", "bert-seq1024"]:
-            search = run_search([workload], ObjectiveKind.PERF_PER_TDP, trials)
-            baseline = baseline_results(workload).qps / tpu_tdp
-            best = search.best_metrics
-            speedups[workload] = best.perf_per_tdp(workload) / baseline if best else 0.0
-        return speedups
-
-    measured = benchmark.pedantic(measured_speedups, rounds=1, iterations=1)
-
-    rows = []
-    for target, paper_speedup in _PAPER_SPEEDUPS.items():
-        volumes = [model.deployment_volume_for_roi(r, paper_speedup) for r in _ROI_TARGETS]
-        rows.append([target, f"{paper_speedup:.2f}x (paper)"] + [f"{v:,}" for v in volumes])
-    for workload, speedup in measured.items():
-        if speedup <= 1.0:
-            continue
-        volumes = [model.deployment_volume_for_roi(r, speedup) for r in _ROI_TARGETS]
-        rows.append([workload, f"{speedup:.2f}x (measured)"] + [f"{v:,}" for v in volumes])
-
-    report(
-        "table4_roi_volume",
-        format_table(
-            ["Target workload", "Perf/TCO speedup"] + [f"{r}x ROI" for r in _ROI_TARGETS],
-            rows,
-        ),
-    )
-
-    # Shape: break-even volumes for the paper's speedups land between ~2,000
-    # and ~4,000 accelerators, and scale linearly with the ROI target.
-    b7_volumes = [model.deployment_volume_for_roi(r, 3.91) for r in _ROI_TARGETS]
+    # Break-even volumes for the paper's speedups land between ~2,000 and
+    # ~4,000 accelerators, and scale linearly with the ROI target (1x-8x).
+    b7_volumes = paper["efficientnet-b7"]["volumes"]
     assert 1800 < b7_volumes[0] < 2800
     assert b7_volumes[3] > 7.5 * b7_volumes[0]
-    bert_volume = model.breakeven_volume(1.84)
-    assert bert_volume > b7_volumes[0]
+    assert paper["bert-seq128"]["volumes"][0] > b7_volumes[0]

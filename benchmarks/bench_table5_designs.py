@@ -1,80 +1,22 @@
 """Table 5: TPU-v3 vs FAST-Large vs FAST-Small on EfficientNet-B7."""
 
-from conftest import format_table, perf_per_tdp, report
 
-from repro.core.designs import FAST_LARGE, FAST_SMALL, TPU_V3
-from repro.hardware.tpu import default_constraints
-from repro.simulator.engine import Simulator
-
-
-def _characterize(config, area_power, constraints):
-    result = Simulator(config).simulate_workload("efficientnet-b7")
-    breakdown = area_power.evaluate(config)
-    return {
-        "config": config,
-        "result": result,
-        "tdp_norm": constraints.normalized_tdp(breakdown.total_tdp_w),
-        "area_norm": constraints.normalized_area(breakdown.total_area_mm2),
-        "perf_per_tdp": result.qps / breakdown.total_tdp_w,
-    }
-
-
-def test_table5_example_designs(benchmark, area_power):
-    constraints = default_constraints(area_power)
-
-    def run():
-        return {
-            name: _characterize(config, area_power, constraints)
-            for name, config in (
-                ("TPU-v3", TPU_V3),
-                ("FAST-Large", FAST_LARGE),
-                ("FAST-Small", FAST_SMALL),
-            )
-        }
-
-    designs = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    rows = []
-    metrics = [
-        ("Normalized TDP", lambda d: f"{d['tdp_norm']:.2f}x"),
-        ("Normalized area", lambda d: f"{d['area_norm']:.2f}x"),
-        ("Peak compute (TFLOPS)", lambda d: f"{d['config'].peak_matrix_flops / 1e12:.0f}"),
-        ("Peak bandwidth (GB/s)", lambda d: f"{d['config'].dram_bandwidth_bytes_per_s / 1e9:.0f}"),
-        ("Batch size", lambda d: d["config"].native_batch_size * d["config"].num_cores),
-        ("Num PEs", lambda d: d["config"].num_pes * d["config"].num_cores),
-        ("Systolic array dims", lambda d: f"{d['config'].systolic_array_x}x{d['config'].systolic_array_y}"),
-        ("PE vector width", lambda d: d["config"].vpu_lanes_per_pe),
-        ("Global buffer (MiB)", lambda d: d["config"].l3_global_buffer_mib * d["config"].num_cores),
-        ("Compute utilization", lambda d: f"{d['result'].compute_utilization:.2f}"),
-        ("Pre-fusion mem stall", lambda d: f"{d['result'].memory_stall_fraction(post_fusion=False):.0%}"),
-        ("Fusion efficiency", lambda d: f"{d['result'].fusion_efficiency:.0%}"),
-        ("OpInt ridgepoint", lambda d: f"{d['config'].operational_intensity_ridgepoint:.0f}"),
-        ("Fused model OpInt", lambda d: f"{d['result'].operational_intensity(post_fusion=True):.0f}"),
-        ("B7 QPS", lambda d: f"{d['result'].qps:.0f}"),
-        ("B7 latency (ms)", lambda d: f"{d['result'].latency_ms:.0f}"),
-    ]
-    for label, getter in metrics:
-        rows.append([label] + [getter(designs[name]) for name in ("TPU-v3", "FAST-Large", "FAST-Small")])
-    tpu_score = designs["TPU-v3"]["perf_per_tdp"]
-    rows.append(
-        ["Normalized Perf/TDP"]
-        + [f"{designs[name]['perf_per_tdp'] / tpu_score:.1f}" for name in ("TPU-v3", "FAST-Large", "FAST-Small")]
-    )
-    report("table5_designs", format_table(["Metric", "TPU-v3", "FAST-Large", "FAST-Small"], rows))
-
+def test_table5_example_designs(figure):
+    designs = figure("table5")
     tpu, large, small = (designs[n] for n in ("TPU-v3", "FAST-Large", "FAST-Small"))
+
     # Both FAST designs improve Perf/TDP over the baseline.
-    assert large["perf_per_tdp"] > 1.5 * tpu_score
-    assert small["perf_per_tdp"] > 1.2 * tpu_score
+    assert large["perf_per_tdp"] > 1.5 * tpu["perf_per_tdp"]
+    assert small["perf_per_tdp"] > 1.2 * tpu["perf_per_tdp"]
     # FAST designs achieve higher compute utilization than TPU-v3 on B7.
-    assert large["result"].compute_utilization > tpu["result"].compute_utilization
-    assert small["result"].compute_utilization > tpu["result"].compute_utilization
-    # FAST-Large relies on fusion; FAST-Small barely benefits from it.
-    assert large["result"].fusion_efficiency > 0.3
+    assert large["compute_utilization"] > tpu["compute_utilization"]
+    assert small["compute_utilization"] > tpu["compute_utilization"]
+    # FAST-Large relies on fusion.
+    assert large["fusion_efficiency"] > 0.3
     # FAST-Large meets a latency-sensitive budget; FAST-Small does not.
-    assert large["result"].latency_ms < 30
-    assert small["result"].latency_ms > 100
+    assert large["latency_ms"] < 30
+    assert small["latency_ms"] > 100
     # Both stay within the area/TDP budget (normalized <= 1).
     for design in (large, small):
-        assert design["tdp_norm"] <= 1.0
-        assert design["area_norm"] <= 1.0
+        assert design["normalized_tdp"] <= 1.0
+        assert design["normalized_area"] <= 1.0

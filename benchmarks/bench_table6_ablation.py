@@ -1,74 +1,17 @@
 """Table 6: FAST-Large ablation study (revert one component at a time to TPU-v3's)."""
 
-from conftest import format_table, report
 
-from repro.core.designs import FAST_LARGE, TPU_V3
-from repro.simulator.engine import SimulationOptions, Simulator
+def test_table6_fast_large_ablation(figure):
+    table = figure("table6")
+    full = table["FAST-Large"]
 
-_WORKLOADS = ["efficientnet-b7", "resnet50", "bert-seq1024"]
-
-_ABLATIONS = {
-    "FAST-Large": (FAST_LARGE, True),
-    "With 16MB Global Mem": (FAST_LARGE.evolve(l3_global_buffer_mib=16), True),
-    "Without FAST fusion": (FAST_LARGE, False),
-    "With 128x128 systolic arrays": (
-        FAST_LARGE.evolve(pes_x_dim=2, pes_y_dim=2, systolic_array_x=128, systolic_array_y=128),
-        True,
-    ),
-    "With 32KB L1 scratchpads": (
-        FAST_LARGE.evolve(
-            l1_input_buffer_kib=16, l1_weight_buffer_kib=8, l1_output_buffer_kib=8
-        ),
-        True,
-    ),
-}
-
-
-def _run_ablation(area_power, baseline_scores):
-    table = {}
-    for name, (config, fusion) in _ABLATIONS.items():
-        tdp = area_power.tdp_w(config)
-        simulator = Simulator(config, SimulationOptions(enable_fast_fusion=fusion))
-        for workload in _WORKLOADS:
-            result = simulator.simulate_workload(workload)
-            table[(name, workload)] = (result.qps / tdp) / baseline_scores[workload]
-    return table
-
-
-def test_table6_fast_large_ablation(benchmark, baseline_results, area_power):
-    tpu_tdp = area_power.tdp_w(TPU_V3)
-    baseline_scores = {w: baseline_results(w).qps / tpu_tdp for w in _WORKLOADS}
-
-    table = benchmark.pedantic(
-        _run_ablation, args=(area_power, baseline_scores), rounds=1, iterations=1
-    )
-
-    rows = []
-    for name in _ABLATIONS:
-        row = [name]
-        for workload in _WORKLOADS:
-            gain = table[(name, workload)]
-            relative = gain / table[("FAST-Large", workload)]
-            row.append(f"{gain:.2f}x ({relative:.2f})")
-        rows.append(row)
-    report(
-        "table6_ablation",
-        format_table(["Configuration"] + _WORKLOADS, rows)
-        + "\n(Perf/TDP vs die-shrunk TPU-v3; parentheses show the value relative to full FAST-Large)",
-    )
-
-    # Every ablation should hurt EfficientNet-B7 Perf/TDP relative to the full design.
-    full_b7 = table[("FAST-Large", "efficientnet-b7")]
-    for name in _ABLATIONS:
-        if name == "FAST-Large":
-            continue
-        assert table[(name, "efficientnet-b7")] <= full_b7 * 1.02
+    # Every ablation hurts EfficientNet-B7 Perf/TDP relative to the full design.
+    for gains in table.values():
+        assert gains["efficientnet-b7"] <= full["efficientnet-b7"] * 1.02
     # The Global Memory and fusion ablations are the most damaging on B7.
-    assert table[("Without FAST fusion", "efficientnet-b7")] < 0.85 * full_b7
-    assert table[("With 16MB Global Mem", "efficientnet-b7")] < 0.9 * full_b7
-    # Large systolic arrays hurt EfficientNet more than they hurt ResNet/BERT.
-    big_array_loss_b7 = table[("With 128x128 systolic arrays", "efficientnet-b7")] / full_b7
-    big_array_loss_resnet = (
-        table[("With 128x128 systolic arrays", "resnet50")] / table[("FAST-Large", "resnet50")]
-    )
-    assert big_array_loss_b7 < big_array_loss_resnet + 0.15
+    assert table["Without FAST fusion"]["efficientnet-b7"] < 0.85 * full["efficientnet-b7"]
+    assert table["With 16MB Global Mem"]["efficientnet-b7"] < 0.9 * full["efficientnet-b7"]
+    # Large systolic arrays hurt EfficientNet more than they hurt ResNet.
+    big_arrays = table["With 128x128 systolic arrays"]
+    loss_b7 = big_arrays["efficientnet-b7"] / full["efficientnet-b7"]
+    assert loss_b7 < big_arrays["resnet50"] / full["resnet50"] + 0.15

@@ -1,131 +1,24 @@
-"""Shared fixtures and helpers for the benchmark harness.
+"""Paper-shape checks of the figures in :mod:`repro.reporting.experiments`.
 
-Every benchmark regenerates one table or figure from the paper's evaluation
-section.  The regenerated rows/series are printed and also appended to
-``benchmarks/results/<experiment>.txt`` so they survive pytest's output
-capture; EXPERIMENTS.md records the paper-vs-measured comparison.
-
-Trial budgets for the search-based experiments default to modest values so
-the whole harness runs in minutes; set the ``REPRO_BENCH_TRIALS`` environment
-variable to raise them (the paper uses 5000 Vizier trials per experiment).
+Each ``bench_*.py`` test computes one figure's data at the paper's inputs
+through the ``figure`` fixture, which times the computation once with
+pytest-benchmark, and asserts the shape the paper reports.  Run them with
+``python -m pytest benchmarks/bench_*.py``; ``repro reproduce <name>``
+prints the same data as text, and ``tests/test_golden_figures.py`` pins it.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 import pytest
 
-from repro.core.designs import FAST_LARGE, FAST_SMALL, TPU_V3
-from repro.hardware.area_power import AreaPowerModel
-from repro.simulator.engine import Simulator
-
-RESULTS_DIR = Path(__file__).parent / "results"
+from repro.reporting.experiments import EXPERIMENTS
 
 
-def bench_trials(default: int = 120) -> int:
-    """Search-trial budget for search-based benchmarks."""
-    return int(os.environ.get("REPRO_BENCH_TRIALS", default))
+@pytest.fixture
+def figure(benchmark):
+    """``figure(name)``: the named figure's data at its default inputs."""
 
+    def compute(name: str) -> dict:
+        return benchmark.pedantic(EXPERIMENTS[name].data, rounds=1, iterations=1)
 
-def timing_asserts_enabled() -> bool:
-    """Whether benchmarks should assert speedup ratios.
-
-    CI smoke runs set ``REPRO_BENCH_NO_TIMING_ASSERTS=1`` so a benchmark
-    fails on crashes and equivalence breaks but not on shared-runner timing
-    noise.
-    """
-    return not os.environ.get("REPRO_BENCH_NO_TIMING_ASSERTS")
-
-
-def report(experiment: str, text: str) -> None:
-    """Print a regenerated table/figure and persist it under results/."""
-    banner = f"\n===== {experiment} =====\n"
-    print(banner + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{experiment}.txt").write_text(text + "\n")
-
-
-def format_table(headers, rows) -> str:
-    """Simple fixed-width table formatter."""
-    widths = [
-        max(len(str(headers[i])), max((len(str(r[i])) for r in rows), default=0))
-        for i in range(len(headers))
-    ]
-    def fmt(row):
-        return "  ".join(str(cell).ljust(widths[i]) for i, cell in enumerate(row))
-    lines = [fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
-
-
-@pytest.fixture(scope="session")
-def area_power():
-    """Shared analytical area/power model."""
-    return AreaPowerModel()
-
-
-@pytest.fixture(scope="session")
-def tpu_simulator():
-    """Simulator for the modeled TPU-v3 baseline."""
-    return Simulator(TPU_V3)
-
-
-@pytest.fixture(scope="session")
-def fast_large_simulator():
-    """Simulator for the FAST-Large design."""
-    return Simulator(FAST_LARGE)
-
-
-@pytest.fixture(scope="session")
-def fast_small_simulator():
-    """Simulator for the FAST-Small design."""
-    return Simulator(FAST_SMALL)
-
-
-@pytest.fixture(scope="session")
-def baseline_results(tpu_simulator):
-    """TPU-v3 baseline simulation results, cached per workload."""
-    cache = {}
-
-    def get(workload: str):
-        if workload not in cache:
-            cache[workload] = tpu_simulator.simulate_workload(workload)
-        return cache[workload]
-
-    return get
-
-
-def perf_per_tdp(result, config, area_power: AreaPowerModel) -> float:
-    """QPS per TDP watt of a simulation result on a design."""
-    return result.qps / area_power.tdp_w(config)
-
-
-@pytest.fixture(scope="session")
-def run_search():
-    """Memoized FAST search runner shared by the Figure 9/10 benchmarks.
-
-    Searches are warm-started from the named designs (TPU-v3-like datapath,
-    FAST-Large, FAST-Small) so that the small trial budgets used here (the
-    paper runs 5000 Vizier trials per experiment) still land on representative
-    designs; the optimizer then refines them per workload.
-    """
-    from repro.core.fast import FASTSearch
-    from repro.core.problem import ObjectiveKind, SearchProblem
-
-    cache = {}
-    seeds = [FAST_LARGE, FAST_SMALL, FAST_LARGE.evolve(native_batch_size=64),
-             FAST_SMALL.evolve(l3_global_buffer_mib=128, enable_fast_fusion=True)]
-
-    def run(workloads, objective: "ObjectiveKind", trials: int, seed: int = 0,
-            optimizer: str = "lcs"):
-        key = (tuple(workloads), objective, trials, seed, optimizer)
-        if key not in cache:
-            problem = SearchProblem(list(workloads), objective)
-            cache[key] = FASTSearch(
-                problem, optimizer=optimizer, seed=seed, seed_configs=seeds
-            ).run(trials)
-        return cache[key]
-
-    return run
+    return compute

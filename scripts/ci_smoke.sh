@@ -480,17 +480,15 @@ PY
 }
 
 # --------------------------------------------------------------------------
-# Paper-figure smoke: the figure/table benchmarks that read the simulator's
-# post-fusion metrics (operational intensity, per-layer utilization, memory
-# stalls, fusion efficiency) or, for Figure 5, the per-op busy cycles of
-# twin regions, each asserting its reproduced trend.
+# Paper-figure smoke: every registered figure's paper-shape check
+# (benchmarks/, at the paper's inputs), then the search-driven figures
+# (9-12, Table 4) at trials=8, compared exactly with their pins in
+# tests/golden_figures.json.  Tier-1 pins the other figures.
 # --------------------------------------------------------------------------
 smoke_figures() {
-    log "figures smoke: post-fusion paper figures and tables, tiny budget"
-    (cd benchmarks && REPRO_BENCH_TRIALS=8 PYTHONPATH="../src" python -m pytest -q \
-        bench_fig3_op_intensity.py bench_fig4_perlayer_util.py \
-        bench_fig5_bert_seqlen.py bench_fig13_fusion_sweep.py \
-        bench_fig14_fastlarge_util.py bench_fig15_breakdown.py bench_table5_designs.py)
+    log "figures smoke: every figure's paper-shape check, search-driven figures vs their pins"
+    python -m pytest -q benchmarks/bench_*.py
+    python tests/test_golden_figures.py --check
 }
 
 # --------------------------------------------------------------------------

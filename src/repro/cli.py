@@ -301,7 +301,6 @@ from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.economics.roi import RoiModel
 from repro.hardware.area_power import AreaPowerModel
-from repro.reporting.experiments import list_experiments, run_experiment
 from repro.reporting.serialization import save_config, save_search_result
 from repro.reporting.tables import format_kv, format_table
 from repro.simulator.engine import Simulator
@@ -909,6 +908,8 @@ def _cmd_roi(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from repro.reporting.experiments import EXPERIMENTS, list_experiments, run_experiment
+
     if args.list or not args.experiment:
         rows = [
             [spec.name, "yes" if spec.expensive else "no", spec.title]
@@ -916,9 +917,23 @@ def _cmd_reproduce(args) -> int:
         ]
         print(format_table(["Experiment", "Slow", "Title"], rows))
         return 0
+    spec = EXPERIMENTS.get(args.experiment)
+    if spec is None:
+        print(f"unknown experiment {args.experiment!r}; available: "
+              f"{', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
+        return 2
     options = _parse_options(args.option or [])
-    report = run_experiment(args.experiment, **options)
-    print(report)
+    inputs = spec.inputs
+    unknown = [key for key in options if key not in inputs]
+    if unknown:
+        takes = ", ".join(f"{key}={value!r}" for key, value in inputs.items()) or "none"
+        print(f"{spec.name} has no input {unknown[0]!r}; its inputs and their "
+              f"defaults: {takes}", file=sys.stderr)
+        return 2
+    for key, value in options.items():
+        if isinstance(inputs[key], tuple) and not isinstance(value, list):
+            options[key] = [value]  # one value for a sequence input
+    print(run_experiment(spec.name, **options))
     return 0
 
 
@@ -935,19 +950,23 @@ def _resolve_design(name: str):
 
 
 def _parse_options(pairs: Sequence[str]) -> Dict[str, object]:
-    """Parse ``key=value`` experiment options, casting numerics."""
+    """Parse ``key=value`` experiment options, casting numerics; ``a,b`` is a list."""
+
+    def cast(value: str) -> object:
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        return value
+
     options: Dict[str, object] = {}
     for pair in pairs:
         if "=" not in pair:
             raise SystemExit(f"invalid --option {pair!r}; expected key=value")
         key, value = pair.split("=", 1)
-        try:
-            options[key] = int(value)
-        except ValueError:
-            try:
-                options[key] = float(value)
-            except ValueError:
-                options[key] = value
+        values = [cast(v) for v in value.split(",")]
+        options[key] = values if len(values) > 1 else values[0]
     return options
 
 
@@ -1192,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("experiment", nargs="?", default=None, help="e.g. table1, fig13")
     reproduce.add_argument("--list", action="store_true", help="List available experiments")
     reproduce.add_argument("--option", action="append", metavar="KEY=VALUE",
-                           help="Experiment option, e.g. workload=resnet50 or trials=100")
+                           help="Figure input, e.g. trials=100 or batch_sizes=1,8")
     reproduce.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -81,16 +81,13 @@ class BlockingAwareFusionOptimizer:
         gm_capacity_bytes: int,
         solver: str = "auto",
         block_factors: Tuple[int, ...] = (1, 2, 4, 8),
-        **fusion_kwargs,
     ) -> None:
         if not block_factors or any(f < 1 for f in block_factors):
             raise ValueError("block_factors must be a non-empty tuple of factors >= 1")
         self.block_factors = tuple(sorted(set(block_factors)))
         if 1 not in self.block_factors:
             self.block_factors = (1,) + self.block_factors
-        self.inner = FastFusionOptimizer(
-            gm_capacity_bytes=gm_capacity_bytes, solver=solver, **fusion_kwargs
-        )
+        self.inner = FastFusionOptimizer(gm_capacity_bytes=gm_capacity_bytes, solver=solver)
 
     # ------------------------------------------------------------------
     def optimize(self, regions: Sequence[RegionStats]) -> BlockedFusionResult:

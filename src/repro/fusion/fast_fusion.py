@@ -54,6 +54,11 @@ __all__ = [
     "FastFusionOptimizer",
 ]
 
+# ``auto`` runs the ILP up to this many regions and greedy above it; the ILP
+# returns its best incumbent after this many branch-and-bound nodes.
+GREEDY_THRESHOLD_REGIONS = 80
+ILP_MAX_NODES = 400
+
 
 @dataclass(frozen=True)
 class RegionStats:
@@ -134,21 +139,11 @@ class FusionResult:
 class FastFusionOptimizer:
     """Solves the FAST fusion assignment problem for one model."""
 
-    def __init__(
-        self,
-        gm_capacity_bytes: int,
-        solver: str = "auto",
-        ilp_time_limit_s: float = 10.0,
-        ilp_max_nodes: int = 400,
-        greedy_threshold_regions: int = 80,
-    ) -> None:
+    def __init__(self, gm_capacity_bytes: int, solver: str = "auto") -> None:
         if solver not in ("auto", "ilp", "greedy"):
             raise ValueError(f"unknown solver {solver!r}")
         self.gm_capacity_bytes = int(gm_capacity_bytes)
         self.solver = solver
-        self.ilp_time_limit_s = ilp_time_limit_s
-        self.ilp_max_nodes = ilp_max_nodes
-        self.greedy_threshold_regions = greedy_threshold_regions
 
     # ------------------------------------------------------------------
     def optimize(self, regions: Sequence[RegionStats]) -> FusionResult:
@@ -170,7 +165,7 @@ class FastFusionOptimizer:
 
         backend = self.solver
         if backend == "auto":
-            backend = "greedy" if len(regions) > self.greedy_threshold_regions else "ilp"
+            backend = "greedy" if len(regions) > GREEDY_THRESHOLD_REGIONS else "ilp"
 
         if backend == "ilp":
             result = self._solve_ilp(regions)
@@ -439,10 +434,7 @@ class FastFusionOptimizer:
             lower_bounds=lower,
             upper_bounds=upper,
         )
-        solver = BranchAndBoundSolver(
-            max_nodes=self.ilp_max_nodes, time_limit_s=self.ilp_time_limit_s
-        )
-        solution = solver.solve(problem)
+        solution = BranchAndBoundSolver(max_nodes=ILP_MAX_NODES).solve(problem)
         if not solution.feasible or solution.x is None:
             return None
 

@@ -4,15 +4,15 @@ The paper solves the FAST fusion problem with SCIP; offline we implement the
 needed subset ourselves: minimize ``c @ x`` subject to ``A x <= b`` with a
 mix of binary and continuous variables.  The solver is branch-and-bound over
 LP relaxations (scipy's HiGHS ``linprog``), with best-first node selection,
-most-fractional branching, an incumbent produced by rounding, and a
-configurable node/time budget after which the best incumbent is returned —
-mirroring the 20-minute SCIP timeout behaviour described in Section 6.1.
+most-fractional branching, an incumbent produced by rounding, and a node
+budget after which the best incumbent is returned — the counterpart of the
+20-minute SCIP timeout described in Section 6.1.  The budget counts nodes,
+never wall time, so a solve returns the same answer on any host.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -96,20 +96,13 @@ class _Node:
 class BranchAndBoundSolver:
     """Branch-and-bound MILP solver over LP relaxations."""
 
-    def __init__(
-        self,
-        max_nodes: int = 2000,
-        time_limit_s: float = 10.0,
-        gap_tolerance: float = 1e-4,
-    ) -> None:
+    def __init__(self, max_nodes: int = 2000, gap_tolerance: float = 1e-4) -> None:
         self.max_nodes = max_nodes
-        self.time_limit_s = time_limit_s
         self.gap_tolerance = gap_tolerance
 
     # ------------------------------------------------------------------
     def solve(self, problem: IlpProblem) -> IlpSolution:
         """Solve the MILP; always returns the best incumbent found."""
-        start = time.monotonic()
         import heapq
 
         counter = 0
@@ -126,7 +119,7 @@ class BranchAndBoundSolver:
         proven_optimal = False
 
         while heap:
-            if nodes >= self.max_nodes or (time.monotonic() - start) > self.time_limit_s:
+            if nodes >= self.max_nodes:
                 break
             node = heapq.heappop(heap)
             if node.bound >= incumbent_value - self.gap_tolerance and incumbent_x is not None:

@@ -1,13 +1,10 @@
-"""Reporting: tables, terminal plots, experiment registry, and serialization."""
+"""Reporting: tables, terminal plots and serialization.
+
+The paper's figures live in :mod:`repro.reporting.experiments`, which this
+package does not import: searches load only the serialization half.
+"""
 
 from repro.reporting.ascii_plots import bar_chart, line_plot, sparkline
-from repro.reporting.experiments import (
-    EXPERIMENTS,
-    ExperimentReport,
-    ExperimentSpec,
-    list_experiments,
-    run_experiment,
-)
 from repro.reporting.serialization import (
     config_from_dict,
     config_to_dict,
@@ -20,18 +17,13 @@ from repro.reporting.serialization import (
 from repro.reporting.tables import format_kv, format_table, to_csv, to_markdown
 
 __all__ = [
-    "EXPERIMENTS",
-    "ExperimentReport",
-    "ExperimentSpec",
     "bar_chart",
     "config_from_dict",
     "config_to_dict",
     "format_kv",
     "format_table",
     "line_plot",
-    "list_experiments",
     "load_config",
-    "run_experiment",
     "save_config",
     "save_search_result",
     "search_result_to_dict",

@@ -1,9 +1,9 @@
 """Terminal-friendly plots for figure regeneration (no plotting dependencies).
 
-The benchmark harness regenerates the paper's figures as data series; these
-helpers render those series as horizontal bar charts, sparklines, and simple
-scatter/line plots so the shapes (who wins, where crossovers fall) are
-visible directly in a terminal or in EXPERIMENTS.md.
+The figure registry (:mod:`repro.reporting.experiments`) computes the
+paper's figures as data series; these helpers render those series as
+horizontal bar charts, sparklines, and simple scatter/line plots so the
+shapes (who wins, where crossovers fall) are visible directly in a terminal.
 """
 
 from __future__ import annotations

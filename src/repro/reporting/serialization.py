@@ -126,23 +126,31 @@ def params_to_jsonable(params: ParameterValues) -> Dict[str, object]:
     return encoded
 
 
-def params_from_jsonable(
-    data: Dict[str, object], space: DatapathSearchSpace
-) -> ParameterValues:
+def params_from_jsonable(data: object, space: DatapathSearchSpace) -> ParameterValues:
     """Inverse of :func:`params_to_jsonable`, resolved against a search space.
 
-    Each raw value is matched back to the spec's choice object (so enums are
-    restored); unknown parameters are passed through untouched.
+    ``data`` must be a JSON object whose keys are exactly the space's
+    parameter names, and each value one of that parameter's choices in its
+    JSON type: an enum as its value, a flag only as a bool, a number never
+    as a bool.  Each value is matched back to the spec's choice object (so
+    enums are restored).  These params arrive from other processes
+    (``/evaluate`` requests, checkpoints, exchange polls), so anything else
+    raises ``ValueError`` naming the parameter.
     """
-    params: ParameterValues = {}
+    if not isinstance(data, dict):
+        raise ValueError(f"params are a {type(data).__name__}, not a JSON object")
     spec_by_name = {spec.name: spec for spec in space.specs}
+    for name in spec_by_name:
+        if name not in data:
+            raise ValueError(f"params lack parameter {name!r}")
+    params: ParameterValues = {}
     for name, raw in data.items():
         spec = spec_by_name.get(name)
         if spec is None:
-            params[name] = raw
-            continue
+            raise ValueError(f"params name {name!r}, which is no parameter of the search space")
         for choice in spec.choices:
-            if choice == raw or (isinstance(choice, Enum) and choice.value == raw):
+            value = choice.value if isinstance(choice, Enum) else choice
+            if type(raw) is type(value) and raw == value:
                 params[name] = choice
                 break
         else:

@@ -150,3 +150,20 @@ def test_a_delta_that_does_not_chain_is_refused(tmp_path, journal):
         gapped = json.dumps(dict(delta, start=start)).encode() + b"\n"
         with pytest.raises(ValueError, match="delete it to restart"):
             _load(tmp_path, b"".join(lines) + gapped)
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        lambda p: {k: v for k, v in p.items() if k != "pes_x_dim"},
+        lambda p: dict(p, bogus=5),
+        lambda p: 5,
+    ],
+    ids=["missing-param", "extra-param", "a-number"],
+)
+def test_a_proposal_outside_the_space_is_refused(tmp_path, journal, malformed):
+    data, ends, _ = journal
+    snapshot = json.loads(data[: ends[0] + 1])
+    snapshot["proposals"][0] = malformed(snapshot["proposals"][0])
+    with pytest.raises(ValueError, match="delete it to restart"):
+        _load(tmp_path, json.dumps(snapshot).encode() + b"\n" + data[ends[0] + 1 :])

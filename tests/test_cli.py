@@ -95,6 +95,24 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["reproduce", "table1", "--option", "badoption"])
 
+    def test_reproduce_unknown_option_is_an_error(self, capsys):
+        assert main(["reproduce", "fig11", "--option", "trails=8"]) != 0
+        err = capsys.readouterr().err
+        assert "'trails'" in err
+        for name in ("workload", "trials"):
+            assert f"{name}=" in err
+
+    def test_reproduce_unknown_experiment_is_an_error(self, capsys):
+        assert main(["reproduce", "fig99"]) != 0
+        assert "fig99" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, batches", [("1,64", ["1", "64"]), ("8", ["8"])])
+    def test_reproduce_sequence_options(self, capsys, value, batches):
+        assert main(["reproduce", "fig3", "--option", f"batch_sizes={value}"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line.split()[:2] for line in lines if line.startswith("efficientnet-b0")]
+        assert rows == [["efficientnet-b0", batch] for batch in batches]
+
     def test_search_writes_outputs(self, tmp_path, capsys):
         result_path = tmp_path / "result.json"
         config_path = tmp_path / "design.json"

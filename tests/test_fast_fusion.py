@@ -1,5 +1,6 @@
 """Tests for FAST fusion (the Figure 8 ILP and the greedy heuristic)."""
 
+import itertools
 from dataclasses import fields
 from functools import lru_cache
 from typing import List, Optional
@@ -8,8 +9,10 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.core.designs import FAST_LARGE
 from repro.fusion.blocking import BlockingAwareFusionOptimizer
 from repro.fusion.fast_fusion import (
+    GREEDY_THRESHOLD_REGIONS,
     FastFusionOptimizer,
     FusionDecision,
     FusionResult,
@@ -143,11 +146,34 @@ class TestSolverSelectionAndQuality:
         assert result.solver_status.startswith("ilp")
 
     def test_auto_uses_greedy_for_large_problems(self):
-        optimizer = FastFusionOptimizer(
-            gm_capacity_bytes=10_000, solver="auto", greedy_threshold_regions=10
-        )
-        result = optimizer.optimize(make_chain(20))
+        optimizer = FastFusionOptimizer(gm_capacity_bytes=10_000, solver="auto")
+        result = optimizer.optimize(make_chain(GREEDY_THRESHOLD_REGIONS + 1))
         assert result.solver_status == "greedy"
+
+    def test_auto_gives_the_same_answer_on_a_slow_host(self):
+        """The ILP's budget counts nodes, so a clock that jumps 5 s per read
+        (a host far slower than any budget) changes nothing.
+
+        efficientnet-b0 at batch 8 on FAST-Large with a 16 MiB Global Memory
+        solves to optimality in 9 nodes.  The optimizer is called directly:
+        a second ``simulate`` would be served by the simulator's fusion memo.
+        """
+        config = FAST_LARGE.evolve(l3_global_buffer_mib=16)
+        regions = (
+            Simulator(config, SimulationOptions(fusion_solver="greedy"))
+            .simulate_workload("efficientnet-b0", batch_size=8)
+            .region_stats
+        )
+        assert len(regions) <= GREEDY_THRESHOLD_REGIONS
+        optimizer = FastFusionOptimizer(config.global_buffer_bytes, solver="auto")
+        reference = optimizer.optimize(regions)
+        ticks = itertools.count(0.0, 5.0)
+        with mock.patch("time.monotonic", side_effect=lambda: next(ticks)):
+            slow = optimizer.optimize(regions)
+        assert reference.solver_status == "ilp_optimal"
+        assert slow.solver_status == reference.solver_status
+        assert slow.decisions == reference.decisions
+        assert slow.total_cycles_post == reference.total_cycles_post
 
     def test_ilp_at_least_as_good_as_greedy(self):
         regions = make_chain(6, weight_bytes=40)

@@ -443,6 +443,32 @@ class TestServiceProtocol:
         assert list(tmp_path.iterdir()) == []
         reset_op_caches()
 
+    @pytest.mark.parametrize(
+        "malformed, named",
+        [
+            (lambda p: {k: v for k, v in p.items() if k != "pes_x_dim"}, "pes_x_dim"),
+            (lambda p: dict(p, bogus=5), "bogus"),
+            (lambda p: 5, "not a JSON object"),
+        ],
+        ids=["missing-param", "extra-param", "a-number"],
+    )
+    def test_malformed_params_are_refused_before_any_is_evaluated(self, malformed, named):
+        from repro.core.designs import FAST_SMALL
+        from repro.reporting.serialization import params_to_jsonable, search_problem_to_dict
+
+        space = DatapathSearchSpace()
+        valid = params_to_jsonable(space.from_config(FAST_SMALL))
+        payload = {
+            "problem": search_problem_to_dict(_problem()),
+            "params": [valid, malformed(valid)],
+        }
+        with EvaluationService() as service:
+            status, body = service.evaluate_payload(payload)
+            assert status == 400
+            assert named in body["error"]
+            assert service.stats.trials_evaluated == 0
+            assert service.stats.batches == 0
+
     def test_malformed_request_is_a_client_error(self, flaky_service):
         service, _ = flaky_service
         request = urllib.request.Request(

@@ -85,10 +85,10 @@ class TestExperimentRegistry:
         with pytest.raises(KeyError):
             run_experiment("table99")
 
-    def test_registry_entries_have_titles_and_runners(self):
+    def test_registry_entries_have_titles_data_and_renderers(self):
         for spec in EXPERIMENTS.values():
             assert spec.title
-            assert callable(spec.runner)
+            assert callable(spec.data) and callable(spec.render)
 
     def test_table1_report(self):
         report = run_experiment("table1")
@@ -112,6 +112,6 @@ class TestExperimentRegistry:
         assert rendered.startswith("===== fig6")
         assert "Notes:" in rendered
 
-    def test_fig13_on_small_workload(self):
-        report = run_experiment("fig13", workload="efficientnet-b0")
-        assert "Batch" in report.text
+    def test_an_unknown_input_is_an_error(self):
+        with pytest.raises(TypeError, match="trails"):
+            run_experiment("fig6", trails=8)

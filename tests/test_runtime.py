@@ -527,6 +527,28 @@ class TestBestScoreAndSerialization:
         json.dumps(encoded)
         assert params_from_jsonable(encoded, space) == params
 
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda p: {k: v for k, v in p.items() if k != "pes_x_dim"}, "pes_x_dim"),
+            (lambda p: dict(p, bogus=5), "bogus"),
+            (lambda p: dict(p, pes_x_dim=True), "pes_x_dim"),
+            (lambda p: dict(p, pes_x_dim=float(p["pes_x_dim"])), "pes_x_dim"),
+            (lambda p: dict(p, use_two_pass_softmax=int(p["use_two_pass_softmax"])),
+             "use_two_pass_softmax"),
+            (lambda p: dict(p, l2_buffer_config="DISABLED"), "l2_buffer_config"),
+            (lambda p: 5, "not a JSON object"),
+            (lambda p: list(p.items()), "not a JSON object"),
+        ],
+        ids=["missing", "extra", "bool-for-number", "float-for-int", "int-for-flag",
+             "enum-name", "number", "list"],
+    )
+    def test_params_from_jsonable_takes_exactly_the_space(self, mutate, named):
+        space = DatapathSearchSpace()
+        params = params_to_jsonable(space.sample(RandomSearchOptimizer(space, seed=9).rng))
+        with pytest.raises(ValueError, match=named):
+            params_from_jsonable(mutate(params), space)
+
     def test_trial_metrics_round_trip(self):
         evaluator = TrialEvaluator(_problem())
         space = DatapathSearchSpace()
