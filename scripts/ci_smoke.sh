@@ -20,15 +20,33 @@ mkdir -p "$SMOKE_DIR"
 log() { printf '\n=== %s ===\n' "$*"; }
 
 # --------------------------------------------------------------------------
-# 1. Parallel search smoke (runtime subsystem: workers, cache, checkpoint)
+# 1. Parallel search smoke (runtime subsystem: workers, cache, checkpoint):
+#    48 LCS trials at batch 8 run past LCS's 24 random trials into breeding,
+#    on a 2-worker pool and serially; proposals and history must be equal.
 # --------------------------------------------------------------------------
 smoke_search() {
-    log "search smoke: 2 workers, cache, checkpoint, progress"
-    python -m repro search \
-        --workload efficientnet-b0 --trials 20 \
-        --workers 2 --batch-size 4 \
+    log "search smoke: LCS breeding on 2 workers (cache, checkpoint, progress) == serial"
+    local common=(--workload efficientnet-b0 --optimizer lcs --trials 48 --batch-size 8
+                  --seed 0 --history)
+    python -m repro search "${common[@]}" \
+        --workers 2 \
         --cache "$SMOKE_DIR/trials.jsonl" --checkpoint "$SMOKE_DIR/search.ckpt" \
-        --progress
+        --progress --output "$SMOKE_DIR/search-pool.json"
+    python -m repro search "${common[@]}" \
+        --workers 1 --output "$SMOKE_DIR/search-serial.json"
+
+    python - "$SMOKE_DIR/search-serial.json" "$SMOKE_DIR/search-pool.json" <<'PY'
+import json, sys
+serial, pool = (json.load(open(path)) for path in sys.argv[1:3])
+feasible = sum(bool(trial.get("feasible")) for trial in serial["history"][:24])
+if feasible < 2:
+    raise SystemExit(f"only {feasible} of the 24 random trials were feasible: LCS never bred")
+for key in ("proposals", "history", "best_score_curve", "best_score"):
+    if serial.get(key) != pool.get(key):
+        raise SystemExit(f"the 2-worker search diverged from the serial one on {key!r}")
+print("2 workers == serial bit-for-bit over", len(serial["history"]), "trials,",
+      len(serial["history"]) - 24, "of them bred by LCS from", feasible, "feasible random trials")
+PY
 }
 
 # --------------------------------------------------------------------------

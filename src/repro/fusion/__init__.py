@@ -11,17 +11,13 @@ from repro.fusion.fast_fusion import (
     FusionResult,
     RegionStats,
 )
-from repro.fusion.ilp import BranchAndBoundSolver, IlpProblem, IlpSolution
 
 __all__ = [
     "BlockedFusionResult",
     "BlockingAwareFusionOptimizer",
-    "BranchAndBoundSolver",
     "FastFusionOptimizer",
     "FusionDecision",
     "FusionResult",
-    "IlpProblem",
-    "IlpSolution",
     "RegionStats",
     "blocked_region_stats",
 ]

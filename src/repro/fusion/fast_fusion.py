@@ -45,8 +45,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fusion.ilp import BranchAndBoundSolver, IlpProblem
-
 __all__ = [
     "RegionStats",
     "FusionDecision",
@@ -348,6 +346,10 @@ class FastFusionOptimizer:
     # ILP backend (Figure 8)
     # ------------------------------------------------------------------
     def _solve_ilp(self, regions: List[RegionStats]) -> Optional[FusionResult]:
+        # Imported here: the ILP's LP relaxations load scipy.optimize, which
+        # a search, solving fusion greedily, never needs.
+        from repro.fusion.ilp import BranchAndBoundSolver, IlpProblem
+
         n = len(regions)
         capacity = float(self.gm_capacity_bytes)
 

@@ -9,9 +9,10 @@ for surrogate models.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +45,19 @@ def _clamp(index: int, cardinality: int) -> int:
     return min(max(index, 0), cardinality - 1)
 
 
+# A local mutation step, picked by ``rng.integers(0, 2)``: the one draw that
+# ``rng.choice([-1, 1])`` makes, without building an array per step.
+_STEPS = (-1, 1)
+
+
+def _first_indices(choices: Sequence[object]) -> Dict[object, int]:
+    """Value -> index of its first occurrence, the index ``tuple.index`` returns."""
+    indices: Dict[object, int] = {}
+    for index, value in enumerate(choices):
+        indices.setdefault(value, index)
+    return indices
+
+
 def _pow2_range(lo: int, hi: int) -> Tuple[int, ...]:
     values = []
     v = lo
@@ -61,6 +75,17 @@ class DatapathSearchSpace:
     enumerated here — they are resolved downstream per trial, exactly as in
     the paper where Vizier proposes the datapath and constrains the schedule
     mapspace while Timeloop and the fusion ILP resolve the rest.
+
+    ``sample``, ``mutate``, ``encode`` and ``decode`` read lookup tables
+    built once per spec list: each parameter's choices, a value -> index
+    table and a value -> code table (``index / max(cardinality - 1, 1)``),
+    so a parameter costs a dict lookup where ``tuple.index`` scanned its
+    choices.  A value that misses a table (not a choice, or equal to one
+    under another hash) falls back to :meth:`ParameterSpec.index_of`, so it
+    still gets ``tuple.index``'s answer or its ``ValueError``.  ``decode``
+    rounds every parameter with one ``np.rint``, which rounds half to even as
+    ``round`` does.  Restrict choices with :meth:`with_choices`, which
+    rebuilds the tables.
     """
 
     def __init__(
@@ -95,6 +120,31 @@ class DatapathSearchSpace:
         ]
         if allow_two_pass_softmax:
             self._specs.append(ParameterSpec("use_two_pass_softmax", (False, True)))
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """The per-parameter lookup tables of ``self._specs``."""
+        self._names = tuple(spec.name for spec in self._specs)
+        self._choices = tuple(spec.choices for spec in self._specs)
+        self._indices: Tuple[Dict[object, int], ...] = tuple(
+            _first_indices(choices) for choices in self._choices
+        )
+        self._codes: Tuple[Dict[object, float], ...] = tuple(
+            {value: index / max(len(choices) - 1, 1) for value, index in indices.items()}
+            for choices, indices in zip(self._choices, self._indices)
+        )
+        self._decode_scales = np.array([max(len(c) - 1, 1) for c in self._choices], dtype=float)
+        self._top_indices = np.array([len(c) - 1 for c in self._choices], dtype=float)
+
+    def with_choices(self, choices: Mapping[str, Sequence[object]]) -> "DatapathSearchSpace":
+        """A copy in which each parameter named in ``choices`` offers only those values."""
+        restricted = copy.copy(self)
+        restricted._specs = [
+            ParameterSpec(spec.name, tuple(choices[spec.name])) if spec.name in choices else spec
+            for spec in self._specs
+        ]
+        restricted._build_tables()
+        return restricted
 
     # ------------------------------------------------------------------
     @property
@@ -125,8 +175,8 @@ class DatapathSearchSpace:
     def sample(self, rng: np.random.Generator) -> ParameterValues:
         """Draw a uniform random configuration."""
         return {
-            spec.name: spec.choices[int(rng.integers(spec.cardinality))]
-            for spec in self._specs
+            name: choices[int(rng.integers(len(choices)))]
+            for name, choices in zip(self._names, self._choices)
         }
 
     def mutate(
@@ -142,41 +192,57 @@ class DatapathSearchSpace:
         behaviour evolutionary optimizers rely on for fine-tuning.
         """
         mutated = dict(params)
-        indices = rng.choice(len(self._specs), size=min(num_mutations, len(self._specs)), replace=False)
-        for idx in indices:
-            spec = self._specs[int(idx)]
-            current = spec.index_of(mutated[spec.name])
-            if spec.cardinality == 1:
+        count = len(self._specs)
+        for position in rng.choice(count, size=min(num_mutations, count), replace=False).tolist():
+            name, choices = self._names[position], self._choices[position]
+            current = self._index(position, mutated[name])
+            cardinality = len(choices)
+            if cardinality == 1:
                 continue
-            if rng.random() < 0.7 and spec.cardinality > 2:
-                step = int(rng.choice([-1, 1]))
-                new_index = _clamp(current + step, spec.cardinality)
+            if rng.random() < 0.7 and cardinality > 2:
+                step = _STEPS[int(rng.integers(0, 2))]
+                new_index = _clamp(current + step, cardinality)
                 if new_index == current:
-                    new_index = _clamp(current - step, spec.cardinality)
+                    new_index = _clamp(current - step, cardinality)
             else:
-                new_index = int(rng.integers(spec.cardinality))
-            mutated[spec.name] = spec.choices[new_index]
+                new_index = int(rng.integers(cardinality))
+            mutated[name] = choices[new_index]
         return mutated
 
     # ------------------------------------------------------------------
     # Encodings
     # ------------------------------------------------------------------
+    def _index(self, position: int, value: object) -> int:
+        """Index of ``value`` among parameter ``position``'s choices, as ``tuple.index``."""
+        try:
+            return self._indices[position][value]
+        except (KeyError, TypeError):
+            return self._specs[position].index_of(value)
+
     def encode(self, params: ParameterValues) -> np.ndarray:
         """Encode a configuration as a vector in [0, 1]^d for surrogates."""
-        encoded = np.empty(len(self._specs), dtype=float)
-        for i, spec in enumerate(self._specs):
-            index = spec.index_of(params[spec.name])
-            encoded[i] = index / max(spec.cardinality - 1, 1)
-        return encoded
+        try:
+            codes = [table[params[name]] for name, table in zip(self._names, self._codes)]
+        except (KeyError, TypeError):
+            codes = [
+                self._index(position, params[name]) / max(len(choices) - 1, 1)
+                for position, (name, choices) in enumerate(zip(self._names, self._choices))
+            ]
+        return np.array(codes, dtype=float)
 
     def decode(self, vector: Sequence[float]) -> ParameterValues:
-        """Inverse of :meth:`encode` (rounds to the nearest choice)."""
-        params: ParameterValues = {}
-        for i, spec in enumerate(self._specs):
-            index = int(round(float(vector[i]) * max(spec.cardinality - 1, 1)))
-            index = _clamp(index, spec.cardinality)
-            params[spec.name] = spec.choices[index]
-        return params
+        """Inverse of :meth:`encode`: the nearest choice, clamped into range.
+
+        Raises ``ValueError`` for a non-finite component.
+        """
+        scaled = np.rint(np.asarray(vector, dtype=float) * self._decode_scales)
+        if not np.isfinite(scaled).all():
+            raise ValueError(f"cannot decode a non-finite vector: {vector!r}")
+        indices = np.clip(scaled, 0.0, self._top_indices).astype(np.intp).tolist()
+        return {
+            name: choices[index]
+            for name, choices, index in zip(self._names, self._choices, indices)
+        }
 
     # ------------------------------------------------------------------
     # Conversion to a datapath configuration

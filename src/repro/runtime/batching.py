@@ -20,7 +20,8 @@ to finish.
 from __future__ import annotations
 
 import json
-from typing import List
+from enum import Enum
+from typing import Dict, List, Tuple
 
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
 from repro.reporting.serialization import params_to_jsonable
@@ -31,10 +32,38 @@ __all__ = ["proposal_key", "BatchedOptimizer"]
 # Times a duplicate proposal is mutated or re-asked before it is kept.
 _MAX_RETRIES = 8
 
+# The '"name": value' fragment of each (name, type, value) a key has held.
+# Only values whose JSON equality fixes (ints, strings, bools, None, enum
+# members) are kept: 0.0 == -0.0, yet they dump differently.  A search
+# space's choices fill a few hundred entries; the bound only stops values
+# from outside any space growing the table without end.
+_KEY_FRAGMENTS: Dict[Tuple[str, type, object], str] = {}
+_MAX_KEY_FRAGMENTS = 4096
+_EXACT_JSON_TYPES = (bool, int, str, type(None))
+
 
 def proposal_key(params: ParameterValues) -> str:
-    """Canonical string identity of a parameter assignment."""
-    return json.dumps(params_to_jsonable(params), sort_keys=True)
+    """Canonical string identity of a parameter assignment.
+
+    Byte for byte ``json.dumps(params_to_jsonable(params), sort_keys=True)``
+    (sharding, de-duplication and resumed runs compare these strings),
+    joined from cached per-parameter fragments.
+    """
+    fragments = []
+    for name in sorted(params):
+        value = params[name]
+        entry = (name, type(value), value)
+        try:
+            fragment = _KEY_FRAGMENTS.get(entry)
+        except TypeError:  # an unhashable value
+            fragment = None
+        if fragment is None:
+            fragment = json.dumps(params_to_jsonable({name: value}), sort_keys=True)[1:-1]
+            exact = type(value) in _EXACT_JSON_TYPES or isinstance(value, Enum)
+            if exact and len(_KEY_FRAGMENTS) < _MAX_KEY_FRAGMENTS:
+                _KEY_FRAGMENTS[entry] = fragment
+        fragments.append(fragment)
+    return "{" + ", ".join(fragments) + "}"
 
 
 class BatchedOptimizer:

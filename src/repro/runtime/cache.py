@@ -45,10 +45,10 @@ from typing import Dict, List, Optional, Union
 from repro.core.problem import SearchProblem
 from repro.core.trial import TrialEvaluator, TrialMetrics
 from repro.hardware.search_space import DatapathSearchSpace, ParameterValues
+from repro.runtime.batching import proposal_key
 from repro.runtime.faults import get_fault_plan
 from repro.runtime.opcache import CompactionStats, CostCacheBase
 from repro.reporting.serialization import (
-    params_to_jsonable,
     simulation_options_to_dict,
     trial_metrics_from_dict,
     trial_metrics_to_dict,
@@ -158,8 +158,7 @@ class TrialCache(CostCacheBase):
 
     def key_for(self, params: ParameterValues, fingerprint: str) -> str:
         """Cache key for a parameter assignment under an evaluation context."""
-        canonical = json.dumps(params_to_jsonable(params), sort_keys=True)
-        return hashlib.sha256(f"{fingerprint}|{canonical}".encode()).hexdigest()
+        return hashlib.sha256(f"{fingerprint}|{proposal_key(params)}".encode()).hexdigest()
 
     # ------------------------------------------------------------------
     @property

@@ -130,9 +130,6 @@ def space_from_payload(payload: object) -> DatapathSearchSpace:
     sweep produces (restrictions of the default space); a choice or axis the
     default space does not know raises ``ValueError``.
     """
-    import copy
-    import dataclasses as _dc
-
     space = DatapathSearchSpace()
     if payload is None:
         return space
@@ -150,14 +147,7 @@ def space_from_payload(payload: object) -> DatapathSearchSpace:
                 f"axis {name!r} has no choice {error.args[0]!r} in the default space"
             ) from None
         restricted[name] = choices
-    rebuilt = copy.copy(space)
-    rebuilt._specs = [
-        _dc.replace(spec, choices=list(restricted[spec.name]))
-        if spec.name in restricted
-        else spec
-        for spec in space.specs
-    ]
-    return rebuilt
+    return space.with_choices(restricted)
 
 
 class EvaluationService:

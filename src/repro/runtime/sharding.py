@@ -153,22 +153,13 @@ def shard_space(space: DatapathSearchSpace, spec: ShardSpec) -> DatapathSearchSp
     """
     if spec.mode != "space":
         return space
-    import copy
-
     axis = space.spec(spec.partition_axis)  # raises KeyError for unknown axes
     if spec.num_shards > axis.cardinality:
         raise ValueError(
             f"cannot split axis {axis.name!r} ({axis.cardinality} choices) "
             f"across {spec.num_shards} shards"
         )
-    restricted = copy.copy(space)
-    restricted._specs = [
-        dataclasses.replace(s, choices=s.choices[spec.shard_id :: spec.num_shards])
-        if s.name == axis.name
-        else s
-        for s in space.specs
-    ]
-    return restricted
+    return space.with_choices({axis.name: axis.choices[spec.shard_id :: spec.num_shards]})
 
 
 # ---------------------------------------------------------------------------

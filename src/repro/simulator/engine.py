@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.compiler.passes import CompiledModel, compile_graph
 from repro.compiler.softmax import SoftmaxCostFactors
@@ -258,28 +258,37 @@ def _primary_op_type(region: FusionRegion) -> OpType:
     return region.ops[0].op_type
 
 
-class _Layout(tuple):
+class _HashOnce(tuple):
+    """A tuple that hashes once, when built, and compares as a tuple.
+
+    A graph's layout is one (:func:`_layout`), and so is each fusion-memo
+    key: the memo's lookup, then its ``move_to_end`` or insert, reuse the
+    key's hash instead of hashing every first-of-shape ``RegionStats`` again.
+    """
+
+    def __new__(cls, items: Iterable) -> "_HashOnce":
+        built = super().__new__(cls, items)
+        built._hash = tuple.__hash__(built)
+        return built
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+def _layout(plans: _Plans) -> _HashOnce:
     """Each region's identity and twin position, from a graph's plans.
 
     The fusion memo keys on it with the first-of-shape regions' stats, which
     together fix every region's stats: a twin's are its first-of-shape
     region's numbers under its own index, name, predecessor and graph-output
-    flag.  It compares as a tuple, so graphs planned alike share memo entries
-    (efficientnet-b0's plans are equal under both softmax lowerings), and it
-    hashes once.
+    flag.  Graphs planned alike share memo entries (efficientnet-b0's plans
+    are equal under both softmax lowerings).
     """
-
-    def __new__(cls, plans: _Plans) -> "_Layout":
-        layout = super().__new__(cls, (
-            (plan.index, plan.name, plan.input_bytes, plan.weight_bytes, plan.output_bytes,
-             plan.predecessor, plan.is_graph_output, plan.twin)
-            for plan in plans
-        ))
-        layout._hash = tuple.__hash__(layout)
-        return layout
-
-    def __hash__(self) -> int:
-        return self._hash
+    return _HashOnce(
+        (plan.index, plan.name, plan.input_bytes, plan.weight_bytes, plan.output_bytes,
+         plan.predecessor, plan.is_graph_output, plan.twin)
+        for plan in plans
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +301,18 @@ class _Layout(tuple):
 # fork stay valid — fork-started executor workers begin life with the
 # parent's warm compiled graphs and plans instead of rebuilding them.
 # ---------------------------------------------------------------------------
-_COMPILED_CACHE: Dict[Tuple[int, bool], Tuple[Graph, int, CompiledModel, _Plans, _Layout]] = {}
+_COMPILED_CACHE: Dict[Tuple[int, bool], Tuple[Graph, int, CompiledModel, _Plans, _HashOnce]] = {}
 _COMPILED_CACHE_MAX = 64
 
 
-def _compiled_entry(graph: Graph, use_two_pass_softmax: bool) -> Tuple[CompiledModel, _Plans, _Layout]:
+def _compiled_entry(graph: Graph, use_two_pass_softmax: bool) -> Tuple[CompiledModel, _Plans, _HashOnce]:
     """The graph's compiled model, plans and layout, from the compiled-graph cache."""
     key = (id(graph), use_two_pass_softmax)
     entry = _COMPILED_CACHE.get(key)
     if entry is None or entry[0] is not graph or entry[1] != len(graph):
         compiled = compile_graph(graph, use_two_pass_softmax=use_two_pass_softmax)
         plans = tuple(_region_plans(compiled))
-        entry = (graph, len(graph), compiled, plans, _Layout(plans))
+        entry = (graph, len(graph), compiled, plans, _layout(plans))
         _COMPILED_CACHE[key] = entry
         while len(_COMPILED_CACHE) > _COMPILED_CACHE_MAX:
             _COMPILED_CACHE.pop(next(iter(_COMPILED_CACHE)))
@@ -334,25 +343,26 @@ def clear_compiled_cache() -> None:
 # region stats), and a search keeps proposing datapaths whose regions and
 # Global Memory repeat, so recent solves are memoized in a small LRU.  The
 # key holds the stats of first-of-shape regions only, with the graph's
-# _Layout, which fixes the twins' stats from them: it hashes bert-seq128's 7
-# shapes, not its 97 regions, and hits exactly when the full list repeats.
+# layout, which fixes the twins' stats from them: it hashes bert-seq128's 7
+# shapes, not its 97 regions, once per lookup (a _HashOnce), and hits
+# exactly when the full list repeats.
 # Its FusionResults are shared read-only by every SimulationResult that hits
 # them.  The bound is fixed: an unbounded memo grows with every distinct
 # datapath a search visits and measurably raises a long search's peak RSS,
 # while 64 recent solves already catch nearly all of the repeats.
 # ---------------------------------------------------------------------------
-_FUSION_MEMO: "OrderedDict[Tuple, FusionResult]" = OrderedDict()
+_FUSION_MEMO: "OrderedDict[_HashOnce, FusionResult]" = OrderedDict()
 _FUSION_MEMO_MAX = 64
 
 
-def _fusion_memo_get(key: Tuple) -> Optional[FusionResult]:
+def _fusion_memo_get(key: _HashOnce) -> Optional[FusionResult]:
     result = _FUSION_MEMO.get(key)
     if result is not None:
         _FUSION_MEMO.move_to_end(key)
     return result
 
 
-def _fusion_memo_put(key: Tuple, result: FusionResult) -> None:
+def _fusion_memo_put(key: _HashOnce, result: FusionResult) -> None:
     _FUSION_MEMO[key] = result
     if len(_FUSION_MEMO) > _FUSION_MEMO_MAX:
         _FUSION_MEMO.popitem(last=False)
@@ -520,12 +530,12 @@ class Simulator:
             else core.enable_fast_fusion
         )
         if fusion_enabled and not schedule_failed and core.l3_global_buffer_mib > 0 and records:
-            memo_key = (
+            memo_key = _HashOnce((
                 core.global_buffer_bytes,
                 self.options.fusion_solver,
                 layout,
                 tuple(shape_stats),
-            )
+            ))
             result.fusion_result = _fusion_memo_get(memo_key)
             if result.fusion_result is None:
                 optimizer = FastFusionOptimizer(

@@ -1,8 +1,13 @@
 """Tests for FAST fusion (the Figure 8 ILP and the greedy heuristic)."""
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
 from functools import lru_cache
+from pathlib import Path
 from typing import List, Optional
 from unittest import mock
 
@@ -479,3 +484,37 @@ class TestGreedyTieBreak:
         ]
         result = FastFusionOptimizer(gm_capacity_bytes=100, solver="greedy").optimize(regions)
         assert [d.pin_weights for d in result.decisions] == [True, False, False]
+
+
+def test_a_greedy_search_never_imports_scipy():
+    # Searches solve fusion greedily, and only the ILP's LP relaxations need
+    # scipy, so a search process never pays scipy.optimize's import.
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.core.fast import FASTSearch
+        from repro.core.problem import ObjectiveKind, SearchProblem
+        from repro.fusion.fast_fusion import FastFusionOptimizer
+
+        solves = []
+        greedy = FastFusionOptimizer._solve_greedy
+
+        def counting(self, regions):
+            solves.append(len(regions))
+            return greedy(self, regions)
+
+        FastFusionOptimizer._solve_greedy = counting
+        problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
+        FASTSearch(problem, optimizer="lcs", seed=0).run(num_trials=8, batch_size=4)
+        assert solves, "the search solved no fusion problem"
+        print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+        """
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]"

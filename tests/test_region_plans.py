@@ -635,3 +635,44 @@ def test_the_trial_path_builds_no_twin_record(monkeypatch):
     built_twin_stats = [name for name in stats if name in twins]
     assert built_twin_stats == [region.name for regions in solved for region in regions
                                 if region.name in twins]
+
+
+def test_the_fusion_memo_hashes_each_key_once(monkeypatch):
+    # A memo key hashes its first-of-shape stats once, when it is built, and
+    # the lookup and the move_to_end or insert after it reuse that hash;
+    # each used to hash every stats record again, twice per lookup in all.
+    hashes: List[int] = []
+    looked_up: List[int] = []
+    simulated = []
+    stats_hash, memo_get = RegionStats.__hash__, engine._fusion_memo_get
+    simulate = Simulator.simulate
+
+    def counting_hash(self):
+        hashes.append(self.index)
+        return stats_hash(self)
+
+    def recording_get(key):
+        looked_up.append(len(key[3]))
+        return memo_get(key)
+
+    def recording_simulate(self, graph):
+        result = simulate(self, graph)
+        gm_bytes = self._core_config.global_buffer_bytes
+        simulated.append((gm_bytes, self.options.fusion_solver, result))
+        return result
+
+    clear_compiled_cache()
+    monkeypatch.setattr(RegionStats, "__hash__", counting_hash)
+    monkeypatch.setattr(engine, "_fusion_memo_get", recording_get)
+    monkeypatch.setattr(Simulator, "simulate", recording_simulate)
+    problem = SearchProblem(["efficientnet-b0", "bert-seq128"], ObjectiveKind.PERF_PER_TDP)
+    FASTSearch(problem, optimizer="annealing", seed=0).run(num_trials=16, batch_size=8)
+
+    assert looked_up and len(hashes) == sum(looked_up)
+    # Every fusion result a simulation got, from the memo or not, is the
+    # one a fresh solve of its region stats gives.
+    fused = [entry for entry in simulated if entry[2].fusion_result is not None]
+    assert len(fused) == len(looked_up) > len({id(entry[2].fusion_result) for entry in fused})
+    for gm_bytes, solver, result in fused:
+        fresh = FastFusionOptimizer(gm_capacity_bytes=gm_bytes, solver=solver)
+        assert result.fusion_result == fresh.optimize(result.region_stats)
