@@ -393,15 +393,16 @@ PY
 }
 
 # --------------------------------------------------------------------------
-# 8. Cache-tier smoke: a search writes the persistent region store, which
-#    `repro cache compact` refuses to touch; a cold process warm-loads it
-#    (every region from disk, none recomputed), and a 2-worker run's
-#    workers, forked from the warm parent, serve every region from the
-#    store too — all with histories bit-for-bit equal to the private-cache
-#    baseline.
+# 8. Cache-tier smoke: a search writes the persistent region and op stores,
+#    one line per key, and a second cold run into fresh paths writes the
+#    same bytes; `repro cache compact` refuses to touch the region store; a
+#    cold process warm-loads it (every region from disk, none recomputed),
+#    and a 2-worker run's workers, forked from the warm parent, serve every
+#    region from the store too — all with histories bit-for-bit equal to
+#    the private-cache baseline.
 # --------------------------------------------------------------------------
 smoke_cache_tier() {
-    log "cache-tier smoke: region + op store warm-load + warm-pool equivalence, twin regions"
+    log "cache-tier smoke: cold stores one line per key and repeatable, region + op store warm-load + warm-pool equivalence, twin regions"
     local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
     local store="$SMOKE_DIR/region-store.jsonl"
     local op_store="$SMOKE_DIR/op-store.jsonl"
@@ -413,6 +414,23 @@ smoke_cache_tier() {
         --output "$SMOKE_DIR/cache-store-cold.json"
     [ -s "$store" ] || { echo "region store was never written"; exit 1; }
     [ -s "$op_store" ] || { echo "op store was never written"; exit 1; }
+    python - "$store" "$op_store" <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    keys = [json.loads(line)["key"] for line in open(path)]
+    if len(set(keys)) != len(keys):
+        raise SystemExit(f"{path}: {len(keys)} lines for {len(set(keys))} keys")
+    print(path, "holds one line per key:", len(keys), "lines")
+PY
+    # A second serial cold run, into fresh store paths, writes the same bytes.
+    local store2="$SMOKE_DIR/region-store-2.jsonl"
+    local op_store2="$SMOKE_DIR/op-store-2.jsonl"
+    rm -f "$store2" "$op_store2"
+    python -m repro search "${common[@]}" \
+        --engine "graph-batched:region_store=$store2" --op-cache "$op_store2" \
+        --output "$SMOKE_DIR/cache-store-cold-2.json"
+    cmp "$store" "$store2" || { echo "a second cold run wrote another region store"; exit 1; }
+    cmp "$op_store" "$op_store2" || { echo "a second cold run wrote another op store"; exit 1; }
     # The trial-cache compactor must refuse a region store, not empty it.
     local digest
     digest=$(sha256sum "$store")

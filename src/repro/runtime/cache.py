@@ -11,8 +11,8 @@ hit is only possible when the result would be identical.
 The cache runs on the store the op and region caches share,
 :class:`~repro.runtime.opcache.CostCacheBase`: a memory LRU in front of a
 JSON-lines store that is streamed into a raw index on load, decoded to
-metrics lazily on first hit, and appended to only for keys it does not
-already index.  What the trial cache adds is its own: the metrics codec,
+metrics lazily on first hit, and appended to only for keys it has neither
+read nor written.  What the trial cache adds is its own: the metrics codec,
 the string keys of :meth:`TrialCache.key_for`, and writer sidecars.
 
 Sharded sweeps write safely to one logical store by giving each concurrent

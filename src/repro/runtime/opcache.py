@@ -35,10 +35,10 @@ share; ``op_busy_cycles`` is its list of values when its keys are
 ``op_names`` in order, as every simulated region's are.  The payload's JSON
 type names its format, so format-1 lines (an object payload) are still read
 and served, and never rewritten; programs from before format 2 cannot read
-its rows.  A put keeps the row it encoded in the store's index as tuples of
-atomic values, which the cyclic collector untracks in the first passes that
-see them (the nested tuples, then the row), so the index stays out of later
-full passes.
+its rows.  The store's index holds only what a load or a compaction read
+from disk; a put remembers the digest of each line it appends, not the row.
+So a cache whose store started empty never probes its index, a miss never
+hashes its key, and each new entry's one digest is the one its line needs.
 
 A store entry decodes bit-identical to the value that was put (JSON float
 encoding round-trips exactly), so whether an entry came from memory or disk
@@ -61,7 +61,7 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Type, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Type, Union
 
 from repro.fusion.fast_fusion import RegionStats
 from repro.mapping.costmodel import OpCost
@@ -143,6 +143,10 @@ _CODEC_ERRORS = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 #: ``json.dumps(value, sort_keys=True, default=str)``, the canonical JSON a
 #: key digest hashes, without building an encoder per call.
 _canonical_json = json.JSONEncoder(sort_keys=True, default=str).encode
+
+#: ``json.dumps(row)`` for the payload of a store line, without the wrapper
+#: that checks ``json.dumps``'s keyword arguments on every call.
+_encode_row = json.JSONEncoder().encode
 
 #: Op types by wire value: a dict lookup instead of an Enum call, on the
 #: decode path of every first-touch cache hit.
@@ -351,9 +355,14 @@ class CostCacheBase:
     (and the raw index loaded from it) keys them by a SHA-256 digest of
     their canonical JSON form, so any process that derives the same key
     reads the same record.  Subclasses set :attr:`_PAYLOAD_FIELD` and the
-    ``_encode``/``_decode`` codec; ``_decode`` takes a payload as ``_encode``
-    returned it or as a load parsed it, of any store format still read.
-    An index entry that fails to decode is quarantined when first touched.
+    ``_encode``/``_decode`` codec; ``_decode`` takes a payload as a load
+    parsed it, of any store format still read.  An index entry that fails
+    to decode is quarantined when first touched.
+
+    The raw index holds what a store load or a compaction read from disk,
+    never this process's own puts: a put records the digest it appended in
+    a set of written digests instead.  So an own entry that the memory LRU
+    evicted is recomputed on its next lookup, not decoded from the store.
 
     Appends go through a descriptor the store holds open from its first put
     (:class:`AppendFile`) until :meth:`close`, which compaction calls after
@@ -380,11 +389,14 @@ class CostCacheBase:
         self.max_memory_entries = max(1, int(max_memory_entries))
         self.stats = CostCacheStats()
         self._memory: "OrderedDict[Tuple, object]" = OrderedDict()
-        # digest -> payload, mirroring the JSONL store: the row a put
-        # encoded (atomic values in tuples, untracked by the collector) or
-        # what a load parsed (frozen by the load).  Empty without a path, so
-        # a store-less cache is bounded by its LRU.
+        # digest -> payload as a load or a compaction parsed it (frozen by
+        # the load).  Empty until something is read from disk, so a cache
+        # whose store started empty is bounded by its LRU, and its lookups
+        # never hash a key.
         self._disk_index: Dict[str, object] = {}
+        # Digests of the lines this process appended since the store was
+        # last read, so a put never appends a key twice.
+        self._written: Set[str] = set()
         self._appender = AppendFile(self.write_path) if self.path is not None else None
         if self.path is not None:
             self._load_disk_index()
@@ -488,7 +500,9 @@ class CostCacheBase:
         Keeps :meth:`_read`'s index, minus the earliest-written records past
         ``max_entries``, and drops torn lines.  Records of another store
         kind raise ``ValueError`` before anything is written, so a mistyped
-        path is refused, not emptied.
+        path is refused, not emptied.  The kept records become the index and
+        the written digests are forgotten, so a put appends an evicted key
+        again.
         """
         index, records, foreign = self._read(files)
         if foreign:
@@ -516,6 +530,7 @@ class CostCacheBase:
         os.replace(tmp_path, self.path)
         self.close()  # the held descriptor points at the replaced file
         self._disk_index = index
+        self._written.clear()
         stats.kept = len(index)
         return stats
 
@@ -547,8 +562,10 @@ class CostCacheBase:
     def get(self, key: Tuple, prefix: Optional[str] = None):
         """Look up a cached value; returns None on a miss.
 
-        ``prefix`` (see :meth:`digest`) makes the key's digest cheap when
-        the store's index must be consulted.  Values are returned as
+        A memory miss consults the store's index only when a load or a
+        compaction filled it, so a cache whose store started empty never
+        hashes a key here.  ``prefix`` (see :meth:`digest`) makes the key's
+        digest cheap when the index is consulted.  Values are returned as
         stored, not copied.
         """
         value = self._memory.get(key)
@@ -568,9 +585,10 @@ class CostCacheBase:
     def _from_disk(self, key: Tuple, prefix: Optional[str]):
         """Decode the index entry of ``key`` into memory; None when it has none.
 
-        An entry that fails to decode is quarantined: dropped from the
-        index and counted in ``stats.corrupt_records``, so the lookup is a
-        miss and the put that follows appends a good record.
+        The index holds entries read from disk only.  An entry that fails to
+        decode is quarantined: dropped from the index and counted in
+        ``stats.corrupt_records``, so the lookup is a miss and the put that
+        follows appends a good record.
         """
         digest = self.digest(key, prefix)
         raw = self._disk_index.get(digest)
@@ -589,22 +607,26 @@ class CostCacheBase:
         """Store a value in memory and (when configured) append to disk.
 
         Cached values are a deterministic function of their key, so a key
-        already present in the raw index is never re-appended — the store
-        only grows by records this process has not seen, keeping it
-        duplicate-free for a single writer (concurrent processes can still
-        race the same key; :meth:`compact` folds such duplicates away).
-        The value is kept as is, not copied; ``prefix`` is as for :meth:`get`.
+        this process read from the store or already appended is never
+        re-appended — the store only grows by records this process has not
+        seen, keeping it duplicate-free for a single writer (concurrent
+        processes can still race the same key; :meth:`compact` folds such
+        duplicates away).  The key is hashed once, for its line, which is
+        ``json.dumps({"key": digest, field: row}) + "\\n"`` byte for byte (a
+        digest and a payload field need no escaping); the cache remembers
+        the digest, not the row.  The value is kept in memory as is, not
+        copied; ``prefix`` is as for :meth:`get`.
         """
         self._remember(key, value)
         self.stats.puts += 1
         if self.path is None:
             return
         digest = self.digest(key, prefix)
-        if digest in self._disk_index:
+        if digest in self._written or digest in self._disk_index:
             return
-        raw = self._encode(value)
-        self._append(json.dumps({"key": digest, self._PAYLOAD_FIELD: raw}) + "\n")
-        self._disk_index[digest] = raw
+        row = _encode_row(self._encode(value))
+        self._append(f'{{"key": "{digest}", "{self._PAYLOAD_FIELD}": {row}}}\n')
+        self._written.add(digest)
 
     def compact(self) -> CompactionStats:
         """Rewrite the store with one record per key (see :meth:`_rewrite`).
@@ -674,8 +696,9 @@ class RegionCostCache(CostCacheBase):
     Args:
         path: Optional JSON-lines region store; created on first put.
         max_entries: Memory-LRU capacity; least-recently-used regions are
-            evicted once the cache grows past it (store entries remain
-            reachable through the raw index).
+            evicted once the cache grows past it (entries read from the
+            store remain reachable through the raw index; an evicted entry
+            this process put is recomputed).
     """
 
     _PAYLOAD_FIELD = "entry"

@@ -115,6 +115,20 @@ class TestCompaction:
         assert reloaded.stats.disk_entries_loaded == 8
         assert trial_metrics_to_dict(reloaded.get("k59")) == trial_metrics_to_dict(_metrics(59.0))
 
+    def test_a_key_that_capped_compaction_evicted_is_appended_again(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = TrialCache(path, max_memory_entries=1)
+        for i in range(4):
+            cache.put(f"k{i}", _metrics(float(i)))
+        assert cache.compact(2).evicted == 2
+        assert cache.get("k0") is None
+        cache.put("k0", _metrics(0.0))  # compaction forgot what this cache wrote
+        assert [json.loads(line)["key"] for line in path.read_text().splitlines()] == [
+            "k2", "k3", "k0"
+        ]
+        reloaded = TrialCache(path)
+        assert trial_metrics_to_dict(reloaded.get("k0")) == trial_metrics_to_dict(_metrics(0.0))
+
     def test_compact_requires_a_path(self):
         with pytest.raises(ValueError):
             TrialCache().compact()

@@ -136,6 +136,13 @@ class TestRegionStore:
             cache.put(("same", "key"), entry)
         assert len(store.read_text().splitlines()) == 1
 
+    def test_a_put_of_a_key_the_store_holds_appends_nothing(self, tmp_path):
+        store = tmp_path / "regions.jsonl"
+        RegionCostCache(path=store).put(("key",), _region_entry())
+        written = store.read_bytes()
+        RegionCostCache(path=store).put(("key",), _region_entry())
+        assert store.read_bytes() == written
+
 
 def _append_worker(store_path: str, writer_id: int, opened) -> None:
     """One writer process: race the shared key, then add a private one.
@@ -391,10 +398,50 @@ class TestForkWarmWorkers:
 
 
 # ---------------------------------------------------------------------------
+def _lines_by_key(store) -> dict:
+    """Each key digest of a store, with the set of lines written for it."""
+    lines = {}
+    for line in store.read_text().splitlines():
+        lines.setdefault(json.loads(line)["key"], set()).add(line)
+    return lines
+
+
+class TestPoolWrittenStores:
+    def test_pool_written_stores_fold_to_the_serial_stores(self, tmp_path):
+        """A 2-worker pool's cold stores hold the serial ones' lines, duplicates aside."""
+        problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
+
+        def run(directory, executor=None):
+            options = SimulationOptions(
+                fusion_solver="greedy",
+                op_cache_path=str(directory / "ops.jsonl"),
+                region_store_path=str(directory / "regions.jsonl"),
+            )
+            search = FASTSearch(
+                problem, optimizer="lcs", seed=0, executor=executor,
+                evaluator=TrialEvaluator(problem, simulation_options=options),
+            )
+            result = search.run(num_trials=48, batch_size=8)
+            return [trial_metrics_to_dict(m) for m in result.history]
+
+        serial = run(tmp_path / "serial")
+        with ParallelExecutor(num_workers=2) as executor:
+            pooled = run(tmp_path / "pool", executor)
+        assert pooled == serial
+        for name in ("ops.jsonl", "regions.jsonl"):
+            serial_lines = _lines_by_key(tmp_path / "serial" / name)
+            pool_lines = _lines_by_key(tmp_path / "pool" / name)
+            assert pool_lines.keys() == serial_lines.keys()
+            assert all(len(lines) == 1 for lines in serial_lines.values())
+            assert pool_lines == serial_lines  # every duplicate is byte-identical
+
+
+# ---------------------------------------------------------------------------
 class TestServiceRegionCache:
     """``repro serve`` is where searches on different hosts share regions."""
 
-    def test_store_less_service_stays_within_its_lru_bound(self):
+    def _bounded_service_cache(self, store=None) -> RegionCostCache:
+        """The region cache a service prices one batch with, its LRU cut to 20."""
         problem = SearchProblem(["efficientnet-b0"], ObjectiveKind.PERF_PER_TDP)
         options = SimulationOptions(fusion_solver="greedy")
         space = DatapathSearchSpace()
@@ -410,14 +457,29 @@ class TestServiceRegionCache:
             },
             "params": [params_to_jsonable(p) for p in params],
         }
-        with EvaluationService() as service:
-            cache = get_region_cache()
+        path = None if store is None else str(store)
+        overrides = None if path is None else {"region_store_path": path}
+        with EvaluationService(simulation_overrides=overrides) as service:
+            cache = get_region_cache(path)
             cache.max_memory_entries = 20
             status, _ = service.evaluate_payload(payload)
         assert status == 200
         # One batch prices far more distinct regions than the bound.
         assert cache.stats.puts > 2 * cache.max_memory_entries
         assert len(cache) <= cache.max_memory_entries
+        return cache
+
+    def test_store_less_service_stays_within_its_lru_bound(self):
+        self._bounded_service_cache()
+
+    def test_store_backed_service_stays_within_its_lru_bound(self, tmp_path):
+        store = tmp_path / "svc.jsonl"
+        cache = self._bounded_service_cache(store)
+        # Every priced region is on disk; the service keeps only its digest.
+        keys = [json.loads(line)["key"] for line in store.read_text().splitlines()]
+        assert len(keys) > 2 * cache.max_memory_entries
+        assert cache._disk_index == {}
+        assert cache._written == set(keys)
 
     def test_remote_searches_share_the_service_region_store(self, tmp_path):
         problem = SearchProblem(["mobilenet-v2"], ObjectiveKind.PERF_PER_TDP)

@@ -4,16 +4,16 @@ A format-2 payload is a JSON array whose fields sit in a fixed order; a
 format-1 payload is an object of named fields, and stores holding either
 (or both) keep serving.  What is pinned here: a row decodes to exactly what
 was put, field types included (a fresh evaluation's int ``0`` stays an int);
-the last line for a key wins whatever its format; the rows a put keeps in
-the index leave the cyclic collector; and a row that does not decode is
-quarantined at first touch, never raised into a search.  Trial-cache
-records (JSON objects) and the checkpoints that hold them decode as
-strictly.
+the last line for a key wins whatever its format; a cold search writes the
+same bytes, line order and key digests as ever, hashing each key once and
+keeping digests, not rows; and a row that does not decode is quarantined at
+first touch, never raised into a search.  Trial-cache records (JSON
+objects) and the checkpoints that hold them decode as strictly.
 """
 
 from __future__ import annotations
 
-import gc
+import hashlib
 import json
 from dataclasses import fields, is_dataclass, replace
 
@@ -23,7 +23,7 @@ import pytest
 from repro.core.designs import FAST_LARGE
 from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
-from repro.core.trial import TrialMetrics
+from repro.core.trial import TrialEvaluator, TrialMetrics
 from repro.hardware.datapath import DatapathConfig
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.costmodel import OpCost
@@ -33,6 +33,7 @@ from repro.reporting.serialization import trial_metrics_from_dict, trial_metrics
 from repro.runtime.cache import TrialCache
 from repro.runtime.checkpoint import SearchCheckpoint
 from repro.runtime.opcache import (
+    CostCacheBase,
     OpCostCache,
     RegionCostCache,
     opcost_from_row,
@@ -222,20 +223,75 @@ class TestDiskHitsMatchFreshEvaluation:
                 assert isinstance(json.loads(line)[field], list)
 
 
-class TestIndexRowsLeaveTheCollector:
-    def test_put_rows_are_untracked_by_the_collector(self, tmp_path):
+class TestColdStoresKeepDigestsNotRows:
+    def test_a_cold_simulate_keeps_one_digest_per_store_line(self, tmp_path):
         simulator = _stored_simulator(tmp_path, "efficientnet-b0")
-        rows = [
-            *simulator.op_cache._disk_index.values(),
-            *simulator.region_cache._disk_index.values(),
+        for cache in (simulator.op_cache, simulator.region_cache):
+            keys = [json.loads(line)["key"] for line in cache.path.read_text().splitlines()]
+            assert cache._disk_index == {}  # the index holds what was read from disk
+            assert len(cache._written) == len(keys)
+            assert cache._written == set(keys)
+
+
+#: sha256 of each store the cold search of :func:`cold_search` writes.  They
+#: pin what a round trip cannot show: every line's bytes, the line order and
+#: each key's digest.
+COLD_STORE_SHA256 = {
+    "ops.jsonl": "c70e56a5eba2e02134d0c29cdde30aea64b06fcaca30c544b75d848e2671d95d",
+    "regions.jsonl": "51bc1e2e19d98d5ed5fbd6c29614fe539e951225737f78296ac03c8e7d2b4bb2",
+    "trials.jsonl": "520bbe5fc68dacd8d831f74aabc21fb1fbafea702cdb9bdc380f7520189ea035",
+}
+
+
+@pytest.fixture(scope="module")
+def cold_search(tmp_path_factory):
+    """A 16-trial cold search's store directory and its ``CostCacheBase.digest`` calls.
+
+    efficientnet-b0 + bert-seq128, annealing, seed 0, batch 4, from empty
+    op and region stores and an empty trial cache.
+    """
+    directory = tmp_path_factory.mktemp("cold-stores")
+    digest = CostCacheBase.digest
+    calls = 0
+
+    def counted(key, prefix=None):
+        nonlocal calls
+        calls += 1
+        return digest(key, prefix)
+
+    problem = SearchProblem(["efficientnet-b0", "bert-seq128"], ObjectiveKind.PERF_PER_TDP)
+    options = SimulationOptions(
+        fusion_solver="greedy",
+        op_cache_path=str(directory / "ops.jsonl"),
+        region_store_path=str(directory / "regions.jsonl"),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CostCacheBase, "digest", staticmethod(counted))
+        FASTSearch(
+            problem, optimizer="annealing", seed=0,
+            evaluator=TrialEvaluator(problem, simulation_options=options),
+            cache=TrialCache(directory / "trials.jsonl"),
+        ).run(num_trials=16, batch_size=4)
+    return directory, calls
+
+
+class TestColdSearchStores:
+    def test_a_cold_search_writes_the_pinned_bytes(self, cold_search):
+        directory, _ = cold_search
+        assert {
+            name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in COLD_STORE_SHA256
+        } == COLD_STORE_SHA256
+
+    def test_a_cold_search_hashes_each_key_once(self, cold_search):
+        directory, digest_calls = cold_search
+        lines = [
+            line for name in ("ops.jsonl", "regions.jsonl")
+            for line in (directory / name).read_text().splitlines()
         ]
-        assert all(isinstance(row, tuple) for row in rows)
-        # One pass untracks each row's nested tuples, the next the row: a
-        # search's young-generation passes do both before a row grows old.
-        gc.collect()
-        assert not any(gc.is_tracked(item) for row in rows for item in row)
-        gc.collect()
-        assert not any(gc.is_tracked(row) for row in rows)
+        assert len({json.loads(line)["key"] for line in lines}) == len(lines)
+        # One digest per line written, none for the lookups that missed first.
+        assert digest_calls == len(lines)
 
 
 # ---------------------------------------------------------------------------
