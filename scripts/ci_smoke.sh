@@ -108,27 +108,34 @@ PY
 # 3b. Mapper equivalence smoke: the same fixed-seed search under the default
 #     engine (graph-batched, both caches on) and the scalar reference with
 #     both caches off must produce bit-for-bit identical histories, on
-#     efficientnet-b0 and on bert-seq128, whose softmax and layernorm
-#     regions (and its many two-pass-softmax proposals) no CNN reaches.
+#     efficientnet-b0, on bert-seq128, whose softmax and layernorm regions
+#     (and its many two-pass-softmax proposals) no CNN reaches, and on the
+#     benchmark's suite-anneal shape: both models under annealing, whose
+#     one-parameter moves revisit an array shape under a new PE count.
 # --------------------------------------------------------------------------
 # The default engine and the scalar engine with both caches on (the op
 # cache is its only memo of mapped costs) must each reproduce the uncached
 # scalar reference's history.
+#   mapper_equiv_case NAME OPTIMIZER TRIALS BATCH WORKLOAD...
 mapper_equiv_case() {
-    local workload="$1" trials="$2"
-    local common=(--workload "$workload" --trials "$trials" --batch-size 4 --seed 0 --history)
+    local name="$1" optimizer="$2" trials="$3" batch="$4"
+    shift 4
+    local common=(--optimizer "$optimizer" --trials "$trials" --batch-size "$batch"
+                  --seed 0 --history)
+    local workload
+    for workload in "$@"; do common+=(--workload "$workload"); done
     python -m repro search "${common[@]}" \
         --engine scalar:op_cache=off,region_cache=off \
-        --output "$SMOKE_DIR/search-reference-$workload.json"
+        --output "$SMOKE_DIR/search-reference-$name.json"
     python -m repro search "${common[@]}" \
-        --output "$SMOKE_DIR/search-default-$workload.json"
+        --output "$SMOKE_DIR/search-default-$name.json"
     python -m repro search "${common[@]}" \
         --engine scalar \
-        --output "$SMOKE_DIR/search-scalar-$workload.json"
+        --output "$SMOKE_DIR/search-scalar-$name.json"
 
-    python - "$SMOKE_DIR/search-reference-$workload.json" "$workload" \
-        "graph-batched=$SMOKE_DIR/search-default-$workload.json" \
-        "scalar=$SMOKE_DIR/search-scalar-$workload.json" <<'PY'
+    python - "$SMOKE_DIR/search-reference-$name.json" "$name" \
+        "graph-batched=$SMOKE_DIR/search-default-$name.json" \
+        "scalar=$SMOKE_DIR/search-scalar-$name.json" <<'PY'
 import json, sys
 reference = json.load(open(sys.argv[1]))
 for leg in sys.argv[3:]:
@@ -146,8 +153,9 @@ PY
 
 smoke_mapper_equiv() {
     log "mapper equivalence smoke: default and cached scalar engines vs uncached scalar reference history"
-    mapper_equiv_case efficientnet-b0 12
-    mapper_equiv_case bert-seq128 32
+    mapper_equiv_case efficientnet-b0 lcs 12 4 efficientnet-b0
+    mapper_equiv_case bert-seq128 lcs 32 4 bert-seq128
+    mapper_equiv_case suite-anneal annealing 96 8 efficientnet-b0 bert-seq128
 }
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,9 @@ For each matrix op the mapper
 (2) applies the tensor padding pre-pass,
 (3) checks structural schedulability (minimum scratchpad sizes),
 (4) searches a pruned mapspace of dataflows x tilings, estimating compute
-    cycles and DRAM traffic for each candidate, and
+    cycles and DRAM traffic for each candidate — the candidate grid and the
+    spatial mappings depend on the systolic array's shape but not on the PE
+    count, which only scales compute cycles and utilization — and
 (5) returns the best mapping as an :class:`~repro.mapping.costmodel.OpCost`.
 
 This replaces the Timeloop invocation used by the paper's simulator; the
@@ -19,7 +21,8 @@ Step (4) has two engines that return bit-for-bit identical costs:
 every op a trial needs mapped in one stacked NumPy pass.  Both read and fill
 the optional shared :class:`~repro.runtime.opcache.OpCostCache`, the one
 memo of mapped costs across calls; the memos below hold only lowered
-problems and their candidate grids.
+problems, their candidate grids (one per array shape) and their cost
+templates (one per array shape and PE count).
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ def _tracer():
 
 _DTYPE_BYTES = 2  # bfloat16 throughout, matching the paper's evaluation.
 _MIN_STREAM_CHUNK = 128  # Minimum rows per PE when splitting the streamed dim.
+_EXACT_RINT_LIMIT = 2.0**52  # From here up every double is an integer.
 
 # Problem extraction is pure and ops belong to immutable built graphs, so the
 # lowered MatrixProblem is memoized per op object across Mapper instances
@@ -85,32 +89,46 @@ def _memoized_problem(op: Operation, tensors: Dict[str, Tensor]) -> MatrixProble
     return problem
 
 
-class _DataflowPlan(NamedTuple):
-    """Dataflow-dependent but candidate-independent pieces of one search."""
+class _CandidateGrid(NamedTuple):
+    """Padded problem + candidate grid + spatial mapping per dataflow.
 
-    mapping: SpatialMapping
-    compute_cycles: float
-    rounded_cycles: float
-
-
-class _PreparedProblem(NamedTuple):
-    """Padded problem + candidate grid + per-dataflow plans, memoized.
-
-    Everything here is a pure function of (raw problem shape, array geometry,
-    PE count, mapper options), so it is shared across Mapper instances — i.e.
-    across trials — through :data:`_PREP_MEMO`.  The arrays are treated as
-    immutable by every consumer.
+    A pure function of (raw problem shape, ``systolic_array_x``/``_y``,
+    mapper options) — not of the PE count — so datapaths that differ only
+    in their PE grid share one entry through :data:`_GRID_MEMO`.  The arrays
+    are treated as immutable by every consumer.
     """
 
     problem: MatrixProblem
     m_tiles: np.ndarray
     n_tiles: np.ndarray
     k_tiles: np.ndarray
-    per_dataflow: Tuple[_DataflowPlan, ...]
+    mappings: Tuple[SpatialMapping, ...]
 
 
-# Keyed by (problem key, mapper geometry key); cleared wholesale on overflow,
-# exactly like the problem memo above.
+class _PreparedProblem(NamedTuple):
+    """One problem's cost template on one array shape and PE count.
+
+    Every number an :class:`OpCost` takes besides the winning candidate's:
+    the raw and padded problems' FLOPs, and per dataflow the compute cycles,
+    their ``round(max(cc, 0), 3)`` rank term and the utilization.  All of it
+    depends only on the memo key — the problem key, the array shape, the PE
+    count (``macs_per_pe`` is x·y) and the mapper options — so it is shared
+    across Mapper instances, i.e. across trials, through :data:`_PREP_MEMO`.
+    """
+
+    grid: _CandidateGrid
+    flops: int
+    padded_flops: int
+    compute_cycles: Tuple[float, ...]
+    rounded_cycles: Tuple[float, ...]
+    utilization: Tuple[float, ...]
+
+
+# Keyed by (problem key, array shape + options) and by (problem key, array
+# shape + options + PE count) respectively; each is cleared wholesale on
+# overflow, exactly like the problem memo above.  A template holds its grid
+# itself, so either memo can be cleared without the other.
+_GRID_MEMO: Dict[Tuple, _CandidateGrid] = {}
 _PREP_MEMO: Dict[Tuple, _PreparedProblem] = {}
 _PREP_MEMO_MAX = 16384
 
@@ -155,15 +173,16 @@ class Mapper:
         self._key_prefix = (
             op_cache.key_prefix((self._config_key,)) if op_cache is not None else None
         )
-        # Everything _PreparedProblem depends on besides the problem itself.
-        self._prep_key = (
+        # Everything a _CandidateGrid depends on besides the problem itself,
+        # and everything a _PreparedProblem does.
+        self._grid_key = (
             config.systolic_array_x,
             config.systolic_array_y,
-            config.num_pes,
             tuple(d.value for d in self.options.dataflows),
             self.options.max_tiling_candidates,
             self.options.padding_max_overhead,
         )
+        self._prep_key = (*self._grid_key, config.num_pes)
 
     # ------------------------------------------------------------------
     def mapping_config_key(self) -> Tuple:
@@ -405,16 +424,16 @@ class Mapper:
     # ``ops x dataflows x (m, n, k)-tilings`` candidate space, bit-for-bit
     # equal to the scalar loop above.
     # ------------------------------------------------------------------
-    def _prepared(self, raw_problem: MatrixProblem, problem_key: Tuple) -> _PreparedProblem:
-        """Padding, candidate grid, and per-dataflow plans for one problem.
+    def _candidate_grid(self, raw_problem: MatrixProblem, problem_key: Tuple) -> _CandidateGrid:
+        """Padding, candidate grid and spatial mappings for one problem.
 
-        Memoized across Mapper instances (i.e. across trials) — all inputs
-        are captured by ``(problem_key, self._prep_key)``.
+        Memoized across Mapper instances and PE counts — all inputs are
+        captured by ``(problem_key, self._grid_key)``.
         """
-        memo_key = (problem_key, self._prep_key)
-        prepared = _PREP_MEMO.get(memo_key)
-        if prepared is not None:
-            return prepared
+        memo_key = (problem_key, self._grid_key)
+        grid = _GRID_MEMO.get(memo_key)
+        if grid is not None:
+            return grid
         config = self.config
         padding = pad_problem(
             raw_problem,
@@ -429,16 +448,38 @@ class Mapper:
             config.systolic_array_y,
             self.options.max_tiling_candidates,
         )
-        plans = []
-        for dataflow in self.options.dataflows:
-            mapping = spatial_mapping(
-                problem, config.systolic_array_x, config.systolic_array_y, dataflow
-            )
-            compute_cycles = self._compute_cycles(problem, mapping)
-            plans.append(
-                _DataflowPlan(mapping, compute_cycles, round(max(compute_cycles, 0.0), 3))
-            )
-        prepared = _PreparedProblem(problem, m_tiles, n_tiles, k_tiles, tuple(plans))
+        mappings = tuple(
+            spatial_mapping(problem, config.systolic_array_x, config.systolic_array_y, dataflow)
+            for dataflow in self.options.dataflows
+        )
+        grid = _CandidateGrid(problem, m_tiles, n_tiles, k_tiles, mappings)
+        if len(_GRID_MEMO) >= _PREP_MEMO_MAX:
+            _GRID_MEMO.clear()
+        _GRID_MEMO[memo_key] = grid
+        return grid
+
+    def _prepared(self, raw_problem: MatrixProblem, problem_key: Tuple) -> _PreparedProblem:
+        """One problem's cost template: its grid plus the PE-count arithmetic.
+
+        Memoized across Mapper instances (i.e. across trials) — all inputs
+        are captured by ``(problem_key, self._prep_key)``.
+        """
+        memo_key = (problem_key, self._prep_key)
+        prepared = _PREP_MEMO.get(memo_key)
+        if prepared is not None:
+            return prepared
+        grid = self._candidate_grid(raw_problem, problem_key)
+        compute_cycles = tuple(
+            self._compute_cycles(grid.problem, mapping) for mapping in grid.mappings
+        )
+        prepared = _PreparedProblem(
+            grid,
+            raw_problem.flops,
+            grid.problem.flops,
+            compute_cycles,
+            tuple(round(max(cycles, 0.0), 3) for cycles in compute_cycles),
+            tuple(self._utilization(raw_problem, cycles) for cycles in compute_cycles),
+        )
         if len(_PREP_MEMO) >= _PREP_MEMO_MAX:
             _PREP_MEMO.clear()
         _PREP_MEMO[memo_key] = prepared
@@ -453,7 +494,8 @@ class Mapper:
         reference: the stacked traffic pass computes the very same float64
         operations per candidate, and the segmented selection reproduces the
         scalar loop's rounded lexicographic ranking (with its first-wins
-        tie-breaking) exactly.
+        tie-breaking) exactly.  The winners' traffic and tiles are read in
+        bulk, one fancy index per array.
         """
         if not self._schedulable():
             return [
@@ -467,11 +509,12 @@ class Mapper:
                 for _, op, raw_problem in items
             ]
         preps = [self._prepared(raw_problem, key) for key, _, raw_problem in items]
+        grids = [prep.grid for prep in preps]
         op_index, m_all, n_all, k_all = stack_candidate_grids(
-            [(prep.m_tiles, prep.n_tiles, prep.k_tiles) for prep in preps]
+            [(grid.m_tiles, grid.n_tiles, grid.k_tiles) for grid in grids]
         )
         arrays = estimate_traffic_batch_ops(
-            [prep.problem for prep in preps],
+            [grid.problem for grid in grids],
             op_index,
             m_all,
             n_all,
@@ -479,43 +522,51 @@ class Mapper:
             self.hierarchy.blocking_capacity_bytes,
             _DTYPE_BYTES,
         )
-        selections = _select_batch_slots(
-            [tuple(plan.rounded_cycles for plan in prep.per_dataflow) for prep in preps],
+        dataflow_positions, flat = _select_batch_slots(
+            np.array([prep.rounded_cycles for prep in preps], dtype=np.float64),
             self.config.dram_bytes_per_cycle,
             arrays,
             op_index,
         )
 
+        dataflows = self.options.dataflows
         costs: List[OpCost] = []
-        for (_, op, raw_problem), prep, selection in zip(items, preps, selections):
-            if selection is None:
+        for (_, op, _), prep, position, input_bytes, stationary_bytes, output_bytes, m, n, k in zip(
+            items,
+            preps,
+            dataflow_positions.tolist(),
+            arrays.input_bytes[flat].tolist(),
+            arrays.stationary_bytes[flat].tolist(),
+            arrays.output_bytes[flat].tolist(),
+            m_all[flat].tolist(),
+            n_all[flat].tolist(),
+            k_all[flat].tolist(),
+        ):
+            if position < 0:
                 costs.append(
                     OpCost(
                         op_name=op.name,
                         op_type=op.op_type,
-                        flops=raw_problem.flops,
-                        padded_flops=prep.problem.flops,
+                        flops=prep.flops,
+                        padded_flops=prep.padded_flops,
                         schedule_failed=True,
                     )
                 )
                 continue
-            _, dataflow_position, flat_index = selection
-            plan = prep.per_dataflow[dataflow_position]
-            traffic = arrays.traffic(flat_index)
             costs.append(
                 OpCost(
                     op_name=op.name,
                     op_type=op.op_type,
-                    flops=raw_problem.flops,
-                    padded_flops=prep.problem.flops,
-                    compute_cycles=plan.compute_cycles,
+                    flops=prep.flops,
+                    padded_flops=prep.padded_flops,
+                    compute_cycles=prep.compute_cycles[position],
                     vector_cycles=0.0,
-                    dram_input_bytes=traffic.input_bytes,
-                    dram_weight_bytes=traffic.stationary_bytes,
-                    dram_output_bytes=traffic.output_bytes,
-                    utilization=self._utilization(raw_problem, plan.compute_cycles),
-                    dataflow=plan.mapping.dataflow,
-                    tiling=arrays.tiling(flat_index),
+                    dram_input_bytes=input_bytes,
+                    dram_weight_bytes=stationary_bytes,
+                    dram_output_bytes=output_bytes,
+                    utilization=prep.utilization[position],
+                    dataflow=dataflows[position],
+                    tiling=Tiling(m, n, k),
                     schedule_failed=False,
                 )
             )
@@ -571,41 +622,72 @@ def _labelled(cost: OpCost, op: Operation) -> OpCost:
     )
 
 
+def _round3(values: np.ndarray) -> np.ndarray:
+    """``[round(v, 3) for v in values]`` as a float64 array, bit for bit.
+
+    Python's ``round(v, 3)`` is correctly rounded: it rounds the exact value
+    of ``1000·v`` half-to-even to an integer ``n`` (through a decimal string)
+    and returns the double nearest ``n / 1000``.  ``s = v * 1000.0`` is that
+    exact product rounded once, so below 2**52 it is off by at most half an
+    ulp, and ``np.rint(s)`` can differ from ``n`` only when ``s`` lies that
+    close to a half-integer.  Everywhere else ``np.rint(s)`` is ``n``, and
+    ``n / 1000.0`` divides two exact doubles, so it is the correctly rounded
+    quotient: Python's answer.  Elements whose scaled value is not finite,
+    is at least 2**52 in magnitude, or lies within two ``np.spacing`` of a
+    half-integer take Python's ``round`` itself.  The guard matters: the bare
+    formula, which is what ``np.round`` computes, gives 5118.216 for
+    5118.2165 where ``round`` gives 5118.217.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = values * 1000.0
+        rounded = np.rint(scaled) / 1000.0
+        magnitude = np.abs(scaled)
+        near_half = np.abs(magnitude - np.floor(magnitude) - 0.5) <= 2.0 * np.spacing(magnitude)
+        unsure = np.flatnonzero(near_half | ~(magnitude < _EXACT_RINT_LIMIT))
+    if unsure.size:
+        rounded[unsure] = [round(value, 3) for value in values[unsure].tolist()]
+    return rounded
+
+
 def _select_batch_slots(
-    rounded_cycles: Sequence[Tuple[float, ...]],
+    rounded_cycles: np.ndarray,
     dram_bpc: float,
     arrays,
     op_index: np.ndarray,
-) -> List[Optional[Tuple]]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Segmented lexicographic argmin over the stacked candidate axis.
 
-    ``rounded_cycles[p]`` holds problem ``p``'s rounded compute cycles per
-    dataflow plan (position-aligned across problems).  For every problem and
-    dataflow the scalar loop ranks candidates by
-    ``(round(max(cc, dram), 3), rint(total_bytes), buffer_bytes)`` with
-    strict-< first-wins tie-breaking.  All three components are exact
-    reproductions here: ``round(x, 3)`` stays Python's correctly-rounded
-    builtin (computed once per fitting candidate), the segmented
+    ``rounded_cycles[p, d]`` holds problem ``p``'s rounded compute cycles
+    under dataflow plan ``d``.  For every problem and dataflow the scalar
+    loop ranks candidates by ``(round(max(cc, dram), 3), rint(total_bytes),
+    buffer_bytes)`` with strict-< first-wins tie-breaking, across dataflows
+    too.  All of it is reproduced exactly, in arrays only.  ``round(x, 3)``
+    is :func:`_round3`: below 2**52 the product ``x * 1000.0`` is off by at
+    most half an ulp, so ``rint`` can disagree with Python's correctly
+    rounded ``round`` only that close to a half-integer, and ``n / 1000.0``
+    is correctly rounded for an integer ``n``; values within two ulps of a
+    half-integer, or not below 2**52, take the builtin.  The segmented
     minimums via ``np.minimum.reduceat`` compare the identical float64 /
-    int64 values, and the final position minimum picks the earliest
-    candidate in the per-op enumeration order.  Returns, per problem,
-    ``None`` (nothing fits) or ``(rank, dataflow_position, flat_index)``.
+    int64 values, the position minimum picks the earliest candidate in the
+    per-op enumeration order, and a later dataflow replaces the incumbent
+    only on a strictly smaller rank.  Returns, per problem, the winning
+    dataflow position (-1 when no candidate fits) and the winner's flat
+    candidate index (0 when none fits).
     """
-    num_problems = len(rounded_cycles)
-    selections: List[Optional[Tuple]] = [None] * num_problems
+    num_problems, num_dataflows = rounded_cycles.shape
+    dataflow_positions = np.full(num_problems, -1, dtype=np.int64)
+    winners = np.zeros(num_problems, dtype=np.int64)
     fit_flat = np.flatnonzero(arrays.fits)
-    if fit_flat.size == 0:
-        return selections
+    if fit_flat.size == 0 or num_dataflows == 0:
+        return dataflow_positions, winners
     op_fit = op_index[fit_flat]
     counts = np.bincount(op_fit, minlength=num_problems)
-    active = counts > 0
-    # Per-problem segment rank (only problems with >= 1 fitting candidate
-    # get a segment; empty segments would break reduceat semantics).
-    segment_of_problem = np.cumsum(active) - 1
-    segment_id = segment_of_problem[op_fit]
-    active_counts = counts[active]
-    starts = np.zeros(active_counts.shape[0], dtype=np.int64)
-    np.cumsum(active_counts[:-1], out=starts[1:])
+    # Only problems with >= 1 fitting candidate get a segment (empty
+    # segments would break reduceat semantics).
+    active = np.flatnonzero(counts)
+    segment_id = (np.cumsum(counts > 0) - 1)[op_fit]
+    starts = np.zeros(active.shape[0], dtype=np.int64)
+    np.cumsum(counts[active][:-1], out=starts[1:])
 
     totals = arrays.total_bytes[fit_flat]
     # np.rint rounds half-to-even exactly like Python's round(float) -> int.
@@ -615,45 +697,35 @@ def _select_batch_slots(
         # round() is monotone, so round(max(cc, dram), 3) equals
         # max(round(cc, 3), round(dram, 3)) — rounding the shared DRAM
         # cycles once lets every dataflow reuse them.
-        rounded_dram = np.array(
-            [round(d, 3) for d in (totals / dram_bpc).tolist()], dtype=np.float64
-        )
+        rounded_dram = _round3(totals / dram_bpc)
     else:
         rounded_dram = np.zeros(fit_flat.shape[0], dtype=np.float64)
     positions = np.arange(fit_flat.shape[0], dtype=np.int64)
     int_sentinel = np.iinfo(np.int64).max
-    active_problems = np.flatnonzero(active).tolist()
 
-    for dataflow_position in range(len(rounded_cycles[0])):
-        rounded_cc = np.array(
-            [cycles[dataflow_position] for cycles in rounded_cycles], dtype=np.float64
-        )
-        objective = np.maximum(rounded_cc[op_fit], rounded_dram)
+    for dataflow_position, rounded_cc in enumerate(rounded_cycles[active].T):
+        objective = np.maximum(rounded_cc[segment_id], rounded_dram)
         seg_obj = np.minimum.reduceat(objective, starts)
         tied = objective == seg_obj[segment_id]
-        seg_total = np.minimum.reduceat(
-            np.where(tied, rounded_totals, np.inf), starts
-        )
+        seg_total = np.minimum.reduceat(np.where(tied, rounded_totals, np.inf), starts)
         tied &= rounded_totals == seg_total[segment_id]
-        seg_buffer = np.minimum.reduceat(
-            np.where(tied, buffers, int_sentinel), starts
-        )
+        seg_buffer = np.minimum.reduceat(np.where(tied, buffers, int_sentinel), starts)
         tied &= buffers == seg_buffer[segment_id]
-        seg_position = np.minimum.reduceat(
-            np.where(tied, positions, int_sentinel), starts
+        seg_position = np.minimum.reduceat(np.where(tied, positions, int_sentinel), starts)
+        if dataflow_position == 0:
+            best_obj, best_total, best_buffer = seg_obj, seg_total, seg_buffer
+            best_position = seg_position
+            best_dataflow = np.zeros(active.shape[0], dtype=np.int64)
+            continue
+        better = (seg_obj < best_obj) | (
+            (seg_obj == best_obj)
+            & ((seg_total < best_total) | ((seg_total == best_total) & (seg_buffer < best_buffer)))
         )
-        obj_list = seg_obj.tolist()
-        total_list = seg_total.tolist()
-        buffer_list = seg_buffer.tolist()
-        position_list = seg_position.tolist()
-        for segment, problem_position in enumerate(active_problems):
-            rank = (obj_list[segment], total_list[segment], buffer_list[segment])
-            incumbent = selections[problem_position]
-            if incumbent is None or rank < incumbent[0]:
-                selections[problem_position] = (
-                    rank,
-                    dataflow_position,
-                    int(fit_flat[position_list[segment]]),
-                )
-    return selections
-
+        best_obj = np.where(better, seg_obj, best_obj)
+        best_total = np.where(better, seg_total, best_total)
+        best_buffer = np.where(better, seg_buffer, best_buffer)
+        best_position = np.where(better, seg_position, best_position)
+        best_dataflow[better] = dataflow_position
+    dataflow_positions[active] = best_dataflow
+    winners[active] = fit_flat[best_position]
+    return dataflow_positions, winners

@@ -197,20 +197,6 @@ class TrafficArrays:
     def __len__(self) -> int:
         return int(self.m_tiles.shape[0])
 
-    def tiling(self, index: int) -> Tiling:
-        """Materialize the ``Tiling`` dataclass for one candidate."""
-        return Tiling(
-            int(self.m_tiles[index]), int(self.n_tiles[index]), int(self.k_tiles[index])
-        )
-
-    def traffic(self, index: int) -> TrafficEstimate:
-        """Materialize the ``TrafficEstimate`` for one candidate."""
-        return TrafficEstimate(
-            input_bytes=float(self.input_bytes[index]),
-            stationary_bytes=float(self.stationary_bytes[index]),
-            output_bytes=float(self.output_bytes[index]),
-        )
-
 
 def tiling_candidate_arrays(
     problem: MatrixProblem,

@@ -13,6 +13,9 @@ that chooses between the engines.
 
 from __future__ import annotations
 
+import collections
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,12 +23,15 @@ from repro.core.designs import FAST_LARGE, TPU_V3
 from repro.core.fast import FASTSearch
 from repro.core.problem import ObjectiveKind, SearchProblem
 from repro.core.trial import TrialEvaluator
-from repro.hardware.datapath import BufferConfig, DatapathConfig
+from repro.hardware.datapath import BufferConfig, DatapathConfig, L2Config, MemoryTechnology
 from repro.hardware.search_space import DatapathSearchSpace
 from repro.mapping.dataflow import Dataflow
 from repro.mapping.loopnest import MatrixProblem, extract_problem
-from repro.mapping.mapper import Mapper, MapperOptions
+from repro.mapping import mapper as mapper_module
+from repro.mapping.mapper import Mapper, MapperOptions, _round3
 from repro.mapping.tiling import (
+    Tiling,
+    TrafficEstimate,
     candidate_tilings,
     estimate_traffic,
     estimate_traffic_batch_ops,
@@ -39,10 +45,11 @@ from repro.reporting.serialization import (
 )
 from repro.runtime import ParallelExecutor
 from repro.runtime.cache import problem_fingerprint
-from repro.runtime.opcache import OpCostCache, reset_op_caches
+from repro.runtime.opcache import OpCostCache, RegionCostCache, reset_op_caches
 from repro.simulator.engine import SimulationOptions, Simulator
 from repro.simulator.enginespec import DEFAULT_ENGINE, MAPPER_MODES, EngineSpec
-from repro.workloads.ops import is_matrix_op
+from repro.workloads.graph import Operation, Tensor, TensorKind
+from repro.workloads.ops import OpType, is_matrix_op
 from repro.workloads.registry import available_workloads, build_workload
 
 SCALAR = EngineSpec("scalar", op_cache=False, region_cache=False)
@@ -113,11 +120,15 @@ def _assert_candidates_match_scalar(problem, arrays, segment, array_x, array_y, 
     assert len(tilings) == segment.stop - segment.start
     for offset, tiling in enumerate(tilings):
         i = segment.start + offset
-        assert arrays.tiling(i) == tiling
+        assert Tiling(int(arrays.m_tiles[i]), int(arrays.n_tiles[i]), int(arrays.k_tiles[i])) == tiling
         traffic, fits = estimate_traffic(problem, tiling, capacity)
         assert bool(arrays.fits[i]) == fits
         assert int(arrays.buffer_bytes[i]) == tiling.buffer_bytes(2)
-        assert arrays.traffic(i) == traffic
+        assert TrafficEstimate(
+            float(arrays.input_bytes[i]),
+            float(arrays.stationary_bytes[i]),
+            float(arrays.output_bytes[i]),
+        ) == traffic
         assert float(arrays.total_bytes[i]) == traffic.total_bytes
 
 
@@ -357,6 +368,260 @@ class TestMapOpsBatch:
             for graph, costs in zip(graphs, batched):
                 for op in _matrix_ops(graph):
                     assert costs[op.name] == scalar.map_op(op, graph.tensors), op.name
+
+
+# ---------------------------------------------------------------------------
+class TestRound3:
+    """The selection's vectorized ``round(x, 3)`` equals Python's bit for bit."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(2022)
+        halves = (rng.integers(0, 10**9, size=10**5) + 0.5) / 1000
+        near_halves = [halves, -halves]
+        for direction in (np.inf, -np.inf):
+            step = halves
+            for _ in range(2):  # the one- and two-ulp neighbours
+                step = np.nextafter(step, direction)
+                near_halves.append(step)
+        edge = 2.0**52 / 1000  # from here up, x * 1000 is never a fraction
+        specials = [
+            0.0, -0.0, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf),
+            edge * 1.5, edge * 1000, edge * 4096 + 0.5, 1e300,
+            np.finfo(np.float64).max, np.inf, -np.inf, np.nan,
+            5118.2165, 7247.8994999999995,
+        ]
+        return np.concatenate(
+            [
+                rng.uniform(0.0, 10.0, 10**5),
+                rng.uniform(0.0, 1e9, 10**5),
+                rng.exponential(1e5, 10**5),
+                *near_halves,
+                np.arange(1, 2 * 10**5, 2) / 16,  # j / 16 for odd j: exact halves
+                np.array(specials),
+            ]
+        )
+
+    def test_equals_round_bit_for_bit(self):
+        values = self._inputs()
+        expected = np.array([round(value, 3) for value in values.tolist()])
+        got = _round3(values)
+        wrong = np.flatnonzero(got.view(np.int64) != expected.view(np.int64))
+        assert wrong.size == 0, values[wrong[:5]].tolist()
+
+    @pytest.mark.parametrize(
+        "value, rounded", [(5118.2165, 5118.217), (7247.8994999999995, 7247.899)]
+    )
+    def test_the_bare_formula_needs_the_guard(self, value, rounded):
+        assert round(value, 3) == rounded
+        assert np.rint(value * 1000.0) / 1000.0 != rounded
+        assert np.round(value, 3) != rounded
+        assert _round3(np.array([value]))[0] == rounded
+
+
+def _synthetic_ops(seed: int, count: int):
+    """Seeded matrix ops whose problems no registered workload makes.
+
+    Grouped (multi-instance) convolutions, depthwise convolutions, matmuls
+    and attention-style einsums, whose stationary operand is an activation,
+    with every dimension drawn log-uniformly from 1 to thousands: below, at
+    and above every array dimension.  Returns ``(ops, tensors)``.
+    """
+    rng = np.random.default_rng(seed)
+    tensors = {}
+
+    def dim(high):
+        return int(np.exp(rng.uniform(0.0, np.log(high))))
+
+    def tensor(name, shape, kind=TensorKind.ACTIVATION):
+        tensors[name] = Tensor(name, tuple(int(d) for d in shape), kind=kind)
+        return name
+
+    ops = []
+    for index in range(count):
+        name = f"synthetic{index}"
+        m, n, k = dim(60000), dim(4096), dim(4096)
+        streamed = tensor(f"{name}.in", (m, k))
+        output = f"{name}.out"
+        if index % 4 == 0:
+            groups = int(rng.choice([1, 2, 4, 8]))
+            kernel = int(rng.choice([1, 3]))
+            weight = tensor(f"{name}.w", (kernel, kernel, k, n * groups), TensorKind.WEIGHT)
+            tensor(output, (1, m, 1, n * groups))
+            op = Operation(
+                name, OpType.CONV2D, [streamed, weight], [output],
+                {"kernel": (kernel, kernel), "in_features": k * groups, "groups": groups},
+            )
+        elif index % 4 == 1:
+            kernel = int(rng.choice([3, 5]))
+            weight = tensor(f"{name}.w", (kernel, kernel, n), TensorKind.WEIGHT)
+            tensor(output, (1, m, 1, n))
+            op = Operation(
+                name, OpType.DEPTHWISE_CONV2D, [streamed, weight], [output],
+                {"kernel": (kernel, kernel)},
+            )
+        elif index % 4 == 2:
+            weight = tensor(f"{name}.w", (k, n), TensorKind.WEIGHT)
+            tensor(output, (m, n))
+            op = Operation(
+                name, OpType.MATMUL, [streamed, weight], [output], {"contracting_dim": k}
+            )
+        else:
+            batch, heads = dim(8), dim(16)
+            m = min(m, 2048)
+            other = tensor(f"{name}.kv", (batch, heads, k, n))
+            tensor(output, (batch, heads, m, n))
+            op = Operation(
+                name, OpType.EINSUM, [streamed, other], [output], {"contracting_dim": k}
+            )
+        ops.append(op)
+    return ops, tensors
+
+
+def _synthetic_configs(seed: int, count: int):
+    """Seeded datapaths over array shapes, blocking capacities and DRAM bandwidths.
+
+    GDDR6 at 1.75, 3.5 and 7 GHz moves a power-of-two number of bytes per
+    cycle (56 GB/s a channel), so some candidates' DRAM cycles land exactly
+    on a half-thousandth, where ``round(x, 3)`` rounds half to even.
+    """
+    rng = np.random.default_rng(seed)
+
+    def pick(choices):
+        return choices[int(rng.integers(len(choices)))]
+
+    return [
+        DatapathConfig(
+            pes_x_dim=pick([1, 2, 4, 8]),
+            pes_y_dim=pick([1, 2, 4, 8]),
+            systolic_array_x=pick([4, 8, 16, 32, 64, 128, 256]),
+            systolic_array_y=pick([4, 8, 16, 32, 64, 128, 256]),
+            l1_buffer_config=pick(list(BufferConfig)),
+            l1_input_buffer_kib=pick([1, 2, 8, 64, 512]),
+            l1_weight_buffer_kib=pick([16, 32, 64, 256, 1024]),
+            l1_output_buffer_kib=pick([1, 2, 8, 64, 512]),
+            l2_buffer_config=pick(list(L2Config)),
+            l3_global_buffer_mib=pick([0, 0, 1, 4, 32]),
+            gddr6_channels=pick([1, 2, 4, 8]),
+            memory_technology=pick([MemoryTechnology.GDDR6] * 3 + [MemoryTechnology.HBM2]),
+            clock_ghz=pick([0.94, 1.1, 1.75, 3.5, 7.0]),
+        )
+        for _ in range(count)
+    ]
+
+
+#: 18 KiB of blocking capacity: large problems have no candidate that fits.
+TIGHT = DatapathConfig(
+    systolic_array_x=128,
+    systolic_array_y=128,
+    l1_buffer_config=BufferConfig.PRIVATE,
+    l1_input_buffer_kib=1,
+    l1_weight_buffer_kib=16,
+    l1_output_buffer_kib=1,
+    l3_global_buffer_mib=0,
+    clock_ghz=1.75,
+)
+
+
+class TestSyntheticProblems:
+    """The fast engine against the scalar one beyond the workloads' own ops."""
+
+    def test_batch_equals_scalar_on_seeded_problems_and_datapaths(self, monkeypatch):
+        ops, tensors = _synthetic_ops(seed=5, count=96)
+        rounded = []
+        original_round3 = mapper_module._round3
+
+        def recording_round3(values):
+            rounded.append(values)
+            return original_round3(values)
+
+        monkeypatch.setattr(mapper_module, "_round3", recording_round3)
+        mismatches, failed = [], collections.Counter()
+        for index, config in enumerate(_synthetic_configs(seed=11, count=16) + [TIGHT]):
+            batched = Mapper(config).map_ops_batch(ops, tensors)
+            scalar = Mapper(config)
+            for op in ops:
+                cost = scalar.map_op(op, tensors)
+                failed[cost.schedule_failed] += 1
+                if batched[op.name] != cost:
+                    mismatches.append((index, op.name))
+        assert mismatches == []
+        assert failed[True] and failed[False]  # nothing fits, and winners
+        scaled = np.concatenate(rounded) * 1000.0
+        assert np.any(scaled - np.floor(scaled) == 0.5)  # ties reached the rounding
+
+    def test_a_new_pe_count_shares_the_grids(self, monkeypatch):
+        # The PE count enters only compute cycles and utilization: a datapath
+        # that differs from a mapped one only in its PE grid builds no
+        # candidate grid, and still equals the scalar engine.
+        monkeypatch.setattr(mapper_module, "_GRID_MEMO", {})
+        monkeypatch.setattr(mapper_module, "_PREP_MEMO", {})
+        builds = []
+        original = mapper_module.tiling_candidate_arrays
+
+        def counting(*args, **kwargs):
+            builds.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mapper_module, "tiling_candidate_arrays", counting)
+        ops, tensors = _synthetic_ops(seed=17, count=48)
+        first = DatapathConfig(
+            systolic_array_x=64, systolic_array_y=16, pes_x_dim=2, pes_y_dim=4, clock_ghz=3.5
+        )
+        Mapper(first).map_ops_batch(ops, tensors)
+        assert builds
+        builds.clear()
+        second = replace(first, pes_x_dim=8, pes_y_dim=16)
+        batched = Mapper(second).map_ops_batch(ops, tensors)
+        assert builds == []
+        scalar = Mapper(second)
+        assert all(batched[op.name] == scalar.map_op(op, tensors) for op in ops)
+        assert sum(not cost.schedule_failed for cost in batched.values()) > len(ops) // 2
+
+
+class TestMapperCacheTraffic:
+    def test_a_short_search_keeps_its_lookups_and_shares_grids(self, monkeypatch):
+        # Every op- and region-cache get and put and every map_ops_batch
+        # call of this search is pinned; they equal the counts of the
+        # engine that built one candidate grid per PE count, which built
+        # 312 grids here.  Sharing grids across PE counts builds fewer.
+        monkeypatch.setattr(mapper_module, "_GRID_MEMO", {})
+        monkeypatch.setattr(mapper_module, "_PREP_MEMO", {})
+        counts = collections.Counter()
+
+        def count(target, name, label, sized=None):
+            original = getattr(target, name)
+
+            def counted(*args, **kwargs):
+                counts[label] += 1
+                if sized is not None:
+                    counts[sized] += len(args[1])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, counted)
+
+        count(OpCostCache, "get", "op_gets")
+        count(OpCostCache, "put", "op_puts")
+        count(RegionCostCache, "get", "region_gets")
+        count(RegionCostCache, "put", "region_puts")
+        count(Mapper, "map_ops_batch", "map_ops_batch", sized="ops")
+        count(mapper_module, "tiling_candidate_arrays", "grids")
+        problem = SearchProblem(["efficientnet-b0", "bert-seq128"], ObjectiveKind.PERF_PER_TDP)
+        evaluator = TrialEvaluator(
+            problem, simulation_options=DEFAULT_ENGINE.to_simulation_options(fusion_solver="greedy")
+        )
+        FASTSearch(problem, optimizer="annealing", seed=0, evaluator=evaluator).run(
+            num_trials=16, batch_size=4
+        )
+        assert counts.pop("grids") == 208 < 312
+        assert counts == {
+            "op_gets": 1322,
+            "op_puts": 982,
+            "region_gets": 363,
+            "region_puts": 323,
+            "map_ops_batch": 16,
+            "ops": 501,
+        }
 
 
 # ---------------------------------------------------------------------------
