@@ -410,7 +410,7 @@ PY
 #    the private-cache baseline.
 # --------------------------------------------------------------------------
 smoke_cache_tier() {
-    log "cache-tier smoke: cold stores one line per key and repeatable, region + op store warm-load + warm-pool equivalence, twin regions"
+    log "cache-tier smoke: cold stores one line per key and repeatable, op store of matrix ops only, region + op store warm-load + warm-pool equivalence, twin regions"
     local common=(--workload efficientnet-b0 --trials 12 --batch-size 4 --seed 0 --history)
     local store="$SMOKE_DIR/region-store.jsonl"
     local op_store="$SMOKE_DIR/op-store.jsonl"
@@ -429,6 +429,13 @@ for path in sys.argv[1:]:
     if len(set(keys)) != len(keys):
         raise SystemExit(f"{path}: {len(keys)} lines for {len(set(keys))} keys")
     print(path, "holds one line per key:", len(keys), "lines")
+# The op store holds mapped ops only: vector ops are priced from region plans.
+matrix = {"conv2d", "depthwise_conv2d", "matmul", "einsum"}
+for line in open(sys.argv[2]):
+    row = json.loads(line)["cost"]
+    if row[1] not in matrix:
+        raise SystemExit(f"{sys.argv[2]} holds a {row[1]!r} op, not a matrix op's: {line[:120]}")
+print(sys.argv[2], "holds matrix ops only")
 PY
     # A second serial cold run, into fresh store paths, writes the same bytes.
     local store2="$SMOKE_DIR/region-store-2.jsonl"

@@ -147,7 +147,9 @@ DRAM bytes:
 Engine options ``op_cache=on|off`` and ``region_cache=on|off`` toggle the
 two cross-trial memoization layers: the region-level result cache (whole
 fusion-region evaluations keyed by graph fingerprint, region index, and
-mapping-relevant datapath sub-config) and the per-op cost cache.
+mapping-relevant datapath sub-config) and the per-op cost cache of mapped
+matrix ops.  Vector ops need no cache: their VPU lane work is computed once
+per compiled graph.
 
 **The shared cost caches.**  Each memoization layer is one tier: an
 in-process memory LRU plus an optional persistent JSON-lines store —
@@ -189,13 +191,13 @@ pool silently running a different engine than you asked for is visible in
 ``repro profile``.
 
 ``repro profile`` measures both engines on a fixed-seed search:
-trials/sec, a per-stage time breakdown (mapper / vector / fusion / other),
-and cache hit rates for the scalar reference, the graph-batched engine with
-each cache off and on, and parallel modes, verifying along the way that
-every mode reproduces the same trial history.  Every row runs traced: its
-stage columns are span totals (mapper is ``batch_map`` + ``map_op``, vector
-``vector_op``, fusion ``fusion``, other the rest of ``trial``), the names
-``repro trace`` prints; a pool row sums its workers' spans::
+trials/sec, a per-stage time breakdown (mapper / fusion / other), and cache
+hit rates for the scalar reference, the graph-batched engine with each cache
+off and on, and parallel modes, verifying along the way that every mode
+reproduces the same trial history.  Every row runs traced: its stage columns
+are span totals (mapper is ``batch_map`` + ``map_op``, fusion ``fusion``,
+other the rest of ``trial``), the names ``repro trace`` prints; a pool row
+sums its workers' spans::
 
     python -m repro profile --workload efficientnet-b0 --trials 48 \
         --warm-op-cache --output profile.json
@@ -212,8 +214,7 @@ Observability
 Every run can explain where its time went.  ``--trace PATH`` on ``repro
 search`` and ``repro sweep`` records spans across the whole pipeline —
 search batches, trials, simulator stages (setup / mapping / regions /
-fusion, plus a ``map_op`` span per op the scalar engine maps and a
-``vector_op`` span per VPU op costed on an op-cache miss), process-pool
+fusion, plus a ``map_op`` span per op the scalar engine maps), process-pool
 workers (worker spans merge back into the parent trace exactly once), and
 remote requests all the way into the evaluation service (the trace context
 travels in an HTTP header, so server-side spans appear in the client's
@@ -746,7 +747,6 @@ def _cmd_profile(args) -> int:
             f"{record.trials_per_second:.1f}",
             f"{report.speedup(record.mode):.2f}x",
             f"{stages.get('mapper', 0.0) * 1e3:.0f}",
-            f"{stages.get('vector', 0.0) * 1e3:.0f}",
             f"{stages.get('fusion', 0.0) * 1e3:.0f}",
             f"{stages.get('other', 0.0) * 1e3:.0f}",
             f"{record.op_cache_hit_rate:.2f}" if record.op_cache_hits else "-",
@@ -754,9 +754,8 @@ def _cmd_profile(args) -> int:
             str(disk_hits) if disk_hits else "-",
         ])
     print(format_table(
-        ["Mode", "Trials/s", "vs scalar", "Mapper ms", "Vector ms",
-         "Fusion ms", "Other ms", "Op-cache hit rate", "Region-cache hit rate",
-         "Disk hits"],
+        ["Mode", "Trials/s", "vs scalar", "Mapper ms", "Fusion ms", "Other ms",
+         "Op-cache hit rate", "Region-cache hit rate", "Disk hits"],
         rows,
     ))
     print(

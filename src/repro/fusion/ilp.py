@@ -57,11 +57,6 @@ class IlpProblem:
             if getattr(self, arr_name).shape[0] != n:
                 raise ValueError(f"{arr_name} length does not match objective length")
 
-    @property
-    def num_variables(self) -> int:
-        """Number of decision variables."""
-        return self.objective.shape[0]
-
     def is_feasible(self, x: np.ndarray, tolerance: float = 1e-5) -> bool:
         """Check a candidate assignment against all constraints and bounds."""
         x = np.asarray(x, dtype=float)

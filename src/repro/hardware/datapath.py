@@ -211,11 +211,6 @@ class DatapathConfig:
         return 2.0 * self.total_macs * self.clock_ghz * 1e9
 
     @property
-    def peak_vector_flops(self) -> float:
-        """Peak VPU FLOP/s (one op per lane per cycle)."""
-        return float(self.total_vpu_lanes) * self.clock_ghz * 1e9
-
-    @property
     def dram_bandwidth_bytes_per_s(self) -> float:
         """Aggregate off-chip bandwidth in bytes/s."""
         return (
@@ -278,11 +273,6 @@ class DatapathConfig:
     def operational_intensity_ridgepoint(self) -> float:
         """FLOPS/byte at which the design transitions from memory- to compute-bound."""
         return self.peak_matrix_flops / self.dram_bandwidth_bytes_per_s
-
-    @property
-    def onchip_blocking_bytes(self) -> int:
-        """On-chip capacity usable by the scheduler for blocking (L1 + L2 + GM)."""
-        return self.l1_total_bytes + self.l2_total_bytes + self.global_buffer_bytes
 
     # ------------------------------------------------------------------
     # Convenience

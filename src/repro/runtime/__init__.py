@@ -11,7 +11,7 @@ engine, layered as:
 * :mod:`repro.runtime.cache` — persistent memoization of trial metrics with
   shard-safe concurrent writers and size-capped compaction,
 * :mod:`repro.runtime.opcache` — cross-trial memoization of per-op mapping
-  and vector costs plus whole evaluated fusion regions, keyed by problem
+  costs plus whole evaluated fusion regions, keyed by problem
   fingerprint + mapping-relevant sub-config and optionally persisted as
   JSON lines (op store / region store); ``caches_for`` picks the caches
   an evaluator's simulation options name.  Its ``CostCacheBase`` is the

@@ -10,9 +10,8 @@ restarts), and keyed by the pair
 so neighboring design points that agree on the mapping-relevant slice of the
 configuration — no matter how their fusion, memory, or batch parameters
 differ — reuse each other's mapped op costs instead of re-running the
-candidate sweep.  Vector-op costs are cached the same way under a
-``(graph fingerprint, op, VPU lanes, softmax factors)`` key built by
-:func:`repro.simulator.vector_ops.vector_cost_cache_key`.  One level up,
+candidate sweep.  It holds only what the mapper maps: the simulator prices
+vector ops from lane work its region plans hold.  One level up,
 :class:`RegionCostCache` memoizes whole fusion-region evaluations.
 
 :class:`CostCacheBase` is the one store behind the op store
@@ -661,7 +660,7 @@ class CostCacheBase:
 
 
 class OpCostCache(CostCacheBase):
-    """Cache of per-op mapping / vector costs (see module docstring)."""
+    """Cache of per-op mapping costs (see module docstring)."""
 
     _PAYLOAD_FIELD = "cost"
 

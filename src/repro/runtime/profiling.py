@@ -4,16 +4,16 @@
 configurations — the scalar reference mapping engine, the graph-batched
 engine with each cross-trial cache (region results, op costs) off and on,
 and a warm process-pool executor — and reports trials/sec plus a per-stage
-wall-clock breakdown (mapper / VPU cost model / fusion ILP / other) and
-cache hit counters.  Each mode runs under its own enabled tracer, and its
-stage times are that tracer's span totals — mapper is ``batch_map`` plus
-``map_op``, vector ``vector_op``, fusion ``fusion`` and evaluate ``trial``,
-the names ``repro trace`` prints.  Because every mode is bit-for-bit
-equivalent by design, the harness also verifies that every mode reproduces
-the reference trial history and flags any divergence: it doubles as an
-end-to-end equivalence check in CI.  The ``parallel`` rows exist so a
-process-pool regression can never hide: their throughput, worker-side cache
-counters and worker spans land in the same report as every serial mode.
+wall-clock breakdown (mapper / fusion / other) and cache hit counters.  Each
+mode runs under its own enabled tracer, and its stage times are that
+tracer's span totals — mapper is ``batch_map`` plus ``map_op``, fusion
+``fusion`` and evaluate ``trial``, the names ``repro trace`` prints.
+Because every mode is bit-for-bit equivalent by design, the harness also
+verifies that every mode reproduces the reference trial history and flags
+any divergence: it doubles as an end-to-end equivalence check in CI.  The
+``parallel`` rows exist so a process-pool regression can never hide: their
+throughput, worker-side cache counters and worker spans land in the same
+report as every serial mode.
 """
 
 from __future__ import annotations
@@ -74,13 +74,12 @@ def _stage_seconds(totals: Dict[str, list]) -> Dict[str, float]:
         return sum(totals[name][1] for name in names if name in totals)
 
     mapper = seconds("batch_map", "map_op")
-    vector, fusion, evaluate = seconds("vector_op"), seconds("fusion"), seconds("trial")
+    fusion, evaluate = seconds("fusion"), seconds("trial")
     return {
         "mapper": mapper,
-        "vector": vector,
         "fusion": fusion,
         "evaluate": evaluate,
-        "other": max(0.0, evaluate - mapper - vector - fusion),
+        "other": max(0.0, evaluate - mapper - fusion),
     }
 
 

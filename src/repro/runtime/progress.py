@@ -72,11 +72,6 @@ class ProgressBus:
         self._subscribers.append(subscriber)
         return subscriber
 
-    def unsubscribe(self, subscriber: Callable[[SearchEvent], None]) -> None:
-        """Remove a previously registered subscriber (no-op if absent)."""
-        if subscriber in self._subscribers:
-            self._subscribers.remove(subscriber)
-
     def emit(self, kind: str, trial_index: int = -1, **payload: object) -> SearchEvent:
         """Build an event and deliver it to every subscriber."""
         event = SearchEvent(kind=kind, trial_index=trial_index, payload=payload)

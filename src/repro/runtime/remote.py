@@ -99,11 +99,6 @@ class EndpointStats:
     consecutive_failures: int = 0
     blacklisted: bool = False
 
-    @property
-    def mean_latency_ms(self) -> float:
-        """Mean latency of successful requests, in milliseconds."""
-        return 1e3 * self.latency_seconds / self.successes if self.successes else 0.0
-
     def to_counters(self) -> Dict[str, float]:
         """Flat counter dict merged into ``RuntimeStats.endpoint_stats``."""
         return {

@@ -131,11 +131,6 @@ class CoordinateDescentOptimizer(Optimizer):
         self._best_objective = float(state["best_objective"])
 
     @property
-    def sweep_parameter(self) -> str:
-        """Name of the parameter axis that will be swept next."""
-        return self._parameter_order[self._axis_index]
-
-    @property
     def best_params(self) -> Optional[ParameterValues]:
         """Best feasible configuration found so far."""
         return dict(self._best_params) if self._best_params is not None else None

@@ -2,18 +2,20 @@
 
 The simulator evaluates a workload graph on a datapath configuration using
 the same three-stage flow as the paper (Figure 1): matrix ops are scheduled
-by the Timeloop-style mapper, vector ops are costed on the VPU, per-region
-pre-fusion performance is assembled, and — when the datapath has a Global
-Memory and fusion is enabled — the FAST fusion ILP assigns tensors to the
-Global Memory and post-fusion performance is produced.
+by the Timeloop-style mapper, vector ops are priced on the VPU from their
+lane work, per-region pre-fusion performance is assembled, and — when the
+datapath has a Global Memory and fusion is enabled — the FAST fusion ILP
+assigns tensors to the Global Memory and post-fusion performance is
+produced.
 
 Compiling a graph also builds, once, a plan per fusion region
 (:class:`_RegionPlan`) of every fact that depends on the graph alone, such as
-operand sizes and softmax traffic, so costing a region for a trial is
-arithmetic over its plan and that trial's op costs.  Models repeat blocks
-(bert-seq128's 97 regions have 7 shapes), so a *twin*, a region repeating an
-earlier one's every cost input, shares the records of its *first-of-shape*
-region by reference and is never mapped, looked up or cached itself.  Its own
+operand sizes, softmax traffic and each vector op's lane work, so costing a
+region for a trial is arithmetic over its plan, the core's VPU lanes and that
+trial's mapped matrix-op costs.  Models repeat blocks (bert-seq128's 97
+regions have 7 shapes), so a *twin*, a region repeating an earlier one's
+every cost input, shares the records of its *first-of-shape* region by
+reference and is never mapped, looked up or cached itself.  Its own
 view, under its own identity, is built only when a report or the fusion
 solver reads it, and the fusion memo keys on one stats record per shape.
 
@@ -31,7 +33,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.compiler.passes import CompiledModel, compile_graph
-from repro.compiler.softmax import SoftmaxCostFactors
 from repro.compiler.xla_fusion import FusionRegion
 from repro.fusion.fast_fusion import FastFusionOptimizer, FusionResult, RegionStats
 from repro.hardware.datapath import DatapathConfig
@@ -39,7 +40,12 @@ from repro.hardware.memory import MemoryHierarchy
 from repro.mapping.costmodel import OpCost
 from repro.mapping.mapper import Mapper, MapperOptions
 from repro.simulator.result import RegionPerformance, SimulationResult
-from repro.simulator.vector_ops import vector_cost_cache_key, vector_op_cost, vpu_lanes_per_core
+# ``vector_op_cost`` stays importable from here, though the region walk prices
+# vector ops from plan lane work: the benchmark's layer tracer
+# (bench/layertrace.py) patches it, and the region-plan tests' oracle walk
+# prices vector ops through it.
+from repro.simulator.vector_ops import vector_op_cost  # noqa: F401
+from repro.simulator.vector_ops import vector_op_work, vpu_lanes_per_core
 from repro.workloads.graph import Graph, Operation, Tensor, TensorKind
 from repro.workloads.ops import OpType, is_matrix_op
 from repro.workloads.registry import build_workload
@@ -90,7 +96,7 @@ class SimulationOptions:
     * ``region_cache_enabled`` — memoize whole fusion-region evaluations
       across trials in the process-local region cache; cached regions skip
       mapping entirely on warm trials.
-    * ``op_cache_enabled`` — share per-op mapping/vector costs across trials
+    * ``op_cache_enabled`` — share per-op mapping costs across trials
       through the process-local op cache.
     * ``op_cache_path`` — optionally persist that cache as JSON lines.
     * ``region_store_path`` — optionally persist the region cache the same
@@ -127,9 +133,11 @@ class SimulationOptions:
 class _RegionPlan:
     """What evaluating one fusion region needs from the graph alone.
 
-    Built by :func:`_region_plans` once per compiled graph.  A ``source``
-    indexes the last matrix op reading the tensor, whose traffic
-    amplification applies; an input without one costs ``term``.  The
+    Built by :func:`_region_plans` once per compiled graph.  Each vector op's
+    lane work (:func:`~repro.simulator.vector_ops.vector_op_work`, under the
+    graph's softmax lowering) prices it on any core as ``lane_work / lanes``.
+    A ``source`` indexes the last matrix op reading the tensor, whose
+    traffic amplification applies; an input without one costs ``term``.  The
     predecessor is fixed because :meth:`Simulator.simulate` visits regions
     in order and stops at the first that fails to schedule.
 
@@ -144,8 +152,10 @@ class _RegionPlan:
 
     index: int
     name: str
-    ops: Tuple[Tuple[Operation, bool], ...]  # member ops in order, with their matrix flag
+    # Member ops in order, each with its lane work (``None``: a matrix op).
+    ops: Tuple[Tuple[Operation, Optional[float]], ...]
     matrix_ops: Tuple[Operation, ...]
+    vector_flops: int  # the vector ops' FLOPs
     matrix_bytes: Tuple[Tuple[int, int, int], ...]  # activation, weight, output bytes
     inputs: Tuple[Tuple[int, Optional[int], float], ...]  # input tensors' (size, source, term)
     weights: Tuple[Tuple[int, Optional[int]], ...]  # weight tensors' (size, source)
@@ -168,8 +178,9 @@ def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
     graph = compiled.graph
     tensors = graph.tensors
     size = {name: tensor.size_bytes for name, tensor in tensors.items()}
-    in_factor = compiled.softmax_factors.input_traffic_factor
-    out_factor = compiled.softmax_factors.output_traffic_factor
+    factors = compiled.softmax_factors
+    in_factor = factors.input_traffic_factor
+    out_factor = factors.output_traffic_factor
     producer: Dict[str, int] = {}  # tensor -> the region writing it
     # Operands are compared only between regions whose plan facts match: the
     # first region with some facts is keyed by its operands when a second
@@ -177,8 +188,16 @@ def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
     unkeyed: Dict[tuple, Optional[Tuple[int, FusionRegion]]] = {}
     first_of_shape: Dict[tuple, int] = {}  # signature -> its first region's position
     for position, region in enumerate(compiled.regions):
-        ops = tuple((op, is_matrix_op(op.op_type)) for op in region.ops)
-        matrix_ops = tuple(op for op, is_matrix in ops if is_matrix)
+        ops = []
+        vector_flops = 0
+        for op in region.ops:
+            if is_matrix_op(op.op_type):
+                ops.append((op, None))
+            else:
+                flops, lane_work = vector_op_work(op, tensors, factors)
+                ops.append((op, lane_work))
+                vector_flops += flops
+        matrix_ops = tuple(op for op, lane_work in ops if lane_work is None)
         sources = {t: j for j, op in enumerate(matrix_ops) for t in op.inputs}  # last one wins
         softmax_ops = [op for op in region.ops if op.op_type is OpType.SOFTMAX]
         softmax_inputs = {t for op in softmax_ops for t in op.inputs}
@@ -191,8 +210,9 @@ def _region_plans(compiled: CompiledModel) -> Iterator[_RegionPlan]:
         plan = _RegionPlan(
             index=region.index,
             name=region.name,
-            ops=ops,
+            ops=tuple(ops),
             matrix_ops=matrix_ops,
+            vector_flops=vector_flops,
             matrix_bytes=tuple(
                 (sum(size[t] for t in op.inputs if tensors[t].kind is TensorKind.ACTIVATION),
                  sum(size[t] for t in op.inputs if tensors[t].kind is not TensorKind.ACTIVATION),
@@ -372,13 +392,14 @@ class Simulator:
     """Evaluates workloads on a datapath configuration.
 
     Each stage runs inside a tracer span: ``compile``, ``batch_map``,
-    ``regions``, ``fusion``, and per op on a region miss ``map_op`` (scalar
-    engine) and ``vector_op`` (op-cache miss).  ``repro profile`` builds its
-    stage columns from those spans' totals.  A first-of-shape region the
-    region cache cannot serve is priced from its :class:`_RegionPlan` (built
-    once per compiled graph) and the trial's op costs.  A twin takes its
-    first-of-shape region's records, so only first-of-shape regions reach the
-    mapper, the VPU cost model, the region cache and its stores.
+    ``regions``, ``fusion``, and per matrix op the scalar engine maps on a
+    region miss ``map_op``.  ``repro profile`` builds its stage columns from
+    those spans' totals.  A first-of-shape region the region cache cannot
+    serve is priced from its :class:`_RegionPlan` (built once per compiled
+    graph), whose lane work prices its vector ops, and the trial's mapped
+    matrix-op costs.  A twin takes its first-of-shape region's records, so
+    only first-of-shape regions reach the mapper, the region cache and its
+    stores.
 
     Results share rather than copy: a region-cache hit puts the cached
     :class:`~repro.simulator.result.RegionPerformance` and
@@ -454,8 +475,7 @@ class Simulator:
         with _tracer().span("compile", category="simulate"):
             compiled, plans, layout = _compiled_entry(graph, core.use_two_pass_softmax)
         dram_bpc = core.dram_bytes_per_cycle
-        fingerprint = graph.fingerprint()
-        # ``Graph.tensors`` is a copy: fetch it once, and only to cost an op.
+        # ``Graph.tensors`` is a copy: fetch it once, and only to map an op.
         graph_tensors = functools.cache(lambda: graph.tensors)
 
         region_cache = self.region_cache
@@ -490,10 +510,7 @@ class Simulator:
                         break
                     record, stats = entry
                 else:
-                    record, stats = self._evaluate_region(
-                        plan, fingerprint, compiled.softmax_factors, dram_bpc, graph_tensors,
-                        premapped
-                    )
+                    record, stats = self._evaluate_region(plan, dram_bpc, graph_tensors, premapped)
                     if region_cache is not None:
                         region_cache.put(
                             region_keys[shape],
@@ -602,8 +619,6 @@ class Simulator:
     def _evaluate_region(
         self,
         plan: _RegionPlan,
-        fingerprint: str,
-        factors: SoftmaxCostFactors,
         dram_bpc: float,
         graph_tensors: Callable[[], Dict[str, Tensor]],
         premapped: Optional[Dict[str, OpCost]] = None,
@@ -611,19 +626,20 @@ class Simulator:
         """Cost one fusion region; returns (RegionPerformance, RegionStats).
 
         Arithmetic over the region's :class:`_RegionPlan` (built once per
-        compiled graph) and the trial's op costs, taken in region order.
+        compiled graph) and the trial's matrix-op costs, taken in region
+        order; a vector op takes ``lane_work / lanes`` VPU cycles.
         ``premapped`` holds the matrix-op costs of the trial-wide batched
         sweep (the scatter half of the graph-batched pipeline); ops absent
         from it (every op, on the scalar engine) are mapped by
         :meth:`~repro.mapping.mapper.Mapper.map_op`.  A matrix op that fails
-        to schedule returns ``(None, None)`` before any later op is costed.
+        to schedule returns ``(None, None)`` before any later op is mapped.
         """
         matrix_costs: List[OpCost] = []
-        vector_costs: List[OpCost] = []
+        vector_cycles_by_op: List[float] = []
         op_busy_cycles: Dict[str, float] = {}
-        op_cache = self.op_cache
-        for op, is_matrix in plan.ops:
-            if is_matrix:
+        lanes = self._vpu_lanes
+        for op, lane_work in plan.ops:
+            if lane_work is None:
                 cost = premapped.get(op.name) if premapped is not None else None
                 if cost is None:
                     with _tracer().span("map_op", category="simulate"):
@@ -633,26 +649,17 @@ class Simulator:
                 matrix_costs.append(cost)
                 op_busy_cycles[op.name] = cost.compute_cycles
             else:
-                cost = None
-                if op_cache is not None:
-                    vector_key = vector_cost_cache_key(
-                        fingerprint, op.name, self._vpu_lanes, factors
-                    )
-                    cost = op_cache.get(vector_key)
-                if cost is None:
-                    with _tracer().span("vector_op", category="simulate"):
-                        cost = vector_op_cost(op, graph_tensors(), self._core_config, factors)
-                    if op_cache is not None:
-                        op_cache.put(vector_key, cost)
-                vector_costs.append(cost)
-                op_busy_cycles[op.name] = cost.vector_cycles
+                cycles = lane_work / lanes
+                vector_cycles_by_op.append(cycles)
+                op_busy_cycles[op.name] = cycles
         # The anchor is the first matrix op: the partitioner starts a region
         # with its matrix_op, and a region without one anchors on it too.
         anchor_cost = matrix_costs[0] if matrix_costs else None
 
         compute_cycles = sum(c.compute_cycles for c in matrix_costs)
-        vector_cycles = sum(c.vector_cycles for c in vector_costs)
-        flops = sum(c.flops for c in matrix_costs) + sum(c.flops for c in vector_costs)
+        # Per op, in order: ``sum(lane_work) / lanes`` would round differently.
+        vector_cycles = sum(vector_cycles_by_op)
+        flops = sum(c.flops for c in matrix_costs) + plan.vector_flops
 
         # --- DRAM traffic attribution -----------------------------------
         # A matrix op's mapping may re-read its operands (amplification),

@@ -206,11 +206,6 @@ class SimulationResult:
         return self.total_cycles / (self.clock_ghz * 1e9)
 
     @property
-    def latency_s(self) -> float:
-        """Inference latency of one batch (the paper's step time)."""
-        return self.execution_time_s
-
-    @property
     def latency_ms(self) -> float:
         """Inference latency in milliseconds."""
         return self.execution_time_s * 1e3

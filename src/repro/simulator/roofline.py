@@ -27,13 +27,6 @@ class RooflinePoint:
     peak_flops: float
     memory_bound: bool
 
-    @property
-    def attainable_fraction(self) -> float:
-        """Attainable performance as a fraction of peak."""
-        if self.peak_flops <= 0:
-            return 0.0
-        return self.attainable_flops / self.peak_flops
-
 
 def attainable_flops(config: DatapathConfig, operational_intensity: float) -> float:
     """Peak-attainable FLOP/s at a given operational intensity."""

@@ -3,14 +3,17 @@
 Vector ops — softmax, layer/batch normalization, element-wise arithmetic,
 pooling, reductions — execute on the per-PE Vector Processing Unit rather
 than the systolic array.  Their throughput is one lane-operation per lane per
-cycle, so an op's VPU time is its lane-operation count divided by the chip's
-total lane count.  Softmax additionally gets a lowering-dependent DRAM
-traffic multiplier (three-pass vs two-pass, Section 5.6).
+cycle, so an op's VPU time is its lane-operation count (its *lane work*)
+divided by the chip's total lane count.  Lane work depends on the graph and
+the softmax lowering alone (Section 5.6 scales softmax's), so the simulator
+computes it once per compiled graph, in its region plans.  Softmax
+additionally gets a lowering-dependent DRAM traffic multiplier (three-pass
+vs two-pass).
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 from repro.compiler.softmax import SoftmaxCostFactors, THREE_PASS_SOFTMAX
 from repro.hardware.datapath import DatapathConfig
@@ -18,7 +21,7 @@ from repro.mapping.costmodel import OpCost
 from repro.workloads.graph import Operation, Tensor, TensorKind
 from repro.workloads.ops import OpType, op_flops
 
-__all__ = ["vector_op_cost", "vector_cost_cache_key", "vpu_lanes_per_core"]
+__all__ = ["vector_op_cost", "vector_op_work", "vpu_lanes_per_core"]
 
 # Ops that are pure metadata transforms and move no data at execution time.
 _ZERO_COST_TYPES = {OpType.RESHAPE, OpType.SLICE}
@@ -29,27 +32,22 @@ def vpu_lanes_per_core(config: DatapathConfig) -> int:
     return config.num_pes * config.vpu_lanes_per_pe
 
 
-def vector_cost_cache_key(
-    fingerprint: str,
-    op_name: str,
-    lanes: int,
+def vector_op_work(
+    op: Operation,
+    tensors: Dict[str, Tensor],
     softmax_factors: SoftmaxCostFactors,
-) -> tuple:
-    """Cross-trial cache key for :func:`vector_op_cost`.
+) -> Tuple[int, float]:
+    """A vector op's ``(flops, lane_work)``: its VPU time is ``lane_work / lanes``.
 
-    A vector op's cost is a pure function of the op structure (the graph's
-    content ``fingerprint`` plus the op name), the core's VPU ``lanes``, and
-    the softmax lowering factors — nothing else about the datapath matters.
+    Reshape and slice move no data and do no work.  Softmax's lane work is
+    its FLOPs scaled by the lowering's ``flops_factor``.
     """
-    return (
-        "vector",
-        fingerprint,
-        op_name,
-        lanes,
-        softmax_factors.input_traffic_factor,
-        softmax_factors.output_traffic_factor,
-        softmax_factors.flops_factor,
-    )
+    if op.op_type in _ZERO_COST_TYPES:
+        return 0, 0.0
+    flops = op_flops(op, tensors)
+    if op.op_type is OpType.SOFTMAX:
+        return flops, float(flops) * softmax_factors.flops_factor
+    return flops, float(flops)
 
 
 def vector_op_cost(
@@ -61,11 +59,11 @@ def vector_op_cost(
     """Compute the VPU cost of a vector op on one core of ``config``.
 
     The returned DRAM byte counts describe the op in isolation (its inputs
-    read from and outputs written to DRAM); the simulator only charges the
-    fraction of that traffic crossing a fusion-region boundary.
+    read from and outputs written to DRAM).  The simulator reads none of
+    them: it prices vector ops by :func:`vector_op_work` and takes a region's
+    traffic from its plan.
     """
-    flops = op_flops(op, tensors)
-    effective_flops = float(flops)
+    flops, lane_work = vector_op_work(op, tensors, softmax_factors)
 
     input_bytes = sum(
         tensors[name].size_bytes
@@ -90,21 +88,19 @@ def vector_op_cost(
     if op.op_type is OpType.SOFTMAX:
         input_bytes *= softmax_factors.input_traffic_factor
         output_bytes *= softmax_factors.output_traffic_factor
-        effective_flops *= softmax_factors.flops_factor
     elif op.op_type is OpType.LAYERNORM:
         # Mean/variance pass plus normalization pass: input read twice.
         input_bytes *= 2.0
 
     lanes = max(1, vpu_lanes_per_core(config))
-    vector_cycles = effective_flops / lanes
 
     return OpCost(
         op_name=op.name,
         op_type=op.op_type,
         flops=flops,
-        padded_flops=int(effective_flops),
+        padded_flops=int(lane_work),
         compute_cycles=0.0,
-        vector_cycles=vector_cycles,
+        vector_cycles=lane_work / lanes,
         dram_input_bytes=float(input_bytes),
         dram_weight_bytes=float(weight_bytes),
         dram_output_bytes=float(output_bytes),

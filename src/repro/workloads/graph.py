@@ -232,7 +232,7 @@ class Graph:
         Covers every op (name, type, operands, attributes) and every tensor
         (name, shape, dtype, kind), so two graphs share a fingerprint only
         when per-op cost models would produce identical results for them.
-        Used as a cache key component by the cross-trial op-cost cache; the
+        Used as a key component by the cross-trial region cache; the
         digest is computed once and memoized (graphs are append-only while
         being built, and built graphs are treated as immutable everywhere).
         """

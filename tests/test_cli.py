@@ -260,7 +260,6 @@ class TestCommands:
         stages = {record["mode"]: record["stage_seconds"] for record in payload["records"]}
         assert all(stage["evaluate"] > 0 for stage in stages.values())
         assert stages["scalar"]["mapper"] > 0
-        assert stages["scalar"]["vector"] > 0
         assert get_tracer() is caller_tracer
 
     def test_sweep_smoke_golden_output(self, tmp_path, capsys):

@@ -584,7 +584,10 @@ class TestMapperCacheTraffic:
         # Every op- and region-cache get and put and every map_ops_batch
         # call of this search is pinned; they equal the counts of the
         # engine that built one candidate grid per PE count, which built
-        # 312 grids here.  Sharing grids across PE counts builds fewer.
+        # 312 grids here.  Sharing grids across PE counts builds fewer.  The
+        # op cache holds mapped ops only: each of the 416 problems the
+        # batches mapped is one get and one put (vector ops, priced from
+        # their plans, made 1,322 gets and 982 puts of it before).
         monkeypatch.setattr(mapper_module, "_GRID_MEMO", {})
         monkeypatch.setattr(mapper_module, "_PREP_MEMO", {})
         counts = collections.Counter()
@@ -615,8 +618,8 @@ class TestMapperCacheTraffic:
         )
         assert counts.pop("grids") == 208 < 312
         assert counts == {
-            "op_gets": 1322,
-            "op_puts": 982,
+            "op_gets": 416,
+            "op_puts": 416,
             "region_gets": 363,
             "region_puts": 323,
             "map_ops_batch": 16,

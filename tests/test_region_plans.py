@@ -7,18 +7,19 @@ region-evaluation body and the ``producer_region`` bookkeeping of
 ``Simulator.simulate``, which recomputed every graph-only fact on every
 miss.  Each region's ``(RegionPerformance, RegionStats)`` must equal the
 oracle's under ``==``, encode to the same store record (so an int never
-turns into a float), keep the same ``op_busy_cycles`` key order, and cost
-the same vector ops in the same order, so a reordered float sum, a
-misattributed amplification or a vector op costed after a failed matrix
-op fails here.  A twin (a region repeating an earlier region's every cost
-input) shares that region's records instead of being evaluated, so the
-views a simulation result builds for it must equal the oracle's entry too,
-and only first-of-shape regions price ops.
+turns into a float) and keep the same ``op_busy_cycles`` key order, so a
+reordered float sum or a misattributed amplification fails here.  The
+oracle prices each vector op with ``vector_op_cost``; the planned walk
+prices it from its plan's lane work and never calls that cost model.  A
+twin (a region repeating an earlier region's every cost input) shares that
+region's records instead of being evaluated, so the views a simulation
+result builds for it must equal the oracle's entry too.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -37,10 +38,11 @@ from repro.runtime.opcache import RegionCostCache, reset_op_caches
 from repro.simulator import engine
 from repro.simulator.engine import MAPPER_MODES, SimulationOptions, Simulator, clear_compiled_cache
 from repro.simulator.result import RegionPerformance
+from repro.simulator.vector_ops import vector_op_cost, vpu_lanes_per_core
 from repro.workloads.builder import GraphBuilder
 from repro.workloads.graph import TensorKind
 from repro.workloads.ops import OpType, is_matrix_op
-from repro.workloads.registry import build_workload
+from repro.workloads.registry import available_workloads, build_workload
 from store_format1 import region_entry_to_dict
 
 #: Every op of every model fails to map on these 1 KiB L1 buffers, so a
@@ -141,8 +143,8 @@ def reference_evaluate_region(
 ):
     """The region evaluation before plans: every graph-only fact per call.
 
-    Called with a simulator that has no op cache, so every vector op is
-    costed by ``engine.vector_op_cost`` (where the tests count the calls).
+    Every vector op is costed by ``engine.vector_op_cost``, which the
+    planned walk must never call (the tests count the calls).
     """
     graph = compiled.graph
     tensors = graph.tensors
@@ -351,37 +353,27 @@ def _planned_walk(config: DatapathConfig, graph, mapper_engine: str, monkeypatch
     return entries
 
 
-def _first_of_shape_ops(graph, two_pass: bool) -> set:
-    """Names of the ops of every first-of-shape region of ``graph``."""
-    _, plans = engine._compile_with_plans(graph, two_pass)
-    return {name for plan in plans if plan.twin is None for name in plan.op_names}
-
-
 @pytest.mark.parametrize("mapper_engine", MAPPER_MODES)
 @pytest.mark.parametrize("workload, two_pass", CASES)
 def test_plans_price_every_region_as_the_reference_walk(
     workload, two_pass, mapper_engine, monkeypatch
 ):
     costed = _record_vector_ops(monkeypatch)
-    failed = 0
+    failed = oracle_priced = 0
     for config in DESIGNS:
         if two_pass is not None:
             config = config.evolve(use_two_pass_softmax=two_pass)
         graph = _graph(workload)
-        reset_op_caches()  # every vector op of this walk is priced, as the oracle's are
+        reset_op_caches()
 
         costed.clear()
         planned = _planned_walk(config, graph, mapper_engine, monkeypatch)
-        planned_costed = list(costed)
-        costed.clear()
+        assert costed == []  # vector ops are priced from the plans' lane work
         reference = reference_region_walk(config, graph, mapper_engine)
+        oracle_priced += len(costed)
 
         assert len(planned) == len(reference)
         assert planned == reference
-        # Only first-of-shape regions price vector ops, and none past a
-        # failed matrix op.
-        priced = _first_of_shape_ops(graph, config.use_two_pass_softmax)
-        assert planned_costed == [name for name in costed if name in priced]
         for (record, stats), (ref_record, ref_stats) in zip(planned, reference):
             if record is None:
                 failed += 1
@@ -391,6 +383,7 @@ def test_plans_price_every_region_as_the_reference_walk(
                 region_entry_to_dict((ref_record, ref_stats))
             )
     assert failed >= 1  # the unschedulable design took the failure path
+    assert oracle_priced > 0  # the recorder sees the cost model's calls
 
 
 def test_each_softmax_lowering_gets_its_own_plans(monkeypatch):
@@ -676,3 +669,46 @@ def test_the_fusion_memo_hashes_each_key_once(monkeypatch):
     for gm_bytes, solver, result in fused:
         fresh = FastFusionOptimizer(gm_capacity_bytes=gm_bytes, solver=solver)
         assert result.fusion_result == fresh.optimize(result.region_stats)
+
+
+# ---------------------------------------------------------------------------
+# Plan lane work is the VPU cost model's, bit for bit
+# ---------------------------------------------------------------------------
+def _lane_designs():
+    """One VPU lane, the default design's lanes, TPU-v3's and the most the
+    search space allows (its largest PE grid, array width and VPU multiplier).
+    """
+    space = DatapathSearchSpace()
+    largest = space.to_config({spec.name: spec.choices[-1] for spec in space.specs})
+    one_lane = DatapathConfig(
+        pes_x_dim=1, pes_y_dim=1, systolic_array_x=1, systolic_array_y=1, vector_unit_multiplier=1
+    )
+    return [one_lane, DatapathConfig(), TPU_V3, largest]
+
+
+@pytest.mark.parametrize("workload", sorted(available_workloads()))
+def test_plan_lane_work_prices_vector_ops_as_the_cost_model(workload):
+    designs = _lane_designs()
+    lanes = [vpu_lanes_per_core(config) for config in designs]
+    assert lanes[0] == 1 and lanes[-1] == max(lanes) == 256 * 256 * 256 * 16
+    graph = build_workload(workload, batch_size=8)
+    tensors = graph.tensors
+    for two_pass in (False, True):
+        compiled, plans = engine._compile_with_plans(graph, two_pass)
+        vector_ops = 0
+        for plan in plans:
+            vector_flops = 0
+            for op, lane_work in plan.ops:
+                assert (lane_work is None) == is_matrix_op(op.op_type)
+                if lane_work is None:
+                    continue
+                vector_ops += 1
+                for config, count in zip(designs, lanes):
+                    cost = vector_op_cost(op, tensors, config, compiled.softmax_factors)
+                    assert struct.pack("<d", lane_work / count) == struct.pack(
+                        "<d", cost.vector_cycles
+                    ), (op.name, count)
+                vector_flops += cost.flops
+            assert type(plan.vector_flops) is int
+            assert plan.vector_flops == vector_flops, plan.name
+        assert vector_ops > 0

@@ -72,11 +72,15 @@ CURRENT_STORE_LINE = (
 #: region cache; the 17 twins take their numbers in the region walk.
 EFFICIENTNET_B0_SHAPES = 33
 
-#: The op-store digest of the vector op-cost key of bert-seq128's first
-#: softmax (``layer0.attention.softmax``) on FAST-Large at its native batch
-#: 8 with the three-pass lowering, as written by the version that built the
-#: key from the graph, the op and the datapath.
-PARENT_SOFTMAX_KEY_DIGEST = "2f7e3d6844f31e5858b93876d15a2b175c99fe138f7fa0db6a6a94cbc11bd496"
+#: The op-store line of bert-seq128's first softmax (``layer0.attention.softmax``,
+#: FAST-Large, native batch 8, three-pass lowering) as written by the versions
+#: that cached vector-op costs in the op cache.  Vector ops are now priced from
+#: their region plans, so no key looks this line up.
+PARENT_VECTOR_OP_LINE = (
+    '{"key": "2f7e3d6844f31e5858b93876d15a2b175c99fe138f7fa0db6a6a94cbc11bd496", '
+    '"cost": ["layer0.attention.softmax", "softmax", 9437184, 9437184, 0.0, 4608.0, '
+    '6291456.0, 0.0, 9437184.0, 0.0, null, null, false]}'
+)
 
 
 @pytest.fixture(autouse=True)
@@ -265,9 +269,8 @@ class TestDerivedDigest:
         graph = build_workload("bert-seq128", batch_size=2)
         with mock.patch.object(OpCostCache, "get", get):
             _simulator().simulate(graph)
-        op_keys = [(key, prefix) for key, prefix in calls if key[0] != "vector"]
-        assert op_keys
-        for key, prefix in op_keys:
+        assert calls
+        for key, prefix in calls:
             assert prefix is not None
             assert CostCacheBase.digest(key, prefix) == CostCacheBase.digest(key)
 
@@ -283,9 +286,20 @@ class TestDerivedDigest:
 
 
 class TestStoreFormatCompatibility:
-    def test_vector_op_keys_hash_to_the_previous_versions_digest(self):
-        # An op store written before this version keeps serving vector costs
-        # only if the key built now for the same op hashes the same.
+    def test_an_op_store_with_vector_op_lines_serves_its_matrix_lines(self, tmp_path):
+        # A store an earlier version wrote holds vector-op lines beside the
+        # mapped ones.  It loads whole, its matrix lines serve every lookup,
+        # and no lookup is for a vector op.
+        store = tmp_path / "ops.jsonl"
+        graph = build_workload("bert-seq128", batch_size=FAST_LARGE.native_batch_size)
+        options = {"region_cache_enabled": False, "op_cache_path": str(store)}
+        cold = _simulator(**options).simulate(graph)
+        matrix_lines = store.read_text().splitlines()
+        assert matrix_lines
+        lines = [matrix_lines[0], PARENT_VECTOR_OP_LINE, *matrix_lines[1:]]
+        store.write_text("".join(line + "\n" for line in lines))
+
+        reset_op_caches()
         keys = []
         original = OpCostCache.get
 
@@ -293,14 +307,18 @@ class TestStoreFormatCompatibility:
             keys.append(key)
             return original(self, key, prefix)
 
-        graph = build_workload("bert-seq128", batch_size=FAST_LARGE.native_batch_size)
+        simulator = _simulator(**options)
         with mock.patch.object(OpCostCache, "get", get):
-            _simulator().simulate(graph)
-        softmax = [
-            key for key in keys if key[0] == "vector" and key[2] == "layer0.attention.softmax"
-        ]
-        assert len(softmax) == 1
-        assert CostCacheBase.digest(softmax[0]) == PARENT_SOFTMAX_KEY_DIGEST
+            warm = simulator.simulate(graph)
+        stats = simulator.op_cache.stats
+        assert stats.corrupt_records == 0
+        assert stats.disk_entries_loaded == len(matrix_lines) + 1
+        assert stats.disk_hits == len(matrix_lines)
+        assert stats.misses == stats.puts == 0
+        assert warm.region_post_fusion_cycles == cold.region_post_fusion_cycles
+        # Every key is the mapper's: (mapping config key, problem key).
+        config_key = simulator.mapper.mapping_config_key()
+        assert keys and all(len(key) == 2 and key[0] == config_key for key in keys)
 
     def test_previous_format_line_decodes_and_reencodes_identically(self, tmp_path):
         parent = json.loads(PARENT_STORE_LINE)

@@ -237,7 +237,7 @@ class TestColdStoresKeepDigestsNotRows:
 #: pin what a round trip cannot show: every line's bytes, the line order and
 #: each key's digest.
 COLD_STORE_SHA256 = {
-    "ops.jsonl": "c70e56a5eba2e02134d0c29cdde30aea64b06fcaca30c544b75d848e2671d95d",
+    "ops.jsonl": "732fa4d5793b83926c171f6d57ebb7f569732e5cf6df5e7ad4e79085d36e81e0",
     "regions.jsonl": "51bc1e2e19d98d5ed5fbd6c29614fe539e951225737f78296ac03c8e7d2b4bb2",
     "trials.jsonl": "520bbe5fc68dacd8d831f74aabc21fb1fbafea702cdb9bdc380f7520189ea035",
 }

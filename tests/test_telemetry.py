@@ -336,17 +336,15 @@ class TestProfileStages:
             "batch_map": [2, 0.5],
             "map_ops_batch": [2, 0.375],  # nested inside batch_map: not added
             "map_op": [3, 0.25],
-            "vector_op": [5, 0.125],
             "fusion": [1, 0.0625],
             "trial": [2, 1.5],
             "area_power": [2, 0.03125],
         })
         assert stages == {
             "mapper": 0.75,
-            "vector": 0.125,
             "fusion": 0.0625,
             "evaluate": 1.5,
-            "other": 0.5625,
+            "other": 0.6875,
         }
         assert _stage_seconds({}) == dict.fromkeys(stages, 0)
 
@@ -361,12 +359,12 @@ class TestProfileStages:
             return report.records[0].stage_seconds
 
         cold = stages(warm_op_cache=False)
-        assert cold["mapper"] > 0 and cold["vector"] > 0
+        assert cold["mapper"] > 0
         # The timed rerun is all region-cache hits: the totals were cleared
-        # after the cold run, so its mapping and VPU time is not counted.
+        # after the cold run, so its mapping time is not counted.
         warm = stages(warm_op_cache=True)
         assert warm["evaluate"] > 0
-        assert warm["mapper"] == warm["vector"] == 0
+        assert warm["mapper"] == 0
 
     def test_profile_restores_the_callers_tracer_when_a_mode_fails(self, monkeypatch):
         real_run = FASTSearch.run
